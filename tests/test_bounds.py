@@ -358,6 +358,64 @@ class TestAdjudication:
             crosscheck_B(7, inst, p=None)
 
 
+class TestClosedFormValues:
+    # closed_B and corrected_B at every 2F1 case, pinned so that a slip in
+    # any term shows, flagged case or not.  Interior cases sit at mu = 0.3
+    # and lambda = 0.8 (also the triple of B8, B9, B11, B12).  No case's
+    # largest term exceeds 300x its value here, so rel=1e-12 is not eaten
+    # by cancellation.  Keyed (a, b, s, q) -> (index, case) ->
+    # (closed_B, corrected_B).
+    GOLDEN = {
+        (1.0, 2.0, 0.5, 2.0): {
+            (2, "mu=0"): (0.02237425515891041, 0.02237425515891041),
+            (2, "interior"): (0.025372204135061638, 0.011540409843646345),
+            (2, "mu=1/2"): (0.023731725812473816, 0.023731725812473816),
+            (3, "mu=0"): (0.0060593195436744515, 0.03637263423062043),
+            (3, "interior"): (0.03940908492535351, 0.03419715110186364),
+            (3, "mu=1/2"): (0.09911935344431988, 0.06916096478828296),
+            (5, "lambda=1/2"): (0.010319111024813511, 0.010319111024813511),
+            (5, "interior"): (0.04362943273870819, 0.00674464796160075),
+            (5, "lambda=1"): (0.03413384859910388, 0.013495626549476683),
+            (6, "lambda=1/2"): (0.006726898023271343, 0.0048464929023304595),
+            (6, "interior"): (0.39289369678792097, 0.004830368207094135),
+            (6, "lambda=1"): (0.010090347034907307, 0.010090347034907307),
+            (8, "all"): (0.04610598097138431, 0.09221196194276862),
+            (9, "all"): (0.2289914059625005, 0.2110671980378152),
+            (11, "all"): (0.04762947514858351, 0.04762947514858351),
+            (12, "all"): (0.009692985804660919, 0.029873679874475534),
+        },
+        (0.7, 2.4, 0.25, 3.0): {
+            (2, "mu=0"): (0.03918792965091445, 0.03918792965091445),
+            (2, "interior"): (0.1173803828000762, 0.06649724446250674),
+            (2, "mu=1/2"): (0.13042253147431287, 0.13042253147431287),
+            (3, "mu=0"): (0.030614935628733214, 0.05920218145520717),
+            (3, "interior"): (0.14706750923466358, 0.1460379514099559),
+            (3, "mu=1/2"): (0.30954545795966953, 0.27574824403556936),
+            (5, "lambda=1/2"): (0.0016140033701924905, 0.0016140033701924905),
+            (5, "interior"): (0.13748872536533685, 0.0018003564651515869),
+            (5, "lambda=1"): (0.006835043334314325, 0.0036070365939209273),
+            (6, "lambda=1/2"): (0.002582229659376415, 0.0011752317335139229),
+            (6, "interior"): (1.089009160238401, 0.0016097415060578038),
+            (6, "lambda=1"): (0.0032277870742208, 0.0032277870742208),
+            (8, "all"): (0.16961046112523154, 0.3392209222504631),
+            (9, "all"): (0.6747930941012955, 0.6699008509815902),
+            (11, "all"): (0.010442079928235315, 0.010442079928235315),
+            (12, "all"): (0.0023504634670278458, 0.008806037615469445),
+        },
+    }
+
+    @pytest.mark.parametrize("absq", sorted(GOLDEN), ids=lambda k: "a{}-b{}-s{}-q{}".format(*k))
+    def test_pinned_values(self, absq):
+        a, b, s, q = absq
+        for (index, case), (printed, corrected) in self.GOLDEN[absq].items():
+            mu = {"mu=0": 0.0, "mu=1/2": 0.5}.get(case, 0.3)
+            lam = {"lambda=1/2": 0.5, "lambda=1": 1.0}.get(case, 0.8)
+            inst = make(a=a, b=b, s=s, q=q, lam=lam, mu=mu)
+            assert case_label(index, inst) == case
+            assert closed_B(index, inst) == pytest.approx(printed, rel=1e-12), (index, case)
+            assert corrected_B(index, inst) == pytest.approx(corrected, rel=1e-12), (index, case)
+
+
 class TestTheorem1:
     GOLDEN = make(s=1.0, q=1.0, lam=0.5, mu=0.5)
 
