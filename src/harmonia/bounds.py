@@ -16,9 +16,10 @@ the closed forms printed in the source tables (Beta and Gauss 2F1
 expressions, piecewise in mu or lam).  Several printed cases are misprinted;
 ``crosscheck_B`` compares the paths and flags disagreements as errata
 instead of silently patching, ``EXPECTED_COEFFICIENT_ERRATA`` freezes the
-adjudicated flag set, and ``corrected_B`` carries the hand-derived corrected
-forms (each one oracle-backed by tests).  The oracle path is authoritative
-everywhere downstream.
+adjudicated flag set, and ``corrected_B`` evaluates the hand-derived corrected
+forms (each one oracle-backed by tests).  Both closed-form paths read one term
+table: ``PRINTED`` holds the printed forms, ``PATCHES`` the corrections.  The
+oracle path is authoritative everywhere downstream.
 """
 
 from __future__ import annotations
@@ -221,34 +222,114 @@ def case_label(index: int, inst: Instance) -> str:
     raise ParameterError(f"coefficient index must be 1..12, got {index!r}")
 
 
-@dataclass(frozen=True)
-class _Args:
-    """Shared subexpressions of the closed forms for one instance."""
+# The printed closed forms as data.  Each term is one row
+#     (sign, coef, top, Beta x, Beta y, den, 2F1 beta, 2F1 gamma, argument)
+# and reads  sign * coef * 2^(2q-s-top) * B(x, y) / den * F(2q, beta; gamma; argument),
+# where coef None stands for 1 and top 0 for no power of 2 above the line.
+# x is mu in B2/B3 and lambda in B5/B6; A_x = x*b + (1-x)*a, z = 1 - 2a/(a+b),
+# zeta = 1 - a/b and w = 1 - (a+b)/(2b).  Misprints are transcribed as printed.
+PRINTED: dict[tuple[int, str], tuple[tuple, ...]] = {
+    (2, "mu=0"): ((+1, None, 2, "1", "s+2", "(a+b)^2q", "1", "s+3", "z"),),
+    (2, "mu=1/2"): ((+1, None, 2, "2", "s+1", "(a+b)^2q", "2", "s+3", "z"),),
+    (2, "interior"): ((+1, "2x^(s+2)", 0, "2", "s+1", "A_x^2q", "2", "s+3", "1-a/A_x"),
+                      (-1, "x", 2, "1", "s+1", "(a+b)^2q", "1", "s+2", "z"),
+                      (+1, None, 2, "1", "s+2", "(a+b)^2q", "1", "s+3", "z")),
+    (3, "mu=0"): ((+1, None, 0, "s+1", "s+3", "b^2q", "s+1", "s+3", "zeta"),
+                  (-1, None, 0, "s+1", "1", "2^(s+2)b^2q", "s+1", "s+2", "w"),
+                  (-1, None, 0, "s+1", "2", "2^(s+2)b^2q", "s+1", "s+3", "w")),
+    # The printed display drops the operator before its last term; it is
+    # read as '+' (the adjudication flags the case either way).
+    (3, "mu=1/2"): ((+1, None, 0, "s+1", "1", "2b^2q", "s+2", "s+3", "zeta"),
+                    (-1, None, 0, "s+1", "2", "2b^2q", "s+2", "s+3", "zeta"),
+                    (+1, None, 0, "s+1", "2", "2^(s+2)b^2q", "s+2", "s+3", "w")),
+    (3, "interior"): ((+1, "x", 0, "s+1", "1", "b^2q", "s+1", "s+2", "zeta"),
+                      (-1, None, 0, "s+1", "2", "b^2q", "s+1", "s+3", "zeta"),
+                      (+1, "2(1-x)^(s+2)", 0, "s+1", "2", "b^2q", "s+1", "s+3", "(1-x)zeta"),
+                      (+1, "x-1", 0, "s+1", "1", "2^(s+2)b^2q", "s+1", "s+2", "w"),
+                      (+1, None, 0, "s+1", "2", "2^(s+2)b^2q", "s+1", "s+3", "w")),
+    (5, "lambda=1"): ((+1, None, 0, "1", "s+2", "b^2q", "1", "s+3", "zeta"),
+                      (-1, None, 2, "1", "s+2", "(a+b)^2q", "1", "s+3", "z")),
+    (5, "lambda=1/2"): ((+1, None, 0, "1", "s+2", "2b^2q", "1", "s+3", "zeta"),
+                        (+1, None, 2, "2", "s+1", "(a+b)^2q", "2", "s+3", "z"),
+                        (-1, None, 0, "2", "s+1", "2b^2q", "2", "s+3", "zeta")),
+    (5, "interior"): ((+1, "2x^(s+2)", 0, "2", "s+1", "A_x^2q", "2", "s+3", "1-a/A_x"),
+                      (-1, "x", 2, "1", "s+1", "(a+b)^2q", "1", "s+2", "z"),
+                      (+1, None, 2, "1", "s+2", "(a+b)^2q", "1", "s+3", "z"),
+                      (+1, None, 0, "1", "s+2", "b^2q", "1", "s+3", "zeta"),
+                      (-1, "x", 0, "1", "s+1", "b^2q", "1", "s+2", "zeta")),
+    (6, "lambda=1"): ((+1, None, 0, "s+1", "1", "2^(s+2)b^2q", "s+1", "s+2", "w"),
+                      (-1, None, 0, "s+1", "2", "2^(s+2)b^2q", "s+1", "s+3", "w")),
+    (6, "lambda=1/2"): ((+1, None, 0, "s+1", "2", "2^(s+2)b^2q", "s+2", "s+3", "w"),),
+    (6, "interior"): ((+1, "2x", 0, "s+1", "1", "b^2q", "s+1", "s+2", "zeta"),
+                      (+1, "x-1", 0, "1", "s+1", "2^(s+1)b^2q", "1", "s+2", "w"),
+                      (+1, "2(1-x)^(s+2)", 0, "s+1", "2", "b^2q", "s+1", "s+3", "(1-x)zeta"),
+                      (+1, None, 0, "2", "s+1", "2^(s+1)b^2q", "2", "s+3", "w")),
+    (8, "all"): ((+1, None, 2, "1", "s+1", "(a+b)^2q", "1", "s+2", "z"),),
+    (9, "all"): ((+1, None, 0, "s+1", "1", "b^2q", "s+1", "s+2", "zeta"),
+                 (-1, None, 0, "s+1", "2", "2^(s+1)b^2q", "s+1", "s+2", "w")),
+    (11, "all"): ((+1, None, 0, "1", "s+1", "b^2q", "1", "s+2", "zeta"),
+                  (-1, None, 1, "1", "s+1", "(a+b)^2q", "1", "s+2", "z")),
+    (12, "all"): ((+1, None, 0, "s+1", "2", "2^(s+1)b^2q", "s+1", "s+3", "w"),),
+}
 
-    a: float
-    b: float
-    s: float
-    q: float
-    z: float  # 1 - 2a/(a+b)
-    zeta: float  # 1 - a/b
-    w: float  # 1 - (a+b)/(2b)
-    apb2q: float  # (a+b)^2q
-    b2q: float  # b^2q
+# The hand-derived corrected forms, one entry per row of the ERRATA.md summary.
+# Printed terms that a correction keeps are taken from PRINTED.
+PATCHES: dict[tuple[int, str], tuple[tuple, ...]] = {
+    (2, "interior"): (PRINTED[2, "interior"][0],
+                      (-1, "x", 1, "1", "s+1", "(a+b)^2q", "1", "s+2", "z"),
+                      PRINTED[2, "interior"][2]),
+    (3, "mu=0"): ((+1, None, 0, "s+1", "2", "b^2q", "s+1", "s+3", "zeta"),
+                  (-1, None, 0, "s+1", "1", "2^(s+1)b^2q", "s+1", "s+2", "w"),
+                  (+1, None, 0, "s+2", "1", "2^(s+2)b^2q", "s+2", "s+3", "w")),
+    (3, "mu=1/2"): ((+1, None, 0, "s+2", "1", "b^2q", "s+2", "s+3", "zeta"),
+                    (-1, "1/2", 0, "s+1", "1", "b^2q", "s+1", "s+2", "zeta"),
+                    (-1, None, 0, "s+2", "1", "2^(s+2)b^2q", "s+2", "s+3", "w"),
+                    (+1, None, 0, "s+1", "1", "2^(s+2)b^2q", "s+1", "s+2", "w")),
+    (3, "interior"): (*PRINTED[3, "interior"][:3],
+                      (+1, "x-1", 0, "s+1", "1", "2^(s+1)b^2q", "s+1", "s+2", "w"),
+                      (+1, None, 0, "s+2", "1", "2^(s+2)b^2q", "s+2", "s+3", "w")),
+    (5, "lambda=1"): ((+1, None, 0, "2", "s+1", "b^2q", "2", "s+3", "zeta"),
+                      (-1, None, 1, "1", "s+1", "(a+b)^2q", "1", "s+2", "z"),
+                      (+1, None, 2, "1", "s+2", "(a+b)^2q", "1", "s+3", "z")),
+    (5, "interior"): (PRINTED[5, "interior"][0],
+                      (-1, "x", 1, "1", "s+1", "(a+b)^2q", "1", "s+2", "z"),
+                      *PRINTED[5, "interior"][2:]),
+    (6, "interior"): ((+1, "x-1", 0, "s+1", "1", "2^(s+1)b^2q", "s+1", "s+2", "w"),
+                      (+1, None, 0, "s+2", "1", "2^(s+2)b^2q", "s+2", "s+3", "w"),
+                      PRINTED[6, "interior"][2]),
+    (6, "lambda=1/2"): ((+1, None, 0, "s+1", "2", "2^(s+2)b^2q", "s+1", "s+3", "w"),),
+    (8, "all"): ((+1, None, 1, "1", "s+1", "(a+b)^2q", "1", "s+2", "z"),),
+    (9, "all"): (PRINTED[9, "all"][0],
+                 (-1, None, 0, "s+1", "1", "2^(s+1)b^2q", "s+1", "s+2", "w")),
+    (12, "all"): ((+1, None, 0, "s+1", "1", "2^(s+1)b^2q", "s+1", "s+2", "w"),),
+}
 
 
-def _args(inst: Instance) -> _Args:
+def _evaluate(index: int, terms: tuple[tuple, ...], inst: Instance) -> float:
+    """Sum the terms left to right, each as ((coef * 2^top) * B) / den * F."""
     a, b, s, q = inst.a, inst.b, inst.s, inst.q
-    return _Args(
-        a=a,
-        b=b,
-        s=s,
-        q=q,
-        z=1.0 - 2.0 * a / (a + b),
-        zeta=1.0 - a / b,
-        w=1.0 - (a + b) / (2.0 * b),
-        apb2q=(a + b) ** (2.0 * q),
-        b2q=b ** (2.0 * q),
-    )
+    x = inst.mu_ if KIND_FOR_INDEX[index].side == "left" else inst.lambda_
+    A_x = x * b + (1.0 - x) * a
+    zeta = 1.0 - a / b
+    b2q = b ** (2.0 * q)
+    v = {
+        "1": 1.0, "2": 2.0, "s+1": s + 1, "s+2": s + 2, "s+3": s + 3,
+        "x": x, "2x": 2.0 * x, "x-1": x - 1.0, "1/2": 0.5,
+        "2x^(s+2)": 2.0 * x ** (s + 2), "2(1-x)^(s+2)": 2.0 * (1.0 - x) ** (s + 2),
+        "b^2q": b2q, "2b^2q": 2.0 * b2q,
+        "2^(s+1)b^2q": 2.0 ** (s + 1) * b2q, "2^(s+2)b^2q": 2.0 ** (s + 2) * b2q,
+        "(a+b)^2q": (a + b) ** (2.0 * q), "A_x^2q": A_x ** (2 * q),
+        "z": 1.0 - 2.0 * a / (a + b), "zeta": zeta, "w": 1.0 - (a + b) / (2.0 * b),
+        "(1-x)zeta": (1.0 - x) * zeta, "1-a/A_x": 1.0 - a / A_x,
+    }
+    total = 0.0
+    for sign, coef, top, bx, by, den, fb, fg, arg in terms:
+        # 2^(2q-s-top) is formed only where a term has it: it can overflow
+        # at large q where the b^2q forms still evaluate.
+        c = v[coef] if coef else 1.0
+        t = 2.0 ** (2 * q - s - top) if top else 1.0
+        total += sign * (c * t * beta(v[bx], v[by]) / v[den] * hyp2f1(2 * q, v[fb], v[fg], v[arg]))
+    return total
 
 
 def closed_B(index: int, inst: Instance) -> float:
@@ -264,109 +345,7 @@ def closed_B(index: int, inst: Instance) -> float:
         raise ParameterError(
             f"closed_B covers 2F1-based indices 2,3,5,6,8,9,11,12, got {index!r}"
         )
-    g = _args(inst)
-    a, b, s, q = g.a, g.b, g.s, g.q
-    F = hyp2f1
-    mu, lam = inst.mu_, inst.lambda_
-    case = case_label(index, inst)
-
-    if index == 2:
-        if case == "mu=0":
-            return 2.0 ** (2 * q - s - 2) * beta(1.0, s + 2) / g.apb2q * F(2 * q, 1.0, s + 3, g.z)
-        if case == "mu=1/2":
-            return 2.0 ** (2 * q - s - 2) * beta(2.0, s + 1) / g.apb2q * F(2 * q, 2.0, s + 3, g.z)
-        A_mu = mu * b + (1.0 - mu) * a
-        return (
-            2.0 * mu ** (s + 2) * beta(2.0, s + 1) / A_mu ** (2 * q)
-            * F(2 * q, 2.0, s + 3, 1.0 - a / A_mu)
-            - mu * 2.0 ** (2 * q - s - 2) * beta(1.0, s + 1) / g.apb2q
-            * F(2 * q, 1.0, s + 2, g.z)
-            + 2.0 ** (2 * q - s - 2) * beta(1.0, s + 2) / g.apb2q
-            * F(2 * q, 1.0, s + 3, g.z)
-        )
-
-    if index == 3:
-        if case == "mu=0":
-            return (
-                beta(s + 1, s + 3) / g.b2q * F(2 * q, s + 1, s + 3, g.zeta)
-                - beta(s + 1, 1.0) / (2.0 ** (s + 2) * g.b2q) * F(2 * q, s + 1, s + 2, g.w)
-                - beta(s + 1, 2.0) / (2.0 ** (s + 2) * g.b2q) * F(2 * q, s + 1, s + 3, g.w)
-            )
-        if case == "mu=1/2":
-            # The printed display drops the operator before its last term;
-            # it is read as '+' (the adjudication flags the case either way).
-            return (
-                beta(s + 1, 1.0) / (2.0 * g.b2q) * F(2 * q, s + 2, s + 3, g.zeta)
-                - beta(s + 1, 2.0) / (2.0 * g.b2q) * F(2 * q, s + 2, s + 3, g.zeta)
-                + beta(s + 1, 2.0) / (2.0 ** (s + 2) * g.b2q) * F(2 * q, s + 2, s + 3, g.w)
-            )
-        return (
-            mu * beta(s + 1, 1.0) / g.b2q * F(2 * q, s + 1, s + 2, g.zeta)
-            - beta(s + 1, 2.0) / g.b2q * F(2 * q, s + 1, s + 3, g.zeta)
-            + 2.0 * (1.0 - mu) ** (s + 2) * beta(s + 1, 2.0) / g.b2q
-            * F(2 * q, s + 1, s + 3, (1.0 - mu) * g.zeta)
-            + (mu - 1.0) * beta(s + 1, 1.0) / (2.0 ** (s + 2) * g.b2q)
-            * F(2 * q, s + 1, s + 2, g.w)
-            + beta(s + 1, 2.0) / (2.0 ** (s + 2) * g.b2q) * F(2 * q, s + 1, s + 3, g.w)
-        )
-
-    if index == 5:
-        if case == "lambda=1":
-            return (
-                beta(1.0, s + 2) / g.b2q * F(2 * q, 1.0, s + 3, g.zeta)
-                - 2.0 ** (2 * q - s - 2) * beta(1.0, s + 2) / g.apb2q
-                * F(2 * q, 1.0, s + 3, g.z)
-            )
-        if case == "lambda=1/2":
-            return (
-                beta(1.0, s + 2) / (2.0 * g.b2q) * F(2 * q, 1.0, s + 3, g.zeta)
-                + 2.0 ** (2 * q - s - 2) * beta(2.0, s + 1) / g.apb2q
-                * F(2 * q, 2.0, s + 3, g.z)
-                - beta(2.0, s + 1) / (2.0 * g.b2q) * F(2 * q, 2.0, s + 3, g.zeta)
-            )
-        A_lam = lam * b + (1.0 - lam) * a
-        return (
-            2.0 * lam ** (s + 2) * beta(2.0, s + 1) / A_lam ** (2 * q)
-            * F(2 * q, 2.0, s + 3, 1.0 - a / A_lam)
-            - lam * 2.0 ** (2 * q - s - 2) * beta(1.0, s + 1) / g.apb2q
-            * F(2 * q, 1.0, s + 2, g.z)
-            + 2.0 ** (2 * q - s - 2) * beta(1.0, s + 2) / g.apb2q
-            * F(2 * q, 1.0, s + 3, g.z)
-            + beta(1.0, s + 2) / g.b2q * F(2 * q, 1.0, s + 3, g.zeta)
-            - lam * beta(1.0, s + 1) / g.b2q * F(2 * q, 1.0, s + 2, g.zeta)
-        )
-
-    if index == 6:
-        if case == "lambda=1":
-            return (
-                beta(s + 1, 1.0) / (2.0 ** (s + 2) * g.b2q) * F(2 * q, s + 1, s + 2, g.w)
-                - beta(s + 1, 2.0) / (2.0 ** (s + 2) * g.b2q) * F(2 * q, s + 1, s + 3, g.w)
-            )
-        if case == "lambda=1/2":
-            return beta(s + 1, 2.0) / (2.0 ** (s + 2) * g.b2q) * F(2 * q, s + 2, s + 3, g.w)
-        return (
-            2.0 * lam * beta(s + 1, 1.0) / g.b2q * F(2 * q, s + 1, s + 2, g.zeta)
-            + (lam - 1.0) * beta(1.0, s + 1) / (2.0 ** (s + 1) * g.b2q)
-            * F(2 * q, 1.0, s + 2, g.w)
-            + 2.0 * (1.0 - lam) ** (s + 2) * beta(s + 1, 2.0) / g.b2q
-            * F(2 * q, s + 1, s + 3, (1.0 - lam) * g.zeta)
-            + beta(2.0, s + 1) / (2.0 ** (s + 1) * g.b2q) * F(2 * q, 2.0, s + 3, g.w)
-        )
-
-    if index == 8:
-        return 2.0 ** (2 * q - s - 2) * beta(1.0, s + 1) / g.apb2q * F(2 * q, 1.0, s + 2, g.z)
-    if index == 9:
-        return (
-            beta(s + 1, 1.0) / g.b2q * F(2 * q, s + 1, s + 2, g.zeta)
-            - beta(s + 1, 2.0) / (2.0 ** (s + 1) * g.b2q) * F(2 * q, s + 1, s + 2, g.w)
-        )
-    if index == 11:
-        return (
-            beta(1.0, s + 1) / g.b2q * F(2 * q, 1.0, s + 2, g.zeta)
-            - 2.0 ** (2 * q - s - 1) * beta(1.0, s + 1) / g.apb2q * F(2 * q, 1.0, s + 2, g.z)
-        )
-    # index 12
-    return beta(s + 1, 2.0) / (2.0 ** (s + 1) * g.b2q) * F(2 * q, s + 1, s + 3, g.w)
+    return _evaluate(index, PRINTED[index, case_label(index, inst)], inst)
 
 
 def corrected_B(index: int, inst: Instance) -> float:
@@ -381,88 +360,8 @@ def corrected_B(index: int, inst: Instance) -> float:
         raise ParameterError(
             f"corrected_B covers 2F1-based indices 2,3,5,6,8,9,11,12, got {index!r}"
         )
-    g = _args(inst)
-    a, b, s, q = g.a, g.b, g.s, g.q
-    F = hyp2f1
-    mu, lam = inst.mu_, inst.lambda_
-    case = case_label(index, inst)
-
-    if index == 2 and case == "interior":
-        A_mu = mu * b + (1.0 - mu) * a
-        return (
-            2.0 * mu ** (s + 2) * beta(2.0, s + 1) / A_mu ** (2 * q)
-            * F(2 * q, 2.0, s + 3, 1.0 - a / A_mu)
-            - mu * 2.0 ** (2 * q - s - 1) * beta(1.0, s + 1) / g.apb2q
-            * F(2 * q, 1.0, s + 2, g.z)
-            + 2.0 ** (2 * q - s - 2) * beta(1.0, s + 2) / g.apb2q
-            * F(2 * q, 1.0, s + 3, g.z)
-        )
-    if index == 3:
-        if case == "mu=0":
-            return (
-                beta(s + 1, 2.0) / g.b2q * F(2 * q, s + 1, s + 3, g.zeta)
-                - beta(s + 1, 1.0) / (2.0 ** (s + 1) * g.b2q) * F(2 * q, s + 1, s + 2, g.w)
-                + beta(s + 2, 1.0) / (2.0 ** (s + 2) * g.b2q) * F(2 * q, s + 2, s + 3, g.w)
-            )
-        if case == "mu=1/2":
-            return (
-                beta(s + 2, 1.0) / g.b2q * F(2 * q, s + 2, s + 3, g.zeta)
-                - 0.5 * beta(s + 1, 1.0) / g.b2q * F(2 * q, s + 1, s + 2, g.zeta)
-                - beta(s + 2, 1.0) / (2.0 ** (s + 2) * g.b2q) * F(2 * q, s + 2, s + 3, g.w)
-                + beta(s + 1, 1.0) / (2.0 ** (s + 2) * g.b2q) * F(2 * q, s + 1, s + 2, g.w)
-            )
-        return (
-            mu * beta(s + 1, 1.0) / g.b2q * F(2 * q, s + 1, s + 2, g.zeta)
-            - beta(s + 1, 2.0) / g.b2q * F(2 * q, s + 1, s + 3, g.zeta)
-            + 2.0 * (1.0 - mu) ** (s + 2) * beta(s + 1, 2.0) / g.b2q
-            * F(2 * q, s + 1, s + 3, (1.0 - mu) * g.zeta)
-            + (mu - 1.0) * beta(s + 1, 1.0) / (2.0 ** (s + 1) * g.b2q)
-            * F(2 * q, s + 1, s + 2, g.w)
-            + beta(s + 2, 1.0) / (2.0 ** (s + 2) * g.b2q) * F(2 * q, s + 2, s + 3, g.w)
-        )
-    if index == 5:
-        if case == "lambda=1":
-            return (
-                beta(2.0, s + 1) / g.b2q * F(2 * q, 2.0, s + 3, g.zeta)
-                - 2.0 ** (2 * q - s - 1) * beta(1.0, s + 1) / g.apb2q
-                * F(2 * q, 1.0, s + 2, g.z)
-                + 2.0 ** (2 * q - s - 2) * beta(1.0, s + 2) / g.apb2q
-                * F(2 * q, 1.0, s + 3, g.z)
-            )
-        if case == "interior":
-            A_lam = lam * b + (1.0 - lam) * a
-            return (
-                2.0 * lam ** (s + 2) * beta(2.0, s + 1) / A_lam ** (2 * q)
-                * F(2 * q, 2.0, s + 3, 1.0 - a / A_lam)
-                - lam * 2.0 ** (2 * q - s - 1) * beta(1.0, s + 1) / g.apb2q
-                * F(2 * q, 1.0, s + 2, g.z)
-                + 2.0 ** (2 * q - s - 2) * beta(1.0, s + 2) / g.apb2q
-                * F(2 * q, 1.0, s + 3, g.z)
-                + beta(1.0, s + 2) / g.b2q * F(2 * q, 1.0, s + 3, g.zeta)
-                - lam * beta(1.0, s + 1) / g.b2q * F(2 * q, 1.0, s + 2, g.zeta)
-            )
-    if index == 6:
-        if case == "interior":
-            return (
-                (lam - 1.0) * beta(s + 1, 1.0) / (2.0 ** (s + 1) * g.b2q)
-                * F(2 * q, s + 1, s + 2, g.w)
-                + beta(s + 2, 1.0) / (2.0 ** (s + 2) * g.b2q) * F(2 * q, s + 2, s + 3, g.w)
-                + 2.0 * (1.0 - lam) ** (s + 2) * beta(s + 1, 2.0) / g.b2q
-                * F(2 * q, s + 1, s + 3, (1.0 - lam) * g.zeta)
-            )
-        if case == "lambda=1/2":
-            return beta(s + 1, 2.0) / (2.0 ** (s + 2) * g.b2q) * F(2 * q, s + 1, s + 3, g.w)
-    if index == 8:
-        return 2.0 ** (2 * q - s - 1) * beta(1.0, s + 1) / g.apb2q * F(2 * q, 1.0, s + 2, g.z)
-    if index == 9:
-        return (
-            beta(s + 1, 1.0) / g.b2q * F(2 * q, s + 1, s + 2, g.zeta)
-            - beta(s + 1, 1.0) / (2.0 ** (s + 1) * g.b2q) * F(2 * q, s + 1, s + 2, g.w)
-        )
-    if index == 12:
-        return beta(s + 1, 1.0) / (2.0 ** (s + 1) * g.b2q) * F(2 * q, s + 1, s + 2, g.w)
-    # Remaining cases pass the oracle as printed.
-    return closed_B(index, inst)
+    key = (index, case_label(index, inst))
+    return _evaluate(index, PATCHES.get(key, PRINTED[key]), inst)
 
 
 @dataclass(frozen=True)
@@ -529,17 +428,6 @@ def crosscheck_B(
     )
 
 
-def _deriv_weights(inst: Instance, fa_q: float | None, fbm_q: float | None) -> tuple[float, float]:
-    if fa_q is None:
-        fa_q = abs(inst.f.deriv(inst.a)) ** inst.q
-    if fbm_q is None:
-        fbm_q = abs(inst.f.deriv(inst.b / inst.m)) ** inst.q
-    for name, val in (("fa_q", fa_q), ("fbm_q", fbm_q)):
-        if not (isinstance(val, (int, float)) and math.isfinite(val) and val >= 0.0):
-            raise ParameterError(f"{name} must be a finite nonnegative real, got {val!r}")
-    return fa_q, fbm_q
-
-
 def _bracket(value: float, path: str) -> float:
     if value < 0.0:
         # Only a misprinted closed form can go negative; the oracle path
@@ -551,10 +439,34 @@ def _bracket(value: float, path: str) -> float:
     return value
 
 
-def _coeff(index: int, inst: Instance, path: str, settings: QuadSettings | None) -> float:
+def _braces(
+    inst: Instance,
+    indices: tuple[int, int, int, int],
+    fa_q: float | None,
+    fbm_q: float | None,
+    path: str,
+    settings: QuadSettings | None,
+) -> tuple[float, float, float]:
+    """ab(b-a) and the checked braces fa_q B_i + m fbm_q B_j, fa_q B_k + m fbm_q B_l."""
+    _require_band(inst)
+    if path not in ("oracle", "closed_form"):
+        raise ParameterError(f"path must be 'oracle' or 'closed_form', got {path!r}")
+    if fa_q is None:
+        fa_q = abs(inst.f.deriv(inst.a)) ** inst.q
+    if fbm_q is None:
+        fbm_q = abs(inst.f.deriv(inst.b / inst.m)) ** inst.q
+    for name, val in (("fa_q", fa_q), ("fbm_q", fbm_q)):
+        if not (isinstance(val, (int, float)) and math.isfinite(val) and val >= 0.0):
+            raise ParameterError(f"{name} must be a finite nonnegative real, got {val!r}")
     if path == "oracle":
-        return kernel_oracle(KIND_FOR_INDEX[index], inst, settings=settings)
-    return closed_B(index, inst)
+        bi, bj, bk, bl = (
+            kernel_oracle(KIND_FOR_INDEX[i], inst, settings=settings) for i in indices
+        )
+    else:
+        bi, bj, bk, bl = (closed_B(i, inst) for i in indices)
+    left = _bracket(fa_q * bi + inst.m * fbm_q * bj, path)
+    right = _bracket(fa_q * bk + inst.m * fbm_q * bl, path)
+    return inst.a * inst.b * (inst.b - inst.a), left, right
 
 
 def theorem1_rhs(
@@ -571,19 +483,9 @@ def theorem1_rhs(
     with the 1/q exponent applied to both braces.  fa_q and fbm_q default
     to |f'(a)|^q and |f'(b/m)|^q of the instance's own function.
     """
-    _require_band(inst)
-    if path not in ("oracle", "closed_form"):
-        raise ParameterError(f"path must be 'oracle' or 'closed_form', got {path!r}")
-    fa_q, fbm_q = _deriv_weights(inst, fa_q, fbm_q)
-    q, m = inst.q, inst.m
+    scale, left, right = _braces(inst, (2, 3, 5, 6), fa_q, fbm_q, path, settings)
+    q = inst.q
     b1, b4 = b1_b4(inst.mu_, inst.lambda_)
-    t2 = _coeff(2, inst, path, settings)
-    t3 = _coeff(3, inst, path, settings)
-    t5 = _coeff(5, inst, path, settings)
-    t6 = _coeff(6, inst, path, settings)
-    left = _bracket(fa_q * t2 + m * fbm_q * t3, path)
-    right = _bracket(fa_q * t5 + m * fbm_q * t6, path)
-    scale = inst.a * inst.b * (inst.b - inst.a)
     return scale * (
         b1 ** (1.0 - 1.0 / q) * left ** (1.0 / q)
         + b4 ** (1.0 - 1.0 / q) * right ** (1.0 / q)
@@ -602,24 +504,14 @@ def theorem2_rhs(
     ab(b-a) * { B7^(1/p) (fa_q B8 + m fbm_q B9)^(1/q)
               + B10^(1/p) (fa_q B11 + m fbm_q B12)^(1/q) }.
     """
-    _require_band(inst)
-    if path not in ("oracle", "closed_form"):
-        raise ParameterError(f"path must be 'oracle' or 'closed_form', got {path!r}")
     if inst.q <= 1.0:
         raise ParameterError(f"theorem2_rhs requires q > 1, got q={inst.q!r}")
-    fa_q, fbm_q = _deriv_weights(inst, fa_q, fbm_q)
-    q, m = inst.q, inst.m
-    p = q / (q - 1.0)
     # The weight moments are elementary and exact; path only selects how
     # the disputed 2F1-based entries are evaluated.
+    scale, left, right = _braces(inst, (8, 9, 11, 12), fa_q, fbm_q, path, settings)
+    q = inst.q
+    p = q / (q - 1.0)
     b7, b10 = b7_b10(inst.mu_, inst.lambda_, p)
-    t8 = _coeff(8, inst, path, settings)
-    t9 = _coeff(9, inst, path, settings)
-    t11 = _coeff(11, inst, path, settings)
-    t12 = _coeff(12, inst, path, settings)
-    left = _bracket(fa_q * t8 + m * fbm_q * t9, path)
-    right = _bracket(fa_q * t11 + m * fbm_q * t12, path)
-    scale = inst.a * inst.b * (inst.b - inst.a)
     return scale * (
         b7 ** (1.0 / p) * left ** (1.0 / q)
         + b10 ** (1.0 / p) * right ** (1.0 / q)
@@ -651,36 +543,17 @@ def corollary_rhs(
             f"instance triple (lambda_={inst.lambda_!r}, mu_={inst.mu_!r}) does not "
             f"match preset {kind!r} ({lam!r}, {mu!r})"
         )
-    _require_band(inst)
-    if path not in ("oracle", "closed_form"):
-        raise ParameterError(f"path must be 'oracle' or 'closed_form', got {path!r}")
-    fa_q, fbm_q = _deriv_weights(inst, fa_q, fbm_q)
-    q, m = inst.q, inst.m
-    scale = inst.a * inst.b * (inst.b - inst.a)
+    q = inst.q
     if theorem == 1:
-        b1, b4 = b1_b4(mu, lam)
-        left = _bracket(
-            fa_q * _coeff(2, inst, path, settings) + m * fbm_q * _coeff(3, inst, path, settings),
-            path,
-        )
-        right = _bracket(
-            fa_q * _coeff(5, inst, path, settings) + m * fbm_q * _coeff(6, inst, path, settings),
-            path,
-        )
-        return scale * b1 ** (1.0 - 1.0 / q) * (left ** (1.0 / q) + right ** (1.0 / q))
-    if inst.q <= 1.0:
-        raise ParameterError(f"theorem 2 corollaries require q > 1, got q={inst.q!r}")
-    p = q / (q - 1.0)
-    b7, _ = b7_b10(mu, lam, p)
-    left = _bracket(
-        fa_q * _coeff(8, inst, path, settings) + m * fbm_q * _coeff(9, inst, path, settings),
-        path,
-    )
-    right = _bracket(
-        fa_q * _coeff(11, inst, path, settings) + m * fbm_q * _coeff(12, inst, path, settings),
-        path,
-    )
-    return scale * b7 ** (1.0 / p) * (left ** (1.0 / q) + right ** (1.0 / q))
+        scale, left, right = _braces(inst, (2, 3, 5, 6), fa_q, fbm_q, path, settings)
+        weight = b1_b4(mu, lam)[0] ** (1.0 - 1.0 / q)
+    else:
+        if q <= 1.0:
+            raise ParameterError(f"theorem 2 corollaries require q > 1, got q={q!r}")
+        scale, left, right = _braces(inst, (8, 9, 11, 12), fa_q, fbm_q, path, settings)
+        p = q / (q - 1.0)
+        weight = b7_b10(mu, lam, p)[0] ** (1.0 / p)
+    return scale * weight * (left ** (1.0 / q) + right ** (1.0 / q))
 
 
 def simpson_theorem2_prefactor(p: float, as_printed: bool = False) -> float:

@@ -36,6 +36,7 @@ from harmonia import (
     theorem1_rhs,
     theorem2_rhs,
 )
+from harmonia.bounds import PATCHES, PRINTED
 
 SQUARE = power(1.0, 2.0)
 
@@ -414,6 +415,22 @@ class TestClosedFormValues:
             assert case_label(index, inst) == case
             assert closed_B(index, inst) == pytest.approx(printed, rel=1e-12), (index, case)
             assert corrected_B(index, inst) == pytest.approx(corrected, rel=1e-12), (index, case)
+
+    def test_printed_table_keys_are_the_cases(self):
+        cases = [(i, c) for i, c in ALL_CASES if i not in (1, 4, 7, 10)]
+        assert len(cases) == 16
+        assert set(PRINTED) == set(cases)
+        for index, case in PRINTED:
+            inst = at_case(make(lam=0.8, mu=0.3), index, case)
+            assert case_label(index, inst) == case
+
+    def test_patches_are_the_locked_errata(self):
+        assert set(PATCHES) == EXPECTED_COEFFICIENT_ERRATA
+        for index, case in PATCHES:
+            inst = at_case(make(s=0.5, q=2.0, lam=0.8, mu=0.3), index, case)
+            assert corrected_B(index, inst) != pytest.approx(closed_B(index, inst), rel=1e-6), (
+                index, case,
+            )
 
 
 class TestTheorem1:

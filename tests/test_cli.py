@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import harmonia
 from harmonia.cli import main
 
 IDENTITY_ARGS = ["--f", "linear", "--a", "1", "--b", "2", "--lambda", "0.5", "--mu", "0.5"]
@@ -19,14 +20,19 @@ SQUARE_INST = ["--f", "power:c=1,p=2", "--a", "1", "--b", "2",
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
-def _console_entry(name: str) -> str:
-    """The ``[project.scripts]`` entry ``name`` declared in pyproject.toml."""
+def _project() -> dict:
+    """The ``[project]`` table of pyproject.toml."""
     if sys.version_info >= (3, 11):
         import tomllib
     else:
         tomllib = pytest.importorskip("tomli")
     with PYPROJECT.open("rb") as fh:
-        return tomllib.load(fh)["project"]["scripts"][name]
+        return tomllib.load(fh)["project"]
+
+
+def _console_entry(name: str) -> str:
+    """The ``[project.scripts]`` entry ``name`` declared in pyproject.toml."""
+    return _project()["scripts"][name]
 
 
 class TestCheckConvexity:
@@ -289,3 +295,8 @@ class TestConsoleScript:
             assert proc.returncode == 0, proc.stderr
             assert "check-convexity" in proc.stdout
             assert "sweep" in proc.stdout
+
+
+class TestPackageMetadata:
+    def test_version_matches_pyproject(self):
+        assert harmonia.__version__ == _project()["version"]
