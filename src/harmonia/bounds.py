@@ -11,7 +11,7 @@ A_t = t*b + (1-t)*a and parameters s, q (and p = q/(q-1) where q > 1):
     B9  = int_0^{1/2} (1-t)^s / A^2q           B12 = int_{1/2}^1 (1-t)^s / A^2q
 
 Every coefficient has two evaluation paths: a defining-integral oracle
-(adaptive quadrature of the integral above, split at the weight kink) and
+(adaptive quadrature of the integral above, split at mu or lam) and
 the closed forms printed in the source tables (Beta and Gauss 2F1
 expressions, piecewise in mu or lam).  Several printed cases are misprinted;
 ``crosscheck_B`` compares the paths and flags disagreements as errata
@@ -20,6 +20,11 @@ adjudicated flag set, and ``corrected_B`` evaluates the hand-derived corrected
 forms (each one oracle-backed by tests).  Both closed-form paths read one term
 table: ``PRINTED`` holds the printed forms, ``PATCHES`` the corrections.  The
 oracle path is authoritative everywhere downstream.
+
+The functions the sweep calls per row take a keyword-only ``memo``: a dict
+the caller creates for one instance, through which the rows share the
+oracle and 2F1 values they have in common.  The values are the same bits
+without it.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from dataclasses import dataclass
 
 from .convexity import GridSpec, abs_deriv_pow, check_harmonic_sm
 from .errors import AccuracyError, ParameterError, PreconditionError
-from .identity import Instance, rule_deviation
+from .identity import Instance, _memoized, rule_deviation
 from .quadrature import DEFAULT_SETTINGS, QuadSettings, integrate_de
 from .specfun import beta, hyp2f1
 
@@ -114,6 +119,13 @@ def _require_band(inst: Instance) -> None:
         )
 
 
+def _half(kind: KernelKind, inst: Instance) -> tuple[float, float, float]:
+    """The half-interval of the kind's side and its anchor (mu_ left, lambda_ right)."""
+    if kind.side == "left":
+        return 0.0, 0.5, inst.mu_
+    return 0.5, 1.0, inst.lambda_
+
+
 def kernel_oracle(
     kind: KernelKind,
     inst: Instance,
@@ -123,21 +135,18 @@ def kernel_oracle(
     """Direct quadrature of one proof integral.
 
     ``p_or_q`` supplies the exponent p for the abs_weight_pow_p weight
-    (required there, > 1); the A^2q power always uses inst.q.  The
-    interval is split at the weight's kink, and each panel is integrated
-    with the double-exponential rule: t^s and (1-t)^s have algebraic
-    endpoint singularities for fractional s, which defeat polynomial
-    error estimates but are exactly what tanh-sinh handles.
+    (required there, > 1); the A^2q power always uses inst.q.  The half
+    is split at its anchor (mu_ on the left, lambda_ on the right) whenever
+    the anchor lies strictly inside it, also for the weight "none", which
+    has no kink there.  Each panel is integrated with the double-exponential
+    rule: t^s and (1-t)^s have algebraic endpoint singularities for
+    fractional s, which defeat polynomial error estimates but are exactly
+    what tanh-sinh handles.
     """
     _require_band(inst)
     settings = settings if settings is not None else DEFAULT_SETTINGS
     a, b, s, q = inst.a, inst.b, inst.s, inst.q
-    if kind.side == "left":
-        lo, hi = 0.0, 0.5
-        anchor = inst.mu_
-    else:
-        lo, hi = 0.5, 1.0
-        anchor = inst.lambda_
+    lo, hi, anchor = _half(kind, inst)
 
     p = None
     if kind.weight == "abs_weight_pow_p":
@@ -177,6 +186,29 @@ def kernel_oracle(
             )
         total += res.value
     return total
+
+
+def _oracle(
+    kind: KernelKind,
+    inst: Instance,
+    p: float | None,
+    settings: QuadSettings | None,
+    memo: dict | None,
+) -> float:
+    """kernel_oracle through the memo, keyed by everything its integral reads.
+
+    split is the anchor if kernel_oracle splits the half there, else None;
+    weight_anchor is the point the weight is centred on, None for "none".
+    """
+    lo, hi, anchor = _half(kind, inst)
+    split = anchor if lo < anchor < hi else None
+    weight_anchor = {
+        "abs_mu_minus_t": inst.mu_,
+        "abs_lambda_minus_t": inst.lambda_,
+        "abs_weight_pow_p": anchor,
+    }.get(kind.weight)
+    key = ("oracle", kind, inst.a, inst.b, inst.s, inst.q, split, weight_anchor, p, settings)
+    return _memoized(memo, key, kernel_oracle, kind, inst, p_or_q=p, settings=settings)
 
 
 def b1_b4(mu_: float, lambda_: float) -> tuple[float, float]:
@@ -305,8 +337,13 @@ PATCHES: dict[tuple[int, str], tuple[tuple, ...]] = {
 }
 
 
-def _evaluate(index: int, terms: tuple[tuple, ...], inst: Instance) -> float:
-    """Sum the terms left to right, each as ((coef * 2^top) * B) / den * F."""
+def _evaluate(
+    index: int, terms: tuple[tuple, ...], inst: Instance, memo: dict | None = None
+) -> float:
+    """Sum the terms left to right, each as ((coef * 2^top) * B) / den * F.
+
+    ``memo`` computes each distinct F(2q, beta; gamma; argument) once.
+    """
     a, b, s, q = inst.a, inst.b, inst.s, inst.q
     x = inst.mu_ if KIND_FOR_INDEX[index].side == "left" else inst.lambda_
     A_x = x * b + (1.0 - x) * a
@@ -328,11 +365,13 @@ def _evaluate(index: int, terms: tuple[tuple, ...], inst: Instance) -> float:
         # at large q where the b^2q forms still evaluate.
         c = v[coef] if coef else 1.0
         t = 2.0 ** (2 * q - s - top) if top else 1.0
-        total += sign * (c * t * beta(v[bx], v[by]) / v[den] * hyp2f1(2 * q, v[fb], v[fg], v[arg]))
+        f_args = (2 * q, v[fb], v[fg], v[arg])
+        F = _memoized(memo, ("hyp2f1", *f_args), hyp2f1, *f_args)
+        total += sign * (c * t * beta(v[bx], v[by]) / v[den] * F)
     return total
 
 
-def closed_B(index: int, inst: Instance) -> float:
+def closed_B(index: int, inst: Instance, *, memo: dict | None = None) -> float:
     """The printed closed form for one 2F1-based coefficient.
 
     Statement-version transcription (where statement and proof tables
@@ -345,7 +384,7 @@ def closed_B(index: int, inst: Instance) -> float:
         raise ParameterError(
             f"closed_B covers 2F1-based indices 2,3,5,6,8,9,11,12, got {index!r}"
         )
-    return _evaluate(index, PRINTED[index, case_label(index, inst)], inst)
+    return _evaluate(index, PRINTED[index, case_label(index, inst)], inst, memo)
 
 
 def corrected_B(index: int, inst: Instance) -> float:
@@ -382,6 +421,8 @@ def crosscheck_B(
     p: float | None = None,
     settings: QuadSettings | None = None,
     tol: float = CROSSCHECK_TOL,
+    *,
+    memo: dict | None = None,
 ) -> BoundTerm:
     """Adjudicate one coefficient: defining integral vs printed form.
 
@@ -393,12 +434,10 @@ def crosscheck_B(
     _require_band(inst)
     case = case_label(index, inst)
     kind = KIND_FOR_INDEX[index]
-    if kind.weight == "abs_weight_pow_p":
-        if p is None or not (math.isfinite(p) and p > 1.0):
-            raise ParameterError(f"index {index} needs exponent p > 1, got {p!r}")
-        oracle = kernel_oracle(kind, inst, p_or_q=p, settings=settings)
-    else:
-        oracle = kernel_oracle(kind, inst, settings=settings)
+    pow_p = kind.weight == "abs_weight_pow_p"
+    if pow_p and (p is None or not (math.isfinite(p) and p > 1.0)):
+        raise ParameterError(f"index {index} needs exponent p > 1, got {p!r}")
+    oracle = _oracle(kind, inst, p if pow_p else None, settings, memo)
 
     closed: float | None
     try:
@@ -411,7 +450,7 @@ def crosscheck_B(
         elif index == 10:
             closed = b7_b10(inst.mu_, inst.lambda_, p)[1]
         else:
-            closed = closed_B(index, inst)
+            closed = closed_B(index, inst, memo=memo)
     except (AccuracyError, ParameterError):
         closed = None
 
@@ -446,6 +485,7 @@ def _braces(
     fbm_q: float | None,
     path: str,
     settings: QuadSettings | None,
+    memo: dict | None = None,
 ) -> tuple[float, float, float]:
     """ab(b-a) and the checked braces fa_q B_i + m fbm_q B_j, fa_q B_k + m fbm_q B_l."""
     _require_band(inst)
@@ -460,10 +500,10 @@ def _braces(
             raise ParameterError(f"{name} must be a finite nonnegative real, got {val!r}")
     if path == "oracle":
         bi, bj, bk, bl = (
-            kernel_oracle(KIND_FOR_INDEX[i], inst, settings=settings) for i in indices
+            _oracle(KIND_FOR_INDEX[i], inst, None, settings, memo) for i in indices
         )
     else:
-        bi, bj, bk, bl = (closed_B(i, inst) for i in indices)
+        bi, bj, bk, bl = (closed_B(i, inst, memo=memo) for i in indices)
     left = _bracket(fa_q * bi + inst.m * fbm_q * bj, path)
     right = _bracket(fa_q * bk + inst.m * fbm_q * bl, path)
     return inst.a * inst.b * (inst.b - inst.a), left, right
@@ -475,6 +515,8 @@ def theorem1_rhs(
     fbm_q: float | None = None,
     path: str = "oracle",
     settings: QuadSettings | None = None,
+    *,
+    memo: dict | None = None,
 ) -> float:
     """Power-mean right-hand side, valid for q >= 1.
 
@@ -483,7 +525,7 @@ def theorem1_rhs(
     with the 1/q exponent applied to both braces.  fa_q and fbm_q default
     to |f'(a)|^q and |f'(b/m)|^q of the instance's own function.
     """
-    scale, left, right = _braces(inst, (2, 3, 5, 6), fa_q, fbm_q, path, settings)
+    scale, left, right = _braces(inst, (2, 3, 5, 6), fa_q, fbm_q, path, settings, memo)
     q = inst.q
     b1, b4 = b1_b4(inst.mu_, inst.lambda_)
     return scale * (
@@ -498,6 +540,8 @@ def theorem2_rhs(
     fbm_q: float | None = None,
     path: str = "oracle",
     settings: QuadSettings | None = None,
+    *,
+    memo: dict | None = None,
 ) -> float:
     """Conjugate-exponent right-hand side, valid for q > 1 (p = q/(q-1)).
 
@@ -508,7 +552,7 @@ def theorem2_rhs(
         raise ParameterError(f"theorem2_rhs requires q > 1, got q={inst.q!r}")
     # The weight moments are elementary and exact; path only selects how
     # the disputed 2F1-based entries are evaluated.
-    scale, left, right = _braces(inst, (8, 9, 11, 12), fa_q, fbm_q, path, settings)
+    scale, left, right = _braces(inst, (8, 9, 11, 12), fa_q, fbm_q, path, settings, memo)
     q = inst.q
     p = q / (q - 1.0)
     b7, b10 = b7_b10(inst.mu_, inst.lambda_, p)
@@ -599,6 +643,8 @@ def check_theorem(
     path: str = "oracle",
     certificate=None,
     margin_tol: float = MARGIN_TOL,
+    *,
+    memo: dict | None = None,
 ) -> Verdict:
     """Verify |I_f| <= RHS for one instance and one theorem.
 
@@ -607,7 +653,9 @@ def check_theorem(
     otherwise a default grid certification runs here.  An instance whose
     certificate does not hold raises PreconditionError, never a silent
     verdict.  The oracle path is authoritative; closed_form exists to
-    exercise the printed coefficient tables.
+    exercise the printed coefficient tables.  ``memo`` (a dict owned by the
+    caller) shares the integral average, the oracles and the 2F1 values
+    between calls on one instance; the verdict is the same without it.
     """
     if theorem not in (1, 2):
         raise ParameterError(f"theorem must be 1 or 2, got {theorem!r}")
@@ -620,11 +668,11 @@ def check_theorem(
             f"resolution (worst defect {certificate.worst_defect:.3e}); "
             "the inequality hypotheses are not met"
         )
-    lhs = abs(rule_deviation(inst, settings))
+    lhs = abs(rule_deviation(inst, settings, memo=memo))
     if theorem == 1:
-        rhs = theorem1_rhs(inst, path=path, settings=settings)
+        rhs = theorem1_rhs(inst, path=path, settings=settings, memo=memo)
     else:
-        rhs = theorem2_rhs(inst, path=path, settings=settings)
+        rhs = theorem2_rhs(inst, path=path, settings=settings, memo=memo)
     margin = rhs - lhs
     return Verdict(
         theorem=theorem, lhs=lhs, rhs=rhs, margin=margin,

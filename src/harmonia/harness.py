@@ -47,6 +47,11 @@ SCHEMA = "harmonia/v1"
 _DEFAULT_FAMILIES = ("linear", "power:c=1,p=2", "spower:b=1,s=0.5,c=0")
 
 
+def _check_jobs(jobs: object) -> None:
+    if jobs is not None and not (isinstance(jobs, int) and jobs >= 1):
+        raise ConfigError(f"jobs must be an integer >= 1 or null, got {jobs!r}")
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Sweep parameters; JSON config files mirror these field names."""
@@ -104,8 +109,7 @@ class SweepConfig:
                 raise ConfigError(f"{name} must be a positive real, got {tol!r}")
         if not isinstance(self.quad, QuadSettings):
             raise ConfigError(f"quad must be QuadSettings, got {type(self.quad).__name__}")
-        if self.jobs is not None and not (isinstance(self.jobs, int) and self.jobs >= 1):
-            raise ConfigError(f"jobs must be an integer >= 1 or null, got {self.jobs!r}")
+        _check_jobs(self.jobs)
 
     def _triple_mode(self) -> tuple[float, float] | None:
         """None means random admissible; otherwise the fixed (lambda, mu)."""
@@ -343,11 +347,16 @@ def _nan_row(inst_id: int, inst: Instance, check: str) -> Row:
 
 
 def _instance_rows(payload: tuple) -> tuple[list[Row], list[dict]]:
-    """Verification matrix for one certified instance (worker-safe)."""
+    """Verification matrix for one certified instance (worker-safe).
+
+    One memo, dropped on return, lets the rows share every integral average,
+    kernel oracle and 2F1 value that they have in common.
+    """
     inst_id, inst, identity_tol, crosscheck_tol, margin_tol, quad = payload
     family = format_function_spec(inst.f)
     rows: list[Row] = []
     errata: list[dict] = []
+    memo: dict = {}
 
     def add(check: str, lhs: float, rhs: float, margin: float, passed: bool) -> None:
         rows.append(Row(
@@ -361,7 +370,7 @@ def _instance_rows(payload: tuple) -> tuple[list[Row], list[dict]]:
     certificate = certify_instance(inst)
 
     try:
-        ic = check_identity(inst, settings=quad, tol=identity_tol)
+        ic = check_identity(inst, settings=quad, tol=identity_tol, memo=memo)
         add("identity", ic.lhs, ic.rhs, ic.tol - ic.abs_diff, ic.passed)
     except (AccuracyError, EvaluationError):
         rows.append(_nan_row(inst_id, inst, "identity"))
@@ -377,7 +386,7 @@ def _instance_rows(payload: tuple) -> tuple[list[Row], list[dict]]:
             try:
                 verdict = check_theorem(
                     tri, theorem, settings=quad, certificate=certificate,
-                    margin_tol=margin_tol,
+                    margin_tol=margin_tol, memo=memo,
                 )
                 add(check, verdict.lhs, verdict.rhs, verdict.margin, verdict.passed)
             except (AccuracyError, EvaluationError):
@@ -388,7 +397,9 @@ def _instance_rows(payload: tuple) -> tuple[list[Row], list[dict]]:
         if index in (7, 10) and p is None:
             continue  # conjugate exponent undefined at q=1
         try:
-            term = crosscheck_B(index, inst, p=p, settings=quad, tol=crosscheck_tol)
+            term = crosscheck_B(
+                index, inst, p=p, settings=quad, tol=crosscheck_tol, memo=memo
+            )
         except (AccuracyError, EvaluationError):
             rows.append(_nan_row(inst_id, inst, f"crosscheck:B{index}:?"))
             continue
@@ -432,10 +443,12 @@ def _printed_lock_row() -> Row:
 def run_sweep(cfg: SweepConfig, jobs: int | None = None) -> RunReport:
     """Execute the full verification matrix; never aborts on row failures.
 
-    ``jobs`` overrides cfg.jobs; the default is the machine's core count.
-    Parallel and serial execution produce identical reports: work is split
-    per instance and merged back in instance order.
+    ``jobs`` overrides cfg.jobs under the same rule (an integer >= 1 or
+    None); the default is the machine's core count.  Parallel and serial
+    execution produce identical reports: work is split per instance and
+    merged back in instance order.
     """
+    _check_jobs(jobs)
     start = time.perf_counter()
     instances, discarded = generate_instances(cfg)
     payloads = [

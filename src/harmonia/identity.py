@@ -90,6 +90,19 @@ class IdentityCheck:
     passed: bool
 
 
+def _memoized(memo: dict | None, key: tuple, fn, *args, **kwargs):
+    """fn(*args, **kwargs), computed once per key of memo.
+
+    With memo None it just calls fn.  A call that raises stores nothing, so
+    the next lookup under the same key raises again.
+    """
+    if memo is None:
+        return fn(*args, **kwargs)
+    if key not in memo:
+        memo[key] = fn(*args, **kwargs)
+    return memo[key]
+
+
 def _integral_avg_term(inst: Instance, settings: QuadSettings) -> float:
     """(ab/(b-a)) * integral_a^b f(u)/u**2 du."""
     f = inst.f
@@ -107,8 +120,14 @@ def _integral_avg_term(inst: Instance, settings: QuadSettings) -> float:
     return inst.a * inst.b / (inst.b - inst.a) * res.value
 
 
-def rule_deviation(inst: Instance, settings: QuadSettings | None = None) -> float:
-    """The corrected node form of I_f (harmonic-mean midpoint node)."""
+def rule_deviation(
+    inst: Instance, settings: QuadSettings | None = None, *, memo: dict | None = None
+) -> float:
+    """The corrected node form of I_f (harmonic-mean midpoint node).
+
+    The integral average does not depend on lambda_ or mu_; ``memo`` lets the
+    rows of one instance share it.
+    """
     settings = settings if settings is not None else DEFAULT_SETTINGS
     f = inst.f
     nodes = (
@@ -116,7 +135,8 @@ def rule_deviation(inst: Instance, settings: QuadSettings | None = None) -> floa
         + (1.0 - inst.lambda_) * f.value(inst.a)
         + inst.mu_ * f.value(inst.b)
     )
-    return nodes - _integral_avg_term(inst, settings)
+    key = ("avg", inst.a, inst.b, f, settings)
+    return nodes - _memoized(memo, key, _integral_avg_term, inst, settings)
 
 
 def rule_deviation_as_printed(
@@ -167,11 +187,13 @@ def check_identity(
     inst: Instance,
     settings: QuadSettings | None = None,
     tol: float = IDENTITY_TOL,
+    *,
+    memo: dict | None = None,
 ) -> IdentityCheck:
     """Compare the node form against the kernel representation."""
     if not (math.isfinite(tol) and tol > 0.0):
         raise ParameterError(f"tol must be positive and finite, got {tol!r}")
-    lhs = rule_deviation(inst, settings)
+    lhs = rule_deviation(inst, settings, memo=memo)
     rhs = kernel_representation(inst, settings)
     abs_diff = abs(lhs - rhs)
     return IdentityCheck(lhs=lhs, rhs=rhs, abs_diff=abs_diff, tol=tol, passed=abs_diff <= tol)

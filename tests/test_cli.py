@@ -247,6 +247,18 @@ class TestSweep:
                    str(tmp_path / "r.csv"), "--format", "csv"])
         assert rc == 2
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_bad_jobs_flag_is_usage_error(self, tmp_path, jobs):
+        cfg = self.write_config(tmp_path)
+        proc = subprocess.run(
+            [sys.executable, "-m", "harmonia.cli", "sweep", "--config", str(cfg),
+             "--out", str(tmp_path / "r.csv"), "--format", "csv", "--jobs", jobs],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: jobs must be")
+        assert "Traceback" not in proc.stderr
+
     def test_missing_config_is_usage_error(self, tmp_path, capsys):
         rc = main(["sweep", "--config", str(tmp_path / "absent.json"),
                    "--out", str(tmp_path / "r.csv"), "--format", "csv"])

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -11,13 +13,20 @@ from harmonia import (
     AccuracyError,
     CSV_COLUMNS,
     ConfigError,
+    PRESETS,
     QuadSettings,
     Row,
     RunReport,
     SCHEMA,
     SweepConfig,
+    bounds,
+    check_identity,
+    check_theorem,
+    crosscheck_B,
     emit_report,
     generate_instances,
+    harness,
+    identity,
     report_to_dict,
     run_sweep,
 )
@@ -206,6 +215,12 @@ class TestRunSweep:
         rep = run_sweep(cfg, jobs=1)  # must not spawn; result identical anyway
         assert rep.instances == 2
 
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_bad_jobs_override_rejected(self, jobs):
+        cfg = SweepConfig(samples=2, families=("power:c=1,p=2",))
+        with pytest.raises(ConfigError, match="jobs"):
+            run_sweep(cfg, jobs=jobs)
+
     def test_systemic_quadrature_failure_raises(self):
         starved = SweepConfig(
             samples=2,
@@ -214,6 +229,85 @@ class TestRunSweep:
         )
         with pytest.raises(AccuracyError):
             run_sweep(starved, jobs=1)
+
+
+def _exact_oracle_key(kind, inst, p_or_q=None, settings=None):
+    """Everything a kernel_oracle value depends on."""
+    lo, hi, anchor = (0.0, 0.5, inst.mu_) if kind.side == "left" else (0.5, 1.0, inst.lambda_)
+    split = anchor if lo < anchor < hi else None
+    centre = {
+        "abs_mu_minus_t": inst.mu_,
+        "abs_lambda_minus_t": inst.lambda_,
+        "abs_weight_pow_p": anchor,
+    }.get(kind.weight)
+    return (kind, inst.a, inst.b, inst.s, inst.q, split, centre, p_or_q, settings)
+
+
+class TestInstanceMemo:
+    def test_rows_equal_the_unmemoized_functions(self, small_report):
+        instances, _ = generate_instances(SMALL)
+        quad = SMALL.quad
+        for inst_id, inst in enumerate(instances):
+            rows = {r.check: r for r in small_report.rows if r.instance_id == inst_id}
+            expected = {}
+            ic = check_identity(inst, settings=quad, tol=SMALL.identity_tol)
+            expected["identity"] = (ic.lhs, ic.rhs)
+            triples = [("instance", (inst.lambda_, inst.mu_)), *PRESETS.items()]
+            for theorem in (1,) if inst.q == 1.0 else (1, 2):
+                for name, (lam, mu) in triples:
+                    v = check_theorem(
+                        replace(inst, lambda_=lam, mu_=mu), theorem, settings=quad,
+                        margin_tol=SMALL.margin_tol,
+                    )
+                    expected[f"theorem{theorem}@{name}"] = (v.lhs, v.rhs)
+            p = inst.q / (inst.q - 1.0) if inst.q > 1.0 else None
+            for index in range(1, 13):
+                if index in (7, 10) and p is None:
+                    continue
+                term = crosscheck_B(index, inst, p=p, settings=quad, tol=SMALL.crosscheck_tol)
+                expected[f"crosscheck:B{index}:{term.case}"] = (term.oracle, term.closed_form)
+            assert set(rows) == set(expected)
+            for check, (lhs, rhs) in expected.items():
+                assert (rows[check].lhs, rows[check].rhs) == (lhs, rhs), (inst_id, check)
+
+            # The theorem rows' 1/q powers can absorb a last-bit slip in a
+            # coefficient, so read every coefficient at all four triples
+            # through one memo, as the rows do, and compare it bit for bit.
+            memo: dict = {}
+            for _, (lam, mu) in triples:
+                tri = replace(inst, lambda_=lam, mu_=mu)
+                for index in range(1, 13):
+                    if index in (7, 10) and p is None:
+                        continue
+                    shared = crosscheck_B(index, tri, p=p, settings=quad, memo=memo)
+                    alone = crosscheck_B(index, tri, p=p, settings=quad)
+                    assert shared == alone, (inst_id, lam, mu, index)
+
+    def test_each_value_computed_once(self, monkeypatch):
+        inst = next(i for i in generate_instances(SMALL)[0] if i.q > 1.0)
+        keys: dict[str, Counter] = {}
+
+        def count(module, name, key):
+            fn = getattr(module, name)
+            seen = keys[name] = Counter()
+
+            def wrapper(*args, **kwargs):
+                seen[key(*args, **kwargs)] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        count(bounds, "kernel_oracle", _exact_oracle_key)
+        count(bounds, "hyp2f1", lambda *args: args)
+        count(identity, "integrate", lambda f, lo, hi, settings=None: (lo, hi, settings))
+        payload = (0, inst, SMALL.identity_tol, SMALL.crosscheck_tol, SMALL.margin_tol, SMALL.quad)
+        rows, _ = harness._instance_rows(payload)
+        assert all(r.passed for r in rows)
+        for name, seen in keys.items():
+            repeated = {k: n for k, n in seen.items() if n > 1}
+            assert not repeated, (name, repeated)
+        assert keys["kernel_oracle"] and keys["hyp2f1"]
+        assert keys["integrate"][(inst.a, inst.b, SMALL.quad)] == 1
 
 
 class TestReports:

@@ -108,6 +108,23 @@ class TestCorrectedForm:
             assert val == pytest.approx(0.0, abs=1e-12)
 
 
+class TestRuleDeviationMemo:
+    def test_average_shared_across_triples(self):
+        memo: dict = {}
+        for lam, mu in ((0.5, 0.5), (1.0, 0.0), (0.8, 0.3)):
+            inst = make(power(1.0, 2.0), 1.0, 2.0, lam, mu)
+            assert rule_deviation(inst, memo=memo) == rule_deviation(inst)
+        assert len(memo) == 1
+
+    def test_failed_integral_is_not_stored(self):
+        starved = QuadSettings(abs_tol=1e-300, rel_tol=1e-15, max_subdivisions=1)
+        memo: dict = {}
+        for _ in range(2):
+            with pytest.raises(AccuracyError):
+                rule_deviation(CANONICAL, starved, memo=memo)
+        assert memo == {}
+
+
 class TestPrintedVariant:
     def test_canonical_value(self):
         val = rule_deviation_as_printed(CANONICAL)
