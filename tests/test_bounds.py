@@ -152,6 +152,42 @@ class TestKernelOracle:
             slope = coarse / 1e-2
             assert fine <= 1.5 * slope * 1e-4 + 1e-6, f"B{idx} jumps at {field}={anchor}"
 
+    # The weighted oracles, split at mu or lam strictly inside their half,
+    # pinned bit for bit (float.hex).  Keyed (a, b, s, q, lam, mu) -> index
+    # -> value; B7 and B10 use p = q/(q-1).
+    WEIGHTED = {
+        (1.0, 2.0, 0.5, 2.0, 0.8, 0.3): {
+            1: "0x1.0a3d70a3d70a4p-4",
+            2: "0x1.7a27f96e31e84p-7",
+            3: "0x1.18249fb329fdfp-5",
+            4: "0x1.0a3d70a3d70a4p-4",
+            5: "0x1.ba046a6b0a0dcp-8",
+            6: "0x1.3c90217a23c43p-8",
+            7: "0x1.7e4b17e4b17e5p-7",
+            10: "0x1.7e4b17e4b17e6p-7",
+        },
+        (0.7, 2.4, 0.25, 3.0, 0.65, 0.15): {
+            1: "0x1.28f5c28f5c28fp-4",
+            2: "0x1.015ca54534450p-5",
+            3: "0x1.0b1513b39f331p-4",
+            4: "0x1.28f5c28f5c290p-4",
+            5: "0x1.1ca91d68cc8aep-10",
+            6: "0x1.bd04b9cc308afp-11",
+            7: "0x1.0a07e984f384ap-5",
+            10: "0x1.0a07e984f384ap-5",
+        },
+    }
+
+    @pytest.mark.parametrize("point", sorted(WEIGHTED), ids=lambda k: "a{}-b{}-s{}-q{}".format(*k))
+    def test_weighted_oracles_pinned_bitwise(self, point):
+        a, b, s, q, lam, mu = point
+        inst = make(a=a, b=b, s=s, q=q, lam=lam, mu=mu)
+        p = q / (q - 1.0)
+        for index, expected in self.WEIGHTED[point].items():
+            kind = KIND_FOR_INDEX[index]
+            p_or_q = p if kind.weight == "abs_weight_pow_p" else None
+            assert kernel_oracle(kind, inst, p_or_q=p_or_q).hex() == expected, index
+
 
 class TestClosedMoments:
     def test_b1_b4_at_trapezoid(self):
