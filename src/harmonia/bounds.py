@@ -11,7 +11,7 @@ A_t = t*b + (1-t)*a and parameters s, q (and p = q/(q-1) where q > 1):
     B9  = int_0^{1/2} (1-t)^s / A^2q           B12 = int_{1/2}^1 (1-t)^s / A^2q
 
 Every coefficient has two evaluation paths: a defining-integral oracle
-(adaptive quadrature of the integral above, split at mu or lam) and
+(adaptive quadrature of the integral above, split at the weight's kink) and
 the closed forms printed in the source tables (Beta and Gauss 2F1
 expressions, piecewise in mu or lam).  Several printed cases are misprinted;
 ``crosscheck_B`` compares the paths and flags disagreements as errata
@@ -119,11 +119,13 @@ def _require_band(inst: Instance) -> None:
         )
 
 
-def _half(kind: KernelKind, inst: Instance) -> tuple[float, float, float]:
-    """The half-interval of the kind's side and its anchor (mu_ left, lambda_ right)."""
-    if kind.side == "left":
-        return 0.0, 0.5, inst.mu_
-    return 0.5, 1.0, inst.lambda_
+def _centre(kind: KernelKind, inst: Instance) -> float | None:
+    """The point the kind's weight is centred on; None for the weight "none"."""
+    if kind.weight == "none":
+        return None
+    if kind.weight == "abs_weight_pow_p":
+        return inst.mu_ if kind.side == "left" else inst.lambda_
+    return inst.mu_ if kind.weight == "abs_mu_minus_t" else inst.lambda_
 
 
 def kernel_oracle(
@@ -135,18 +137,20 @@ def kernel_oracle(
     """Direct quadrature of one proof integral.
 
     ``p_or_q`` supplies the exponent p for the abs_weight_pow_p weight
-    (required there, > 1); the A^2q power always uses inst.q.  The half
-    is split at its anchor (mu_ on the left, lambda_ on the right) whenever
-    the anchor lies strictly inside it, also for the weight "none", which
-    has no kink there.  Each panel is integrated with the double-exponential
-    rule: t^s and (1-t)^s have algebraic endpoint singularities for
-    fractional s, which defeat polynomial error estimates but are exactly
-    what tanh-sinh handles.
+    (required there, > 1); the A^2q power always uses inst.q.  The weight
+    is |c - t| (to the power p for abs_weight_pow_p), centred on mu_ or
+    lambda_; the half is split at c, the weight's kink, when c lies strictly
+    inside it.  The weight "none" has no kink, so B8, B9, B11 and B12 are
+    one panel and do not depend on mu_ or lambda_.  Each panel is
+    integrated with the double-exponential rule: t^s and (1-t)^s have
+    algebraic endpoint singularities for fractional s, which defeat
+    polynomial error estimates but are exactly what tanh-sinh handles.
     """
     _require_band(inst)
     settings = settings if settings is not None else DEFAULT_SETTINGS
     a, b, s, q = inst.a, inst.b, inst.s, inst.q
-    lo, hi, anchor = _half(kind, inst)
+    lo, hi = (0.0, 0.5) if kind.side == "left" else (0.5, 1.0)
+    centre = _centre(kind, inst)
 
     p = None
     if kind.weight == "abs_weight_pow_p":
@@ -157,14 +161,9 @@ def kernel_oracle(
         p = p_or_q
 
     def integrand(t: float) -> float:
-        if kind.weight == "abs_mu_minus_t":
-            val = abs(inst.mu_ - t)
-        elif kind.weight == "abs_lambda_minus_t":
-            val = abs(inst.lambda_ - t)
-        elif kind.weight == "abs_weight_pow_p":
-            val = abs(anchor - t) ** p
-        else:
-            val = 1.0
+        val = 1.0 if centre is None else abs(centre - t)
+        if p is not None:
+            val **= p
         if kind.factor == "t_pow_s":
             val *= t**s
         elif kind.factor == "one_minus_t_pow_s":
@@ -174,7 +173,8 @@ def kernel_oracle(
             val /= A ** (2.0 * q)
         return val
 
-    panels = [(lo, hi)] if not lo < anchor < hi else [(lo, anchor), (anchor, hi)]
+    split = centre is not None and lo < centre < hi
+    panels = [(lo, centre), (centre, hi)] if split else [(lo, hi)]
     total = 0.0
     for panel_lo, panel_hi in panels:
         res = integrate_de(integrand, panel_lo, panel_hi, settings)
@@ -195,19 +195,8 @@ def _oracle(
     settings: QuadSettings | None,
     memo: dict | None,
 ) -> float:
-    """kernel_oracle through the memo, keyed by everything its integral reads.
-
-    split is the anchor if kernel_oracle splits the half there, else None;
-    weight_anchor is the point the weight is centred on, None for "none".
-    """
-    lo, hi, anchor = _half(kind, inst)
-    split = anchor if lo < anchor < hi else None
-    weight_anchor = {
-        "abs_mu_minus_t": inst.mu_,
-        "abs_lambda_minus_t": inst.lambda_,
-        "abs_weight_pow_p": anchor,
-    }.get(kind.weight)
-    key = ("oracle", kind, inst.a, inst.b, inst.s, inst.q, split, weight_anchor, p, settings)
+    """kernel_oracle through the memo, keyed by everything its integral reads."""
+    key = ("oracle", kind, inst.a, inst.b, inst.s, inst.q, _centre(kind, inst), p, settings)
     return _memoized(memo, key, kernel_oracle, kind, inst, p_or_q=p, settings=settings)
 
 

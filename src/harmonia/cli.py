@@ -28,6 +28,7 @@ from .errors import (
     PreconditionError,
 )
 from .harness import SweepConfig, emit_report, run_sweep
+from .identity import IDENTITY_TOL
 from .identity import Instance, check_identity, kernel_representation, rule_deviation_as_printed
 
 
@@ -53,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pi.add_argument("--b", type=float, required=True)
     pi.add_argument("--lambda", dest="lambda_", type=float, required=True)
     pi.add_argument("--mu", dest="mu_", type=float, required=True)
-    pi.add_argument("--tol", type=float, default=None)
+    pi.add_argument("--tol", type=float, default=IDENTITY_TOL)
     pi.add_argument(
         "--printed", action="store_true",
         help="evaluate the as-printed deviation display instead (errata demo; "
@@ -94,10 +95,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_check_convexity(args: argparse.Namespace) -> int:
     f = parse_function_spec(args.f)
-    parts = args.grid.split(",")
-    if len(parts) != 3:
-        raise ConfigError(f"--grid expects NX,NY,NT, got {args.grid!r}")
-    nx, ny, nt = (int(p) for p in parts)
+    try:
+        nx, ny, nt = (int(p) for p in args.grid.split(","))
+    except ValueError:
+        raise ConfigError(f"--grid expects NX,NY,NT integers, got {args.grid!r}") from None
     grid = GridSpec(nx=nx, ny=ny, nt=nt, lo=args.lo, hi=args.hi)
     report = check_harmonic_sm(f, args.s, args.m, grid)
     print(f"function   {args.f}")
@@ -118,21 +119,19 @@ def _cmd_verify_identity(args: argparse.Namespace) -> int:
         a=args.a, b=args.b, s=1.0, m=1.0, q=1.0,
         lambda_=args.lambda_, mu_=args.mu_, f=f,
     )
-    kwargs = {} if args.tol is None else {"tol": args.tol}
     if args.printed:
         printed = rule_deviation_as_printed(inst)
         rhs = kernel_representation(inst)
         diff = abs(printed - rhs)
-        tol = args.tol if args.tol is not None else 1e-8
         print(f"as-printed deviation  {printed:.10g}")
         print(f"kernel representation {rhs:.10g}")
-        print(f"|difference|          {diff:.6e}  (tol {tol:g})")
-        if diff <= tol:
+        print(f"|difference|          {diff:.6e}  (tol {args.tol:g})")
+        if diff <= args.tol:
             print("PASS: printed display matches the kernel representation here")
             return 0
         print("FAIL: printed display does not satisfy the identity (known erratum)")
         return 1
-    check = check_identity(inst, **kwargs)
+    check = check_identity(inst, tol=args.tol)
     print(f"rule deviation        {check.lhs:.10g}")
     print(f"kernel representation {check.rhs:.10g}")
     print(f"|difference|          {check.abs_diff:.6e}  (tol {check.tol:g})")
@@ -220,7 +219,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {args.config!r} is not valid JSON: {exc}") from exc
-    if args.seed is not None:
+    if args.seed is not None and isinstance(data, dict):
         data["rng_seed"] = args.seed
     cfg = SweepConfig.from_dict(data)
     report = run_sweep(cfg, jobs=args.jobs)

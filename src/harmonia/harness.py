@@ -47,6 +47,14 @@ SCHEMA = "harmonia/v1"
 _DEFAULT_FAMILIES = ("linear", "power:c=1,p=2", "spower:b=1,s=0.5,c=0")
 
 
+def _coerce(convert, value: object, name: str):
+    """convert(value), with a bad value reported as a ConfigError naming it."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name}: expected a number, got {value!r}") from None
+
+
 def _check_jobs(jobs: object) -> None:
     if jobs is not None and not (isinstance(jobs, int) and jobs >= 1):
         raise ConfigError(f"jobs must be an integer >= 1 or null, got {jobs!r}")
@@ -74,6 +82,8 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if not (isinstance(self.samples, int) and self.samples >= 1):
             raise ConfigError(f"samples must be an integer >= 1, got {self.samples!r}")
+        if not isinstance(self.rng_seed, int):
+            raise ConfigError(f"rng_seed must be an integer, got {self.rng_seed!r}")
         lo, hi = self.a_range
         if not (0.0 < lo <= hi and math.isfinite(hi)):
             raise ConfigError(f"a_range must satisfy 0 < lo <= hi, got {self.a_range!r}")
@@ -126,7 +136,7 @@ class SweepConfig:
             lam, mu = lm  # type: ignore[misc]
         except (TypeError, ValueError):
             raise ConfigError(f"lambda_mu pair expected, got {lm!r}") from None
-        lam, mu = float(lam), float(mu)
+        lam, mu = _coerce(float, lam, "lambda"), _coerce(float, mu, "mu")
         if not (0.0 <= mu <= 0.5 <= lam <= 1.0):
             raise ConfigError(
                 f"lambda_mu pair must satisfy 0 <= mu <= 1/2 <= lambda <= 1, got {lm!r}"
@@ -179,13 +189,13 @@ class SweepConfig:
                 pair = data[key]
                 if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
                     raise ConfigError(f"{key} must be a [lo, hi] pair, got {pair!r}")
-                kwargs[key] = (float(pair[0]), float(pair[1]))
+                kwargs[key] = (_coerce(float, pair[0], key), _coerce(float, pair[1], key))
         for key in ("s_values", "m_values", "q_values"):
             if key in data:
                 vals = data[key]
                 if not isinstance(vals, (list, tuple)):
                     raise ConfigError(f"{key} must be a list, got {vals!r}")
-                kwargs[key] = tuple(float(v) for v in vals)
+                kwargs[key] = tuple(_coerce(float, v, key) for v in vals)
         if "lambda_mu" in data:
             lm = data["lambda_mu"]
             kwargs["lambda_mu"] = tuple(lm) if isinstance(lm, (list, tuple)) else lm
@@ -196,7 +206,7 @@ class SweepConfig:
             kwargs["families"] = tuple(str(f) for f in fams)
         for key in ("identity_tol", "crosscheck_tol", "margin_tol"):
             if key in data:
-                kwargs[key] = float(data[key])
+                kwargs[key] = _coerce(float, data[key], key)
         if "quad" in data:
             qd = data["quad"]
             if not isinstance(qd, dict):
@@ -204,11 +214,12 @@ class SweepConfig:
             qknown = {"abs_tol", "rel_tol", "max_subdivisions"}
             if set(qd) - qknown:
                 raise ConfigError(f"unknown quad keys: {sorted(set(qd) - qknown)}")
+            d = DEFAULT_SETTINGS
             kwargs["quad"] = QuadSettings(
-                abs_tol=float(qd.get("abs_tol", DEFAULT_SETTINGS.abs_tol)),
-                rel_tol=float(qd.get("rel_tol", DEFAULT_SETTINGS.rel_tol)),
-                max_subdivisions=int(
-                    qd.get("max_subdivisions", DEFAULT_SETTINGS.max_subdivisions)
+                abs_tol=_coerce(float, qd.get("abs_tol", d.abs_tol), "abs_tol"),
+                rel_tol=_coerce(float, qd.get("rel_tol", d.rel_tol), "rel_tol"),
+                max_subdivisions=_coerce(
+                    int, qd.get("max_subdivisions", d.max_subdivisions), "max_subdivisions"
                 ),
             )
         return cls(**kwargs)

@@ -188,6 +188,28 @@ class TestKernelOracle:
             p_or_q = p if kind.weight == "abs_weight_pow_p" else None
             assert kernel_oracle(kind, inst, p_or_q=p_or_q).hex() == expected, index
 
+    @pytest.mark.parametrize(
+        "a, b, s, q",
+        [(1.0, 2.0, 0.5, 2.0), (0.7, 2.4, 0.25, 3.0), (1.5, 1.6, 1.0, 1.0), (0.5, 2.5, 0.75, 1.5)],
+    )
+    def test_unweighted_oracles_match_mpmath(self, a, b, s, q):
+        # B8, B9, B11 and B12 have no weight, so no kink at mu or lam: one
+        # panel per half, against a 50-digit reference.
+        mpmath = pytest.importorskip("mpmath")
+        inst = make(a=a, b=b, s=s, q=q, lam=0.8, mu=0.3)
+        with mpmath.workdps(50):
+            for index in (8, 9, 11, 12):
+                kind = KIND_FOR_INDEX[index]
+                lo, hi = (0, mpmath.mpf(1) / 2) if kind.side == "left" else (mpmath.mpf(1) / 2, 1)
+
+                def f(t, kind=kind):
+                    x = t if kind.factor == "t_pow_s" else 1 - t
+                    return x ** mpmath.mpf(s) / (t * b + (1 - t) * a) ** (2 * mpmath.mpf(q))
+
+                ref = float(mpmath.quad(f, [lo, hi]))
+                val = kernel_oracle(kind, inst)
+                assert abs(val - ref) <= 1e-13 * abs(ref), (index, val, ref)
+
 
 class TestClosedMoments:
     def test_b1_b4_at_trapezoid(self):

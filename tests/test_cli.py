@@ -74,6 +74,15 @@ class TestCheckConvexity:
         assert rc == 2
         assert "error" in capsys.readouterr().err
 
+    def test_non_integer_grid_is_usage_error(self, capsys):
+        rc = main([
+            "check-convexity", "--f", "linear",
+            "--s", "1", "--m", "1", "--lo", "1", "--hi", "2",
+            "--grid", "4,4,x",
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: --grid")
+
     def test_bad_spec_is_usage_error(self, capsys):
         rc = main([
             "check-convexity", "--f", "warp:9",
@@ -257,6 +266,29 @@ class TestSweep:
         )
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: jobs must be")
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "data, extra",
+        [
+            ({"identity_tol": "abc"}, []),
+            ({"a_range": ["x", 1]}, []),
+            ({"s_values": [None]}, []),
+            ({"quad": {"max_subdivisions": "x"}}, []),
+            ({"lambda_mu": ["x", 0.2]}, []),
+            ({"rng_seed": [1]}, []),
+            ([1, 2], ["--seed", "5"]),
+        ],
+    )
+    def test_bad_config_value_is_usage_error(self, tmp_path, data, extra):
+        cfg = self.write_config(tmp_path, data)
+        proc = subprocess.run(
+            [sys.executable, "-m", "harmonia.cli", "sweep", "--config", str(cfg),
+             "--out", str(tmp_path / "r.csv"), "--format", "csv", *extra],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
 
     def test_missing_config_is_usage_error(self, tmp_path, capsys):

@@ -69,6 +69,8 @@ class TestSweepConfig:
             {"margin_tol": float("nan")},
             {"quad": {"abs_tol": 1e-10}},
             {"jobs": 0},
+            {"rng_seed": [1]},
+            {"rng_seed": "7"},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -232,15 +234,13 @@ class TestRunSweep:
 
 
 def _exact_oracle_key(kind, inst, p_or_q=None, settings=None):
-    """Everything a kernel_oracle value depends on."""
-    lo, hi, anchor = (0.0, 0.5, inst.mu_) if kind.side == "left" else (0.5, 1.0, inst.lambda_)
-    split = anchor if lo < anchor < hi else None
-    centre = {
-        "abs_mu_minus_t": inst.mu_,
-        "abs_lambda_minus_t": inst.lambda_,
-        "abs_weight_pow_p": anchor,
-    }.get(kind.weight)
-    return (kind, inst.a, inst.b, inst.s, inst.q, split, centre, p_or_q, settings)
+    """Everything a kernel_oracle value depends on.
+
+    The weight is centred on mu on the left half and on lambda on the right;
+    the weight "none" reads neither.
+    """
+    centre = None if kind.weight == "none" else inst.mu_ if kind.side == "left" else inst.lambda_
+    return (kind, inst.a, inst.b, inst.s, inst.q, centre, p_or_q, settings)
 
 
 class TestInstanceMemo:
@@ -308,6 +308,12 @@ class TestInstanceMemo:
             assert not repeated, (name, repeated)
         assert keys["kernel_oracle"] and keys["hyp2f1"]
         assert keys["integrate"][(inst.a, inst.b, SMALL.quad)] == 1
+        # B8, B9, B11 and B12 do not read lambda or mu: one integral serves
+        # all four triples and the crosscheck.
+        for index in (8, 9, 11, 12):
+            kind = bounds.KIND_FOR_INDEX[index]
+            calls = sum(n for k, n in keys["kernel_oracle"].items() if k[0] == kind)
+            assert calls == 1, (index, calls)
 
 
 class TestReports:
