@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 
@@ -205,6 +206,56 @@ class TestTanhSinh:
         res = integrate_de(f, 0.0, 1.0)
         assert res.converged
         assert all(0.0 < t < 1.0 for t in seen)
+
+
+# integrate_de pinned bit for bit: value and error estimate as float.hex,
+# the evaluation count, the converged flag, a digest of the abscissae in
+# evaluation order, and how many of them the nextafter endpoint clamp
+# produced.  Any change to the node table, node order, summation or
+# stopping rule moves at least one of these.
+DE_PINS = [
+    ("exp", math.exp, 0.0, 1.0, None,
+     ("0x1.b7e151628aed3p+0", "0x1.0f37000000000p-36", 97, True, "6a0e9c93468f2759", 23)),
+    ("sin_tight", math.sin, 0.0, math.pi, QuadSettings(abs_tol=1e-15, rel_tol=1e-15),
+     ("0x1.0000000000000p+1", "0x1.0000000000000p-51", 195, True, "8381df5c54cc4c31", 47)),
+    ("gauss_bell_rel0", lambda t: math.exp(-t * t), -1.0, 3.0,
+     QuadSettings(abs_tol=1e-12, rel_tol=0.0),
+     ("0x1.a20e59e48adecp+0", "0x0.0p+0", 391, True, "3e45102f0df5f50b", 189)),
+    ("inv_sqrt", lambda t: t**-0.5, 0.0, 1.0, None,
+     ("0x1.0000000000001p+1", "0x1.c000000000000p-49", 97, True, "6a0e9c93468f2759", 23)),
+    ("beta_kernel", lambda t: t**0.3 * (1.0 - t) ** -0.3, 0.0, 1.0, None,
+     ("0x1.2a3b40abb7bc6p+0", "0x1.e000000000000p-47", 97, True, "6a0e9c93468f2759", 23)),
+    ("beta_kernel_capped", lambda t: t**0.3 * (1.0 - t) ** -0.3, 0.0, 1.0,
+     QuadSettings(max_subdivisions=2),
+     ("0x1.2a3b40abb7b8ap+0", "0x1.152fe87900000p-19", 49, False, "148be477628607c1", 12)),
+    ("oracle_like",
+     lambda t: abs(0.3 - t) * t**0.25 / (t * 2.5 + (1.0 - t) * 0.7) ** 3.0, 0.0, 0.3,
+     QuadSettings(abs_tol=1e-12, rel_tol=1e-12),
+     ("0x1.227b11d29487dp-5", "0x0.0p+0", 195, True, "3e35f83b4f01f6a4", 47)),
+    ("clamp_lo", lambda t: (t - 1.0) ** -0.5, 1.0, 2.0, None,
+     ("0x1.ffffffc44168ep+0", "0x1.a946800000000p-34", 3123, True, "8ae56c3abe02033d", 1524)),
+    ("clamp_hi", lambda t: (3.0 - t) ** -0.75, 2.0, 3.0, QuadSettings(abs_tol=1e-9, rel_tol=1e-9),
+     ("0x1.fff20750f1e9ep+1", "0x1.c1413ae000000p-22", 49967, False, "8ee3d948cf421c88", 24538)),
+    ("clamp_wide", lambda t: 1.0 / math.sqrt(abs(t - 1e3)), 1e3, 1e3 + 5.0, None,
+     ("0x1.1e37785ed9c47p+2", "0x1.2fc1d80000000p-29", 49967, False, "e3f12d65a863038e", 25512)),
+]
+
+
+@pytest.mark.parametrize(
+    "name,f,lo,hi,settings,pinned", DE_PINS, ids=[c[0] for c in DE_PINS]
+)
+def test_integrate_de_pinned_bits(name, f, lo, hi, settings, pinned):
+    seen = []
+
+    def traced(t):
+        seen.append(t)
+        return f(t)
+
+    res = integrate_de(traced, lo, hi, settings)
+    digest = hashlib.sha256("".join(x.hex() for x in seen).encode()).hexdigest()[:16]
+    clamped = sum(1 for x in seen if x in (math.nextafter(lo, hi), math.nextafter(hi, lo)))
+    got = (res.value.hex(), res.err_estimate.hex(), res.evaluations, res.converged, digest, clamped)
+    assert got == pinned
 
 
 @given(
