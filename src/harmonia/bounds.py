@@ -32,7 +32,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .convexity import GridSpec, abs_deriv_pow, check_harmonic_sm
+from .convexity import (
+    FunctionSpec,
+    GridSpec,
+    abs_deriv_pow,
+    check_harmonic_sm,
+    refuted_on_subgrid,
+)
 from .errors import AccuracyError, ParameterError, PreconditionError
 from .identity import Instance, _memoized, rule_deviation
 from .quadrature import DEFAULT_SETTINGS, QuadSettings, integrate_de
@@ -160,17 +166,23 @@ def kernel_oracle(
             )
         p = p_or_q
 
+    # Read the kind once here, not on every evaluation.
+    t_pow_s = kind.factor == "t_pow_s"
+    one_minus_t_pow_s = kind.factor == "one_minus_t_pow_s"
+    include_A = kind.include_A
+    two_q = 2.0 * q
+
     def integrand(t: float) -> float:
         val = 1.0 if centre is None else abs(centre - t)
         if p is not None:
             val **= p
-        if kind.factor == "t_pow_s":
+        if t_pow_s:
             val *= t**s
-        elif kind.factor == "one_minus_t_pow_s":
+        elif one_minus_t_pow_s:
             val *= (1.0 - t) ** s
-        if kind.include_A:
+        if include_A:
             A = t * b + (1.0 - t) * a
-            val /= A ** (2.0 * q)
+            val /= A**two_q
         return val
 
     split = centre is not None and lo < centre < hi
@@ -614,15 +626,29 @@ class Verdict:
     path: str
 
 
+def _hypothesis(inst: Instance, grid: GridSpec | None) -> tuple[FunctionSpec, GridSpec]:
+    """|f'|^q and the grid on [a, b/m] its convexity is certified over."""
+    if grid is None:
+        grid = GridSpec(lo=inst.a, hi=inst.b / inst.m)
+    return abs_deriv_pow(inst.f, inst.q), grid
+
+
 def certify_instance(
     inst: Instance,
     grid: GridSpec | None = None,
 ):
     """Grid-certify that |f'|^q is harmonically (s,m)-convex on [a, b/m]."""
-    shape = abs_deriv_pow(inst.f, inst.q)
-    if grid is None:
-        grid = GridSpec(lo=inst.a, hi=inst.b / inst.m)
+    shape, grid = _hypothesis(inst, grid)
     return check_harmonic_sm(shape, inst.s, inst.m, grid)
+
+
+def refuted_coarsely(inst: Instance) -> bool:
+    """True when a subgrid of certify_instance's default grid already
+    refutes the hypothesis; certify_instance(inst) then does not hold.
+    False decides nothing.
+    """
+    shape, grid = _hypothesis(inst, None)
+    return refuted_on_subgrid(shape, inst.s, inst.m, grid)
 
 
 def check_theorem(

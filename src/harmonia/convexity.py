@@ -33,6 +33,9 @@ DEFECT_TOL = 1e-9
 # Monotonicity is decided from adjacent differences of this many samples.
 MONO_SAMPLES = 401
 MONO_TOL = 1e-12
+# refuted_on_subgrid keeps every 4th sample per axis: 11x11x6 of the default
+# 41x41x21 grid, about 1/26 of its points.
+SUBGRID_STRIDE = 4
 
 _KINDS = (
     "linear",
@@ -398,12 +401,28 @@ def harmonic_sm_defect(
     return f.value(comb) - (t**s * f.value(x) + m * (1.0 - t) ** s * f.value(y))
 
 
-def _grid_defect(
-    f: FunctionSpec, s: float, m: float, grid: GridSpec, harmonic: bool
-) -> tuple[float, tuple[float, float, float], int]:
-    xs = np.linspace(grid.lo, grid.hi, grid.nx)
-    ys = np.linspace(grid.lo, grid.hi, grid.ny)
-    ts = np.linspace(0.0, 1.0, grid.nt)
+def _grid_axes(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return (
+        np.linspace(grid.lo, grid.hi, grid.nx),
+        np.linspace(grid.lo, grid.hi, grid.ny),
+        np.linspace(0.0, 1.0, grid.nt),
+    )
+
+
+def _defect(
+    f: FunctionSpec,
+    s: float,
+    m: float,
+    xs: np.ndarray,
+    ys: np.ndarray,
+    ts: np.ndarray,
+    harmonic: bool,
+) -> np.ndarray:
+    """Signed defect over the product of the given axes, shape (x, y, t).
+
+    Every entry depends only on its own (x, y, t), so the defect over
+    sub-axes is the matching sub-array of the defect over the full axes.
+    """
     X = xs[:, None, None]
     Y = ys[None, :, None]
     T = ts[None, None, :]
@@ -416,6 +435,14 @@ def _grid_defect(
     defect = np.asarray(f.value(comb), dtype=float) - (T**s * fx + m * (1.0 - T) ** s * fy)
     if not np.all(np.isfinite(defect)):
         raise EvaluationError("grid defect evaluation produced non-finite values")
+    return defect
+
+
+def _grid_defect(
+    f: FunctionSpec, s: float, m: float, grid: GridSpec, harmonic: bool
+) -> tuple[float, tuple[float, float, float], int]:
+    xs, ys, ts = _grid_axes(grid)
+    defect = _defect(f, s, m, xs, ys, ts, harmonic)
     # C-order argmax returns the first maximizer, which is the
     # lexicographically smallest (x, y, t) witness.
     flat_idx = int(np.argmax(defect))
@@ -423,6 +450,29 @@ def _grid_defect(
     worst = float(defect[ix, iy, it])
     witness = (float(xs[ix]), float(ys[iy]), float(ts[it]))
     return worst, witness, defect.size
+
+
+def _check_grid_args(f: FunctionSpec, s: float, m: float, grid: GridSpec) -> None:
+    _require_sm(s, m)
+    if not grid.lo > f.domain_lo:
+        raise DomainError(
+            f"grid interval [{grid.lo}, {grid.hi}] must sit above domain_lo={f.domain_lo}"
+        )
+
+
+def refuted_on_subgrid(f: FunctionSpec, s: float, m: float, grid: GridSpec) -> bool:
+    """True when every SUBGRID_STRIDE-th sample of each grid axis already
+    refutes harmonic (s,m)-convexity.
+
+    The sub-axes are slices of the grid's own axes, so each subgrid defect
+    is bit for bit the grid's defect at that point: True implies that
+    check_harmonic_sm(f, s, m, grid) does not hold.  False decides nothing.
+    """
+    _check_grid_args(f, s, m, grid)
+    xs, ys, ts = _grid_axes(grid)
+    k = SUBGRID_STRIDE
+    defect = _defect(f, s, m, xs[::k], ys[::k], ts[::k], harmonic=True)
+    return bool(defect.max() > DEFECT_TOL)
 
 
 def check_harmonic_sm(
@@ -433,11 +483,7 @@ def check_harmonic_sm(
     defect_tol: float = DEFECT_TOL,
 ) -> ConvexityReport:
     """Grid verdict for harmonic (s,m)-convexity over grid's interval."""
-    _require_sm(s, m)
-    if not grid.lo > f.domain_lo:
-        raise DomainError(
-            f"grid interval [{grid.lo}, {grid.hi}] must sit above domain_lo={f.domain_lo}"
-        )
+    _check_grid_args(f, s, m, grid)
     worst, witness, checked = _grid_defect(f, s, m, grid, harmonic=True)
     return ConvexityReport(
         holds=worst <= defect_tol, worst_defect=worst, witness=witness, checked=checked
@@ -452,11 +498,7 @@ def check_plain_sm(
     defect_tol: float = DEFECT_TOL,
 ) -> ConvexityReport:
     """Grid verdict for plain (s,m)-convexity (combination t*x + m*(1-t)*y)."""
-    _require_sm(s, m)
-    if not grid.lo > f.domain_lo:
-        raise DomainError(
-            f"grid interval [{grid.lo}, {grid.hi}] must sit above domain_lo={f.domain_lo}"
-        )
+    _check_grid_args(f, s, m, grid)
     worst, witness, checked = _grid_defect(f, s, m, grid, harmonic=False)
     return ConvexityReport(
         holds=worst <= defect_tol, worst_defect=worst, witness=witness, checked=checked

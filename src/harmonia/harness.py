@@ -30,8 +30,15 @@ from .bounds import (
     certify_instance,
     check_theorem,
     crosscheck_B,
+    refuted_coarsely,
 )
-from .convexity import FunctionSpec, format_function_spec, linear, parse_function_spec
+from .convexity import (
+    ConvexityReport,
+    FunctionSpec,
+    format_function_spec,
+    linear,
+    parse_function_spec,
+)
 from .errors import AccuracyError, ConfigError, EvaluationError
 from .identity import (
     IDENTITY_TOL,
@@ -55,8 +62,24 @@ def _coerce(convert, value: object, name: str):
         raise ConfigError(f"{name}: expected a number, got {value!r}") from None
 
 
+def _is_int(value: object) -> bool:
+    # bool subclasses int, but true/false where a count belongs is a mistake.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _integral(value: object, name: str) -> int:
+    """value as an int; a bool or a fractional number is a ConfigError."""
+    if _is_int(value):
+        return value
+    if not isinstance(value, bool):
+        number = _coerce(float, value, name)
+        if number.is_integer():
+            return int(number)
+    raise ConfigError(f"{name}: expected an integer, got {value!r}")
+
+
 def _check_jobs(jobs: object) -> None:
-    if jobs is not None and not (isinstance(jobs, int) and jobs >= 1):
+    if jobs is not None and not (_is_int(jobs) and jobs >= 1):
         raise ConfigError(f"jobs must be an integer >= 1 or null, got {jobs!r}")
 
 
@@ -80,9 +103,9 @@ class SweepConfig:
     jobs: int | None = None
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.samples, int) and self.samples >= 1):
+        if not (_is_int(self.samples) and self.samples >= 1):
             raise ConfigError(f"samples must be an integer >= 1, got {self.samples!r}")
-        if not isinstance(self.rng_seed, int):
+        if not _is_int(self.rng_seed):
             raise ConfigError(f"rng_seed must be an integer, got {self.rng_seed!r}")
         lo, hi = self.a_range
         if not (0.0 < lo <= hi and math.isfinite(hi)):
@@ -218,8 +241,8 @@ class SweepConfig:
             kwargs["quad"] = QuadSettings(
                 abs_tol=_coerce(float, qd.get("abs_tol", d.abs_tol), "abs_tol"),
                 rel_tol=_coerce(float, qd.get("rel_tol", d.rel_tol), "rel_tol"),
-                max_subdivisions=_coerce(
-                    int, qd.get("max_subdivisions", d.max_subdivisions), "max_subdivisions"
+                max_subdivisions=_integral(
+                    qd.get("max_subdivisions", d.max_subdivisions), "max_subdivisions"
                 ),
             )
         return cls(**kwargs)
@@ -297,17 +320,24 @@ class RunReport:
         return self.failures == 0
 
 
-def generate_instances(cfg: SweepConfig) -> tuple[list[Instance], int]:
+def generate_instances(
+    cfg: SweepConfig, *, with_certificates: bool = False
+) -> tuple[list[Instance], int] | tuple[list[Instance], int, list[ConvexityReport]]:
     """Draw and grid-certify instances; returns (instances, discard count).
 
     Candidates whose |f'|^q fails certification on [a, b/m] (or has no
-    derivative evaluator) are discarded and counted.  Draw order is fixed,
-    so a given seed always yields the same list.
+    derivative evaluator) are discarded and counted.  A candidate that a
+    subgrid of the certification grid already refutes is discarded without
+    the full grid; the discard set is the same.  Draw order is fixed, so a
+    given seed always yields the same list.  With ``with_certificates``
+    the result gains a third item: each instance's ConvexityReport, in
+    instance order.
     """
     rng = random.Random(cfg.rng_seed)
     families = [parse_function_spec(s) for s in cfg.families]
     fixed_triple = cfg._triple_mode()
     instances: list[Instance] = []
+    certificates: list[ConvexityReport] = []
     discarded = 0
     attempts = 0
     max_attempts = cfg.samples * 50
@@ -326,12 +356,13 @@ def generate_instances(cfg: SweepConfig) -> tuple[list[Instance], int]:
             lam, mu = fixed_triple
         inst = Instance(a=a, b=b, s=s, m=m, q=q, lambda_=lam, mu_=mu, f=f)
         try:
-            report = certify_instance(inst)
+            report = None if refuted_coarsely(inst) else certify_instance(inst)
         except EvaluationError:
             discarded += 1
             continue
-        if report.holds:
+        if report is not None and report.holds:
             instances.append(inst)
+            certificates.append(report)
         else:
             discarded += 1
     if not instances:
@@ -344,6 +375,8 @@ def generate_instances(cfg: SweepConfig) -> tuple[list[Instance], int]:
             f"only {len(instances)} of {cfg.samples} requested instances certified "
             f"after {max_attempts} draws; widen the ranges or change families"
         )
+    if with_certificates:
+        return instances, discarded, certificates
     return instances, discarded
 
 
@@ -363,7 +396,7 @@ def _instance_rows(payload: tuple) -> tuple[list[Row], list[dict]]:
     One memo, dropped on return, lets the rows share every integral average,
     kernel oracle and 2F1 value that they have in common.
     """
-    inst_id, inst, identity_tol, crosscheck_tol, margin_tol, quad = payload
+    inst_id, inst, certificate, identity_tol, crosscheck_tol, margin_tol, quad = payload
     family = format_function_spec(inst.f)
     rows: list[Row] = []
     errata: list[dict] = []
@@ -376,9 +409,8 @@ def _instance_rows(payload: tuple) -> tuple[list[Row], list[dict]]:
             check=check, lhs=lhs, rhs=rhs, margin=margin, passed=passed,
         ))
 
-    # Certification already happened in generate_instances; re-certify here
-    # so worker results never depend on trusting the parent process state.
-    certificate = certify_instance(inst)
+    # The payload carries the ConvexityReport generate_instances computed
+    # for this instance; check_theorem still refuses one that does not hold.
 
     try:
         ic = check_identity(inst, settings=quad, tol=identity_tol, memo=memo)
@@ -461,10 +493,10 @@ def run_sweep(cfg: SweepConfig, jobs: int | None = None) -> RunReport:
     """
     _check_jobs(jobs)
     start = time.perf_counter()
-    instances, discarded = generate_instances(cfg)
+    instances, discarded, certificates = generate_instances(cfg, with_certificates=True)
     payloads = [
-        (i, inst, cfg.identity_tol, cfg.crosscheck_tol, cfg.margin_tol, cfg.quad)
-        for i, inst in enumerate(instances)
+        (i, inst, cert, cfg.identity_tol, cfg.crosscheck_tol, cfg.margin_tol, cfg.quad)
+        for i, (inst, cert) in enumerate(zip(instances, certificates))
     ]
     if jobs is None:
         jobs = cfg.jobs

@@ -16,8 +16,10 @@ integrand value raises ``EvaluationError`` with the offending abscissa.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
+from array import array
 from dataclasses import dataclass
 
 from .errors import EvaluationError, ParameterError
@@ -38,8 +40,9 @@ class QuadSettings:
             raise ParameterError("abs_tol must be finite and > 0")
         if self.rel_tol < 0.0 or not math.isfinite(self.rel_tol):
             raise ParameterError("rel_tol must be finite and >= 0")
-        if self.max_subdivisions < 1:
-            raise ParameterError("max_subdivisions must be >= 1")
+        n = self.max_subdivisions
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise ParameterError(f"max_subdivisions must be an integer >= 1, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -189,33 +192,55 @@ _U_MAX = 6.56
 _MAX_LEVEL = 12
 
 
-def _de_contribution(f, u: float, lo: float, hi: float, half: float) -> tuple[float, int]:
-    """Weighted integrand contribution of the node pair at +-u (u > 0)."""
-    v = _PI_OVER_2 * math.sinh(u)
-    if v > _V_CUTOFF:
-        return 0.0, 0
-    ev = math.exp(-2.0 * v)
-    # 1 - tanh(v), computed without cancellation: distance of the abscissa
-    # from the nearer endpoint in the reference coordinate.
-    delta = 2.0 * ev / (1.0 + ev)
-    if delta == 0.0:
-        return 0.0, 0
-    # weight = (pi/2) cosh(u) sech(v)^2, with sech(v) = 2 e^{-v} / (1 + e^{-2v})
-    sech_v = 2.0 * math.exp(-v) / (1.0 + ev)
-    w = _PI_OVER_2 * math.cosh(u) * sech_v * sech_v
-    if w == 0.0:
-        return 0.0, 0
-    x_hi = hi - half * delta
-    x_lo = lo + half * delta
+@functools.cache
+def _de_nodes(level: int) -> tuple[array, array]:
+    """(delta, weight) of the level's node pairs, built on first use.
+
+    Level 0 holds the pairs at u = 1, 2, ...; level L >= 1 adds those at
+    the odd multiples of 2**-L.  delta = 1 - tanh(v) with v = (pi/2)sinh(u)
+    is the distance of the abscissa from the nearer endpoint in the
+    reference coordinate, computed without cancellation; the weight is
+    (pi/2) cosh(u) sech(v)^2.  Pairs whose delta or weight underflows
+    contribute nothing and are left out.
+    """
+    h = 0.5**level
+    step = 1 if level == 0 else 2  # only the odd multiples are new at L >= 1
+    deltas, weights = array("d"), array("d")
+    k = 1
+    while k * h <= _U_MAX:
+        u = k * h
+        k += step
+        v = _PI_OVER_2 * math.sinh(u)
+        if v > _V_CUTOFF:
+            continue
+        ev = math.exp(-2.0 * v)
+        delta = 2.0 * ev / (1.0 + ev)
+        # sech(v) = 2 e^{-v} / (1 + e^{-2v})
+        sech_v = 2.0 * math.exp(-v) / (1.0 + ev)
+        w = _PI_OVER_2 * math.cosh(u) * sech_v * sech_v
+        if delta != 0.0 and w != 0.0:
+            deltas.append(delta)
+            weights.append(w)
+    return deltas, weights
+
+
+def _de_level(f, level: int, lo: float, hi: float, half: float) -> list[float]:
+    """Weighted integrand contributions of the level's node pairs, in order."""
     # Keep the abscissae strictly inside (lo, hi): when the offset drops
     # below one ulp of the endpoint the subtraction would land exactly on
     # it, violating the open-rule contract for endpoint-singular integrands.
-    if x_hi >= hi:
-        x_hi = math.nextafter(hi, lo)
-    if x_lo <= lo:
-        x_lo = math.nextafter(lo, hi)
-    total = w * (_eval(f, x_lo) + _eval(f, x_hi))
-    return total, 2
+    inner_lo = math.nextafter(lo, hi)
+    inner_hi = math.nextafter(hi, lo)
+    out = []
+    for delta, w in zip(*_de_nodes(level)):
+        x_hi = hi - half * delta
+        x_lo = lo + half * delta
+        if x_hi >= hi:
+            x_hi = inner_hi
+        if x_lo <= lo:
+            x_lo = inner_lo
+        out.append(w * (_eval(f, x_lo) + _eval(f, x_hi)))
+    return out
 
 
 def integrate_de(f, lo: float, hi: float, settings: QuadSettings | None = None) -> QuadResult:
@@ -233,19 +258,11 @@ def integrate_de(f, lo: float, hi: float, settings: QuadSettings | None = None) 
     mid = 0.5 * (lo + hi)
     max_evals = 15 * s.max_subdivisions
 
-    evals = 1
     center = _PI_OVER_2 * _eval(f, mid)
-
+    contribs = _de_level(f, 0, lo, hi, half)
+    evals = 1 + 2 * len(contribs)
+    total = math.fsum([center, *contribs])
     h = 1.0
-    contribs = [center]
-    k = 1
-    while k * h <= _U_MAX:
-        c, n = _de_contribution(f, k * h, lo, hi, half)
-        if n:
-            contribs.append(c)
-            evals += n
-        k += 1
-    total = math.fsum(contribs)
     value = half * h * total
     prev_value = value
     err = abs(value)
@@ -255,14 +272,8 @@ def integrate_de(f, lo: float, hi: float, settings: QuadSettings | None = None) 
     while level < _MAX_LEVEL and evals < max_evals:
         level += 1
         h *= 0.5
-        new = []
-        k = 1
-        while k * h <= _U_MAX:
-            c, n = _de_contribution(f, k * h, lo, hi, half)
-            if n:
-                new.append(c)
-                evals += n
-            k += 2  # only the odd multiples are new at this level
+        new = _de_level(f, level, lo, hi, half)
+        evals += 2 * len(new)
         total += math.fsum(new)
         value = half * h * total
         err = abs(value - prev_value)

@@ -9,7 +9,8 @@ so each one is computed here by two independent methods that must agree:
 * ``beta`` is the Gamma-ratio formula, cross-checked in the tests against
   direct tanh-sinh integration of t**(a-1) (1-t)**(b-1).
 * ``hyp2f1`` evaluates the Euler integral representation with the adaptive
-  quadrature oracle AND sums the Gauss series with a geometric tail bound.
+  quadrature oracle AND sums the Gauss series with a geometric tail bound
+  that holds for every later term.
   The two paths must agree to max(budget.rel_tol, 1e-10) in relative terms,
   otherwise an ``AccuracyError`` carrying both values is raised.  The Euler
   value is returned.
@@ -49,8 +50,9 @@ class AccuracyBudget:
     def __post_init__(self) -> None:
         if not (self.rel_tol > 0.0) or not math.isfinite(self.rel_tol):
             raise ParameterError("rel_tol must be finite and > 0")
-        if self.max_work < 1:
-            raise ParameterError("max_work must be >= 1")
+        n = self.max_work
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise ParameterError(f"max_work must be an integer >= 1, got {n!r}")
 
 
 DEFAULT_BUDGET = AccuracyBudget()
@@ -216,28 +218,46 @@ def hyp2f1_series(
     Returns (value, terms_used).  Stops once the bounded tail is below
     rel_tol relative to the accumulated sum; raises AccuracyError if the
     term cap is hit first.
+
+    The tail is bounded with a ratio r_k that holds for every later term,
+    not just the current one.  With A = |alpha|, the ratio of term j+1 to
+    term j is at most z (1 + (c1 j + c0) / ((gamma_+j)(j+1))), where
+    c1 = A + beta_ - gamma_ - 1 and c0 = A beta_ - gamma_.  Since
+    j / ((gamma_+j)(j+1)) <= 1/(gamma_+j), and 1/(gamma_+j) and
+    1/((gamma_+j)(j+1)) decrease in j, r_k = z (1 + max(c1,0)/(gamma_+k)
+    + max(c0,0)/((gamma_+k)(k+1))) bounds every ratio from the k-th on.
+    The sum is compensated (Neumaier), so its own rounding stays below the
+    tail bound even over 10^4 terms near z = 1.
     """
     _check_2f1_domain(alpha, beta_, gamma_, z)
     if z == 0.0:
         return 1.0, 1
+    c1 = max(abs(alpha) + beta_ - gamma_ - 1.0, 0.0)
+    c0 = max(abs(alpha) * beta_ - gamma_, 0.0)
     term = 1.0
     acc = 1.0
+    lost = 0.0  # rounding error of acc, added back at the end
     k = 0
     while k < max_terms:
         ratio = (alpha + k) * (beta_ + k) / ((gamma_ + k) * (k + 1.0)) * z
         term *= ratio
-        acc += term
+        total = acc + term
+        if abs(acc) >= abs(term):
+            lost += (acc - total) + term
+        else:
+            lost += (term - total) + acc
+        acc = total
         k += 1
-        r = abs(ratio)
+        r = z * (1.0 + c1 / (gamma_ + k) + c0 / ((gamma_ + k) * (k + 1.0)))
         if r < 1.0:
             tail_bound = abs(term) * r / (1.0 - r)
             if tail_bound <= rel_tol * abs(acc):
-                return acc, k + 1
+                return acc + lost, k + 1
         if term == 0.0:  # terminating series (alpha a non-positive integer)
-            return acc, k + 1
+            return acc + lost, k + 1
     raise AccuracyError(
         f"hyp2f1 series did not converge within {max_terms} terms",
-        partial_sum=acc,
+        partial_sum=acc + lost,
     )
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -17,7 +18,15 @@ from harmonia.cli import main
 IDENTITY_ARGS = ["--f", "linear", "--a", "1", "--b", "2", "--lambda", "0.5", "--mu", "0.5"]
 SQUARE_INST = ["--f", "power:c=1,p=2", "--a", "1", "--b", "2",
                "--s", "1", "--m", "1", "--q", "2"]
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
+
+
+def _run(cmd: list[str]) -> subprocess.CompletedProcess:
+    """Run cmd in a child process that imports harmonia from this checkout."""
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
 
 
 def _project() -> dict:
@@ -259,10 +268,9 @@ class TestSweep:
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_bad_jobs_flag_is_usage_error(self, tmp_path, jobs):
         cfg = self.write_config(tmp_path)
-        proc = subprocess.run(
+        proc = _run(
             [sys.executable, "-m", "harmonia.cli", "sweep", "--config", str(cfg),
              "--out", str(tmp_path / "r.csv"), "--format", "csv", "--jobs", jobs],
-            capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: jobs must be")
@@ -277,15 +285,18 @@ class TestSweep:
             ({"quad": {"max_subdivisions": "x"}}, []),
             ({"lambda_mu": ["x", 0.2]}, []),
             ({"rng_seed": [1]}, []),
+            ({"samples": True, "families": ["linear"]}, []),
+            ({"jobs": True}, []),
+            ({"rng_seed": False}, []),
+            ({"quad": {"max_subdivisions": 2.7}}, []),
             ([1, 2], ["--seed", "5"]),
         ],
     )
     def test_bad_config_value_is_usage_error(self, tmp_path, data, extra):
         cfg = self.write_config(tmp_path, data)
-        proc = subprocess.run(
+        proc = _run(
             [sys.executable, "-m", "harmonia.cli", "sweep", "--config", str(cfg),
              "--out", str(tmp_path / "r.csv"), "--format", "csv", *extra],
-            capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
@@ -317,10 +328,7 @@ class TestArgparseBehavior:
 
 class TestConsoleScript:
     def test_entry_point_runs(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "harmonia.cli", "verify-identity", *IDENTITY_ARGS],
-            capture_output=True, text=True, timeout=120,
-        )
+        proc = _run([sys.executable, "-m", "harmonia.cli", "verify-identity", *IDENTITY_ARGS])
         assert proc.returncode == 0
         assert "PASS" in proc.stdout
 
@@ -335,7 +343,7 @@ class TestConsoleScript:
         if script is not None:
             commands.append([script, "--help"])
         for cmd in commands:
-            proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+            proc = _run(cmd)
             assert proc.returncode == 0, proc.stderr
             assert "check-convexity" in proc.stdout
             assert "sweep" in proc.stdout

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -30,6 +32,7 @@ from harmonia import (
     s_power,
     abs_deriv_pow,
 )
+from harmonia.convexity import SUBGRID_STRIDE, _defect, _grid_axes, refuted_on_subgrid
 
 NEG_LINEAR = power(-1.0, 1.0)
 
@@ -143,6 +146,51 @@ class TestGridSpec:
             # a refined grid contains new points, so the worst defect can
             # only move up
             assert fine.worst_defect >= coarse.worst_defect - 1e-12
+
+
+class TestSubgrid:
+    # (a_range, b_minus_a_range, q_values) of the default sweep and of a wide
+    # one with b/a up to ~200 and q up to 8.
+    RANGES = {
+        "default": ((0.5, 2.0), (0.1, 2.0), (1.0, 1.5, 2.0, 3.0)),
+        "wide": ((0.05, 0.5), (1.0, 10.0), (1.0, 2.0, 4.0, 8.0)),
+    }
+    FAMILIES = ("linear", "power:c=1,p=2", "spower:b=1,s=0.5,c=0")
+
+    def _candidates(self, ranges, n):
+        a_range, width_range, q_values = ranges
+        rng = random.Random(20261018)
+        families = [parse_function_spec(text) for text in self.FAMILIES]
+        for _ in range(n):
+            f = rng.choice(families)
+            a = rng.uniform(*a_range)
+            b = a + rng.uniform(*width_range)
+            s = rng.choice((0.25, 0.5, 0.75, 1.0))
+            m = rng.choice((0.25, 0.5, 0.75, 1.0))
+            q = rng.choice(q_values)
+            yield abs_deriv_pow(f, q), s, m, GridSpec(lo=a, hi=b / m)
+
+    @pytest.mark.parametrize("ranges", sorted(RANGES))
+    def test_subgrid_defect_is_the_full_grids_bit_for_bit(self, ranges):
+        k = SUBGRID_STRIDE
+        refuted = 0
+        for shape, s, m, grid in self._candidates(self.RANGES[ranges], 120):
+            xs, ys, ts = _grid_axes(grid)
+            full = _defect(shape, s, m, xs, ys, ts, harmonic=True)
+            sub = _defect(shape, s, m, xs[::k], ys[::k], ts[::k], harmonic=True)
+            assert sub.shape == (11, 11, 6)
+            assert np.array_equal(sub.view(np.int64), full[::k, ::k, ::k].view(np.int64))
+            if refuted_on_subgrid(shape, s, m, grid):
+                refuted += 1
+                assert not check_harmonic_sm(shape, s, m, grid).holds
+        assert refuted > 0
+
+    def test_subgrid_checks_arguments_like_the_full_grid(self):
+        shifted = FunctionSpec(kind="linear", domain_lo=1.0)
+        with pytest.raises(DomainError):
+            refuted_on_subgrid(shifted, 1.0, 1.0, GridSpec(lo=1.0, hi=2.0))
+        with pytest.raises(ParameterError):
+            refuted_on_subgrid(linear(), 0.0, 1.0, GridSpec())
 
 
 class TestClassify:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from collections import Counter
 from dataclasses import replace
 
@@ -20,6 +21,7 @@ from harmonia import (
     SCHEMA,
     SweepConfig,
     bounds,
+    certify_instance,
     check_identity,
     check_theorem,
     crosscheck_B,
@@ -71,6 +73,9 @@ class TestSweepConfig:
             {"jobs": 0},
             {"rng_seed": [1]},
             {"rng_seed": "7"},
+            {"samples": True},
+            {"jobs": True},
+            {"rng_seed": False},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -93,6 +98,16 @@ class TestSweepConfig:
         )
         again = SweepConfig.from_dict(cfg.to_dict())
         assert again == cfg
+
+    @pytest.mark.parametrize("value", [2.7, True, "x"])
+    def test_from_dict_rejects_non_integral_max_subdivisions(self, value):
+        with pytest.raises(ConfigError, match="max_subdivisions"):
+            SweepConfig.from_dict({"quad": {"max_subdivisions": value}})
+
+    def test_from_dict_accepts_integral_max_subdivisions(self):
+        quad = SweepConfig.from_dict({"quad": {"max_subdivisions": 500.0}}).quad
+        assert quad.max_subdivisions == 500
+        assert isinstance(quad.max_subdivisions, int)
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigError) as exc:
@@ -212,12 +227,52 @@ class TestRunSweep:
         assert parallel.errata == small_report.errata
         assert parallel.discarded == small_report.discarded
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_each_accepted_instance_certified_once(self, monkeypatch, small_report, jobs):
+        # certify_instance runs in the parent only: once per candidate the
+        # subgrid does not refute, never again for the rows.
+        parent = os.getpid()
+        coarse: list[bool] = []
+        verdicts: list[bool] = []
+        real_coarse, real_certify = harness.refuted_coarsely, harness.certify_instance
+
+        def counting_coarse(inst):
+            coarse.append(real_coarse(inst))
+            return coarse[-1]
+
+        def counting_certify(inst, *args, **kwargs):
+            if os.getpid() != parent:
+                raise AssertionError("a pool worker re-certified an instance")
+            report = real_certify(inst, *args, **kwargs)
+            verdicts.append(report.holds)
+            return report
+
+        monkeypatch.setattr(harness, "refuted_coarsely", counting_coarse)
+        monkeypatch.setattr(harness, "certify_instance", counting_certify)
+        rep = run_sweep(SMALL, jobs=jobs)
+        assert verdicts.count(True) == rep.instances
+        assert len(verdicts) == coarse.count(False)
+        assert len(coarse) == rep.instances + rep.discarded
+        assert coarse.count(True) > 0
+        assert rep.rows == small_report.rows
+        assert rep.errata == small_report.errata
+        assert rep.discarded == small_report.discarded
+
+    def test_generate_returns_certificates_on_request(self):
+        instances, discarded = generate_instances(SMALL)
+        again, discarded_again, certificates = generate_instances(
+            SMALL, with_certificates=True
+        )
+        assert (again, discarded_again) == (instances, discarded)
+        assert certificates == [certify_instance(inst) for inst in instances]
+        assert all(cert.holds for cert in certificates)
+
     def test_jobs_argument_overrides_config(self):
         cfg = SweepConfig(samples=2, families=("power:c=1,p=2",), jobs=2)
         rep = run_sweep(cfg, jobs=1)  # must not spawn; result identical anyway
         assert rep.instances == 2
 
-    @pytest.mark.parametrize("jobs", [0, -1])
+    @pytest.mark.parametrize("jobs", [0, -1, True])
     def test_bad_jobs_override_rejected(self, jobs):
         cfg = SweepConfig(samples=2, families=("power:c=1,p=2",))
         with pytest.raises(ConfigError, match="jobs"):
@@ -300,7 +355,10 @@ class TestInstanceMemo:
         count(bounds, "kernel_oracle", _exact_oracle_key)
         count(bounds, "hyp2f1", lambda *args: args)
         count(identity, "integrate", lambda f, lo, hi, settings=None: (lo, hi, settings))
-        payload = (0, inst, SMALL.identity_tol, SMALL.crosscheck_tol, SMALL.margin_tol, SMALL.quad)
+        payload = (
+            0, inst, certify_instance(inst),
+            SMALL.identity_tol, SMALL.crosscheck_tol, SMALL.margin_tol, SMALL.quad,
+        )
         rows, _ = harness._instance_rows(payload)
         assert all(r.passed for r in rows)
         for name, seen in keys.items():

@@ -60,6 +60,8 @@ class TestSettings:
             {"rel_tol": -1e-3},
             {"rel_tol": math.nan},
             {"max_subdivisions": 0},
+            {"max_subdivisions": 2.5},
+            {"max_subdivisions": True},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):

@@ -172,6 +172,28 @@ class TestHyp2F1:
             AccuracyBudget(rel_tol=0.0)
         with pytest.raises(ParameterError):
             AccuracyBudget(max_work=0)
+        with pytest.raises(ParameterError):
+            AccuracyBudget(max_work=2.5e5)  # a float cap would reach QuadSettings
+
+    @pytest.mark.parametrize(
+        "alpha,b_,g_,z,rel_tol",
+        [
+            # q = 1 shapes (2, 1, s+3): later term ratios exceed the current one
+            (2.0, 1.0, 3.25, 0.99, 1e-13),
+            (2.0, 1.0, 3.5, 0.99, 1e-13),
+            (2.0, 1.0, 3.75, 0.999, 1e-12),
+            # 25k terms: the sum's own rounding matters as much as the tail
+            (2.0, 2.0, 4.0, 0.999, 1e-13),
+            (4.0, 1.0, 3.5, 0.99, 1e-12),
+        ],
+    )
+    def test_series_error_within_rel_tol(self, alpha, b_, g_, z, rel_tol):
+        mpmath = pytest.importorskip("mpmath")
+        val, _ = hyp2f1_series(alpha, b_, g_, z, rel_tol=rel_tol)
+        with mpmath.workdps(40):
+            ref = mpmath.hyp2f1(alpha, b_, g_, z)
+            rel_err = float(abs((mpmath.mpf(val) - ref) / ref))
+        assert rel_err <= rel_tol
 
     def test_series_term_cap_raises(self):
         with pytest.raises(AccuracyError) as exc:
