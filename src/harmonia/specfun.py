@@ -226,7 +226,7 @@ def hyp2f1_series(
     j / ((gamma_+j)(j+1)) <= 1/(gamma_+j), and 1/(gamma_+j) and
     1/((gamma_+j)(j+1)) decrease in j, r_k = z (1 + max(c1,0)/(gamma_+k)
     + max(c0,0)/((gamma_+k)(k+1))) bounds every ratio from the k-th on.
-    The sum is compensated (Neumaier), so its own rounding stays below the
+    The sum is compensated (Kahan), so its own rounding stays below the
     tail bound even over 10^4 terms near z = 1.
     """
     _check_2f1_domain(alpha, beta_, gamma_, z)
@@ -234,30 +234,30 @@ def hyp2f1_series(
         return 1.0, 1
     c1 = max(abs(alpha) + beta_ - gamma_ - 1.0, 0.0)
     c0 = max(abs(alpha) * beta_ - gamma_, 0.0)
+    # r_k >= z, so |term| z/(1-z) <= rel_tol |acc| must hold before the
+    # sound test can; checking it first keeps r_k off most iterations.
+    z_tail = z / (1.0 - z)
     term = 1.0
     acc = 1.0
-    lost = 0.0  # rounding error of acc, added back at the end
+    lost = 0.0  # Kahan compensation: the part of the sum acc dropped
     k = 0
     while k < max_terms:
         ratio = (alpha + k) * (beta_ + k) / ((gamma_ + k) * (k + 1.0)) * z
         term *= ratio
-        total = acc + term
-        if abs(acc) >= abs(term):
-            lost += (acc - total) + term
-        else:
-            lost += (term - total) + acc
+        y = term - lost
+        total = acc + y
+        lost = (total - acc) - y
         acc = total
         k += 1
-        r = z * (1.0 + c1 / (gamma_ + k) + c0 / ((gamma_ + k) * (k + 1.0)))
-        if r < 1.0:
-            tail_bound = abs(term) * r / (1.0 - r)
-            if tail_bound <= rel_tol * abs(acc):
-                return acc + lost, k + 1
+        if abs(term) * z_tail <= rel_tol * abs(acc):
+            r = z * (1.0 + c1 / (gamma_ + k) + c0 / ((gamma_ + k) * (k + 1.0)))
+            if r < 1.0 and abs(term) * r / (1.0 - r) <= rel_tol * abs(acc):
+                return acc, k + 1
         if term == 0.0:  # terminating series (alpha a non-positive integer)
-            return acc + lost, k + 1
+            return acc, k + 1
     raise AccuracyError(
         f"hyp2f1 series did not converge within {max_terms} terms",
-        partial_sum=acc + lost,
+        partial_sum=acc,
     )
 
 
