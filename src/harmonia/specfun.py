@@ -239,7 +239,7 @@ def hyp2f1_series(
     z_tail = z / (1.0 - z)
     term = 1.0
     acc = 1.0
-    lost = 0.0  # Kahan compensation: the part of the sum acc dropped
+    lost = 0.0  # Kahan: rounding error of the last addition, taken off the next term
     k = 0
     while k < max_terms:
         ratio = (alpha + k) * (beta_ + k) / ((gamma_ + k) * (k + 1.0)) * z
