@@ -13,7 +13,6 @@ Run:  python3 demos/03_coefficient_crosscheck.py
 from dataclasses import replace
 
 from harmonia import (
-    EXPECTED_COEFFICIENT_ERRATA,
     Instance,
     KIND_FOR_INDEX,
     b1_b4,
@@ -50,8 +49,7 @@ def main():
     banner("full cross-check table at one instance (status vs the locked set)")
     for index in range(1, 13):
         term = crosscheck_B(index, inst, p=p)
-        expected = (index, term.case) in EXPECTED_COEFFICIENT_ERRATA
-        tag = term.status + (" (locked erratum)" if expected else "")
+        tag = term.status + (" (locked erratum)" if term.expected else "")
         closed = "---" if term.closed_form is None else f"{term.closed_form:.8f}"
         print(f"  B{index:<3} {term.case:<10} oracle {term.oracle:.8f}  "
               f"closed {closed:<12} rel {term.rel_diff:.1e}  {tag}")

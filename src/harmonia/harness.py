@@ -15,16 +15,17 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
+from operator import attrgetter
 
 from .bounds import (
     CROSSCHECK_TOL,
-    EXPECTED_COEFFICIENT_ERRATA,
     MARGIN_TOL,
     PRESETS,
     certify_instance,
@@ -34,12 +35,11 @@ from .bounds import (
 )
 from .convexity import (
     ConvexityReport,
-    FunctionSpec,
     format_function_spec,
     linear,
     parse_function_spec,
 )
-from .errors import AccuracyError, ConfigError, EvaluationError
+from .errors import AccuracyError, ConfigError, EvaluationError, HarmoniaError
 from .identity import (
     IDENTITY_TOL,
     Instance,
@@ -54,198 +54,164 @@ SCHEMA = "harmonia/v1"
 _DEFAULT_FAMILIES = ("linear", "power:c=1,p=2", "spower:b=1,s=0.5,c=0")
 
 
-def _coerce(convert, value: object, name: str):
-    """convert(value), with a bad value reported as a ConfigError naming it."""
+def _as_float(value: object) -> float | None:
+    """value as a finite float, or None if it is no finite real number.
+
+    bool subclasses int, but true/false where a number belongs is a
+    mistake, and so is a string that spells one.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return None
     try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{name}: expected a number, got {value!r}") from None
+        x = float(value)
+    except OverflowError:
+        return None
+    return x if math.isfinite(x) else None
 
 
-def _is_int(value: object) -> bool:
-    # bool subclasses int, but true/false where a count belongs is a mistake.
-    return isinstance(value, int) and not isinstance(value, bool)
+def _as_int(value: object) -> int | None:
+    """value as an int (an integral float counts), or None."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    x = _as_float(value)
+    return int(x) if x is not None and x.is_integer() else None
 
 
-def _integral(value: object, name: str) -> int:
-    """value as an int; a bool or a fractional number is a ConfigError."""
-    if _is_int(value):
-        return value
-    if not isinstance(value, bool):
-        number = _coerce(float, value, name)
-        if number.is_integer():
-            return int(number)
-    raise ConfigError(f"{name}: expected an integer, got {value!r}")
+def _as_floats(value: object) -> tuple[float, ...] | None:
+    """A nonempty list or tuple of finite numbers as a tuple of floats, or None."""
+    if not isinstance(value, (list, tuple)):
+        return None
+    items = tuple(map(_as_float, value))
+    return items if items and None not in items else None
 
 
-def _check_jobs(jobs: object) -> None:
-    if jobs is not None and not (_is_int(jobs) and jobs >= 1):
-        raise ConfigError(f"jobs must be an integer >= 1 or null, got {jobs!r}")
+def _as_pair(value: object) -> tuple[float, ...] | None:
+    items = _as_floats(value)
+    return items if items and len(items) == 2 else None
+
+
+def _as_triple(value: object) -> str | tuple[float, ...] | None:
+    """'random' or a preset name as given, an admissible (lambda, mu) pair, or None."""
+    if isinstance(value, str):
+        return value if value == "random" or value in PRESETS else None
+    pair = _as_pair(value)
+    return pair if pair and 0.0 <= pair[1] <= 0.5 <= pair[0] <= 1.0 else None
+
+
+def _as_specs(value: object) -> tuple[str, ...] | None:
+    if isinstance(value, (list, tuple)) and value and all(isinstance(v, str) for v in value):
+        return tuple(value)
+    return None
+
+
+def _reader(convert, what: str, ok=lambda x: True, *, nullable: bool = False):
+    """A field reader: convert(value) if ok, else a ConfigError naming the field."""
+
+    def read(value: object, name: str):
+        if value is None and nullable:
+            return None
+        x = convert(value)
+        if x is None or not ok(x):
+            raise ConfigError(f"{name} must be {what}, got {value!r}")
+        return x
+
+    return read
+
+
+_integer = _reader(_as_int, "an integer")
+_count = _reader(_as_int, "an integer >= 1", lambda n: n >= 1)
+_read_jobs = _reader(_as_int, "an integer >= 1 or null", lambda n: n >= 1, nullable=True)
+_number = _reader(_as_float, "a finite number")
+_tolerance = _reader(_as_float, "a positive number", lambda x: x > 0.0)
+_range = _reader(_as_pair, "a [lo, hi] pair with 0 < lo <= hi", lambda p: 0.0 < p[0] <= p[1])
+_unit_values = _reader(
+    _as_floats, "a nonempty list of numbers in (0, 1]", lambda xs: all(0.0 < x <= 1.0 for x in xs)
+)
+_q_values = _reader(
+    _as_floats, "a nonempty list of numbers >= 1", lambda xs: all(x >= 1.0 for x in xs)
+)
+_lambda_mu = _reader(
+    _as_triple, f"'random', a preset {sorted(PRESETS)}, or a (lambda, mu) pair "
+    "with 0 <= mu <= 1/2 <= lambda <= 1",
+)
+_specs = _reader(_as_specs, "a nonempty list of function specs")
+_quad = _reader(
+    lambda v: v if isinstance(v, QuadSettings) else None,
+    "QuadSettings (an object with abs_tol, rel_tol and max_subdivisions in a config file)",
+)
+
+# The readers of a config file's "quad" object, which from_dict turns into QuadSettings.
+_QUAD_READERS = {"abs_tol": _number, "rel_tol": _number, "max_subdivisions": _integer}
+
+
+def _families(value: object, name: str) -> tuple[str, ...]:
+    specs = _specs(value, name)
+    for spec in specs:
+        try:
+            parse_function_spec(spec)
+        except HarmoniaError as exc:
+            raise ConfigError(f"{name}: unparseable family {spec!r}: {exc}") from exc
+    return specs
+
+
+def _field(default, read):
+    return field(default=default, metadata={"read": read})
 
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Sweep parameters; JSON config files mirror these field names."""
+    """Sweep parameters; JSON config files mirror these field names.
 
-    samples: int = 200
-    rng_seed: int = 20260816
-    a_range: tuple[float, float] = (0.5, 2.0)
-    b_minus_a_range: tuple[float, float] = (0.1, 2.0)
-    s_values: tuple[float, ...] = (0.25, 0.5, 0.75, 1.0)
-    m_values: tuple[float, ...] = (0.25, 0.5, 0.75, 1.0)
-    q_values: tuple[float, ...] = (1.0, 1.5, 2.0, 3.0)
-    lambda_mu: object = "random"  # "random" | preset name | (lambda, mu)
-    families: tuple[str, ...] = _DEFAULT_FAMILIES
-    identity_tol: float = IDENTITY_TOL
-    crosscheck_tol: float = CROSSCHECK_TOL
-    margin_tol: float = MARGIN_TOL
-    quad: QuadSettings = field(default_factory=lambda: DEFAULT_SETTINGS)
-    jobs: int | None = None
+    Each field names its reader, which checks the value and normalises it
+    (numbers to float or int, lists to tuples) on every construction path.
+    """
+
+    samples: int = _field(200, _count)
+    rng_seed: int = _field(20260816, _integer)
+    a_range: tuple[float, float] = _field((0.5, 2.0), _range)
+    b_minus_a_range: tuple[float, float] = _field((0.1, 2.0), _range)
+    s_values: tuple[float, ...] = _field((0.25, 0.5, 0.75, 1.0), _unit_values)
+    m_values: tuple[float, ...] = _field((0.25, 0.5, 0.75, 1.0), _unit_values)
+    q_values: tuple[float, ...] = _field((1.0, 1.5, 2.0, 3.0), _q_values)
+    lambda_mu: object = _field("random", _lambda_mu)  # "random" | preset name | (lambda, mu)
+    families: tuple[str, ...] = _field(_DEFAULT_FAMILIES, _families)
+    identity_tol: float = _field(IDENTITY_TOL, _tolerance)
+    crosscheck_tol: float = _field(CROSSCHECK_TOL, _tolerance)
+    margin_tol: float = _field(MARGIN_TOL, _tolerance)
+    quad: QuadSettings = _field(DEFAULT_SETTINGS, _quad)
+    jobs: int | None = _field(None, _read_jobs)
 
     def __post_init__(self) -> None:
-        if not (_is_int(self.samples) and self.samples >= 1):
-            raise ConfigError(f"samples must be an integer >= 1, got {self.samples!r}")
-        if not _is_int(self.rng_seed):
-            raise ConfigError(f"rng_seed must be an integer, got {self.rng_seed!r}")
-        lo, hi = self.a_range
-        if not (0.0 < lo <= hi and math.isfinite(hi)):
-            raise ConfigError(f"a_range must satisfy 0 < lo <= hi, got {self.a_range!r}")
-        lo, hi = self.b_minus_a_range
-        if not (0.0 < lo <= hi and math.isfinite(hi)):
-            raise ConfigError(
-                f"b_minus_a_range must satisfy 0 < lo <= hi, got {self.b_minus_a_range!r}"
-            )
-        for name, values, check in (
-            ("s_values", self.s_values, lambda v: 0.0 < v <= 1.0),
-            ("m_values", self.m_values, lambda v: 0.0 < v <= 1.0),
-            ("q_values", self.q_values, lambda v: v >= 1.0),
-        ):
-            if not values:
-                raise ConfigError(f"{name} must be nonempty")
-            for v in values:
-                if not (isinstance(v, (int, float)) and math.isfinite(v) and check(v)):
-                    raise ConfigError(f"{name} entry {v!r} out of range")
-        self._triple_mode()  # validates lambda_mu
-        if not self.families:
-            raise ConfigError("families must be nonempty")
-        for spec in self.families:
-            try:
-                parse_function_spec(spec)
-            except Exception as exc:
-                raise ConfigError(f"unparseable family {spec!r}: {exc}") from exc
-        for name, tol in (
-            ("identity_tol", self.identity_tol),
-            ("crosscheck_tol", self.crosscheck_tol),
-            ("margin_tol", self.margin_tol),
-        ):
-            if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol > 0.0):
-                raise ConfigError(f"{name} must be a positive real, got {tol!r}")
-        if not isinstance(self.quad, QuadSettings):
-            raise ConfigError(f"quad must be QuadSettings, got {type(self.quad).__name__}")
-        _check_jobs(self.jobs)
+        for f in fields(self):
+            object.__setattr__(self, f.name, f.metadata["read"](getattr(self, f.name), f.name))
 
     def _triple_mode(self) -> tuple[float, float] | None:
         """None means random admissible; otherwise the fixed (lambda, mu)."""
         lm = self.lambda_mu
         if lm == "random":
             return None
-        if isinstance(lm, str):
-            if lm in PRESETS:
-                return PRESETS[lm]
-            raise ConfigError(
-                f"lambda_mu must be 'random', a preset {sorted(PRESETS)}, or a pair, got {lm!r}"
-            )
-        try:
-            lam, mu = lm  # type: ignore[misc]
-        except (TypeError, ValueError):
-            raise ConfigError(f"lambda_mu pair expected, got {lm!r}") from None
-        lam, mu = _coerce(float, lam, "lambda"), _coerce(float, mu, "mu")
-        if not (0.0 <= mu <= 0.5 <= lam <= 1.0):
-            raise ConfigError(
-                f"lambda_mu pair must satisfy 0 <= mu <= 1/2 <= lambda <= 1, got {lm!r}"
-            )
-        return lam, mu
+        return PRESETS[lm] if isinstance(lm, str) else lm
 
     def to_dict(self) -> dict:
-        lm = self.lambda_mu
-        if not isinstance(lm, str):
-            lm = [float(lm[0]), float(lm[1])]
-        return {
-            "samples": self.samples,
-            "rng_seed": self.rng_seed,
-            "a_range": list(self.a_range),
-            "b_minus_a_range": list(self.b_minus_a_range),
-            "s_values": list(self.s_values),
-            "m_values": list(self.m_values),
-            "q_values": list(self.q_values),
-            "lambda_mu": lm,
-            "families": list(self.families),
-            "identity_tol": self.identity_tol,
-            "crosscheck_tol": self.crosscheck_tol,
-            "margin_tol": self.margin_tol,
-            "quad": {
-                "abs_tol": self.quad.abs_tol,
-                "rel_tol": self.quad.rel_tol,
-                "max_subdivisions": self.quad.max_subdivisions,
-            },
-            "jobs": self.jobs,
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data["quad"] = asdict(self.quad)
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in data.items()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepConfig":
         if not isinstance(data, dict):
             raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
-        known = {
-            "samples", "rng_seed", "a_range", "b_minus_a_range", "s_values",
-            "m_values", "q_values", "lambda_mu", "families", "identity_tol",
-            "crosscheck_tol", "margin_tol", "quad", "jobs",
-        }
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        kwargs: dict = {}
-        for key in ("samples", "rng_seed", "jobs"):
-            if key in data:
-                kwargs[key] = data[key]
-        for key in ("a_range", "b_minus_a_range"):
-            if key in data:
-                pair = data[key]
-                if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
-                    raise ConfigError(f"{key} must be a [lo, hi] pair, got {pair!r}")
-                kwargs[key] = (_coerce(float, pair[0], key), _coerce(float, pair[1], key))
-        for key in ("s_values", "m_values", "q_values"):
-            if key in data:
-                vals = data[key]
-                if not isinstance(vals, (list, tuple)):
-                    raise ConfigError(f"{key} must be a list, got {vals!r}")
-                kwargs[key] = tuple(_coerce(float, v, key) for v in vals)
-        if "lambda_mu" in data:
-            lm = data["lambda_mu"]
-            kwargs["lambda_mu"] = tuple(lm) if isinstance(lm, (list, tuple)) else lm
-        if "families" in data:
-            fams = data["families"]
-            if not isinstance(fams, (list, tuple)):
-                raise ConfigError(f"families must be a list, got {fams!r}")
-            kwargs["families"] = tuple(str(f) for f in fams)
-        for key in ("identity_tol", "crosscheck_tol", "margin_tol"):
-            if key in data:
-                kwargs[key] = _coerce(float, data[key], key)
-        if "quad" in data:
-            qd = data["quad"]
-            if not isinstance(qd, dict):
-                raise ConfigError(f"quad must be an object, got {qd!r}")
-            qknown = {"abs_tol", "rel_tol", "max_subdivisions"}
-            if set(qd) - qknown:
-                raise ConfigError(f"unknown quad keys: {sorted(set(qd) - qknown)}")
-            d = DEFAULT_SETTINGS
-            kwargs["quad"] = QuadSettings(
-                abs_tol=_coerce(float, qd.get("abs_tol", d.abs_tol), "abs_tol"),
-                rel_tol=_coerce(float, qd.get("rel_tol", d.rel_tol), "rel_tol"),
-                max_subdivisions=_integral(
-                    qd.get("max_subdivisions", d.max_subdivisions), "max_subdivisions"
-                ),
-            )
-        return cls(**kwargs)
+        quad = data.get("quad")
+        if isinstance(quad, dict):
+            unknown = set(quad) - set(_QUAD_READERS)
+            if unknown:
+                raise ConfigError(f"unknown quad keys: {sorted(unknown)}")
+            quad = QuadSettings(**{k: _QUAD_READERS[k](v, k) for k, v in quad.items()})
+            data = {**data, "quad": quad}
+        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -380,13 +346,18 @@ def generate_instances(
     return instances, discarded
 
 
-def _nan_row(inst_id: int, inst: Instance, check: str) -> Row:
-    nan = float("nan")
+_NAN = float("nan")
+
+
+def _row(
+    inst_id: int, family: str, inst: Instance, check: str,
+    lhs: float = _NAN, rhs: float = _NAN, margin: float = _NAN, passed: bool = False,
+) -> Row:
+    """The row of one check on inst; without values it is a failed row."""
     return Row(
-        instance_id=inst_id, family=format_function_spec(inst.f),
-        a=inst.a, b=inst.b, s=inst.s, m=inst.m, q=inst.q,
-        lambda_=inst.lambda_, mu_=inst.mu_, check=check,
-        lhs=nan, rhs=nan, margin=nan, passed=False,
+        instance_id=inst_id, family=family, a=inst.a, b=inst.b, s=inst.s, m=inst.m,
+        q=inst.q, lambda_=inst.lambda_, mu_=inst.mu_, check=check,
+        lhs=lhs, rhs=rhs, margin=margin, passed=passed,
     )
 
 
@@ -402,26 +373,20 @@ def _instance_rows(payload: tuple) -> tuple[list[Row], list[dict]]:
     errata: list[dict] = []
     memo: dict = {}
 
-    def add(check: str, lhs: float, rhs: float, margin: float, passed: bool) -> None:
-        rows.append(Row(
-            instance_id=inst_id, family=family, a=inst.a, b=inst.b, s=inst.s,
-            m=inst.m, q=inst.q, lambda_=inst.lambda_, mu_=inst.mu_,
-            check=check, lhs=lhs, rhs=rhs, margin=margin, passed=passed,
-        ))
-
     # The payload carries the ConvexityReport generate_instances computed
     # for this instance; check_theorem still refuses one that does not hold.
 
     try:
         ic = check_identity(inst, settings=quad, tol=identity_tol, memo=memo)
-        add("identity", ic.lhs, ic.rhs, ic.tol - ic.abs_diff, ic.passed)
+        rows.append(_row(inst_id, family, inst, "identity",
+                         ic.lhs, ic.rhs, ic.tol - ic.abs_diff, ic.passed))
     except (AccuracyError, EvaluationError):
-        rows.append(_nan_row(inst_id, inst, "identity"))
+        rows.append(_row(inst_id, family, inst, "identity"))
 
-    triples = [("instance", (inst.lambda_, inst.mu_))] + [
-        (name, (lam, mu)) for name, (lam, mu) in PRESETS.items()
-    ]
+    triples = [("instance", (inst.lambda_, inst.mu_)), *PRESETS.items()]
     theorems = (1,) if inst.q == 1.0 else (1, 2)
+    # A computed theorem row reports the instance's own (lambda, mu); a
+    # failed one reports the triple it was checked at.
     for theorem in theorems:
         for name, (lam, mu) in triples:
             check = f"theorem{theorem}@{name}"
@@ -431,9 +396,10 @@ def _instance_rows(payload: tuple) -> tuple[list[Row], list[dict]]:
                     tri, theorem, settings=quad, certificate=certificate,
                     margin_tol=margin_tol, memo=memo,
                 )
-                add(check, verdict.lhs, verdict.rhs, verdict.margin, verdict.passed)
+                rows.append(_row(inst_id, family, inst, check, verdict.lhs, verdict.rhs,
+                                 verdict.margin, verdict.passed))
             except (AccuracyError, EvaluationError):
-                rows.append(_nan_row(inst_id, tri, check))
+                rows.append(_row(inst_id, family, tri, check))
 
     p = inst.q / (inst.q - 1.0) if inst.q > 1.0 else None
     for index in range(1, 13):
@@ -444,25 +410,14 @@ def _instance_rows(payload: tuple) -> tuple[list[Row], list[dict]]:
                 index, inst, p=p, settings=quad, tol=crosscheck_tol, memo=memo
             )
         except (AccuracyError, EvaluationError):
-            rows.append(_nan_row(inst_id, inst, f"crosscheck:B{index}:?"))
+            rows.append(_row(inst_id, family, inst, f"crosscheck:B{index}:?"))
             continue
-        expected = (index, term.case) in EXPECTED_COEFFICIENT_ERRATA
         if term.status == "erratum_suspected":
-            errata.append({
-                "index": index,
-                "case": term.case,
-                "oracle": term.oracle,
-                "closed_form": term.closed_form,
-                "rel_diff": term.rel_diff,
-                "status": term.status,
-                "instance_id": inst_id,
-                "expected": expected,
-            })
-        closed = term.closed_form if term.closed_form is not None else float("nan")
-        rel = term.rel_diff if term.rel_diff is not None else float("nan")
-        passed = term.status == "ok" or (term.status == "erratum_suspected" and expected)
-        add(f"crosscheck:B{index}:{term.case}", term.oracle, closed,
-            crosscheck_tol - rel, passed)
+            errata.append({**asdict(term), "instance_id": inst_id, "expected": term.expected})
+        closed = term.closed_form if term.closed_form is not None else _NAN
+        rel = term.rel_diff if term.rel_diff is not None else _NAN
+        rows.append(_row(inst_id, family, inst, f"crosscheck:B{index}:{term.case}",
+                         term.oracle, closed, crosscheck_tol - rel, term.passed))
     return rows, errata
 
 
@@ -476,11 +431,8 @@ def _printed_lock_row() -> Row:
     printed = rule_deviation_as_printed(inst)
     corrected = rule_deviation(inst)
     gap = abs(printed - corrected)
-    return Row(
-        instance_id=-1, family="linear", a=1.0, b=2.0, s=1.0, m=1.0, q=1.0,
-        lambda_=0.5, mu_=0.5, check="printed_deviation_lock",
-        lhs=printed, rhs=corrected, margin=gap - 0.5, passed=gap >= 0.5,
-    )
+    return _row(-1, "linear", inst, "printed_deviation_lock",
+                printed, corrected, gap - 0.5, gap >= 0.5)
 
 
 def run_sweep(cfg: SweepConfig, jobs: int | None = None) -> RunReport:
@@ -491,7 +443,7 @@ def run_sweep(cfg: SweepConfig, jobs: int | None = None) -> RunReport:
     execution produce identical reports: work is split per instance and
     merged back in instance order.
     """
-    _check_jobs(jobs)
+    jobs = _read_jobs(jobs, "jobs")
     start = time.perf_counter()
     instances, discarded, certificates = generate_instances(cfg, with_certificates=True)
     payloads = [
@@ -527,13 +479,40 @@ def run_sweep(cfg: SweepConfig, jobs: int | None = None) -> RunReport:
     )
 
 
-def _g17(x: float) -> str:
-    return format(float(x), ".17g")
+_g17 = "{:.17g}".format
+_flag = ("false", "true").__getitem__  # CSV text of a bool
 
 
-def _jsonable(x: float) -> float | None:
+def _finite_or_null(x: float) -> float | None:
     # Strict JSON has no NaN/Infinity; failed-row placeholders become null.
     return x if math.isfinite(x) else None
+
+
+# Report column -> (Row field, CSV cell, JSON value).  Both reports write
+# these columns in this order.
+_COLUMNS = {
+    "instance_id": ("instance_id", str, int),
+    "family": ("family", str, str),
+    "a": ("a", _g17, float),
+    "b": ("b", _g17, float),
+    "s": ("s", _g17, float),
+    "m": ("m", _g17, float),
+    "q": ("q", _g17, float),
+    "lambda": ("lambda_", _g17, float),
+    "mu": ("mu_", _g17, float),
+    "check": ("check", str, str),
+    "lhs": ("lhs", _g17, _finite_or_null),
+    "rhs": ("rhs", _g17, _finite_or_null),
+    "margin": ("margin", _g17, _finite_or_null),
+    "pass": ("passed", _flag, bool),
+}
+CSV_COLUMNS = tuple(_COLUMNS)
+_FIELDS, _CSV_CELLS, _JSON_VALUES = zip(*_COLUMNS.values())
+_values = attrgetter(*_FIELDS)
+
+
+def _cells(row: Row, formats: tuple) -> list:
+    return [fmt(v) for fmt, v in zip(formats, _values(row))]
 
 
 def report_to_dict(report: RunReport) -> dict:
@@ -557,23 +536,8 @@ def report_to_dict(report: RunReport) -> dict:
             "all_pass": report.all_pass,
         },
         "errata": report.errata,
-        "rows": [
-            {
-                "instance_id": r.instance_id, "family": r.family,
-                "a": r.a, "b": r.b, "s": r.s, "m": r.m, "q": r.q,
-                "lambda": r.lambda_, "mu": r.mu_, "check": r.check,
-                "lhs": _jsonable(r.lhs), "rhs": _jsonable(r.rhs),
-                "margin": _jsonable(r.margin), "pass": r.passed,
-            }
-            for r in report.rows
-        ],
+        "rows": [dict(zip(CSV_COLUMNS, _cells(r, _JSON_VALUES))) for r in report.rows],
     }
-
-
-CSV_COLUMNS = (
-    "instance_id", "family", "a", "b", "s", "m", "q", "lambda", "mu",
-    "check", "lhs", "rhs", "margin", "pass",
-)
 
 
 def emit_report(report: RunReport, format: str, destination: str) -> None:
@@ -588,13 +552,6 @@ def emit_report(report: RunReport, format: str, destination: str) -> None:
         with open(destination, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(CSV_COLUMNS)
-            for r in report.rows:
-                writer.writerow([
-                    r.instance_id, r.family,
-                    _g17(r.a), _g17(r.b), _g17(r.s), _g17(r.m), _g17(r.q),
-                    _g17(r.lambda_), _g17(r.mu_), r.check,
-                    _g17(r.lhs), _g17(r.rhs), _g17(r.margin),
-                    "true" if r.passed else "false",
-                ])
+            writer.writerows(_cells(r, _CSV_CELLS) for r in report.rows)
         return
     raise ConfigError(f"format must be 'json' or 'csv', got {format!r}")

@@ -11,7 +11,8 @@ tolerates algebraic endpoint behavior t**sigma with sigma > -1.
 
 Neither routine ever returns a silently wrong number: results carry an error
 estimate, an evaluation count and a ``converged`` flag, and a non-finite
-integrand value raises ``EvaluationError`` with the offending abscissa.
+integrand value, an overflow or a division by zero raises
+``EvaluationError`` with the offending abscissa.
 """
 
 from __future__ import annotations
@@ -95,7 +96,10 @@ def _require_interval(lo: float, hi: float) -> None:
 
 
 def _eval(f, x: float) -> float:
-    fx = float(f(x))
+    try:
+        fx = float(f(x))
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise EvaluationError(f"integrand raised {exc!r} at x={x!r}", abscissa=x) from exc
     if not math.isfinite(fx):
         raise EvaluationError(f"integrand returned non-finite value at x={x!r}", abscissa=x)
     return fx

@@ -57,7 +57,6 @@ class AccuracyBudget:
 
 DEFAULT_BUDGET = AccuracyBudget()
 
-_SQRT_TWO_PI = 2.5066282746310002
 # Lanczos g=7, n=9 coefficients (double precision minimax set).
 _LANCZOS_G = 7.0
 _LANCZOS_COEF = (

@@ -10,8 +10,10 @@ import pytest
 
 from harmonia import (
     AccuracyError,
+    BoundTerm,
     CROSSCHECK_TOL,
     EXPECTED_COEFFICIENT_ERRATA,
+    EvaluationError,
     Instance,
     KIND_FOR_INDEX,
     KernelKind,
@@ -415,6 +417,37 @@ class TestAdjudication:
         inst = make(q=1.0)
         with pytest.raises(ParameterError):
             crosscheck_B(7, inst, p=None)
+
+    @pytest.mark.parametrize(
+        "index, case, status, expected, passed",
+        [
+            (2, "mu=0", "ok", False, True),
+            (2, "interior", "erratum_suspected", True, True),
+            (11, "all", "erratum_suspected", False, False),
+            (11, "all", "oracle_only", False, False),
+            (8, "all", "oracle_only", True, False),
+        ],
+    )
+    def test_pass_rule(self, index, case, status, expected, passed):
+        term = BoundTerm(index=index, case=case, oracle=1.0, closed_form=None,
+                         rel_diff=None, status=status)
+        assert term.expected is expected
+        assert term.passed is passed
+
+    def test_closed_form_overflow_demotes_to_oracle_only(self):
+        # 2^(2q-s-2) overflows at q = 600; the oracle still evaluates.
+        inst = make(s=0.5, q=600.0, lam=0.8, mu=0.3)
+        with pytest.raises(EvaluationError):
+            closed_B(8, inst)
+        term = crosscheck_B(8, inst)
+        assert term.status == "oracle_only" and not term.passed
+        assert term.oracle > 0.0
+
+    def test_oracle_division_by_zero_is_evaluation_error(self):
+        # A^400 underflows to 0 near t = 0 when a = 0.05.
+        inst = make(a=0.05, b=0.5, s=0.5, q=200.0, lam=0.8, mu=0.3)
+        with pytest.raises(EvaluationError):
+            kernel_oracle(KIND_FOR_INDEX[2], inst)
 
 
 class TestClosedFormValues:

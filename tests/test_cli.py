@@ -203,6 +203,22 @@ class TestCrosscheck:
         rc = main(["crosscheck", "--index", bad, *self.ARGS])
         assert rc == 2
 
+    def test_oracle_only_fails(self, capsys):
+        # The B11 closed form cannot be evaluated at b/a = 1e4, q = 8: the
+        # sweep fails such a row, so the command must too.
+        rc = main(["crosscheck", "--index", "11", "--a", "0.001", "--b", "10",
+                   "--s", "0.5", "--m", "1", "--q", "8", "--lambda", "0.8", "--mu", "0.3"])
+        out = capsys.readouterr().out
+        assert "oracle_only" in out
+        assert "FAIL" in out and "PASS" not in out
+        assert rc == 1
+
+    def test_oracle_overflow_is_numeric_failure(self, capsys):
+        rc = main(["crosscheck", "--a", "1", "--b", "2", "--s", "0.5", "--m", "1",
+                   "--q", "1000", "--lambda", "0.8", "--mu", "0.3"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("numeric failure:")
+
 
 class TestSweep:
     CONFIG = {
@@ -290,6 +306,10 @@ class TestSweep:
             ({"rng_seed": False}, []),
             ({"quad": {"max_subdivisions": 2.7}}, []),
             ([1, 2], ["--seed", "5"]),
+            ({"identity_tol": True}, []),
+            ({"s_values": [True]}, []),
+            ({"margin_tol": "1e-9"}, []),
+            ({"families": "linear"}, []),
         ],
     )
     def test_bad_config_value_is_usage_error(self, tmp_path, data, extra):
@@ -300,6 +320,18 @@ class TestSweep:
         )
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+
+    def test_overflowing_sweep_exits_one_without_traceback(self, tmp_path):
+        data = {"samples": 3, "q_values": [400.0], "families": ["linear"],
+                "a_range": [1.5, 2.0]}
+        proc = _run(
+            [sys.executable, "-m", "harmonia.cli", "sweep", "--config",
+             str(self.write_config(tmp_path, data)), "--out", str(tmp_path / "r.csv"),
+             "--format", "csv", "--jobs", "1"],
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("numeric failure:")
         assert "Traceback" not in proc.stderr
 
     def test_missing_config_is_usage_error(self, tmp_path, capsys):

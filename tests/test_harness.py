@@ -76,11 +76,32 @@ class TestSweepConfig:
             {"samples": True},
             {"jobs": True},
             {"rng_seed": False},
+            {"identity_tol": True},
+            {"crosscheck_tol": "1e-6"},
+            {"s_values": (True,)},
+            {"q_values": ("2",)},
+            {"lambda_mu": (True, 0.25)},
+            {"families": "linear"},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):
             SweepConfig(**kwargs)
+
+    def test_scalar_family_error_names_the_field(self):
+        with pytest.raises(ConfigError, match="families"):
+            SweepConfig(families="linear")
+
+    def test_integer_fields_accept_integral_floats(self):
+        cfg = SweepConfig.from_dict({"samples": 200.0, "rng_seed": 7.0, "jobs": 2.0})
+        assert (cfg.samples, cfg.rng_seed, cfg.jobs) == (200, 7, 2)
+        assert all(type(n) is int for n in (cfg.samples, cfg.rng_seed, cfg.jobs))
+
+    def test_lists_become_tuples(self):
+        cfg = SweepConfig(a_range=[0.5, 2.0], s_values=[0.5, 1], families=["linear"])
+        assert cfg.a_range == (0.5, 2.0) and cfg.s_values == (0.5, 1.0)
+        assert cfg.families == ("linear",)
+        assert hash(cfg) == hash(replace(cfg))
 
     def test_preset_and_pair_triples_accepted(self):
         assert SweepConfig(lambda_mu="simpson")._triple_mode() == (5.0 / 6.0, 1.0 / 6.0)
@@ -277,6 +298,15 @@ class TestRunSweep:
         cfg = SweepConfig(samples=2, families=("power:c=1,p=2",))
         with pytest.raises(ConfigError, match="jobs"):
             run_sweep(cfg, jobs=jobs)
+
+    def test_overflowing_sweep_is_a_numeric_failure(self):
+        # A^(2q) overflows in every A^2q oracle at q = 400; the rows fail
+        # instead of the sweep raising OverflowError.
+        cfg = SweepConfig.from_dict({
+            "samples": 3, "q_values": [400.0], "families": ["linear"], "a_range": [1.5, 2.0],
+        })
+        with pytest.raises(AccuracyError, match="systemic"):
+            run_sweep(cfg, jobs=1)
 
     def test_systemic_quadrature_failure_raises(self):
         starved = SweepConfig(

@@ -159,6 +159,17 @@ class TestGaussKronrod:
             integrate(f, 0.0, 1.0)
         assert exc.value.abscissa == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("rule", [integrate, integrate_de])
+    @pytest.mark.parametrize(
+        "f", [lambda t: 1.0 / (t - 0.5), lambda t: 10.0 ** (1000.0 * t)],
+        ids=["ZeroDivisionError", "OverflowError"],
+    )
+    def test_arithmetic_error_raises_evaluation_error(self, rule, f):
+        # Both rules evaluate the midpoint 0.5 first; 10**500 overflows there.
+        with pytest.raises(EvaluationError) as exc:
+            rule(f, 0.0, 1.0)
+        assert exc.value.abscissa == 0.5
+
 
 class TestTanhSinh:
     def test_inverse_sqrt_endpoint_singularity(self):
