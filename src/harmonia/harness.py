@@ -19,6 +19,7 @@ import numbers
 import os
 import random
 import time
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
@@ -85,17 +86,13 @@ def _as_floats(value: object) -> tuple[float, ...] | None:
     return items if items and None not in items else None
 
 
-def _as_pair(value: object) -> tuple[float, ...] | None:
-    items = _as_floats(value)
-    return items if items and len(items) == 2 else None
-
-
 def _as_triple(value: object) -> str | tuple[float, ...] | None:
     """'random' or a preset name as given, an admissible (lambda, mu) pair, or None."""
     if isinstance(value, str):
         return value if value == "random" or value in PRESETS else None
-    pair = _as_pair(value)
-    return pair if pair and 0.0 <= pair[1] <= 0.5 <= pair[0] <= 1.0 else None
+    pair = _as_floats(value)
+    ok = pair and len(pair) == 2 and 0.0 <= pair[1] <= 0.5 <= pair[0] <= 1.0
+    return pair if ok else None
 
 
 def _as_specs(value: object) -> tuple[str, ...] | None:
@@ -123,7 +120,9 @@ _count = _reader(_as_int, "an integer >= 1", lambda n: n >= 1)
 _read_jobs = _reader(_as_int, "an integer >= 1 or null", lambda n: n >= 1, nullable=True)
 _number = _reader(_as_float, "a finite number")
 _tolerance = _reader(_as_float, "a positive number", lambda x: x > 0.0)
-_range = _reader(_as_pair, "a [lo, hi] pair with 0 < lo <= hi", lambda p: 0.0 < p[0] <= p[1])
+_range = _reader(
+    _as_floats, "a [lo, hi] pair with 0 < lo <= hi", lambda p: len(p) == 2 and 0.0 < p[0] <= p[1]
+)
 _unit_values = _reader(
     _as_floats, "a nonempty list of numbers in (0, 1]", lambda xs: all(0.0 < x <= 1.0 for x in xs)
 )
@@ -488,31 +487,32 @@ def _finite_or_null(x: float) -> float | None:
     return x if math.isfinite(x) else None
 
 
-# Report column -> (Row field, CSV cell, JSON value).  Both reports write
-# these columns in this order.
+# Report column -> (Row field, CSV cell, JSON value); None writes the field
+# as it is.  Both reports write these columns in this order.
 _COLUMNS = {
-    "instance_id": ("instance_id", str, int),
-    "family": ("family", str, str),
-    "a": ("a", _g17, float),
-    "b": ("b", _g17, float),
-    "s": ("s", _g17, float),
-    "m": ("m", _g17, float),
-    "q": ("q", _g17, float),
-    "lambda": ("lambda_", _g17, float),
-    "mu": ("mu_", _g17, float),
-    "check": ("check", str, str),
+    "instance_id": ("instance_id", None, None),
+    "family": ("family", None, None),
+    "a": ("a", _g17, None),
+    "b": ("b", _g17, None),
+    "s": ("s", _g17, None),
+    "m": ("m", _g17, None),
+    "q": ("q", _g17, None),
+    "lambda": ("lambda_", _g17, None),
+    "mu": ("mu_", _g17, None),
+    "check": ("check", None, None),
     "lhs": ("lhs", _g17, _finite_or_null),
     "rhs": ("rhs", _g17, _finite_or_null),
     "margin": ("margin", _g17, _finite_or_null),
-    "pass": ("passed", _flag, bool),
+    "pass": ("passed", _flag, None),
 }
 CSV_COLUMNS = tuple(_COLUMNS)
 _FIELDS, _CSV_CELLS, _JSON_VALUES = zip(*_COLUMNS.values())
-_values = attrgetter(*_FIELDS)
 
 
-def _cells(row: Row, formats: tuple) -> list:
-    return [fmt(v) for fmt, v in zip(formats, _values(row))]
+def _table(rows: list[Row], formats: tuple) -> Iterator[tuple]:
+    """Each row's formatted values as a tuple, formatted a column at a time."""
+    columns = (map(attrgetter(name), rows) for name in _FIELDS)
+    return zip(*(col if fmt is None else map(fmt, col) for col, fmt in zip(columns, formats)))
 
 
 def report_to_dict(report: RunReport) -> dict:
@@ -536,7 +536,7 @@ def report_to_dict(report: RunReport) -> dict:
             "all_pass": report.all_pass,
         },
         "errata": report.errata,
-        "rows": [dict(zip(CSV_COLUMNS, _cells(r, _JSON_VALUES))) for r in report.rows],
+        "rows": [dict(zip(CSV_COLUMNS, cells)) for cells in _table(report.rows, _JSON_VALUES)],
     }
 
 
@@ -552,6 +552,6 @@ def emit_report(report: RunReport, format: str, destination: str) -> None:
         with open(destination, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(CSV_COLUMNS)
-            writer.writerows(_cells(r, _CSV_CELLS) for r in report.rows)
+            writer.writerows(_table(report.rows, _CSV_CELLS))
         return
     raise ConfigError(f"format must be 'json' or 'csv', got {format!r}")

@@ -300,8 +300,8 @@ class TestRunSweep:
             run_sweep(cfg, jobs=jobs)
 
     def test_overflowing_sweep_is_a_numeric_failure(self):
-        # A^(2q) overflows in every A^2q oracle at q = 400; the rows fail
-        # instead of the sweep raising OverflowError.
+        # At q = 400, A^(2q) overflows once A exceeds about 2.4: most rows
+        # fail, and the sweep reports that instead of raising OverflowError.
         cfg = SweepConfig.from_dict({
             "samples": 3, "q_values": [400.0], "families": ["linear"], "a_range": [1.5, 2.0],
         })
