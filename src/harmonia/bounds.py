@@ -30,6 +30,7 @@ without it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .convexity import (
@@ -81,6 +82,11 @@ class KernelKind:
         # denominator; the pure weight moments (B1, B4, B7, B10) do not.
         return self.factor != "none"
 
+    @property
+    def needs_p(self) -> bool:
+        """The weight is raised to the conjugate exponent p (B7, B10)."""
+        return self.weight == "abs_weight_pow_p"
+
 
 KIND_FOR_INDEX: dict[int, KernelKind] = {
     1: KernelKind("abs_mu_minus_t", "none", "left"),
@@ -117,12 +123,29 @@ EXPECTED_COEFFICIENT_ERRATA: frozenset[tuple[int, str]] = frozenset(
 )
 
 
-def _require_band(inst: Instance) -> None:
-    if not (0.0 <= inst.mu_ <= 0.5 <= inst.lambda_ <= 1.0):
+def _require_band(mu_: float, lambda_: float) -> None:
+    if not (0.0 <= mu_ <= 0.5 <= lambda_ <= 1.0):
         raise ParameterError(
             f"bounds require 0 <= mu_ <= 1/2 <= lambda_ <= 1, got "
-            f"mu_={inst.mu_!r}, lambda_={inst.lambda_!r}"
+            f"mu_={mu_!r}, lambda_={lambda_!r}"
         )
+
+
+def _require_p(p: object) -> float:
+    """p itself if it is a real exponent > 1, else ParameterError."""
+    if not (isinstance(p, numbers.Real) and math.isfinite(p) and p > 1.0):
+        raise ParameterError(f"exponent p must be a real number > 1, got {p!r}")
+    return p
+
+
+def crosscheck_plan(q: float) -> tuple[float | None, tuple[int, ...]]:
+    """(p, indices): the conjugate exponent p = q/(q-1) and the coefficients
+    crosscheck_B can adjudicate at q.  At q = 1 there is no conjugate
+    exponent, so p is None and B7 and B10, which need it, are left out.
+    """
+    if q > 1.0:
+        return q / (q - 1.0), tuple(KIND_FOR_INDEX)
+    return None, tuple(i for i, kind in KIND_FOR_INDEX.items() if not kind.needs_p)
 
 
 def _centre(kind: KernelKind, inst: Instance) -> float | None:
@@ -152,19 +175,12 @@ def kernel_oracle(
     algebraic endpoint singularities for fractional s, which defeat
     polynomial error estimates but are exactly what tanh-sinh handles.
     """
-    _require_band(inst)
+    _require_band(inst.mu_, inst.lambda_)
     settings = settings if settings is not None else DEFAULT_SETTINGS
     a, b, s, q = inst.a, inst.b, inst.s, inst.q
     lo, hi = (0.0, 0.5) if kind.side == "left" else (0.5, 1.0)
     centre = _centre(kind, inst)
-
-    p = None
-    if kind.weight == "abs_weight_pow_p":
-        if p_or_q is None or not (math.isfinite(p_or_q) and p_or_q > 1.0):
-            raise ParameterError(
-                f"abs_weight_pow_p requires exponent p > 1, got {p_or_q!r}"
-            )
-        p = p_or_q
+    p = _require_p(p_or_q) if kind.needs_p else None
 
     # Read the kind once here, not on every evaluation.
     t_pow_s = kind.factor == "t_pow_s"
@@ -190,13 +206,7 @@ def kernel_oracle(
     total = 0.0
     for panel_lo, panel_hi in panels:
         res = integrate_de(integrand, panel_lo, panel_hi, settings)
-        if not res.converged:
-            raise AccuracyError(
-                "kernel_oracle quadrature did not converge",
-                estimate=res.value,
-                err_estimate=res.err_estimate,
-            )
-        total += res.value
+        total += res.checked("kernel_oracle quadrature")
     return total
 
 
@@ -214,10 +224,7 @@ def _oracle(
 
 def b1_b4(mu_: float, lambda_: float) -> tuple[float, float]:
     """Closed weight moments: B1(mu) and B4(lam), both >= 1/16."""
-    if not (0.0 <= mu_ <= 0.5 <= lambda_ <= 1.0):
-        raise ParameterError(
-            f"need 0 <= mu_ <= 1/2 <= lambda_ <= 1, got {mu_!r}, {lambda_!r}"
-        )
+    _require_band(mu_, lambda_)
     b1 = mu_ * mu_ - mu_ / 2.0 + 0.125
     b4 = lambda_ * lambda_ - 1.5 * lambda_ + 0.625
     return b1, b4
@@ -225,12 +232,8 @@ def b1_b4(mu_: float, lambda_: float) -> tuple[float, float]:
 
 def b7_b10(mu_: float, lambda_: float, p: float) -> tuple[float, float]:
     """Closed p-th weight moments: B7(mu) and B10(lam) for p > 1."""
-    if not (0.0 <= mu_ <= 0.5 <= lambda_ <= 1.0):
-        raise ParameterError(
-            f"need 0 <= mu_ <= 1/2 <= lambda_ <= 1, got {mu_!r}, {lambda_!r}"
-        )
-    if not (math.isfinite(p) and p > 1.0):
-        raise ParameterError(f"p must be > 1, got {p!r}")
+    _require_band(mu_, lambda_)
+    _require_p(p)
     b7 = (mu_ ** (p + 1.0) + (0.5 - mu_) ** (p + 1.0)) / (p + 1.0)
     b10 = ((lambda_ - 0.5) ** (p + 1.0) + (1.0 - lambda_) ** (p + 1.0)) / (p + 1.0)
     return b7, b10
@@ -376,6 +379,17 @@ def _evaluate(
     return total
 
 
+def _case_key(index: int, inst: Instance) -> tuple[int, str]:
+    """(index, case) of a 2F1-based coefficient in the band: a key of PRINTED."""
+    _require_band(inst.mu_, inst.lambda_)
+    key = (index, case_label(index, inst))
+    if key not in PRINTED:
+        raise ParameterError(
+            f"closed forms cover the 2F1-based indices 2,3,5,6,8,9,11,12, got {index!r}"
+        )
+    return key
+
+
 def closed_B(index: int, inst: Instance, *, memo: dict | None = None) -> float:
     """The printed closed form for one 2F1-based coefficient.
 
@@ -384,12 +398,7 @@ def closed_B(index: int, inst: Instance, *, memo: dict | None = None) -> float:
     misprinted value on purpose, and crosscheck_B adjudicates them
     against the oracle.
     """
-    _require_band(inst)
-    if index not in (2, 3, 5, 6, 8, 9, 11, 12):
-        raise ParameterError(
-            f"closed_B covers 2F1-based indices 2,3,5,6,8,9,11,12, got {index!r}"
-        )
-    return _evaluate(index, PRINTED[index, case_label(index, inst)], inst, memo)
+    return _evaluate(index, PRINTED[_case_key(index, inst)], inst, memo)
 
 
 def corrected_B(index: int, inst: Instance) -> float:
@@ -399,12 +408,7 @@ def corrected_B(index: int, inst: Instance) -> float:
     printed value; for flagged cases it returns the corrected conjecture.
     Every branch is locked to the defining-integral oracle by tests.
     """
-    _require_band(inst)
-    if index not in (2, 3, 5, 6, 8, 9, 11, 12):
-        raise ParameterError(
-            f"corrected_B covers 2F1-based indices 2,3,5,6,8,9,11,12, got {index!r}"
-        )
-    key = (index, case_label(index, inst))
+    key = _case_key(index, inst)
     return _evaluate(index, PATCHES.get(key, PRINTED[key]), inst)
 
 
@@ -445,28 +449,21 @@ def crosscheck_B(
     form failing to evaluate demotes the term to oracle_only, which does not
     pass, rather than killing the run.
     """
-    if index not in range(1, 13):
-        raise ParameterError(f"coefficient index must be 1..12, got {index!r}")
-    _require_band(inst)
     case = case_label(index, inst)
+    _require_band(inst.mu_, inst.lambda_)
     kind = KIND_FOR_INDEX[index]
-    pow_p = kind.weight == "abs_weight_pow_p"
-    if pow_p and (p is None or not (math.isfinite(p) and p > 1.0)):
-        raise ParameterError(f"index {index} needs exponent p > 1, got {p!r}")
-    oracle = _oracle(kind, inst, p if pow_p else None, settings, memo)
+    p = _require_p(p) if kind.needs_p else None
+    oracle = _oracle(kind, inst, p, settings, memo)
 
     closed: float | None
     try:
-        if index == 1:
-            closed = b1_b4(inst.mu_, inst.lambda_)[0]
-        elif index == 4:
-            closed = b1_b4(inst.mu_, inst.lambda_)[1]
-        elif index == 7:
-            closed = b7_b10(inst.mu_, inst.lambda_, p)[0]
-        elif index == 10:
-            closed = b7_b10(inst.mu_, inst.lambda_, p)[1]
-        else:
+        # The weight moments B1/B4 and B7/B10 come in (left, right) pairs.
+        if kind.include_A:
             closed = closed_B(index, inst, memo=memo)
+        elif kind.needs_p:
+            closed = b7_b10(inst.mu_, inst.lambda_, p)[kind.side == "right"]
+        else:
+            closed = b1_b4(inst.mu_, inst.lambda_)[kind.side == "right"]
     except (AccuracyError, EvaluationError, ParameterError):
         closed = None
 
@@ -502,7 +499,7 @@ def _braces(
     memo: dict | None = None,
 ) -> tuple[float, float, float]:
     """ab(b-a) and the checked braces fa_q B_i + m fbm_q B_j, fa_q B_k + m fbm_q B_l."""
-    _require_band(inst)
+    _require_band(inst.mu_, inst.lambda_)
     if path not in ("oracle", "closed_form"):
         raise ParameterError(f"path must be 'oracle' or 'closed_form', got {path!r}")
     if fa_q is None:
@@ -621,8 +618,7 @@ def simpson_theorem2_prefactor(p: float, as_printed: bool = False) -> float:
     (2^(p+1) / ((p+1) 6^(p+1)))^(1/p) where the defining integral gives
     ((2^(p+1) + 1) / ((p+1) 6^(p+1)))^(1/p).
     """
-    if not (math.isfinite(p) and p > 1.0):
-        raise ParameterError(f"p must be > 1, got {p!r}")
+    _require_p(p)
     num = 2.0 ** (p + 1.0) + (0.0 if as_printed else 1.0)
     return (num / ((p + 1.0) * 6.0 ** (p + 1.0))) ** (1.0 / p)
 
@@ -687,7 +683,7 @@ def check_theorem(
     """
     if theorem not in (1, 2):
         raise ParameterError(f"theorem must be 1 or 2, got {theorem!r}")
-    _require_band(inst)
+    _require_band(inst.mu_, inst.lambda_)
     if certificate is None:
         certificate = certify_instance(inst)
     if not certificate.holds:

@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .bounds import check_theorem, crosscheck_B
+from .bounds import check_theorem, crosscheck_B, crosscheck_plan
 from .convexity import GridSpec, check_harmonic_sm, linear, parse_function_spec
 from .errors import (
     AccuracyError,
@@ -178,10 +178,10 @@ def _cmd_crosscheck(args: argparse.Namespace) -> int:
         a=args.a, b=args.b, s=args.s, m=args.m, q=args.q,
         lambda_=args.lambda_, mu_=args.mu_, f=linear(),
     )
-    p = args.q / (args.q - 1.0) if args.q > 1.0 else None
+    p, feasible = crosscheck_plan(inst.q)
     violations = 0
     for index in indices:
-        if index in (7, 10) and p is None:
+        if index not in feasible:
             if explicit:
                 raise ParameterError(
                     f"B{index} needs the conjugate exponent p = q/(q-1); q=1 has none"

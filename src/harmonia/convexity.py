@@ -37,28 +37,18 @@ MONO_TOL = 1e-12
 # 41x41x21 grid, about 1/26 of its points.
 SUBGRID_STRIDE = 4
 
-_KINDS = (
-    "linear",
-    "power",
-    "s_power",
-    "scale",
-    "sum",
-    "max",
-    "compose",
-    "seq_limit",
-    "abs_deriv_pow",
-)
-
-_PARAM_NAMES = {
-    "linear": (),
-    "power": ("c", "p"),
-    "s_power": ("b", "s", "c"),
-    "scale": ("lam",),
-    "sum": (),
-    "max": (),
-    "compose": (),
-    "seq_limit": (),
-    "abs_deriv_pow": ("q",),
+# kind -> (parameter names, (min, max) children with None for no maximum,
+# the parameter that must be > 0 or None).
+_KINDS: dict[str, tuple[tuple[str, ...], tuple[int, int | None], str | None]] = {
+    "linear": ((), (0, 0), None),
+    "power": (("c", "p"), (0, 0), None),
+    "s_power": (("b", "s", "c"), (0, 0), "s"),
+    "scale": (("lam",), (1, 1), "lam"),
+    "sum": ((), (2, None), None),
+    "max": ((), (2, None), None),
+    "compose": ((), (2, 2), None),
+    "seq_limit": ((), (2, None), None),
+    "abs_deriv_pow": (("q",), (1, 1), "q"),
 }
 
 
@@ -88,36 +78,22 @@ class FunctionSpec:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ParameterError(f"unknown FunctionSpec kind {self.kind!r}")
+        param_names, arity, positive = _KINDS[self.kind]
         names = tuple(k for k, _ in self.params)
-        if names != _PARAM_NAMES[self.kind]:
-            raise ParameterError(
-                f"{self.kind} expects params {_PARAM_NAMES[self.kind]}, got {names}"
-            )
+        if names != param_names:
+            raise ParameterError(f"{self.kind} expects params {param_names}, got {names}")
         for name, val in self.params:
             if not (isinstance(val, (int, float)) and math.isfinite(val)):
                 raise ParameterError(f"{self.kind} param {name}={val!r} must be finite")
-        arity = {
-            "linear": (0, 0),
-            "power": (0, 0),
-            "s_power": (0, 0),
-            "scale": (1, 1),
-            "sum": (2, None),
-            "max": (2, None),
-            "compose": (2, 2),
-            "seq_limit": (2, None),
-            "abs_deriv_pow": (1, 1),
-        }[self.kind]
         n = len(self.children)
         if n < arity[0] or (arity[1] is not None and n > arity[1]):
             raise ParameterError(f"{self.kind} takes {arity} children, got {n}")
         if not (math.isfinite(self.domain_lo) and self.domain_lo >= 0.0):
             raise ParameterError(f"domain_lo must be finite and >= 0, got {self.domain_lo!r}")
-        if self.kind == "scale" and self.param("lam") <= 0.0:
-            raise ParameterError("scale requires a positive factor")
-        if self.kind == "s_power" and self.param("s") <= 0.0:
-            raise ParameterError("s_power requires exponent s > 0")
-        if self.kind == "abs_deriv_pow" and self.param("q") <= 0.0:
-            raise ParameterError("abs_deriv_pow requires q > 0")
+        if positive is not None and self.param(positive) <= 0.0:
+            raise ParameterError(
+                f"{self.kind} requires {positive} > 0, got {self.param(positive)!r}"
+            )
         for name, val in (("claimed_s", self.claimed_s), ("claimed_m", self.claimed_m)):
             if val is not None and not (0.0 < val <= 1.0):
                 raise ParameterError(f"{name} must lie in (0, 1], got {val!r}")
@@ -249,11 +225,9 @@ def s_power(b: float, s: float, c: float) -> FunctionSpec:
 
 def abs_deriv_pow(f: FunctionSpec, q: float) -> FunctionSpec:
     """g(x) = |f'(x)|**q, the shape whose convexity class gates the bounds."""
-    if not (isinstance(q, (int, float)) and math.isfinite(q) and q > 0.0):
-        raise ParameterError(f"abs_deriv_pow requires finite q > 0, got {q!r}")
     return FunctionSpec(
         kind="abs_deriv_pow",
-        params=(("q", float(q)),),
+        params=(("q", q),),
         children=(f,),
         domain_lo=f.domain_lo,
     )
@@ -298,10 +272,8 @@ def combine(
     if op == "scale":
         if len(specs) != 1:
             raise ParameterError("scale takes exactly one input")
-        if lam is None or not (isinstance(lam, (int, float)) and math.isfinite(lam)):
+        if not (isinstance(lam, (int, float)) and math.isfinite(lam)):
             raise ParameterError(f"scale requires a finite factor, got {lam!r}")
-        if lam <= 0.0:
-            raise ParameterError(f"scale requires a positive factor, got {lam!r}")
         f = specs[0]
         return FunctionSpec(
             kind="scale",
@@ -438,26 +410,28 @@ def _defect(
     return defect
 
 
-def _grid_defect(
-    f: FunctionSpec, s: float, m: float, grid: GridSpec, harmonic: bool
-) -> tuple[float, tuple[float, float, float], int]:
-    xs, ys, ts = _grid_axes(grid)
-    defect = _defect(f, s, m, xs, ys, ts, harmonic)
-    # C-order argmax returns the first maximizer, which is the
-    # lexicographically smallest (x, y, t) witness.
-    flat_idx = int(np.argmax(defect))
-    ix, iy, it = np.unravel_index(flat_idx, defect.shape)
-    worst = float(defect[ix, iy, it])
-    witness = (float(xs[ix]), float(ys[iy]), float(ts[it]))
-    return worst, witness, defect.size
-
-
 def _check_grid_args(f: FunctionSpec, s: float, m: float, grid: GridSpec) -> None:
     _require_sm(s, m)
     if not grid.lo > f.domain_lo:
         raise DomainError(
             f"grid interval [{grid.lo}, {grid.hi}] must sit above domain_lo={f.domain_lo}"
         )
+
+
+def _verdict(
+    f: FunctionSpec, s: float, m: float, grid: GridSpec, defect_tol: float, harmonic: bool
+) -> ConvexityReport:
+    _check_grid_args(f, s, m, grid)
+    xs, ys, ts = _grid_axes(grid)
+    defect = _defect(f, s, m, xs, ys, ts, harmonic)
+    # C-order argmax returns the first maximizer, which is the
+    # lexicographically smallest (x, y, t) witness.
+    ix, iy, it = np.unravel_index(int(np.argmax(defect)), defect.shape)
+    worst = float(defect[ix, iy, it])
+    return ConvexityReport(
+        holds=worst <= defect_tol, worst_defect=worst,
+        witness=(float(xs[ix]), float(ys[iy]), float(ts[it])), checked=defect.size,
+    )
 
 
 def refuted_on_subgrid(f: FunctionSpec, s: float, m: float, grid: GridSpec) -> bool:
@@ -483,11 +457,7 @@ def check_harmonic_sm(
     defect_tol: float = DEFECT_TOL,
 ) -> ConvexityReport:
     """Grid verdict for harmonic (s,m)-convexity over grid's interval."""
-    _check_grid_args(f, s, m, grid)
-    worst, witness, checked = _grid_defect(f, s, m, grid, harmonic=True)
-    return ConvexityReport(
-        holds=worst <= defect_tol, worst_defect=worst, witness=witness, checked=checked
-    )
+    return _verdict(f, s, m, grid, defect_tol, harmonic=True)
 
 
 def check_plain_sm(
@@ -498,11 +468,7 @@ def check_plain_sm(
     defect_tol: float = DEFECT_TOL,
 ) -> ConvexityReport:
     """Grid verdict for plain (s,m)-convexity (combination t*x + m*(1-t)*y)."""
-    _check_grid_args(f, s, m, grid)
-    worst, witness, checked = _grid_defect(f, s, m, grid, harmonic=False)
-    return ConvexityReport(
-        holds=worst <= defect_tol, worst_defect=worst, witness=witness, checked=checked
-    )
+    return _verdict(f, s, m, grid, defect_tol, harmonic=False)
 
 
 @dataclass(frozen=True)
@@ -663,8 +629,6 @@ def parse_function_spec(text: str) -> FunctionSpec:
         return power(kv["c"], kv["p"])
     if text.startswith("spower:"):
         kv = _parse_params(text[len("spower:"):], ("b", "s", "c"), text)
-        if kv["s"] <= 0.0:
-            raise ParameterError(f"spower needs s > 0 in {text!r}")
         return s_power(kv["b"], kv["s"], kv["c"])
     if text.startswith("scale:"):
         rest = text[len("scale:"):]

@@ -29,9 +29,11 @@ from .bounds import (
     CROSSCHECK_TOL,
     MARGIN_TOL,
     PRESETS,
+    _require_band,
     certify_instance,
     check_theorem,
     crosscheck_B,
+    crosscheck_plan,
     refuted_coarsely,
 )
 from .convexity import (
@@ -40,7 +42,7 @@ from .convexity import (
     linear,
     parse_function_spec,
 )
-from .errors import AccuracyError, ConfigError, EvaluationError, HarmoniaError
+from .errors import AccuracyError, ConfigError, EvaluationError, HarmoniaError, ParameterError
 from .identity import (
     IDENTITY_TOL,
     Instance,
@@ -91,8 +93,13 @@ def _as_triple(value: object) -> str | tuple[float, ...] | None:
     if isinstance(value, str):
         return value if value == "random" or value in PRESETS else None
     pair = _as_floats(value)
-    ok = pair and len(pair) == 2 and 0.0 <= pair[1] <= 0.5 <= pair[0] <= 1.0
-    return pair if ok else None
+    if pair is None or len(pair) != 2:
+        return None
+    try:
+        _require_band(mu_=pair[1], lambda_=pair[0])
+    except ParameterError:
+        return None
+    return pair
 
 
 def _reader(convert, what: str, ok=lambda x: True, *, nullable: bool = False):
@@ -379,11 +386,9 @@ def _instance_rows(payload: tuple) -> tuple[list[Row], list[dict]]:
     except (AccuracyError, EvaluationError):
         rows.append(_row(inst_id, family, inst, "identity"))
 
+    p, indices = crosscheck_plan(inst.q)
     triples = [("instance", (inst.lambda_, inst.mu_)), *PRESETS.items()]
-    theorems = (1,) if inst.q == 1.0 else (1, 2)
-    # A computed theorem row reports the instance's own (lambda, mu); a
-    # failed one reports the triple it was checked at.
-    for theorem in theorems:
+    for theorem in (1,) if p is None else (1, 2):
         for name, (lam, mu) in triples:
             check = f"theorem{theorem}@{name}"
             tri = replace(inst, lambda_=lam, mu_=mu)
@@ -395,12 +400,9 @@ def _instance_rows(payload: tuple) -> tuple[list[Row], list[dict]]:
                 rows.append(_row(inst_id, family, inst, check, verdict.lhs, verdict.rhs,
                                  verdict.margin, verdict.passed))
             except (AccuracyError, EvaluationError):
-                rows.append(_row(inst_id, family, tri, check))
+                rows.append(_row(inst_id, family, inst, check))
 
-    p = inst.q / (inst.q - 1.0) if inst.q > 1.0 else None
-    for index in range(1, 13):
-        if index in (7, 10) and p is None:
-            continue  # conjugate exponent undefined at q=1
+    for index in indices:
         try:
             term = crosscheck_B(
                 index, inst, p=p, settings=quad, tol=crosscheck_tol, memo=memo

@@ -12,7 +12,9 @@ tolerates algebraic endpoint behavior t**sigma with sigma > -1.
 Neither routine ever returns a silently wrong number: results carry an error
 estimate, an evaluation count and a ``converged`` flag, and a non-finite
 integrand value, an overflow or a division by zero raises
-``EvaluationError`` with the offending abscissa.
+``EvaluationError`` with the offending abscissa.  ``QuadResult.checked`` is
+the one place a result becomes a number: it returns the value of a converged
+result and raises ``AccuracyError`` for any other.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import math
 from array import array
 from dataclasses import dataclass
 
-from .errors import EvaluationError, ParameterError
+from .errors import AccuracyError, EvaluationError, ParameterError
 
 __all__ = ["QuadSettings", "QuadResult", "integrate", "integrate_de", "DEFAULT_SETTINGS"]
 
@@ -52,6 +54,15 @@ class QuadResult:
     err_estimate: float
     evaluations: int
     converged: bool
+
+    def checked(self, what: str) -> float:
+        """The value if converged; otherwise AccuracyError carrying
+        ``estimate`` and ``err_estimate``, with ``what`` naming the integral."""
+        if not self.converged:
+            raise AccuracyError(
+                f"{what} did not converge", estimate=self.value, err_estimate=self.err_estimate
+            )
+        return self.value
 
 
 DEFAULT_SETTINGS = QuadSettings()

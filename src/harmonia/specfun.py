@@ -8,9 +8,14 @@ so each one is computed here by two independent methods that must agree:
   other (slow path, quadrature based).
 * ``beta`` is the Gamma-ratio formula, cross-checked in the tests against
   direct tanh-sinh integration of t**(a-1) (1-t)**(b-1).
-* ``hyp2f1`` evaluates the Euler integral representation with the adaptive
-  quadrature oracle AND sums the Gauss series with a geometric tail bound
-  that holds for every later term.
+* ``hyp2f1`` evaluates the Euler integral representation by quadrature AND
+  sums the Gauss series with a geometric tail bound that holds for every
+  later term.  The Euler integrand t**(beta_-1) (1-t)**(gamma_-beta_-1)
+  (1-zt)**(-alpha) goes to adaptive Gauss-Kronrod when both endpoint
+  exponents are >= 0, and to tanh-sinh on two folded halves when either is
+  negative (a singular endpoint).  Every coefficient of the bounds module
+  has beta_ >= 1 and gamma_ - beta_ >= 1, so the sweeps take the
+  Gauss-Kronrod branch only.
   The two paths must agree to max(budget.rel_tol, 1e-10) in relative terms,
   otherwise an ``AccuracyError`` carrying both values is raised.  The Euler
   value is returned.
@@ -26,7 +31,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import AccuracyError, DomainError, ParameterError
-from .quadrature import QuadResult, QuadSettings, integrate, integrate_de
+from .quadrature import QuadSettings, integrate, integrate_de
 
 __all__ = [
     "AccuracyBudget",
@@ -129,16 +134,9 @@ def gamma_integral(x: float, settings: QuadSettings | None = None) -> float:
     def integrand(t: float) -> float:
         return t ** (x - 1.0) * math.exp(-t)
 
-    head = integrate_de(integrand, 0.0, 1.0, settings)
+    head = integrate_de(integrand, 0.0, 1.0, settings).checked("gamma_integral head on [0, 1]")
     upper = max(60.0, 12.0 * x)
-    tail = integrate(integrand, 1.0, upper, settings)
-    if not (head.converged and tail.converged):
-        raise AccuracyError(
-            "gamma_integral quadrature did not converge",
-            head=head.value,
-            tail=tail.value,
-        )
-    return head.value + tail.value
+    return head + integrate(integrand, 1.0, upper, settings).checked("gamma_integral tail")
 
 
 def _check_2f1_domain(alpha: float, beta_: float, gamma_: float, z: float) -> None:
@@ -172,6 +170,7 @@ def hyp2f1_euler(
         rel_tol=bud.rel_tol,
         max_subdivisions=max(100, bud.max_work // 15),
     )
+    what = "hyp2f1 Euler quadrature"
     # Negative exponents make the endpoints singular: use the rule that
     # never touches them.  Otherwise the adaptive pair handles steepness
     # near t=1 (large alpha with z close to 1) by bisection.
@@ -185,23 +184,11 @@ def hyp2f1_euler(
         def folded(u: float) -> float:
             return u**e1 * (1.0 - u) ** e0 * (one_minus_z + z * u) ** (-alpha)
 
-        lower = integrate_de(integrand, 0.0, 0.5, settings)
-        upper = integrate_de(folded, 0.0, 0.5, settings)
-        result = QuadResult(
-            value=lower.value + upper.value,
-            err_estimate=lower.err_estimate + upper.err_estimate,
-            evaluations=lower.evaluations + upper.evaluations,
-            converged=lower.converged and upper.converged,
-        )
+        lower = integrate_de(integrand, 0.0, 0.5, settings).checked(what)
+        value = lower + integrate_de(folded, 0.0, 0.5, settings).checked(what)
     else:
-        result = integrate(integrand, 0.0, 1.0, settings)
-    if not result.converged:
-        raise AccuracyError(
-            "hyp2f1 Euler quadrature exhausted its budget",
-            estimate=result.value,
-            err_estimate=result.err_estimate,
-        )
-    return result.value / beta(beta_, gamma_ - beta_)
+        value = integrate(integrand, 0.0, 1.0, settings).checked(what)
+    return value / beta(beta_, gamma_ - beta_)
 
 
 def hyp2f1_series(

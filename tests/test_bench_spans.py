@@ -1,10 +1,12 @@
-"""The benchmark's span tracer still finds every binding it wraps.
+"""The benchmark still fits the program it measures.
 
 ``bench/spans.py`` replaces module attributes by name (``harness.check_theorem``,
 ``bounds.kernel_oracle``, ...).  A refactor that renames or stops importing
 one of them would break ``bench/run.py --trace 1`` without failing any other
-test, so this file loads the tracer's tables and checks each entry.  It only
-reads ``bench/``: the module is compiled from source, no bytecode is written.
+test, so this file loads the tracer's tables and checks each entry.  In the
+same way a config schema change could reject a workload of
+``bench/workloads.py``, so each one is built here.  It only reads
+``bench/``: the modules are compiled from source, no bytecode is written.
 """
 
 from __future__ import annotations
@@ -14,9 +16,10 @@ from pathlib import Path
 
 import pytest
 
-from harmonia import harness
+from harmonia import SweepConfig, harness
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+WORKLOADS = SPANS.with_name("workloads.py")
 
 
 @pytest.fixture(scope="module")
@@ -36,3 +39,12 @@ def test_every_wrapped_binding_resolves(spans):
 def test_instance_rows_is_wrapped_in_place(spans):
     assert spans["_ORIGINAL_ROWS"] is harness._instance_rows
     assert callable(harness._instance_rows)
+
+
+def test_every_workload_config_builds():
+    workloads = runpy.run_path(str(WORKLOADS))
+    for name, spec in workloads["WORKLOADS"].items():
+        # run_sweep reads its jobs argument with the config's jobs reader.
+        cfg = SweepConfig.from_dict(dict(workloads["sweep_config"](name, 1), jobs=spec["jobs"]))
+        assert (cfg.rng_seed, cfg.jobs) == (1, spec["jobs"]), name
+    assert workloads["WORKLOADS"]

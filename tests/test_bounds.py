@@ -285,6 +285,16 @@ class TestClosedMoments:
         with pytest.raises(ParameterError):
             simpson_theorem2_prefactor(1.0)
 
+    @pytest.mark.parametrize(
+        "call",
+        [lambda: b7_b10(0.2, 0.7, None), lambda: simpson_theorem2_prefactor(None)],
+        ids=["b7_b10", "simpson_theorem2_prefactor"],
+    )
+    def test_missing_exponent_is_parameter_error(self, call):
+        # A missing p is a bad exponent like p <= 1, not a TypeError.
+        with pytest.raises(ParameterError):
+            call()
+
 
 class TestCaseLabels:
     @pytest.mark.parametrize(

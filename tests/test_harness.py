@@ -279,6 +279,25 @@ class TestRunSweep:
         assert rep.errata == small_report.errata
         assert rep.discarded == small_report.discarded
 
+    def test_failed_theorem_row_reports_the_instance_triple(self, monkeypatch):
+        inst = next(i for i in generate_instances(SMALL)[0] if i.q > 1.0)
+        real = harness.check_theorem
+
+        def fails_at_simpson(tri, theorem, **kwargs):
+            if (tri.lambda_, tri.mu_) == PRESETS["simpson"]:
+                raise AccuracyError("starved", estimate=0.0, err_estimate=1.0)
+            return real(tri, theorem, **kwargs)
+
+        monkeypatch.setattr(harness, "check_theorem", fails_at_simpson)
+        payload = (
+            0, inst, certify_instance(inst),
+            SMALL.identity_tol, SMALL.crosscheck_tol, SMALL.margin_tol, SMALL.quad,
+        )
+        rows, _ = harness._instance_rows(payload)
+        failed = [r for r in rows if not r.passed]
+        assert [r.check for r in failed] == ["theorem1@simpson", "theorem2@simpson"]
+        assert {(r.lambda_, r.mu_) for r in rows} == {(inst.lambda_, inst.mu_)}
+
     def test_generate_returns_certificates_on_request(self):
         instances, discarded = generate_instances(SMALL)
         again, discarded_again, certificates = generate_instances(
