@@ -1,11 +1,12 @@
 """Gamma, Beta, and Gauss 2F1 with dual-path verification.
 
-Every 2F1 evaluation runs both the Euler integral and the Gauss series
+Every hyp2f1 call runs both the Euler integral and the Gauss series
 with a geometric tail bound; the two must agree or the call raises with
 both values attached.  The Euler integral goes to adaptive Gauss-Kronrod
-when its endpoint exponents beta-1 and gamma-beta-1 are >= 0, as they are
-for every coefficient of the bounds, and to tanh-sinh when either is
-negative.  Gamma carries a Lanczos core
+when its endpoint exponents beta-1 and gamma-beta-1 are >= 0 and to
+tanh-sinh when either is negative.  The coefficient closed forms of the
+bounds read the Gauss series alone, with its error bound, so no quadrature
+runs inside them.  Gamma carries a Lanczos core
 checked against a quadrature oracle, and Beta inherits symmetry exactly.
 
 Run:  python3 demos/06_specfun_tour.py

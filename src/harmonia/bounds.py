@@ -21,6 +21,14 @@ forms (each one oracle-backed by tests).  Both closed-form paths read one term
 table: ``PRINTED`` holds the printed forms, ``PATCHES`` the corrections.  The
 oracle path is authoritative everywhere downstream.
 
+Every 2F1 in a closed form is the Gauss series with its error bound
+(``specfun._hyp2f1_bounded``), never the Euler quadrature, so the closed
+forms and the oracle share no quadrature.  The evaluator also bounds the
+closed form's absolute error; where its terms cancel so far that a gap past
+the tolerance lies within that bound, ``crosscheck_B`` reports
+``ill_conditioned``: the printed form cannot be judged there, and the row
+passes.
+
 The functions the sweep calls per row take a keyword-only ``memo``: a dict
 the caller creates for one instance, through which the rows share the
 oracle and 2F1 values they have in common.  The values are the same bits
@@ -43,7 +51,9 @@ from .convexity import (
 from .errors import AccuracyError, EvaluationError, ParameterError, PreconditionError
 from .identity import Instance, _memoized, rule_deviation
 from .quadrature import DEFAULT_SETTINGS, QuadSettings, integrate_de
-from .specfun import beta, hyp2f1
+# The closed forms no longer call hyp2f1; the name stays bound here because
+# the benchmark's tracer wraps bounds.hyp2f1.
+from .specfun import _U, _hyp2f1_bounded, beta, hyp2f1  # noqa: F401
 
 CROSSCHECK_TOL = 1e-6
 MARGIN_TOL = 1e-9
@@ -146,6 +156,14 @@ def crosscheck_plan(q: float) -> tuple[float | None, tuple[int, ...]]:
     if q > 1.0:
         return q / (q - 1.0), tuple(KIND_FOR_INDEX)
     return None, tuple(i for i, kind in KIND_FOR_INDEX.items() if not kind.needs_p)
+
+
+def _theorem2_p(q: float, what: str) -> float:
+    """The conjugate exponent theorem 2 needs; ParameterError where q has none."""
+    p, _ = crosscheck_plan(q)
+    if p is None:
+        raise ParameterError(f"{what} requires q > 1, got q={q!r}")
+    return p
 
 
 def _centre(kind: KernelKind, inst: Instance) -> float | None:
@@ -341,11 +359,31 @@ PATCHES: dict[tuple[int, str], tuple[tuple, ...]] = {
 }
 
 
+# How far _evaluate's 2F1 arguments may be from the exact ones, in units of
+# the unit roundoff u: each of s+1, s+2, s+3 is one rounding (relative), and
+# each of z, zeta, w, (1-x)zeta and 1-a/A_x is formed with at most 4u
+# (absolute, all lie in [0, 1)).
+_ARG_ERR = 8.0 * _U
+# The worst relative error of beta() on the Beta arguments of the term tables,
+# against 40-digit mpmath over s in (0, 1], is 7.3e-15 (66u).
+_BETA_ERR = 128.0 * _U
+
+
 def _evaluate(
     index: int, terms: tuple[tuple, ...], inst: Instance, memo: dict | None = None
-) -> float:
-    """Sum the terms left to right, each as ((coef * 2^top) * B) / den * F.
+) -> tuple[float, float]:
+    """(value, bound): the terms summed left to right, each as
+    ((coef * 2^top) * B) / den * F, and an absolute error bound of the sum.
 
+    The bound is sum_i |term_i| (F_i's relative bound + form_err), the 2F1
+    bound taken from the Gauss series with arguments off by _ARG_ERR.
+    form_err covers, to first order in u, the term's other factors: the
+    Beta (_BETA_ERR); the four products and the running sum of up to five
+    terms (8u); and the powers, which carry their base's and exponent's
+    rounding times the exponent: the denominator at most (4q + 2)u,
+    2^(2q-s-top) at most (1.4q + 4)u, and 2x^(s+2) or 2(1-x)^(s+2) at most
+    14u while x or 1 - x is above e^-8 (below that the term is negligible
+    in the sum).  In all, (28 + 5.4q)u <= (32 + 6q)u.
     ``memo`` computes each distinct F(2q, beta; gamma; argument) once.  An
     overflow or a division by zero raises EvaluationError.
     """
@@ -365,18 +403,22 @@ def _evaluate(
             "z": 1.0 - 2.0 * a / (a + b), "zeta": zeta, "w": 1.0 - (a + b) / (2.0 * b),
             "(1-x)zeta": (1.0 - x) * zeta, "1-a/A_x": 1.0 - a / A_x,
         }
+        form_err = _BETA_ERR + (32.0 + 6.0 * q) * _U
         total = 0.0
+        bound = 0.0
         for sign, coef, top, bx, by, den, fb, fg, arg in terms:
             # 2^(2q-s-top) is formed only where a term has it: it can overflow
             # at large q where the b^2q forms still evaluate.
             c = v[coef] if coef else 1.0
             t = 2.0 ** (2 * q - s - top) if top else 1.0
-            f_args = (2 * q, v[fb], v[fg], v[arg])
-            F = _memoized(memo, ("hyp2f1", *f_args), hyp2f1, *f_args)
-            total += sign * (c * t * beta(v[bx], v[by]) / v[den] * F)
+            f_args = (2 * q, v[fb], v[fg], v[arg], _ARG_ERR)
+            F, f_err = _memoized(memo, ("2f1", *f_args), _hyp2f1_bounded, *f_args)
+            term = c * t * beta(v[bx], v[by]) / v[den] * F
+            total += sign * term
+            bound += abs(term) * (f_err + form_err)
     except (OverflowError, ZeroDivisionError) as exc:
         raise EvaluationError(f"closed form of B{index} raised {exc!r}") from exc
-    return total
+    return total, bound
 
 
 def _case_key(index: int, inst: Instance) -> tuple[int, str]:
@@ -390,15 +432,20 @@ def _case_key(index: int, inst: Instance) -> tuple[int, str]:
     return key
 
 
+def _printed(index: int, inst: Instance, memo: dict | None) -> tuple[float, float]:
+    """(value, bound) of the printed closed form; see _evaluate."""
+    return _evaluate(index, PRINTED[_case_key(index, inst)], inst, memo)
+
+
 def closed_B(index: int, inst: Instance, *, memo: dict | None = None) -> float:
     """The printed closed form for one 2F1-based coefficient.
 
     Statement-version transcription (where statement and proof tables
     disagree, the statement is used); misprinted cases return the
     misprinted value on purpose, and crosscheck_B adjudicates them
-    against the oracle.
+    against the oracle.  Every 2F1 is the Gauss series; no quadrature runs.
     """
-    return _evaluate(index, PRINTED[_case_key(index, inst)], inst, memo)
+    return _printed(index, inst, memo)[0]
 
 
 def corrected_B(index: int, inst: Instance) -> float:
@@ -409,7 +456,7 @@ def corrected_B(index: int, inst: Instance) -> float:
     Every branch is locked to the defining-integral oracle by tests.
     """
     key = _case_key(index, inst)
-    return _evaluate(index, PATCHES.get(key, PRINTED[key]), inst)
+    return _evaluate(index, PATCHES.get(key, PRINTED[key]), inst)[0]
 
 
 @dataclass(frozen=True)
@@ -421,7 +468,9 @@ class BoundTerm:
     oracle: float
     closed_form: float | None
     rel_diff: float | None
-    status: str  # "ok" | "erratum_suspected" | "oracle_only"
+    status: str  # "ok" | "ill_conditioned" | "erratum_suspected" | "oracle_only"
+    # Absolute error bound of closed_form, computed only when rel_diff > tol.
+    bound: float | None = None
 
     @property
     def expected(self) -> bool:
@@ -430,8 +479,11 @@ class BoundTerm:
 
     @property
     def passed(self) -> bool:
-        """The closed form agrees with the oracle, or is an expected erratum."""
-        return self.status == "ok" or (self.status == "erratum_suspected" and self.expected)
+        """The closed form agrees with the oracle, cannot be judged at this
+        tolerance (ill_conditioned), or is an expected erratum."""
+        if self.status == "erratum_suspected":
+            return self.expected
+        return self.status in ("ok", "ill_conditioned")
 
 
 def crosscheck_B(
@@ -445,12 +497,17 @@ def crosscheck_B(
 ) -> BoundTerm:
     """Adjudicate one coefficient: defining integral vs printed form.
 
-    The oracle failing is fatal (AccuracyError, EvaluationError); the closed
+    The status is ok when the relative difference is within tol.  Past tol,
+    a 2F1-based form is ill_conditioned when |closed - oracle| is within the
+    closed form's own error bound (its terms cancel so far that rounding
+    alone could explain the gap), and erratum_suspected otherwise.  The
+    oracle failing is fatal (AccuracyError, EvaluationError); the closed
     form failing to evaluate demotes the term to oracle_only, which does not
     pass, rather than killing the run.
     """
     case = case_label(index, inst)
     _require_band(inst.mu_, inst.lambda_)
+    memo = {} if memo is None else memo  # the bound below re-reads closed_B's 2F1s
     kind = KIND_FOR_INDEX[index]
     p = _require_p(p) if kind.needs_p else None
     oracle = _oracle(kind, inst, p, settings, memo)
@@ -467,14 +524,20 @@ def crosscheck_B(
     except (AccuracyError, EvaluationError, ParameterError):
         closed = None
 
+    bound = None
     if closed is None:
         rel, status = None, "oracle_only"
     else:
         rel = abs(closed - oracle) / max(abs(oracle), 1e-300)
-        status = "ok" if rel <= tol else "erratum_suspected"
+        status = "ok"
+        if rel > tol:
+            # The weight moments are polynomials: no cancellation to allow for.
+            # A 2F1 form is evaluated again for its bound, its 2F1s from memo.
+            bound = _printed(index, inst, memo)[1] if kind.include_A else 0.0
+            status = "ill_conditioned" if abs(closed - oracle) <= bound else "erratum_suspected"
     return BoundTerm(
         index=index, case=case, oracle=oracle, closed_form=closed,
-        rel_diff=rel, status=status,
+        rel_diff=rel, status=status, bound=bound,
     )
 
 
@@ -559,13 +622,11 @@ def theorem2_rhs(
     ab(b-a) * { B7^(1/p) (fa_q B8 + m fbm_q B9)^(1/q)
               + B10^(1/p) (fa_q B11 + m fbm_q B12)^(1/q) }.
     """
-    if inst.q <= 1.0:
-        raise ParameterError(f"theorem2_rhs requires q > 1, got q={inst.q!r}")
+    p = _theorem2_p(inst.q, "theorem2_rhs")
     # The weight moments are elementary and exact; path only selects how
     # the disputed 2F1-based entries are evaluated.
     scale, left, right = _braces(inst, (8, 9, 11, 12), fa_q, fbm_q, path, settings, memo)
     q = inst.q
-    p = q / (q - 1.0)
     b7, b10 = b7_b10(inst.mu_, inst.lambda_, p)
     return scale * (
         b7 ** (1.0 / p) * left ** (1.0 / q)
@@ -603,10 +664,8 @@ def corollary_rhs(
         scale, left, right = _braces(inst, (2, 3, 5, 6), fa_q, fbm_q, path, settings)
         weight = b1_b4(mu, lam)[0] ** (1.0 - 1.0 / q)
     else:
-        if q <= 1.0:
-            raise ParameterError(f"theorem 2 corollaries require q > 1, got q={q!r}")
+        p = _theorem2_p(q, "corollary_rhs for theorem 2")
         scale, left, right = _braces(inst, (8, 9, 11, 12), fa_q, fbm_q, path, settings)
-        p = q / (q - 1.0)
         weight = b7_b10(mu, lam, p)[0] ** (1.0 / p)
     return scale * weight * (left ** (1.0 / q) + right ** (1.0 / q))
 

@@ -1,7 +1,7 @@
 """Gamma, Beta and Gauss hypergeometric 2F1 with built-in cross-validation.
 
 Every closed-form coefficient downstream reduces to these three functions,
-so each one is computed here by two independent methods that must agree:
+so each one can be computed here by two independent methods:
 
 * ``gamma`` uses a Lanczos minimax approximation; the defining integral is
   exposed as ``gamma_integral`` so the test suite can check one against the
@@ -13,14 +13,19 @@ so each one is computed here by two independent methods that must agree:
   later term.  The Euler integrand t**(beta_-1) (1-t)**(gamma_-beta_-1)
   (1-zt)**(-alpha) goes to adaptive Gauss-Kronrod when both endpoint
   exponents are >= 0, and to tanh-sinh on two folded halves when either is
-  negative (a singular endpoint).  Every coefficient of the bounds module
-  has beta_ >= 1 and gamma_ - beta_ >= 1, so the sweeps take the
-  Gauss-Kronrod branch only.
+  negative (a singular endpoint).
   The two paths must agree to max(budget.rel_tol, 1e-10) in relative terms,
   otherwise an ``AccuracyError`` carrying both values is raised.  The Euler
   value is returned.
 
-Parameter domain for ``hyp2f1``: gamma_ > beta_ > 0 and 0 <= z < 1, which
+The coefficient closed forms of the bounds module do not call ``hyp2f1``:
+they read the private ``_hyp2f1_bounded``, the same Gauss series with a
+relative error bound (tail, recurrence and summation rounding, rounded
+arguments), so no quadrature runs inside a closed form and the defining-
+integral oracle they are checked against stays the only quadrature.  The
+Euler path serves the public ``hyp2f1`` alone.
+
+Parameter domain of the 2F1 paths: gamma_ > beta_ > 0 and 0 <= z < 1, which
 covers every coefficient produced by the bounds module (arguments of the
 form 1 - 2a/(a+b), 1 - a/b, (b-a)/(2b) and scaled variants, all in [0, 1)).
 """
@@ -61,6 +66,8 @@ class AccuracyBudget:
 
 
 DEFAULT_BUDGET = AccuracyBudget()
+
+_U = 2.0**-53  # unit roundoff of IEEE double
 
 # Lanczos g=7, n=9 coefficients (double precision minimax set).
 _LANCZOS_G = 7.0
@@ -191,6 +198,52 @@ def hyp2f1_euler(
     return value / beta(beta_, gamma_ - beta_)
 
 
+def _gauss_sum(
+    alpha: float, beta_: float, gamma_: float, z: float, rel_tol: float, max_terms: int
+) -> tuple[float, int, float, float]:
+    """The Gauss series loop: (value, terms_used, tail, moment).
+
+    tail bounds the sum of the dropped terms (0 for a terminating series) and
+    moment = sum_k k |term_k| over the terms summed; hyp2f1_series documents
+    the stopping rule.
+    """
+    _check_2f1_domain(alpha, beta_, gamma_, z)
+    if z == 0.0:
+        return 1.0, 1, 0.0, 0.0
+    c1 = max(abs(alpha) + beta_ - gamma_ - 1.0, 0.0)
+    c0 = max(abs(alpha) * beta_ - gamma_, 0.0)
+    # r_k >= z, so |term| z/(1-z) <= rel_tol |acc| must hold before the
+    # sound test can; checking it first keeps r_k off most iterations.
+    z_tail = z / (1.0 - z)
+    term = 1.0
+    acc = 1.0
+    lost = 0.0  # Kahan: rounding error of the last addition, taken off the next term
+    moment = 0.0
+    k = 0
+    while k < max_terms:
+        ratio = (alpha + k) * (beta_ + k) / ((gamma_ + k) * (k + 1.0)) * z
+        term *= ratio
+        y = term - lost
+        total = acc + y
+        lost = (total - acc) - y
+        acc = total
+        k += 1
+        size = abs(term)
+        moment += k * size
+        if size * z_tail <= rel_tol * abs(acc):
+            r = z * (1.0 + c1 / (gamma_ + k) + c0 / ((gamma_ + k) * (k + 1.0)))
+            if r < 1.0:
+                tail = size * r / (1.0 - r)
+                if tail <= rel_tol * abs(acc):
+                    return acc, k + 1, tail, moment
+        if term == 0.0:  # terminating series (alpha a non-positive integer)
+            return acc, k + 1, 0.0, moment
+    raise AccuracyError(
+        f"hyp2f1 series did not converge within {max_terms} terms",
+        partial_sum=acc,
+    )
+
+
 def hyp2f1_series(
     alpha: float,
     beta_: float,
@@ -212,39 +265,42 @@ def hyp2f1_series(
     j / ((gamma_+j)(j+1)) <= 1/(gamma_+j), and 1/(gamma_+j) and
     1/((gamma_+j)(j+1)) decrease in j, r_k = z (1 + max(c1,0)/(gamma_+k)
     + max(c0,0)/((gamma_+k)(k+1))) bounds every ratio from the k-th on.
-    The sum is compensated (Kahan), so its own rounding stays below the
-    tail bound even over 10^4 terms near z = 1.
+    The sum is compensated (Kahan).  rel_tol bounds the truncation only:
+    the term recurrence rounds too, and over thousands of terms near z = 1
+    that can take the value a few percent past rel_tol.
     """
-    _check_2f1_domain(alpha, beta_, gamma_, z)
-    if z == 0.0:
-        return 1.0, 1
-    c1 = max(abs(alpha) + beta_ - gamma_ - 1.0, 0.0)
-    c0 = max(abs(alpha) * beta_ - gamma_, 0.0)
-    # r_k >= z, so |term| z/(1-z) <= rel_tol |acc| must hold before the
-    # sound test can; checking it first keeps r_k off most iterations.
-    z_tail = z / (1.0 - z)
-    term = 1.0
-    acc = 1.0
-    lost = 0.0  # Kahan: rounding error of the last addition, taken off the next term
-    k = 0
-    while k < max_terms:
-        ratio = (alpha + k) * (beta_ + k) / ((gamma_ + k) * (k + 1.0)) * z
-        term *= ratio
-        y = term - lost
-        total = acc + y
-        lost = (total - acc) - y
-        acc = total
-        k += 1
-        if abs(term) * z_tail <= rel_tol * abs(acc):
-            r = z * (1.0 + c1 / (gamma_ + k) + c0 / ((gamma_ + k) * (k + 1.0)))
-            if r < 1.0 and abs(term) * r / (1.0 - r) <= rel_tol * abs(acc):
-                return acc, k + 1
-        if term == 0.0:  # terminating series (alpha a non-positive integer)
-            return acc, k + 1
-    raise AccuracyError(
-        f"hyp2f1 series did not converge within {max_terms} terms",
-        partial_sum=acc,
+    value, terms, _, _ = _gauss_sum(alpha, beta_, gamma_, z, rel_tol, max_terms)
+    return value, terms
+
+
+def _hyp2f1_bounded(
+    alpha: float, beta_: float, gamma_: float, z: float, arg_err: float = 0.0
+) -> tuple[float, float]:
+    """Gauss series with its error bound: (value, relative error bound).
+
+    Sums to the tail bound and term cap that hyp2f1 gives its own series,
+    so it evaluates exactly where hyp2f1 does, with no quadrature.  The
+    bound adds, to first order in the unit roundoff u:
+
+    * the tail bound of the dropped terms;
+    * the term recurrence: term k is k steps of 8 roundings each, so it is
+      off by at most 8 k u relative, 8 u moment in all, where
+      moment = sum_k k |term_k|;
+    * the Kahan sum: at most 3 u sum_k |term_k| <= 3 u (1 + moment);
+    * arguments off by up to arg_err from the ones the caller means (beta_
+      and gamma_ relatively, z absolutely): that moves term k by at most
+      2 k arg_err through the Pochhammer factors and k arg_err / z
+      through z^k.  alpha is taken as exact.
+    """
+    bud = DEFAULT_BUDGET
+    value, _, tail, moment = _gauss_sum(
+        alpha, beta_, gamma_, z, bud.rel_tol / 10.0, bud.max_work
     )
+    # moment is 0 at z = 0, and z = 0 only arises as an exact argument.
+    shift = arg_err * moment * (2.0 + 1.0 / z) if z else 0.0
+    err = tail + _U * (11.0 * moment + 3.0) + shift
+    # The factor absorbs the second-order terms (8 k u stays below 5e-10).
+    return value, (1.01 * err / abs(value) if value else math.inf)
 
 
 def hyp2f1(

@@ -23,6 +23,7 @@ from harmonia import (
     PRESETS,
     b1_b4,
     b7_b10,
+    bounds,
     case_label,
     certify_instance,
     check_theorem,
@@ -460,6 +461,45 @@ class TestAdjudication:
             kernel_oracle(KIND_FOR_INDEX[2], inst)
 
 
+class TestIllConditioned:
+    """Past tol, a gap within the closed form's error bound is not a misprint."""
+
+    # A sweep_wide (seed 1) instance whose printed B11 cancels: its terms
+    # are ~1e9 times its value.  B11 reads only a, b, s and q.
+    CANCELS = make(a=0.1264001506117494, b=6.6668316096031415, s=0.75, q=4.0,
+                   lam=0.8411103263737205, mu=0.3367390116847893)
+
+    def test_cancellation_is_ill_conditioned_and_passes(self):
+        term = crosscheck_B(11, self.CANCELS, p=4.0 / 3.0)
+        assert term.rel_diff > CROSSCHECK_TOL
+        assert term.status == "ill_conditioned" and term.passed
+        assert abs(term.closed_form - term.oracle) <= term.bound
+
+    def test_misprint_in_a_well_conditioned_form_is_flagged(self):
+        term = crosscheck_B(8, make(s=0.5, q=2.0), p=2.0)
+        assert term.status == "erratum_suspected" and term.expected
+        assert abs(term.closed_form - term.oracle) > 1e6 * term.bound
+
+    def test_misprint_on_a_cancelling_form_is_flagged(self, monkeypatch):
+        printed = bounds.closed_B
+
+        def misprinted(index, inst, memo=None):
+            return printed(index, inst, memo=memo) * (1 + 1e-3)
+
+        monkeypatch.setattr(bounds, "closed_B", misprinted)
+        term = crosscheck_B(11, self.CANCELS, p=4.0 / 3.0)
+        assert term.status == "erratum_suspected" and not term.passed
+
+    def test_ok_rows_carry_no_bound(self):
+        term = crosscheck_B(11, make(s=0.5, q=2.0), p=2.0)
+        assert term.status == "ok" and term.bound is None
+
+    def test_pass_rule_accepts_ill_conditioned(self):
+        term = BoundTerm(index=11, case="all", oracle=1.0, closed_form=1.1,
+                         rel_diff=0.1, status="ill_conditioned", bound=0.2)
+        assert term.passed and not term.expected
+
+
 class TestClosedFormValues:
     # closed_B and corrected_B at every 2F1 case, pinned so that a slip in
     # any term shows, flagged case or not.  Interior cases sit at mu = 0.3
@@ -625,6 +665,10 @@ class TestCorollaries:
             corollary_rhs("booles_rule", 1, inst)
         with pytest.raises(ParameterError):
             corollary_rhs("trapezoid", 3, inst)
+
+    def test_theorem2_needs_q_above_one(self):
+        with pytest.raises(ParameterError, match="q > 1"):
+            corollary_rhs("trapezoid", 2, make(q=1.0, lam=0.5, mu=0.5))
 
     def test_preset_table(self):
         assert PRESETS["trapezoid"] == (0.5, 0.5)

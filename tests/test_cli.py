@@ -213,6 +213,18 @@ class TestCrosscheck:
         assert "FAIL" in out and "PASS" not in out
         assert rc == 1
 
+    def test_cancellation_is_ill_conditioned_not_an_erratum(self):
+        # b/a = 1e4: the printed B11 (correct, per 50-digit mpmath) cancels
+        # its terms by ~1e16, so its gap to the oracle is rounding, not a misprint.
+        proc = _run([sys.executable, "-m", "harmonia.cli", "crosscheck", "--a", "0.01",
+                     "--b", "100", "--s", "0.5", "--m", "1", "--q", "3",
+                     "--lambda", "0.8", "--mu", "0.3"])
+        lines = {line.split()[0]: line for line in proc.stdout.splitlines()}
+        assert "ill_conditioned" in lines["B11"] and "error bound" in lines["B11"]
+        assert "erratum_suspected (expected)" in lines["B12"]
+        assert "(UNEXPECTED)" not in proc.stdout
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+
     def test_oracle_overflow_is_numeric_failure(self, capsys):
         rc = main(["crosscheck", "--a", "1", "--b", "2", "--s", "0.5", "--m", "1",
                    "--q", "1000", "--lambda", "0.8", "--mu", "0.3"])

@@ -31,6 +31,7 @@ from harmonia import (
     identity,
     report_to_dict,
     run_sweep,
+    specfun,
 )
 
 # small but representative: mixes q=1 (theorem 1 only) with q>1, and the
@@ -347,6 +348,28 @@ def _exact_oracle_key(kind, inst, p_or_q=None, settings=None):
     return (kind, inst.a, inst.b, inst.s, inst.q, centre, p_or_q, settings)
 
 
+def test_closed_forms_run_no_quadrature(monkeypatch):
+    # Every 2F1 of a closed form is the Gauss series; the Euler integral
+    # serves only the public hyp2f1.
+    calls = Counter()
+    for name in ("integrate", "integrate_de"):
+        fn = getattr(specfun, name)
+
+        def counted(*args, _name=name, _fn=fn, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(specfun, name, counted)
+    evaluated = 0
+    for inst in generate_instances(SMALL)[0]:
+        for lam, mu in [(inst.lambda_, inst.mu_), *PRESETS.values()]:
+            for index in (2, 3, 5, 6, 8, 9, 11, 12):
+                assert math.isfinite(bounds.closed_B(index, replace(inst, lambda_=lam, mu_=mu)))
+                evaluated += 1
+    assert evaluated > 0 and calls == Counter()
+    assert specfun.hyp2f1(2.0, 1.0, 3.5, 0.5) > 1.0 and calls["integrate"] == 1
+
+
 class TestInstanceMemo:
     def test_rows_equal_the_unmemoized_functions(self, small_report):
         instances, _ = generate_instances(SMALL)
@@ -402,7 +425,7 @@ class TestInstanceMemo:
             monkeypatch.setattr(module, name, wrapper)
 
         count(bounds, "kernel_oracle", _exact_oracle_key)
-        count(bounds, "hyp2f1", lambda *args: args)
+        count(bounds, "_hyp2f1_bounded", lambda *args: args)
         count(identity, "integrate", lambda f, lo, hi, settings=None: (lo, hi, settings))
         payload = (
             0, inst, certify_instance(inst),
@@ -413,7 +436,7 @@ class TestInstanceMemo:
         for name, seen in keys.items():
             repeated = {k: n for k, n in seen.items() if n > 1}
             assert not repeated, (name, repeated)
-        assert keys["kernel_oracle"] and keys["hyp2f1"]
+        assert keys["kernel_oracle"] and keys["_hyp2f1_bounded"]
         assert keys["integrate"][(inst.a, inst.b, SMALL.quad)] == 1
         # B8, B9, B11 and B12 do not read lambda or mu: one integral serves
         # all four triples and the crosscheck.

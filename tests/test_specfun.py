@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 import random
+import runpy
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -14,13 +16,20 @@ from harmonia import (
     AccuracyError,
     DomainError,
     ParameterError,
+    SweepConfig,
     beta,
+    closed_B,
     gamma,
     gamma_integral,
+    generate_instances,
     hyp2f1,
     hyp2f1_euler,
     hyp2f1_series,
 )
+from harmonia.specfun import _hyp2f1_bounded
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+U = 2.0**-53
 
 # (beta_, gamma_) argument shapes that the coefficient closed forms feed
 # into 2F1, as functions of the convexity exponent s.
@@ -199,6 +208,58 @@ class TestHyp2F1:
         with pytest.raises(AccuracyError) as exc:
             hyp2f1_series(8.0, 2.0, 3.0, 0.95, rel_tol=1e-15, max_terms=10)
         assert "partial_sum" in exc.value.values
+
+
+def _mp_rel_err(value, alpha, b_, g_, z):
+    """|value - 2F1| / |2F1| against 40-digit mpmath at exactly these arguments."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        ref = mpmath.hyp2f1(alpha, b_, g_, z)
+        return float(abs((mpmath.mpf(value) - ref) / ref))
+
+
+class TestBoundedSeries:
+    """The private series path the closed forms read: value and error bound."""
+
+    # hyp2f1_series misses rel_tol = 1e-13 here by the rounding of its term
+    # recurrence: 1.01e-13 after 6,069 terms and 1.10e-13 after 8,816.
+    @pytest.mark.parametrize("args", [(16.0, 1.0, 3.0, 0.99), (8.0, 1.0, 3.0, 0.995)])
+    def test_bound_covers_the_recurrence_rounding(self, args):
+        value, bound = _hyp2f1_bounded(*args)
+        assert _mp_rel_err(value, *args) > 1e-13
+        assert _mp_rel_err(value, *args) <= bound
+
+    def test_value_is_the_series_hyp2f1_sums(self):
+        for args in ((16.0, 1.0, 3.0, 0.99), (4.0, 1.5, 3.5, 0.3), (2.0, 2.0, 3.25, 0.0)):
+            assert _hyp2f1_bounded(*args)[0] == hyp2f1_series(*args, rel_tol=1e-13)[0]
+
+    def test_bound_covers_rounded_arguments(self):
+        # The caller's z, beta_ and gamma_ may each be off by arg_err.
+        mpmath = pytest.importorskip("mpmath")
+        arg_err = 8 * U
+        value, bound = _hyp2f1_bounded(16.0, 1.5, 3.5, 0.99, arg_err)
+        assert bound > _hyp2f1_bounded(16.0, 1.5, 3.5, 0.99)[1]
+        for sign in (-1, 1):
+            with mpmath.workdps(40):
+                err = sign * mpmath.mpf(arg_err)
+                moved = (16.0, 1.5 * (1 + err), 3.5 / (1 + err), mpmath.mpf(0.99) + err)
+            assert _mp_rel_err(value, *moved) <= bound
+
+    def test_bound_covers_sweep_wide_near_one(self):
+        # Every distinct 2F1 argument set with z >= 0.9 that the sweep_wide
+        # benchmark workload evaluates at seed 1 (its crosschecks read the
+        # closed forms at the instance triple).
+        workloads = runpy.run_path(str(WORKLOADS))
+        cfg = SweepConfig.from_dict(workloads["sweep_config"]("sweep_wide", 1))
+        memo: dict = {}
+        for inst in generate_instances(cfg)[0]:
+            for index in (2, 3, 5, 6, 8, 9, 11, 12):
+                closed_B(index, inst, memo=memo)
+        sets = sorted({key[1:5] for key in memo if key[0] == "2f1" and key[4] >= 0.9})
+        assert len(sets) > 500
+        for args in sets:
+            value, bound = _hyp2f1_bounded(*args)
+            assert _mp_rel_err(value, *args) <= bound, args
 
 
 @given(
