@@ -24,10 +24,10 @@ oracle path is authoritative everywhere downstream.
 Every 2F1 in a closed form is the Gauss series with its error bound
 (``specfun._hyp2f1_bounded``), never the Euler quadrature, so the closed
 forms and the oracle share no quadrature.  The evaluator also bounds the
-closed form's absolute error; where its terms cancel so far that a gap past
-the tolerance lies within that bound, ``crosscheck_B`` reports
-``ill_conditioned``: the printed form cannot be judged there, and the row
-passes.
+closed form's absolute error, read with the value from one evaluation; where
+the bound exceeds the tolerance and the gap lies within it, ``crosscheck_B``
+reports ``ill_conditioned``: the printed form cannot be judged there, and
+the row passes.
 
 The functions the sweep calls per row take a keyword-only ``memo``: a dict
 the caller creates for one instance, through which the rows share the
@@ -469,7 +469,7 @@ class BoundTerm:
     closed_form: float | None
     rel_diff: float | None
     status: str  # "ok" | "ill_conditioned" | "erratum_suspected" | "oracle_only"
-    # Absolute error bound of closed_form, computed only when rel_diff > tol.
+    # Absolute error bound of closed_form: 0.0 for the weight moments, None if oracle_only.
     bound: float | None = None
 
     @property
@@ -497,44 +497,42 @@ def crosscheck_B(
 ) -> BoundTerm:
     """Adjudicate one coefficient: defining integral vs printed form.
 
-    The status is ok when the relative difference is within tol.  Past tol,
-    a 2F1-based form is ill_conditioned when |closed - oracle| is within the
-    closed form's own error bound (its terms cancel so far that rounding
-    alone could explain the gap), and erratum_suspected otherwise.  The
-    oracle failing is fatal (AccuracyError, EvaluationError); the closed
-    form failing to evaluate demotes the term to oracle_only, which does not
-    pass, rather than killing the run.
+    The printed form is evaluated once, with its absolute error bound.  The
+    status is ok when both |closed - oracle| and the bound are within
+    tol * |oracle|; else ill_conditioned when the gap is within the bound
+    (the terms cancel so far that rounding alone could explain it), and
+    erratum_suspected past it.  The oracle failing is fatal (AccuracyError,
+    EvaluationError); the closed form failing to evaluate demotes the term
+    to oracle_only, which does not pass, rather than killing the run.
     """
     case = case_label(index, inst)
     _require_band(inst.mu_, inst.lambda_)
-    memo = {} if memo is None else memo  # the bound below re-reads closed_B's 2F1s
     kind = KIND_FOR_INDEX[index]
     p = _require_p(p) if kind.needs_p else None
     oracle = _oracle(kind, inst, p, settings, memo)
 
     closed: float | None
+    bound: float | None = 0.0  # the weight moments are polynomials: nothing cancels
     try:
         # The weight moments B1/B4 and B7/B10 come in (left, right) pairs.
         if kind.include_A:
-            closed = closed_B(index, inst, memo=memo)
+            closed, bound = _printed(index, inst, memo)
         elif kind.needs_p:
             closed = b7_b10(inst.mu_, inst.lambda_, p)[kind.side == "right"]
         else:
             closed = b1_b4(inst.mu_, inst.lambda_)[kind.side == "right"]
     except (AccuracyError, EvaluationError, ParameterError):
-        closed = None
+        closed, bound = None, None
 
-    bound = None
     if closed is None:
         rel, status = None, "oracle_only"
     else:
-        rel = abs(closed - oracle) / max(abs(oracle), 1e-300)
-        status = "ok"
-        if rel > tol:
-            # The weight moments are polynomials: no cancellation to allow for.
-            # A 2F1 form is evaluated again for its bound, its 2F1s from memo.
-            bound = _printed(index, inst, memo)[1] if kind.include_A else 0.0
-            status = "ill_conditioned" if abs(closed - oracle) <= bound else "erratum_suspected"
+        gap, scale = abs(closed - oracle), max(abs(oracle), 1e-300)
+        rel = gap / scale
+        if rel <= tol and bound <= tol * scale:
+            status = "ok"
+        else:
+            status = "ill_conditioned" if gap <= bound else "erratum_suspected"
     return BoundTerm(
         index=index, case=case, oracle=oracle, closed_form=closed,
         rel_diff=rel, status=status, bound=bound,

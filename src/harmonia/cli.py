@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .bounds import check_theorem, crosscheck_B, crosscheck_plan
+from .bounds import KIND_FOR_INDEX, PRESETS, check_theorem, crosscheck_B, crosscheck_plan
 from .convexity import GridSpec, check_harmonic_sm, linear, parse_function_spec
 from .errors import (
     AccuracyError,
@@ -68,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--q", type=float, required=True)
     pb.add_argument("--lambda", dest="lambda_", type=float)
     pb.add_argument("--mu", dest="mu_", type=float)
-    pb.add_argument("--preset", choices=("trapezoid", "midpoint", "simpson"))
+    pb.add_argument("--preset", choices=tuple(PRESETS))
     pb.add_argument("--path", choices=("oracle", "closed"), default="oracle")
 
     px = sub.add_parser("crosscheck", help="closed form vs oracle for coefficients")
@@ -140,8 +140,6 @@ def _cmd_verify_bounds(args: argparse.Namespace) -> int:
     if args.preset is not None:
         if args.lambda_ is not None or args.mu_ is not None:
             raise ConfigError("give either --preset or --lambda/--mu, not both")
-        from .bounds import PRESETS
-
         lam, mu = PRESETS[args.preset]
     else:
         if args.lambda_ is None or args.mu_ is None:
@@ -164,14 +162,14 @@ def _cmd_verify_bounds(args: argparse.Namespace) -> int:
 
 def _cmd_crosscheck(args: argparse.Namespace) -> int:
     if args.index == "all":
-        indices = list(range(1, 13))
+        indices = list(KIND_FOR_INDEX)
         explicit = False
     else:
         try:
             indices = [int(args.index)]
         except ValueError:
             raise ConfigError(f"--index must be 1..12 or 'all', got {args.index!r}") from None
-        if indices[0] not in range(1, 13):
+        if indices[0] not in KIND_FOR_INDEX:
             raise ConfigError(f"--index must be 1..12 or 'all', got {args.index!r}")
         explicit = True
     inst = Instance(

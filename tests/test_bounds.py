@@ -481,18 +481,42 @@ class TestIllConditioned:
         assert abs(term.closed_form - term.oracle) > 1e6 * term.bound
 
     def test_misprint_on_a_cancelling_form_is_flagged(self, monkeypatch):
-        printed = bounds.closed_B
+        printed = bounds._printed
 
-        def misprinted(index, inst, memo=None):
-            return printed(index, inst, memo=memo) * (1 + 1e-3)
+        def misprinted(index, inst, memo):
+            value, bound = printed(index, inst, memo)
+            return value * (1 + 1e-3), bound
 
-        monkeypatch.setattr(bounds, "closed_B", misprinted)
+        monkeypatch.setattr(bounds, "_printed", misprinted)
         term = crosscheck_B(11, self.CANCELS, p=4.0 / 3.0)
         assert term.status == "erratum_suspected" and not term.passed
 
-    def test_ok_rows_carry_no_bound(self):
+    def test_ok_rows_carry_their_bound(self):
         term = crosscheck_B(11, make(s=0.5, q=2.0), p=2.0)
-        assert term.status == "ok" and term.bound is None
+        assert term.status == "ok"
+        assert 0.0 < term.bound <= CROSSCHECK_TOL * abs(term.oracle)
+        moment = crosscheck_B(1, make(s=0.5, q=2.0))
+        assert moment.status == "ok" and moment.bound == 0.0
+
+    # Two sweep_wide (seed 3) B11 rows that land under tol, though their
+    # closed forms are off by the whole gap against a 50-digit referee: the
+    # bound, not the gap, says they cannot be judged.
+    @pytest.mark.parametrize(
+        "a, b, s, q, lam, mu",
+        [
+            (0.19217637478316485, 9.34765078608828, 0.75, 4.0,
+             0.8338207806798523, 0.44785101287070955),
+            (0.2706238156792558, 1.808083506356541, 0.25, 8.0,
+             0.5164194431284191, 0.15892822447323413),
+        ],
+        ids=["q4", "q8"],
+    )
+    def test_gap_under_tol_with_a_wider_bound_is_ill_conditioned(
+        self, a, b, s, q, lam, mu
+    ):
+        term = crosscheck_B(11, make(a=a, b=b, s=s, q=q, lam=lam, mu=mu), p=q / (q - 1.0))
+        assert term.rel_diff <= CROSSCHECK_TOL < term.bound / abs(term.oracle)
+        assert term.status == "ill_conditioned" and term.passed
 
     def test_pass_rule_accepts_ill_conditioned(self):
         term = BoundTerm(index=11, case="all", oracle=1.0, closed_form=1.1,

@@ -396,3 +396,9 @@ class TestConsoleScript:
 class TestPackageMetadata:
     def test_version_matches_pyproject(self):
         assert harmonia.__version__ == _project()["version"]
+
+    def test_test_extra_declares_the_referee(self):
+        # The 40- and 50-digit referee tests import mpmath; an installed test
+        # environment must have it rather than skip them.
+        extra = _project()["optional-dependencies"]["test"]
+        assert any(req.split(">")[0].strip() == "mpmath" for req in extra)

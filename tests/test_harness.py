@@ -426,6 +426,9 @@ class TestInstanceMemo:
 
         count(bounds, "kernel_oracle", _exact_oracle_key)
         count(bounds, "_hyp2f1_bounded", lambda *args: args)
+        # One closed-form evaluation per 2F1 row gives both its value and its bound.
+        count(bounds, "_evaluate",
+              lambda index, terms, inst, memo=None: (index, inst.lambda_, inst.mu_))
         count(identity, "integrate", lambda f, lo, hi, settings=None: (lo, hi, settings))
         payload = (
             0, inst, certify_instance(inst),
@@ -436,7 +439,7 @@ class TestInstanceMemo:
         for name, seen in keys.items():
             repeated = {k: n for k, n in seen.items() if n > 1}
             assert not repeated, (name, repeated)
-        assert keys["kernel_oracle"] and keys["_hyp2f1_bounded"]
+        assert keys["kernel_oracle"] and keys["_hyp2f1_bounded"] and keys["_evaluate"]
         assert keys["integrate"][(inst.a, inst.b, SMALL.quad)] == 1
         # B8, B9, B11 and B12 do not read lambda or mu: one integral serves
         # all four triples and the crosscheck.
