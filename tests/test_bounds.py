@@ -700,6 +700,45 @@ class TestCorollaries:
         assert PRESETS["simpson"] == (5.0 / 6.0, 1.0 / 6.0)
 
 
+class TestRhsPinnedBitwise:
+    # float.hex of (theorem1_rhs, theorem2_rhs, corollary_rhs theorem 1,
+    # corollary_rhs theorem 2) at the instance triple and the three presets.
+    # Refactors of the RHS assembly must keep every bit.
+    PINNED = {
+        (1.0, 2.3, 1.0, 1.0, 2.5, 0.8, 0.3): {
+            "instance": ("0x1.a0510ffbf268cp-1", "0x1.99743c47a023cp-1"),
+            "trapezoid": ("0x1.79134742ae02ep+0", "0x1.8512a1c5725f3p+0",
+                          "0x1.79134742ae02ep+0", "0x1.8512a1c5725f3p+0"),
+            "midpoint": ("0x1.31705a2e6fee7p+0", "0x1.8512a1c5725f3p+0",
+                         "0x1.31705a2e6fee7p+0", "0x1.8512a1c5725f3p+0"),
+            "simpson": ("0x1.740d5017231a7p-1", "0x1.bc0b0e21bc9a2p-1",
+                        "0x1.740d5017231a5p-1", "0x1.bc0b0e21bc9a2p-1"),
+        },
+        (0.7, 1.9, 0.45, 0.8, 3.0, 0.7, 0.2): {
+            "instance": ("0x1.6a9b338370250p-1", "0x1.959a5a8e7e2abp-1"),
+            "trapezoid": ("0x1.8078d1df2387cp+0", "0x1.8286bb20d8fc6p+0",
+                          "0x1.8078d1df2387cp+0", "0x1.8286bb20d8fc6p+0"),
+            "midpoint": ("0x1.2d9707d980df1p+0", "0x1.8286bb20d8fc6p+0",
+                         "0x1.2d9707d980df1p+0", "0x1.8286bb20d8fc6p+0"),
+            "simpson": ("0x1.7d0eb9dd97068p-1", "0x1.b661dc3eb2d4cp-1",
+                        "0x1.7d0eb9dd97066p-1", "0x1.b661dc3eb2d4bp-1"),
+        },
+    }
+
+    @pytest.mark.parametrize(
+        "point", sorted(PINNED), ids=lambda k: "a{}-b{}-s{}-m{}-q{}-lam{}-mu{}".format(*k)
+    )
+    def test_rhs_pinned_bitwise(self, point):
+        a, b, s, m, q, lam, mu = point
+        for name, expected in self.PINNED[point].items():
+            lam_, mu_ = PRESETS.get(name, (lam, mu))
+            inst = make(a=a, b=b, s=s, m=m, q=q, lam=lam_, mu=mu_, f=SQUARE)
+            got = [theorem1_rhs(inst).hex(), theorem2_rhs(inst).hex()]
+            if name in PRESETS:
+                got += [corollary_rhs(name, theorem, inst).hex() for theorem in (1, 2)]
+            assert tuple(got) == expected, name
+
+
 class TestCheckTheorem:
     def test_certified_square_passes_theorem1(self):
         inst = make(lam=0.5, mu=0.5, f=SQUARE)
