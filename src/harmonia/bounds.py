@@ -19,7 +19,7 @@ instead of silently patching, ``EXPECTED_COEFFICIENT_ERRATA`` freezes the
 adjudicated flag set, and ``corrected_B`` evaluates the hand-derived corrected
 forms (each one oracle-backed by tests).  Both closed-form paths read one term
 table: ``PRINTED`` holds the printed forms, ``PATCHES`` the corrections.  The
-oracle path is authoritative everywhere downstream.
+theorem right-hand sides read the oracles only.
 
 Every 2F1 in a closed form is the Gauss series with its error bound
 (``specfun._hyp2f1_bounded``), never the Euler quadrature, so the closed
@@ -156,14 +156,6 @@ def crosscheck_plan(q: float) -> tuple[float | None, tuple[int, ...]]:
     if q > 1.0:
         return q / (q - 1.0), tuple(KIND_FOR_INDEX)
     return None, tuple(i for i, kind in KIND_FOR_INDEX.items() if not kind.needs_p)
-
-
-def _theorem2_p(q: float, what: str) -> float:
-    """The conjugate exponent theorem 2 needs; ParameterError where q has none."""
-    p, _ = crosscheck_plan(q)
-    if p is None:
-        raise ParameterError(f"{what} requires q > 1, got q={q!r}")
-    return p
 
 
 def _centre(kind: KernelKind, inst: Instance) -> float | None:
@@ -385,7 +377,8 @@ def _evaluate(
     14u while x or 1 - x is above e^-8 (below that the term is negligible
     in the sum).  In all, (28 + 5.4q)u <= (32 + 6q)u.
     ``memo`` computes each distinct F(2q, beta; gamma; argument) once.  An
-    overflow or a division by zero raises EvaluationError.
+    overflow, a division by zero or a value or bound that is not finite
+    raises EvaluationError.
     """
     try:
         a, b, s, q = inst.a, inst.b, inst.s, inst.q
@@ -418,6 +411,8 @@ def _evaluate(
             bound += abs(term) * (f_err + form_err)
     except (OverflowError, ZeroDivisionError) as exc:
         raise EvaluationError(f"closed form of B{index} raised {exc!r}") from exc
+    if not (math.isfinite(total) and math.isfinite(bound)):
+        raise EvaluationError(f"closed form of B{index} is {total!r} with bound {bound!r}")
     return total, bound
 
 
@@ -437,7 +432,7 @@ def _printed(index: int, inst: Instance, memo: dict | None) -> tuple[float, floa
     return _evaluate(index, PRINTED[_case_key(index, inst)], inst, memo)
 
 
-def closed_B(index: int, inst: Instance, *, memo: dict | None = None) -> float:
+def closed_B(index: int, inst: Instance) -> float:
     """The printed closed form for one 2F1-based coefficient.
 
     Statement-version transcription (where statement and proof tables
@@ -445,7 +440,7 @@ def closed_B(index: int, inst: Instance, *, memo: dict | None = None) -> float:
     misprinted value on purpose, and crosscheck_B adjudicates them
     against the oracle.  Every 2F1 is the Gauss series; no quadrature runs.
     """
-    return _printed(index, inst, memo)[0]
+    return _printed(index, inst, None)[0]
 
 
 def corrected_B(index: int, inst: Instance) -> float:
@@ -539,53 +534,48 @@ def crosscheck_B(
     )
 
 
-def _bracket(value: float, path: str) -> float:
-    if value < 0.0:
-        # Only a misprinted closed form can go negative; the oracle path
-        # integrates nonnegative integrands.
-        raise AccuracyError(
-            f"negative bracket on the {path} path (misprinted coefficient)",
-            bracket=value,
-        )
-    return value
-
-
 def _braces(
     inst: Instance,
-    indices: tuple[int, int, int, int],
+    theorem: int,
     fa_q: float | None,
     fbm_q: float | None,
-    path: str,
     settings: QuadSettings | None,
     memo: dict | None = None,
-) -> tuple[float, float, float]:
-    """ab(b-a) and the checked braces fa_q B_i + m fbm_q B_j, fa_q B_k + m fbm_q B_l."""
+) -> tuple[float, tuple[float, float], tuple[float, float]]:
+    """ab(b-a), the weight-moment factors and the braces of one theorem's RHS.
+
+    Theorem 1 reads (B2, B3, B5, B6) with the factors B1^(1-1/q), B4^(1-1/q);
+    theorem 2 reads (B8, B9, B11, B12) with B7^(1/p), B10^(1/p).  The braces
+    are fa_q B_i + m fbm_q B_j and fa_q B_k + m fbm_q B_l, each B an oracle:
+    a positive-weight sum of a nonnegative integrand, so no brace is negative.
+    """
     _require_band(inst.mu_, inst.lambda_)
-    if path not in ("oracle", "closed_form"):
-        raise ParameterError(f"path must be 'oracle' or 'closed_form', got {path!r}")
+    q = inst.q
+    if theorem == 1:
+        indices = (2, 3, 5, 6)
+        weights = tuple(w ** (1.0 - 1.0 / q) for w in b1_b4(inst.mu_, inst.lambda_))
+    else:
+        p, _ = crosscheck_plan(q)
+        if p is None:
+            raise ParameterError(f"theorem 2 requires q > 1, got q={q!r}")
+        indices = (8, 9, 11, 12)
+        weights = tuple(w ** (1.0 / p) for w in b7_b10(inst.mu_, inst.lambda_, p))
     if fa_q is None:
-        fa_q = abs(inst.f.deriv(inst.a)) ** inst.q
+        fa_q = abs(inst.f.deriv(inst.a)) ** q
     if fbm_q is None:
-        fbm_q = abs(inst.f.deriv(inst.b / inst.m)) ** inst.q
+        fbm_q = abs(inst.f.deriv(inst.b / inst.m)) ** q
     for name, val in (("fa_q", fa_q), ("fbm_q", fbm_q)):
         if not (isinstance(val, (int, float)) and math.isfinite(val) and val >= 0.0):
             raise ParameterError(f"{name} must be a finite nonnegative real, got {val!r}")
-    if path == "oracle":
-        bi, bj, bk, bl = (
-            _oracle(KIND_FOR_INDEX[i], inst, None, settings, memo) for i in indices
-        )
-    else:
-        bi, bj, bk, bl = (closed_B(i, inst, memo=memo) for i in indices)
-    left = _bracket(fa_q * bi + inst.m * fbm_q * bj, path)
-    right = _bracket(fa_q * bk + inst.m * fbm_q * bl, path)
-    return inst.a * inst.b * (inst.b - inst.a), left, right
+    bi, bj, bk, bl = (_oracle(KIND_FOR_INDEX[i], inst, None, settings, memo) for i in indices)
+    braces = (fa_q * bi + inst.m * fbm_q * bj, fa_q * bk + inst.m * fbm_q * bl)
+    return inst.a * inst.b * (inst.b - inst.a), weights, braces
 
 
 def theorem1_rhs(
     inst: Instance,
     fa_q: float | None = None,
     fbm_q: float | None = None,
-    path: str = "oracle",
     settings: QuadSettings | None = None,
     *,
     memo: dict | None = None,
@@ -597,20 +587,14 @@ def theorem1_rhs(
     with the 1/q exponent applied to both braces.  fa_q and fbm_q default
     to |f'(a)|^q and |f'(b/m)|^q of the instance's own function.
     """
-    scale, left, right = _braces(inst, (2, 3, 5, 6), fa_q, fbm_q, path, settings, memo)
-    q = inst.q
-    b1, b4 = b1_b4(inst.mu_, inst.lambda_)
-    return scale * (
-        b1 ** (1.0 - 1.0 / q) * left ** (1.0 / q)
-        + b4 ** (1.0 - 1.0 / q) * right ** (1.0 / q)
-    )
+    scale, (w1, w4), (left, right) = _braces(inst, 1, fa_q, fbm_q, settings, memo)
+    return scale * (w1 * left ** (1.0 / inst.q) + w4 * right ** (1.0 / inst.q))
 
 
 def theorem2_rhs(
     inst: Instance,
     fa_q: float | None = None,
     fbm_q: float | None = None,
-    path: str = "oracle",
     settings: QuadSettings | None = None,
     *,
     memo: dict | None = None,
@@ -618,18 +602,11 @@ def theorem2_rhs(
     """Conjugate-exponent right-hand side, valid for q > 1 (p = q/(q-1)).
 
     ab(b-a) * { B7^(1/p) (fa_q B8 + m fbm_q B9)^(1/q)
-              + B10^(1/p) (fa_q B11 + m fbm_q B12)^(1/q) }.
+              + B10^(1/p) (fa_q B11 + m fbm_q B12)^(1/q) },
+    the weight moments B7 and B10 elementary and exact, the braces oracles.
     """
-    p = _theorem2_p(inst.q, "theorem2_rhs")
-    # The weight moments are elementary and exact; path only selects how
-    # the disputed 2F1-based entries are evaluated.
-    scale, left, right = _braces(inst, (8, 9, 11, 12), fa_q, fbm_q, path, settings, memo)
-    q = inst.q
-    b7, b10 = b7_b10(inst.mu_, inst.lambda_, p)
-    return scale * (
-        b7 ** (1.0 / p) * left ** (1.0 / q)
-        + b10 ** (1.0 / p) * right ** (1.0 / q)
-    )
+    scale, (w7, w10), (left, right) = _braces(inst, 2, fa_q, fbm_q, settings, memo)
+    return scale * (w7 * left ** (1.0 / inst.q) + w10 * right ** (1.0 / inst.q))
 
 
 def corollary_rhs(
@@ -638,7 +615,6 @@ def corollary_rhs(
     inst: Instance,
     fa_q: float | None = None,
     fbm_q: float | None = None,
-    path: str = "oracle",
     settings: QuadSettings | None = None,
 ) -> float:
     """Specialized RHS at a preset triple, prefactor pulled out.
@@ -657,14 +633,8 @@ def corollary_rhs(
             f"instance triple (lambda_={inst.lambda_!r}, mu_={inst.mu_!r}) does not "
             f"match preset {kind!r} ({lam!r}, {mu!r})"
         )
+    scale, (weight, _), (left, right) = _braces(inst, theorem, fa_q, fbm_q, settings)
     q = inst.q
-    if theorem == 1:
-        scale, left, right = _braces(inst, (2, 3, 5, 6), fa_q, fbm_q, path, settings)
-        weight = b1_b4(mu, lam)[0] ** (1.0 - 1.0 / q)
-    else:
-        p = _theorem2_p(q, "corollary_rhs for theorem 2")
-        scale, left, right = _braces(inst, (8, 9, 11, 12), fa_q, fbm_q, path, settings)
-        weight = b7_b10(mu, lam, p)[0] ** (1.0 / p)
     return scale * weight * (left ** (1.0 / q) + right ** (1.0 / q))
 
 
@@ -689,7 +659,6 @@ class Verdict:
     rhs: float
     margin: float
     passed: bool
-    path: str
 
 
 def _hypothesis(inst: Instance, grid: GridSpec | None) -> tuple[FunctionSpec, GridSpec]:
@@ -721,7 +690,6 @@ def check_theorem(
     inst: Instance,
     theorem: int,
     settings: QuadSettings | None = None,
-    path: str = "oracle",
     certificate=None,
     margin_tol: float = MARGIN_TOL,
     *,
@@ -733,10 +701,10 @@ def check_theorem(
     ConvexityReport as ``certificate`` to reuse one computed elsewhere,
     otherwise a default grid certification runs here.  An instance whose
     certificate does not hold raises PreconditionError, never a silent
-    verdict.  The oracle path is authoritative; closed_form exists to
-    exercise the printed coefficient tables.  ``memo`` (a dict owned by the
-    caller) shares the integral average, the oracles and the 2F1 values
-    between calls on one instance; the verdict is the same without it.
+    verdict.  The RHS reads the coefficient oracles only; the printed
+    coefficient tables are judged by crosscheck_B.  ``memo`` (a dict owned
+    by the caller) shares the integral average and the oracles between
+    calls on one instance; the verdict is the same without it.
     """
     if theorem not in (1, 2):
         raise ParameterError(f"theorem must be 1 or 2, got {theorem!r}")
@@ -751,11 +719,10 @@ def check_theorem(
         )
     lhs = abs(rule_deviation(inst, settings, memo=memo))
     if theorem == 1:
-        rhs = theorem1_rhs(inst, path=path, settings=settings, memo=memo)
+        rhs = theorem1_rhs(inst, settings=settings, memo=memo)
     else:
-        rhs = theorem2_rhs(inst, path=path, settings=settings, memo=memo)
+        rhs = theorem2_rhs(inst, settings=settings, memo=memo)
     margin = rhs - lhs
     return Verdict(
-        theorem=theorem, lhs=lhs, rhs=rhs, margin=margin,
-        passed=margin >= -margin_tol, path=path,
+        theorem=theorem, lhs=lhs, rhs=rhs, margin=margin, passed=margin >= -margin_tol
     )

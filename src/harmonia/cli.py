@@ -25,7 +25,7 @@ from .errors import (
     PreconditionError,
 )
 from .harness import SweepConfig, emit_report, run_sweep
-from .identity import IDENTITY_TOL
+from .identity import IDENTITY_TOL, _require_tol
 from .identity import Instance, check_identity, kernel_representation, rule_deviation_as_printed
 
 
@@ -69,7 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--lambda", dest="lambda_", type=float)
     pb.add_argument("--mu", dest="mu_", type=float)
     pb.add_argument("--preset", choices=tuple(PRESETS))
-    pb.add_argument("--path", choices=("oracle", "closed"), default="oracle")
 
     px = sub.add_parser("crosscheck", help="closed form vs oracle for coefficients")
     px.add_argument("--index", default="all", help="1..12 or 'all'")
@@ -116,6 +115,7 @@ def _cmd_verify_identity(args: argparse.Namespace) -> int:
         a=args.a, b=args.b, s=1.0, m=1.0, q=1.0,
         lambda_=args.lambda_, mu_=args.mu_, f=f,
     )
+    _require_tol(args.tol)
     if args.printed:
         printed = rule_deviation_as_printed(inst)
         rhs = kernel_representation(inst)
@@ -150,9 +150,8 @@ def _cmd_verify_bounds(args: argparse.Namespace) -> int:
         a=args.a, b=args.b, s=args.s, m=args.m, q=args.q,
         lambda_=lam, mu_=mu, f=f,
     )
-    path = "closed_form" if args.path == "closed" else "oracle"
-    verdict = check_theorem(inst, args.theorem, path=path)
-    print(f"theorem {verdict.theorem}  path {verdict.path}")
+    verdict = check_theorem(inst, args.theorem)
+    print(f"theorem {verdict.theorem}")
     print(f"lhs |I_f|  {verdict.lhs:.10g}")
     print(f"rhs bound  {verdict.rhs:.10g}")
     print(f"margin     {verdict.margin:.6e}")

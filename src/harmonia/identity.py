@@ -169,6 +169,12 @@ def kernel_representation(
     return ab * (b - a) * (lower + upper)
 
 
+def _require_tol(tol: float) -> None:
+    """ParameterError unless tol is a positive finite identity tolerance."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ParameterError(f"tol must be positive and finite, got {tol!r}")
+
+
 def check_identity(
     inst: Instance,
     settings: QuadSettings | None = None,
@@ -177,8 +183,7 @@ def check_identity(
     memo: dict | None = None,
 ) -> IdentityCheck:
     """Compare the node form against the kernel representation."""
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ParameterError(f"tol must be positive and finite, got {tol!r}")
+    _require_tol(tol)
     lhs = rule_deviation(inst, settings, memo=memo)
     rhs = kernel_representation(inst, settings)
     abs_diff = abs(lhs - rhs)

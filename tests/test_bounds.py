@@ -454,6 +454,18 @@ class TestAdjudication:
         assert term.status == "oracle_only" and not term.passed
         assert term.oracle > 0.0
 
+    @pytest.mark.parametrize("index", [5, 6, 11])
+    def test_closed_form_that_is_not_finite_demotes_to_oracle_only(self, index):
+        # The oracles are ~1e302, and a term's product F / b^2q passes 1e308:
+        # a float product overflows to inf without an OverflowError, and
+        # inf - inf is nan.
+        inst = make(a=0.01, b=0.05, s=0.25, q=100.0, lam=0.8, mu=0.3)
+        with pytest.raises(EvaluationError, match="with bound"):
+            closed_B(index, inst)
+        term = crosscheck_B(index, inst)
+        assert term.status == "oracle_only" and not term.passed
+        assert math.isfinite(term.oracle)
+
     def test_oracle_division_by_zero_is_evaluation_error(self):
         # A^400 underflows to 0 near t = 0 when a = 0.05.
         inst = make(a=0.05, b=0.5, s=0.5, q=200.0, lam=0.8, mu=0.3)
@@ -628,18 +640,6 @@ class TestTheorem1:
         with pytest.raises(ParameterError):
             theorem1_rhs(make(lam=0.3))
 
-    def test_path_validation(self):
-        with pytest.raises(ParameterError):
-            theorem1_rhs(self.GOLDEN, path="fast")
-
-    def test_closed_path_evaluates(self):
-        oracle = theorem1_rhs(self.GOLDEN, path="oracle")
-        closed = theorem1_rhs(self.GOLDEN, path="closed_form")
-        assert math.isfinite(closed) and closed > 0.0
-        # B3's printed branch is flagged at every case, so the closed path
-        # needs to be visibly different from the oracle here
-        assert abs(closed - oracle) / oracle > 1e-6
-
 
 class TestTheorem2:
     def test_rejects_q_at_most_one(self):
@@ -658,14 +658,6 @@ class TestTheorem2:
         base = theorem2_rhs(inst, fa_q=1.0, fbm_q=1.0)
         assert theorem2_rhs(inst, fa_q=3.0, fbm_q=1.0) > base
         assert theorem2_rhs(inst, fa_q=1.0, fbm_q=3.0) > base
-
-    def test_paths_share_the_weight_moments(self):
-        # B7/B10 are elementary and exact; only the 2F1 entries switch, so
-        # the preset prefactors agree between paths to full precision
-        inst = make(s=0.8, q=2.0, lam=0.5, mu=0.5)
-        for path in ("oracle", "closed_form"):
-            val = theorem2_rhs(inst, path=path)
-            assert math.isfinite(val) and val > 0.0
 
 
 class TestCorollaries:
@@ -752,7 +744,6 @@ class TestCheckTheorem:
         v = check_theorem(inst, 2)
         assert v.passed
         assert v.theorem == 2
-        assert v.path == "oracle"
 
     def test_uncertified_instance_rejected(self):
         # |f'|^q of the sqrt family is x^(-q/2): at s=1 it lies outside the

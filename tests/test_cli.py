@@ -118,6 +118,15 @@ class TestVerifyIdentity:
         rc = main(["verify-identity", *IDENTITY_ARGS, "--printed", "--tol", "10"])
         assert rc == 0
 
+    @pytest.mark.parametrize("printed", [[], ["--printed"]], ids=["kernel", "printed"])
+    @pytest.mark.parametrize("tol", ["inf", "-1", "nan", "0"])
+    def test_bad_tolerance_is_usage_error(self, tol, printed, capsys):
+        rc = main(["verify-identity", *IDENTITY_ARGS, *printed, f"--tol={tol}"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error: tol must be positive and finite")
+        assert captured.out == ""
+
     def test_invalid_interval_is_usage_error(self, capsys):
         rc = main(["verify-identity", "--f", "linear", "--a", "2", "--b", "1",
                    "--lambda", "0.5", "--mu", "0.5"])
@@ -154,13 +163,6 @@ class TestVerifyBounds:
                    "--s", "1", "--m", "1", "--q", "1", "--preset", "midpoint"])
         assert rc == 2
         assert "error" in capsys.readouterr().err
-
-    def test_closed_path_selectable(self, capsys):
-        rc = main(["verify-bounds", "--theorem", "2", *SQUARE_INST,
-                   "--preset", "simpson", "--path", "closed"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "path closed_form" in out
 
 
 class TestCrosscheck:
@@ -210,6 +212,17 @@ class TestCrosscheck:
                    "--s", "0.5", "--m", "1", "--q", "8", "--lambda", "0.8", "--mu", "0.3"])
         out = capsys.readouterr().out
         assert "oracle_only" in out
+        assert "FAIL" in out and "PASS" not in out
+        assert rc == 1
+
+    @pytest.mark.parametrize("index", ["5", "6", "11"])
+    def test_closed_form_that_is_not_finite_fails(self, index, capsys):
+        # The printed form overflows to inf or nan here; it is oracle_only,
+        # never an erratum verdict or an ill_conditioned pass.
+        rc = main(["crosscheck", "--index", index, "--a", "0.01", "--b", "0.05",
+                   "--s", "0.25", "--m", "1", "--q", "100", "--lambda", "0.8", "--mu", "0.3"])
+        out = capsys.readouterr().out
+        assert "oracle_only" in out and "closed ---" in out
         assert "FAIL" in out and "PASS" not in out
         assert rc == 1
 

@@ -18,7 +18,7 @@ from harmonia import (
     ParameterError,
     SweepConfig,
     beta,
-    closed_B,
+    bounds,
     gamma,
     gamma_integral,
     generate_instances,
@@ -247,14 +247,14 @@ class TestBoundedSeries:
 
     def test_bound_covers_sweep_wide_near_one(self):
         # Every distinct 2F1 argument set with z >= 0.9 that the sweep_wide
-        # benchmark workload evaluates at seed 1 (its crosschecks read the
-        # closed forms at the instance triple).
+        # benchmark workload evaluates at seed 1: its crosschecks read the
+        # closed forms at the instance triple through this call.
         workloads = runpy.run_path(str(WORKLOADS))
         cfg = SweepConfig.from_dict(workloads["sweep_config"]("sweep_wide", 1))
         memo: dict = {}
         for inst in generate_instances(cfg)[0]:
             for index in (2, 3, 5, 6, 8, 9, 11, 12):
-                closed_B(index, inst, memo=memo)
+                bounds._printed(index, inst, memo)
         sets = sorted({key[1:5] for key in memo if key[0] == "2f1" and key[4] >= 0.9})
         assert len(sets) > 500
         for args in sets:
