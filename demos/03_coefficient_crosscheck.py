@@ -49,15 +49,13 @@ def main():
     b1, b4 = b1_b4(inst.mu_, inst.lambda_)
     b7, b10 = b7_b10(inst.mu_, inst.lambda_, p)
     for index, closed in ((1, b1), (4, b4), (7, b7), (10, b10)):
-        needs_p = index in (7, 10)
-        oracle = kernel_oracle(KIND_FOR_INDEX[index], inst,
-                               p_or_q=p if needs_p else None)
+        oracle = kernel_oracle(KIND_FOR_INDEX[index], inst)
         print(f"  B{index:<3} closed {closed:.12f}  oracle {oracle:.12f}  "
               f"|rel| {abs(closed - oracle) / oracle:.1e}")
 
     banner("full cross-check table at one instance (status vs the locked set)")
     for index in range(1, 13):
-        term = crosscheck_B(index, inst, p=p)
+        term = crosscheck_B(index, inst)
         closed = "---" if term.closed_form is None else f"{term.closed_form:.8f}"
         print(f"  B{index:<3} {term.case:<10} oracle {term.oracle:.8f}  "
               f"closed {closed:<12} rel {term.rel_diff:.1e}  {tag(term)}")
@@ -68,7 +66,7 @@ def main():
     # A misprint of 1e-3 on the same form still stands out.
     far = Instance(a=0.1264001506117494, b=6.6668316096031415, s=0.75, m=1.0,
                    q=4.0, lambda_=0.8411103263737205, mu_=0.3367390116847893, f=linear())
-    term = crosscheck_B(11, far, p=far.q / (far.q - 1.0))
+    term = crosscheck_B(11, far)
     gap = abs(term.closed_form - term.oracle)
     print(f"  B11 oracle {term.oracle:.6e}  closed {term.closed_form:.6e}  "
           f"rel {term.rel_diff:.1e}  {tag(term)}")
@@ -77,8 +75,7 @@ def main():
 
     banner("corrected forms repair every flagged case")
     for index in (2, 3, 5, 6, 8, 9, 11, 12):
-        oracle = kernel_oracle(KIND_FOR_INDEX[index], inst,
-                               p_or_q=p if index in (8, 9, 11, 12) else None)
+        oracle = kernel_oracle(KIND_FOR_INDEX[index], inst)
         fixed = corrected_B(index, inst)
         print(f"  B{index:<3} corrected {fixed:.12f}  oracle {oracle:.12f}  "
               f"|rel| {abs(fixed - oracle) / oracle:.1e}")

@@ -44,6 +44,7 @@ from dataclasses import dataclass
 from .convexity import (
     FunctionSpec,
     GridSpec,
+    _require_tol,
     abs_deriv_pow,
     check_harmonic_sm,
     refuted_on_subgrid,
@@ -94,7 +95,7 @@ class KernelKind:
 
     @property
     def needs_p(self) -> bool:
-        """The weight is raised to the conjugate exponent p (B7, B10)."""
+        """The weight is raised to the conjugate exponent p = q/(q-1) (B7, B10)."""
         return self.weight == "abs_weight_pow_p"
 
 
@@ -148,14 +149,21 @@ def _require_p(p: object) -> float:
     return p
 
 
-def crosscheck_plan(q: float) -> tuple[float | None, tuple[int, ...]]:
-    """(p, indices): the conjugate exponent p = q/(q-1) and the coefficients
-    crosscheck_B can adjudicate at q.  At q = 1 there is no conjugate
-    exponent, so p is None and B7 and B10, which need it, are left out.
+def _conjugate(q: float) -> float:
+    """The conjugate exponent p = q/(q-1) of theorem 2's Holder step, for q > 1."""
+    if not q > 1.0:
+        raise ParameterError(f"the conjugate exponent p = q/(q-1) requires q > 1, got q={q!r}")
+    return q / (q - 1.0)
+
+
+def crosscheck_plan(q: float) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(theorems, indices): the theorems check_theorem and the coefficients
+    crosscheck_B can judge at q.  At q = 1 there is no conjugate exponent,
+    so theorem 2 and B7 and B10, which need it, are left out.
     """
     if q > 1.0:
-        return q / (q - 1.0), tuple(KIND_FOR_INDEX)
-    return None, tuple(i for i, kind in KIND_FOR_INDEX.items() if not kind.needs_p)
+        return (1, 2), tuple(KIND_FOR_INDEX)
+    return (1,), tuple(i for i, kind in KIND_FOR_INDEX.items() if not kind.needs_p)
 
 
 def _centre(kind: KernelKind, inst: Instance) -> float | None:
@@ -170,14 +178,12 @@ def _centre(kind: KernelKind, inst: Instance) -> float | None:
 def kernel_oracle(
     kind: KernelKind,
     inst: Instance,
-    p_or_q: float | None = None,
     settings: QuadSettings | None = None,
 ) -> float:
     """Direct quadrature of one proof integral.
 
-    ``p_or_q`` supplies the exponent p for the abs_weight_pow_p weight
-    (required there, > 1); the A^2q power always uses inst.q.  The weight
-    is |c - t| (to the power p for abs_weight_pow_p), centred on mu_ or
+    The weight is |c - t| (to the conjugate exponent p = q/(q-1) of inst.q
+    for abs_weight_pow_p, so ParameterError at q = 1), centred on mu_ or
     lambda_; the half is split at c, the weight's kink, when c lies strictly
     inside it.  The weight "none" has no kink, so B8, B9, B11 and B12 are
     one panel and do not depend on mu_ or lambda_.  Each panel is
@@ -190,7 +196,7 @@ def kernel_oracle(
     a, b, s, q = inst.a, inst.b, inst.s, inst.q
     lo, hi = (0.0, 0.5) if kind.side == "left" else (0.5, 1.0)
     centre = _centre(kind, inst)
-    p = _require_p(p_or_q) if kind.needs_p else None
+    p = _conjugate(q) if kind.needs_p else None
 
     # Read the kind once here, not on every evaluation.
     t_pow_s = kind.factor == "t_pow_s"
@@ -221,15 +227,11 @@ def kernel_oracle(
 
 
 def _oracle(
-    kind: KernelKind,
-    inst: Instance,
-    p: float | None,
-    settings: QuadSettings | None,
-    memo: dict | None,
+    kind: KernelKind, inst: Instance, settings: QuadSettings | None, memo: dict | None
 ) -> float:
     """kernel_oracle through the memo, keyed by everything its integral reads."""
-    key = ("oracle", kind, inst.a, inst.b, inst.s, inst.q, _centre(kind, inst), p, settings)
-    return _memoized(memo, key, kernel_oracle, kind, inst, p_or_q=p, settings=settings)
+    key = ("oracle", kind, inst.a, inst.b, inst.s, inst.q, _centre(kind, inst), settings)
+    return _memoized(memo, key, kernel_oracle, kind, inst, settings=settings)
 
 
 def b1_b4(mu_: float, lambda_: float) -> tuple[float, float]:
@@ -484,7 +486,6 @@ class BoundTerm:
 def crosscheck_B(
     index: int,
     inst: Instance,
-    p: float | None = None,
     settings: QuadSettings | None = None,
     tol: float = CROSSCHECK_TOL,
     *,
@@ -492,6 +493,7 @@ def crosscheck_B(
 ) -> BoundTerm:
     """Adjudicate one coefficient: defining integral vs printed form.
 
+    B7 and B10, moments of order p = q/(q-1), raise ParameterError at q = 1.
     The printed form is evaluated once, with its absolute error bound.  The
     status is ok when both |closed - oracle| and the bound are within
     tol * |oracle|; else ill_conditioned when the gap is within the bound
@@ -502,9 +504,9 @@ def crosscheck_B(
     """
     case = case_label(index, inst)
     _require_band(inst.mu_, inst.lambda_)
+    _require_tol(tol)
     kind = KIND_FOR_INDEX[index]
-    p = _require_p(p) if kind.needs_p else None
-    oracle = _oracle(kind, inst, p, settings, memo)
+    oracle = _oracle(kind, inst, settings, memo)
 
     closed: float | None
     bound: float | None = 0.0  # the weight moments are polynomials: nothing cancels
@@ -513,7 +515,7 @@ def crosscheck_B(
         if kind.include_A:
             closed, bound = _printed(index, inst, memo)
         elif kind.needs_p:
-            closed = b7_b10(inst.mu_, inst.lambda_, p)[kind.side == "right"]
+            closed = b7_b10(inst.mu_, inst.lambda_, _conjugate(inst.q))[kind.side == "right"]
         else:
             closed = b1_b4(inst.mu_, inst.lambda_)[kind.side == "right"]
     except (AccuracyError, EvaluationError, ParameterError):
@@ -555,9 +557,7 @@ def _braces(
         indices = (2, 3, 5, 6)
         weights = tuple(w ** (1.0 - 1.0 / q) for w in b1_b4(inst.mu_, inst.lambda_))
     else:
-        p, _ = crosscheck_plan(q)
-        if p is None:
-            raise ParameterError(f"theorem 2 requires q > 1, got q={q!r}")
+        p = _conjugate(q)
         indices = (8, 9, 11, 12)
         weights = tuple(w ** (1.0 / p) for w in b7_b10(inst.mu_, inst.lambda_, p))
     if fa_q is None:
@@ -567,7 +567,7 @@ def _braces(
     for name, val in (("fa_q", fa_q), ("fbm_q", fbm_q)):
         if not (isinstance(val, (int, float)) and math.isfinite(val) and val >= 0.0):
             raise ParameterError(f"{name} must be a finite nonnegative real, got {val!r}")
-    bi, bj, bk, bl = (_oracle(KIND_FOR_INDEX[i], inst, None, settings, memo) for i in indices)
+    bi, bj, bk, bl = (_oracle(KIND_FOR_INDEX[i], inst, settings, memo) for i in indices)
     braces = (fa_q * bi + inst.m * fbm_q * bj, fa_q * bk + inst.m * fbm_q * bl)
     return inst.a * inst.b * (inst.b - inst.a), weights, braces
 
@@ -708,7 +708,10 @@ def check_theorem(
     """
     if theorem not in (1, 2):
         raise ParameterError(f"theorem must be 1 or 2, got {theorem!r}")
+    if theorem == 2:
+        _conjugate(inst.q)  # a usage error, reported before the certification
     _require_band(inst.mu_, inst.lambda_)
+    _require_tol(margin_tol, "margin_tol")
     if certificate is None:
         certificate = certify_instance(inst)
     if not certificate.holds:

@@ -15,7 +15,7 @@ import json
 import sys
 
 from .bounds import KIND_FOR_INDEX, PRESETS, check_theorem, crosscheck_B, crosscheck_plan
-from .convexity import GridSpec, check_harmonic_sm, linear, parse_function_spec
+from .convexity import GridSpec, _require_tol, check_harmonic_sm, linear, parse_function_spec
 from .errors import (
     AccuracyError,
     ConfigError,
@@ -25,8 +25,8 @@ from .errors import (
     PreconditionError,
 )
 from .harness import SweepConfig, emit_report, run_sweep
-from .identity import IDENTITY_TOL, _require_tol
-from .identity import Instance, check_identity, kernel_representation, rule_deviation_as_printed
+from .identity import IDENTITY_TOL, Instance, check_identity
+from .identity import kernel_representation, rule_deviation_as_printed
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -175,18 +175,14 @@ def _cmd_crosscheck(args: argparse.Namespace) -> int:
         a=args.a, b=args.b, s=args.s, m=args.m, q=args.q,
         lambda_=args.lambda_, mu_=args.mu_, f=linear(),
     )
-    p, feasible = crosscheck_plan(inst.q)
+    _, feasible = crosscheck_plan(inst.q)
     memo: dict = {}  # the coefficients share their oracles and 2F1 values, as in a sweep
     violations = 0
     for index in indices:
-        if index not in feasible:
-            if explicit:
-                raise ParameterError(
-                    f"B{index} needs the conjugate exponent p = q/(q-1); q=1 has none"
-                )
+        if index not in feasible and not explicit:
             print(f"B{index:<2} skipped (q=1: conjugate exponent undefined)")
             continue
-        term = crosscheck_B(index, inst, p=p, memo=memo)
+        term = crosscheck_B(index, inst, memo=memo)
         closed = "---" if term.closed_form is None else f"{term.closed_form:.12g}"
         rel = "---" if term.rel_diff is None else f"{term.rel_diff:.3e}"
         tag = term.status

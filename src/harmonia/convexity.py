@@ -52,6 +52,12 @@ _KINDS: dict[str, tuple[tuple[str, ...], tuple[int, int | None], str | None]] = 
 }
 
 
+def _require_tol(tol: float, name: str = "tol") -> None:
+    """ParameterError unless tol is a positive finite tolerance."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ParameterError(f"{name} must be positive and finite, got {tol!r}")
+
+
 def _require_sm(s: float, m: float) -> None:
     if not (isinstance(s, (int, float)) and 0.0 < s <= 1.0):
         raise ParameterError(f"s must lie in (0, 1], got {s!r}")
@@ -422,6 +428,7 @@ def _verdict(
     f: FunctionSpec, s: float, m: float, grid: GridSpec, defect_tol: float, harmonic: bool
 ) -> ConvexityReport:
     _check_grid_args(f, s, m, grid)
+    _require_tol(defect_tol, "defect_tol")
     xs, ys, ts = _grid_axes(grid)
     defect = _defect(f, s, m, xs, ys, ts, harmonic)
     # C-order argmax returns the first maximizer, which is the
@@ -537,6 +544,7 @@ def reflection_witness(
     - f(a*b/x).  The caller certifies the convexity hypothesis.
     """
     _require_sm(s, m)
+    _require_tol(defect_tol, "defect_tol")
     if not (0.0 < a < b):
         raise ParameterError(f"need 0 < a < b, got a={a!r}, b={b!r}")
     if not (a <= x <= b):

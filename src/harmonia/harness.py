@@ -386,9 +386,9 @@ def _instance_rows(payload: tuple) -> tuple[list[Row], list[dict]]:
     except (AccuracyError, EvaluationError):
         rows.append(_row(inst_id, family, inst, "identity"))
 
-    p, indices = crosscheck_plan(inst.q)
+    theorems, indices = crosscheck_plan(inst.q)
     triples = [("instance", (inst.lambda_, inst.mu_)), *PRESETS.items()]
-    for theorem in (1,) if p is None else (1, 2):
+    for theorem in theorems:
         for name, (lam, mu) in triples:
             check = f"theorem{theorem}@{name}"
             tri = replace(inst, lambda_=lam, mu_=mu)
@@ -404,9 +404,7 @@ def _instance_rows(payload: tuple) -> tuple[list[Row], list[dict]]:
 
     for index in indices:
         try:
-            term = crosscheck_B(
-                index, inst, p=p, settings=quad, tol=crosscheck_tol, memo=memo
-            )
+            term = crosscheck_B(index, inst, settings=quad, tol=crosscheck_tol, memo=memo)
         except (AccuracyError, EvaluationError):
             rows.append(_row(inst_id, family, inst, f"crosscheck:B{index}:?"))
             continue

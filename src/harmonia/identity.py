@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .convexity import FunctionSpec, _require_sm
+from .convexity import FunctionSpec, _require_sm, _require_tol
 from .errors import DomainError, ParameterError
 from .quadrature import DEFAULT_SETTINGS, QuadSettings, integrate
 
@@ -167,12 +167,6 @@ def kernel_representation(
     lower = integrate(piece(inst.mu_), 0.0, 0.5, settings).checked(what)
     upper = integrate(piece(inst.lambda_), 0.5, 1.0, settings).checked(what)
     return ab * (b - a) * (lower + upper)
-
-
-def _require_tol(tol: float) -> None:
-    """ParameterError unless tol is a positive finite identity tolerance."""
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ParameterError(f"tol must be positive and finite, got {tol!r}")
 
 
 def check_identity(

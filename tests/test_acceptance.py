@@ -114,10 +114,7 @@ def test_criterion_3_elementary_moments(acceptance):
             7: b7_b10(mu, lam, p)[0], 10: b7_b10(mu, lam, p)[1],
         }
         for index, value in closed.items():
-            needs_p = index in (7, 10)
-            oracle = kernel_oracle(
-                KIND_FOR_INDEX[index], inst, p_or_q=p if needs_p else None,
-            )
+            oracle = kernel_oracle(KIND_FOR_INDEX[index], inst)
             worst = max(worst, abs(value - oracle) / abs(oracle))
     anchors = (
         abs(b1_b4(0.5, 0.5)[0] - 0.125),
@@ -162,7 +159,7 @@ def test_criterion_4_coefficient_crosschecks(acceptance):
                     f=linear(),
                 )
                 inst = pin(rng, inst, index, case)
-                term = crosscheck_B(index, inst, p=inst.q / (inst.q - 1.0))
+                term = crosscheck_B(index, inst)
                 draws += 1
                 suspected = term.status == "erratum_suspected"
                 if suspected:

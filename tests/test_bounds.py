@@ -42,6 +42,8 @@ from harmonia import (
 from harmonia.bounds import PATCHES, PRINTED
 
 SQUARE = power(1.0, 2.0)
+# Tolerances every verdict rejects: the rule is finite and > 0.
+BAD_TOLS = [math.inf, math.nan, -1.0, 0.0]
 
 
 def make(a=1.0, b=2.0, s=1.0, m=1.0, q=1.0, lam=0.75, mu=0.25, f=None):
@@ -94,15 +96,15 @@ class TestKernelOracle:
         assert val == pytest.approx(math.log(1.5) - 1.0 / 3.0, abs=1e-12)
 
     def test_p_moment_at_half(self):
-        inst = make(mu=0.5)
-        val = kernel_oracle(KIND_FOR_INDEX[7], inst, p_or_q=2.0)
+        inst = make(q=2.0, mu=0.5)  # p = q/(q-1) = 2
+        val = kernel_oracle(KIND_FOR_INDEX[7], inst)
         assert val == pytest.approx(1.0 / 24.0, abs=1e-13)
 
     def test_p_required_for_p_moments(self):
-        with pytest.raises(ParameterError):
-            kernel_oracle(KIND_FOR_INDEX[7], make())
-        with pytest.raises(ParameterError):
-            kernel_oracle(KIND_FOR_INDEX[10], make(), p_or_q=1.0)
+        # q = 1 has no conjugate exponent
+        for index in (7, 10):
+            with pytest.raises(ParameterError, match="q > 1"):
+                kernel_oracle(KIND_FOR_INDEX[index], make(q=1.0))
 
     def test_band_enforced(self):
         with pytest.raises(ParameterError):
@@ -120,10 +122,8 @@ class TestKernelOracle:
         rng = random.Random(11)
         for _ in range(10):
             inst = random_inst(rng, q_min=1.1)
-            p = inst.q / (inst.q - 1.0)
             for idx in range(1, 13):
-                needs_p = KIND_FOR_INDEX[idx].weight == "abs_weight_pow_p"
-                val = kernel_oracle(KIND_FOR_INDEX[idx], inst, p_or_q=p if needs_p else None)
+                val = kernel_oracle(KIND_FOR_INDEX[idx], inst)
                 assert val >= 0.0
                 assert math.isfinite(val)
 
@@ -185,11 +185,8 @@ class TestKernelOracle:
     def test_weighted_oracles_pinned_bitwise(self, point):
         a, b, s, q, lam, mu = point
         inst = make(a=a, b=b, s=s, q=q, lam=lam, mu=mu)
-        p = q / (q - 1.0)
         for index, expected in self.WEIGHTED[point].items():
-            kind = KIND_FOR_INDEX[index]
-            p_or_q = p if kind.weight == "abs_weight_pow_p" else None
-            assert kernel_oracle(kind, inst, p_or_q=p_or_q).hex() == expected, index
+            assert kernel_oracle(KIND_FOR_INDEX[index], inst).hex() == expected, index
 
     @pytest.mark.parametrize(
         "a, b, s, q",
@@ -267,8 +264,8 @@ class TestClosedMoments:
             inst = random_inst(rng, q_min=1.1)
             p = inst.q / (inst.q - 1.0)
             b7, b10 = b7_b10(inst.mu_, inst.lambda_, p)
-            o7 = kernel_oracle(KIND_FOR_INDEX[7], inst, p_or_q=p)
-            o10 = kernel_oracle(KIND_FOR_INDEX[10], inst, p_or_q=p)
+            o7 = kernel_oracle(KIND_FOR_INDEX[7], inst)
+            o10 = kernel_oracle(KIND_FOR_INDEX[10], inst)
             assert abs(b7 - o7) <= 1e-10 * max(abs(o7), 1e-3)
             assert abs(b10 - o10) <= 1e-10 * max(abs(o10), 1e-3)
 
@@ -354,8 +351,7 @@ class TestAdjudication:
         flagged = (index, case) in EXPECTED_COEFFICIENT_ERRATA
         for _ in range(8):
             inst = at_case(random_inst(rng, q_min=1.1), index, case)
-            p = inst.q / (inst.q - 1.0)
-            term = crosscheck_B(index, inst, p=p)
+            term = crosscheck_B(index, inst)
             assert term.case == case
             assert term.oracle >= 0.0 and math.isfinite(term.oracle)
             if flagged:
@@ -374,9 +370,7 @@ class TestAdjudication:
         rng = random.Random(1234 + index)
         for _ in range(6):
             inst = at_case(random_inst(rng, q_min=1.1), index, case)
-            p = inst.q / (inst.q - 1.0)
-            needs_p = KIND_FOR_INDEX[index].weight == "abs_weight_pow_p"
-            oracle = kernel_oracle(KIND_FOR_INDEX[index], inst, p_or_q=p if needs_p else None)
+            oracle = kernel_oracle(KIND_FOR_INDEX[index], inst)
             corrected = corrected_B(index, inst)
             assert abs(corrected - oracle) <= 1e-8 * max(abs(oracle), 1e-6), (
                 f"B{index} {case}: corrected {corrected} oracle {oracle}"
@@ -388,7 +382,7 @@ class TestAdjudication:
             flagged = set()
             for index, case in ALL_CASES:
                 inst = at_case(random_inst(rng, q_min=1.1), index, case)
-                term = crosscheck_B(index, inst, p=inst.q / (inst.q - 1.0))
+                term = crosscheck_B(index, inst)
                 if term.status == "erratum_suspected":
                     flagged.add((index, case))
             assert flagged == EXPECTED_COEFFICIENT_ERRATA
@@ -424,10 +418,16 @@ class TestAdjudication:
         with pytest.raises(ParameterError):
             crosscheck_B(13, make())
 
+    @pytest.mark.parametrize("tol", BAD_TOLS)
+    def test_tol_validation(self, tol):
+        # tol = inf would pass the locked misprint B8 as ok
+        with pytest.raises(ParameterError, match="tol must be positive and finite"):
+            crosscheck_B(8, make(s=0.5, q=2.0), tol=tol)
+
     def test_p_moments_reject_q_one(self):
         inst = make(q=1.0)
         with pytest.raises(ParameterError):
-            crosscheck_B(7, inst, p=None)
+            crosscheck_B(7, inst)
 
     @pytest.mark.parametrize(
         "index, case, status, expected, passed",
@@ -482,13 +482,13 @@ class TestIllConditioned:
                    lam=0.8411103263737205, mu=0.3367390116847893)
 
     def test_cancellation_is_ill_conditioned_and_passes(self):
-        term = crosscheck_B(11, self.CANCELS, p=4.0 / 3.0)
+        term = crosscheck_B(11, self.CANCELS)
         assert term.rel_diff > CROSSCHECK_TOL
         assert term.status == "ill_conditioned" and term.passed
         assert abs(term.closed_form - term.oracle) <= term.bound
 
     def test_misprint_in_a_well_conditioned_form_is_flagged(self):
-        term = crosscheck_B(8, make(s=0.5, q=2.0), p=2.0)
+        term = crosscheck_B(8, make(s=0.5, q=2.0))
         assert term.status == "erratum_suspected" and term.expected
         assert abs(term.closed_form - term.oracle) > 1e6 * term.bound
 
@@ -500,11 +500,11 @@ class TestIllConditioned:
             return value * (1 + 1e-3), bound
 
         monkeypatch.setattr(bounds, "_printed", misprinted)
-        term = crosscheck_B(11, self.CANCELS, p=4.0 / 3.0)
+        term = crosscheck_B(11, self.CANCELS)
         assert term.status == "erratum_suspected" and not term.passed
 
     def test_ok_rows_carry_their_bound(self):
-        term = crosscheck_B(11, make(s=0.5, q=2.0), p=2.0)
+        term = crosscheck_B(11, make(s=0.5, q=2.0))
         assert term.status == "ok"
         assert 0.0 < term.bound <= CROSSCHECK_TOL * abs(term.oracle)
         moment = crosscheck_B(1, make(s=0.5, q=2.0))
@@ -526,7 +526,7 @@ class TestIllConditioned:
     def test_gap_under_tol_with_a_wider_bound_is_ill_conditioned(
         self, a, b, s, q, lam, mu
     ):
-        term = crosscheck_B(11, make(a=a, b=b, s=s, q=q, lam=lam, mu=mu), p=q / (q - 1.0))
+        term = crosscheck_B(11, make(a=a, b=b, s=s, q=q, lam=lam, mu=mu))
         assert term.rel_diff <= CROSSCHECK_TOL < term.bound / abs(term.oracle)
         assert term.status == "ill_conditioned" and term.passed
 
@@ -764,6 +764,20 @@ class TestCheckTheorem:
     def test_theorem_validation(self):
         with pytest.raises(ParameterError):
             check_theorem(make(f=SQUARE), 3)
+
+    @pytest.mark.parametrize("margin_tol", BAD_TOLS)
+    def test_margin_tol_validation(self, margin_tol):
+        inst = make(lam=0.5, mu=0.5, f=SQUARE)
+        with pytest.raises(ParameterError, match="margin_tol must be positive and finite"):
+            check_theorem(inst, 1, margin_tol=margin_tol)
+
+    def test_theorem2_exponent_rule_comes_before_certification(self, monkeypatch):
+        def certify(*args, **kwargs):
+            raise AssertionError("certification ran before the q > 1 check")
+
+        monkeypatch.setattr(bounds, "certify_instance", certify)
+        with pytest.raises(ParameterError, match="q > 1"):
+            check_theorem(make(q=1.0, f=SQUARE), 2)
 
     def test_margins_on_random_certified_instances(self):
         rng = random.Random(6021023)

@@ -338,14 +338,14 @@ class TestRunSweep:
             run_sweep(starved, jobs=1)
 
 
-def _exact_oracle_key(kind, inst, p_or_q=None, settings=None):
+def _exact_oracle_key(kind, inst, settings=None):
     """Everything a kernel_oracle value depends on.
 
     The weight is centred on mu on the left half and on lambda on the right;
     the weight "none" reads neither.
     """
     centre = None if kind.weight == "none" else inst.mu_ if kind.side == "left" else inst.lambda_
-    return (kind, inst.a, inst.b, inst.s, inst.q, centre, p_or_q, settings)
+    return (kind, inst.a, inst.b, inst.s, inst.q, centre, settings)
 
 
 def test_closed_forms_run_no_quadrature(monkeypatch):
@@ -387,11 +387,10 @@ class TestInstanceMemo:
                         margin_tol=SMALL.margin_tol,
                     )
                     expected[f"theorem{theorem}@{name}"] = (v.lhs, v.rhs)
-            p = inst.q / (inst.q - 1.0) if inst.q > 1.0 else None
             for index in range(1, 13):
-                if index in (7, 10) and p is None:
+                if index in (7, 10) and inst.q == 1.0:
                     continue
-                term = crosscheck_B(index, inst, p=p, settings=quad, tol=SMALL.crosscheck_tol)
+                term = crosscheck_B(index, inst, settings=quad, tol=SMALL.crosscheck_tol)
                 expected[f"crosscheck:B{index}:{term.case}"] = (term.oracle, term.closed_form)
             assert set(rows) == set(expected)
             for check, (lhs, rhs) in expected.items():
@@ -404,10 +403,10 @@ class TestInstanceMemo:
             for _, (lam, mu) in triples:
                 tri = replace(inst, lambda_=lam, mu_=mu)
                 for index in range(1, 13):
-                    if index in (7, 10) and p is None:
+                    if index in (7, 10) and inst.q == 1.0:
                         continue
-                    shared = crosscheck_B(index, tri, p=p, settings=quad, memo=memo)
-                    alone = crosscheck_B(index, tri, p=p, settings=quad)
+                    shared = crosscheck_B(index, tri, settings=quad, memo=memo)
+                    alone = crosscheck_B(index, tri, settings=quad)
                     assert shared == alone, (inst_id, lam, mu, index)
 
     def test_each_value_computed_once(self, monkeypatch):
