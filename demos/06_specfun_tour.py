@@ -6,8 +6,9 @@ both values attached.  The Euler integral goes to adaptive Gauss-Kronrod
 when its endpoint exponents beta-1 and gamma-beta-1 are >= 0 and to
 tanh-sinh when either is negative.  The coefficient closed forms of the
 bounds read the Gauss series alone, with its error bound, so no quadrature
-runs inside them.  Gamma carries a Lanczos core
-checked against a quadrature oracle, and Beta inherits symmetry exactly.
+runs inside them.  Gamma is the standard library's math.gamma, checked
+against a quadrature oracle, and Beta, built on math.lgamma, is exactly
+symmetric.
 
 Run:  python3 demos/06_specfun_tour.py
 """

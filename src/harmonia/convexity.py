@@ -404,13 +404,14 @@ def _defect(
     X = xs[:, None, None]
     Y = ys[None, :, None]
     T = ts[None, None, :]
-    if harmonic:
-        comb = m * X * Y / (m * T * Y + (1.0 - T) * X)
-    else:
-        comb = T * X + m * (1.0 - T) * Y
-    fx = np.asarray(f.value(xs), dtype=float)[:, None, None]
-    fy = np.asarray(f.value(ys), dtype=float)[None, :, None]
-    defect = np.asarray(f.value(comb), dtype=float) - (T**s * fx + m * (1.0 - T) ** s * fy)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked for finiteness below
+        if harmonic:
+            comb = m * X * Y / (m * T * Y + (1.0 - T) * X)
+        else:
+            comb = T * X + m * (1.0 - T) * Y
+        fx = np.asarray(f.value(xs), dtype=float)[:, None, None]
+        fy = np.asarray(f.value(ys), dtype=float)[None, :, None]
+        defect = np.asarray(f.value(comb), dtype=float) - (T**s * fx + m * (1.0 - T) ** s * fy)
     if not np.all(np.isfinite(defect)):
         raise EvaluationError("grid defect evaluation produced non-finite values")
     return defect

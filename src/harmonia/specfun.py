@@ -3,11 +3,11 @@
 Every closed-form coefficient downstream reduces to these three functions,
 so each one can be computed here by two independent methods:
 
-* ``gamma`` uses a Lanczos minimax approximation; the defining integral is
-  exposed as ``gamma_integral`` so the test suite can check one against the
-  other (slow path, quadrature based).
-* ``beta`` is the Gamma-ratio formula, cross-checked in the tests against
-  direct tanh-sinh integration of t**(a-1) (1-t)**(b-1).
+* ``gamma`` is the standard library's ``math.gamma``; the defining integral
+  is exposed as ``gamma_integral`` so the test suite can check one against
+  the other (slow path, quadrature based).
+* ``beta`` is the Gamma-ratio formula on ``math.lgamma``, cross-checked in
+  the tests against direct tanh-sinh integration of t**(a-1) (1-t)**(b-1).
 * ``hyp2f1`` evaluates the Euler integral representation by quadrature AND
   sums the Gauss series with a geometric tail bound that holds for every
   later term.  The Euler integrand t**(beta_-1) (1-t)**(gamma_-beta_-1)
@@ -69,61 +69,30 @@ DEFAULT_BUDGET = AccuracyBudget()
 
 _U = 2.0**-53  # unit roundoff of IEEE double
 
-# Lanczos g=7, n=9 coefficients (double precision minimax set).
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def _lanczos_loggamma(x: float) -> float:
-    """log Gamma(x) for x >= 0.5 via the Lanczos sum."""
-    y = x - 1.0
-    acc = _LANCZOS_COEF[0]
-    for i in range(1, 9):
-        acc += _LANCZOS_COEF[i] / (y + i)
-    t = y + _LANCZOS_G + 0.5
-    return 0.5 * math.log(2.0 * math.pi) + (y + 0.5) * math.log(t) - t + math.log(acc)
-
-
-def _loggamma(x: float) -> float:
-    if x >= 0.5:
-        return _lanczos_loggamma(x)
-    # Recurrence Gamma(x) = Gamma(x+1)/x keeps the argument in range.
-    return _lanczos_loggamma(x + 1.0) - math.log(x)
-
 
 def gamma(x: float) -> float:
-    """Gamma function on the positive half line.
+    """Gamma on the positive half line (``math.gamma``); ``inf`` where it overflows.
 
-    Raises DomainError for x <= 0 (poles and the reflection region are
-    outside this library's needs).  Arguments beyond the double-precision
-    overflow threshold return ``inf``.
+    Raises DomainError for x <= 0 or a non-finite x (poles and the
+    reflection region are outside this library's needs).
     """
     if not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"gamma requires x > 0, got {x!r}")
-    lg = _loggamma(x)
     try:
-        return math.exp(lg)
+        return math.gamma(x)
     except OverflowError:
         return math.inf
 
 
 def beta(a: float, b: float) -> float:
-    """Euler Beta via the Gamma-ratio formula, exactly symmetric in (a, b)."""
+    """Euler Beta exp(lgamma(a) + lgamma(b) - lgamma(a + b)), exactly symmetric.
+
+    DomainError unless a, b > 0 are finite; ``inf`` where it overflows.
+    """
     if not math.isfinite(a) or a <= 0.0 or not math.isfinite(b) or b <= 0.0:
         raise DomainError(f"beta requires positive arguments, got ({a!r}, {b!r})")
-    lg = _loggamma(a) + _loggamma(b) - _loggamma(a + b)
     try:
-        return math.exp(lg)
+        return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
     except OverflowError:
         return math.inf
 

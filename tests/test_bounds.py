@@ -692,6 +692,32 @@ class TestCorollaries:
         assert PRESETS["simpson"] == (5.0 / 6.0, 1.0 / 6.0)
 
 
+class TestRhsOverflow:
+    # Each instance overflows at a different step of the RHS assembly:
+    # |f'(a)|^q, the braces, and the product of finite braces with ab(b-a).
+    INSTANCES = {
+        "deriv_pow": make(a=3.0, b=4.0, q=1000.0, lam=0.5, mu=0.5, f=SQUARE),
+        "braces": make(a=0.01, b=0.02, q=70.0, lam=0.5, mu=0.5, f=power(1.0, -1.0)),
+        "product": make(a=1.0, b=1e103, q=1.0, lam=0.5, mu=0.5, f=power(1e110, 2.0)),
+    }
+    RHS = {
+        "theorem1": theorem1_rhs,
+        "theorem2": theorem2_rhs,
+        "trapezoid1": lambda inst: corollary_rhs("trapezoid", 1, inst),
+    }
+    # Theorem 2 needs q > 1, which the "product" instance (q = 1) lacks.
+    CASES = [
+        ("deriv_pow", "theorem1"), ("deriv_pow", "theorem2"), ("deriv_pow", "trapezoid1"),
+        ("braces", "theorem1"), ("braces", "theorem2"), ("braces", "trapezoid1"),
+        ("product", "theorem1"), ("product", "trapezoid1"),
+    ]
+
+    @pytest.mark.parametrize("where,rhs", CASES)
+    def test_overflow_raises_evaluation_error(self, where, rhs):
+        with pytest.raises(EvaluationError):
+            self.RHS[rhs](self.INSTANCES[where])
+
+
 class TestRhsPinnedBitwise:
     # float.hex of (theorem1_rhs, theorem2_rhs, corollary_rhs theorem 1,
     # corollary_rhs theorem 2) at the instance triple and the three presets.

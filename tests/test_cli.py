@@ -156,6 +156,15 @@ class TestVerifyBounds:
         rc = main(["verify-bounds", "--theorem", "1", *SQUARE_INST])
         assert rc == 2
 
+    def test_overflow_is_one_numeric_failure_line(self):
+        # |f'|^q overflows at q = 1000: exit 1 with no numpy warning on stderr.
+        proc = _run([sys.executable, "-m", "harmonia.cli", "verify-bounds", "--theorem", "1",
+                     "--f", "power:c=1,p=2", "--a", "3", "--b", "4", "--s", "1", "--m", "1",
+                     "--q", "1000", "--preset", "trapezoid"])
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numeric failure: ")
+
     def test_uncertified_hypothesis_rejected(self, capsys):
         # sqrt family: |f'|^q lies outside the class at s=1
         rc = main(["verify-bounds", "--theorem", "1",

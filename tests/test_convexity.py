@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -108,6 +109,17 @@ class TestDefect:
         shifted = FunctionSpec(kind="linear", domain_lo=1.0)
         with pytest.raises(DomainError):
             check_harmonic_sm(shifted, 1.0, 1.0, GridSpec(lo=1.0, hi=2.0))
+
+    def test_overflow_raises_without_numpy_warning(self):
+        # |2x|^1000 overflows on [3, 4]: an EvaluationError, and no
+        # RuntimeWarning printed (or raised, under "error") before it.
+        shape, grid = abs_deriv_pow(power(1.0, 2.0), 1000.0), GridSpec(lo=3.0, hi=4.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationError):
+                check_harmonic_sm(shape, 1.0, 1.0, grid)
+            with pytest.raises(EvaluationError):
+                refuted_on_subgrid(shape, 1.0, 1.0, grid)
 
 
 class TestGridSpec:

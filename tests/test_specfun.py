@@ -26,6 +26,7 @@ from harmonia import (
     hyp2f1_euler,
     hyp2f1_series,
 )
+from harmonia.bounds import _BETA_ERR, PATCHES, PRINTED
 from harmonia.specfun import _hyp2f1_bounded
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
@@ -57,11 +58,18 @@ class TestGamma:
             rhs = x * gamma(x)
             assert abs(lhs - rhs) <= 1e-12 * abs(rhs), f"recurrence broke at x={x}"
 
-    def test_agrees_with_math_gamma(self):
+    def test_agrees_with_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
         rng = random.Random(7)
-        for _ in range(200):
-            x = rng.uniform(0.05, 30.0)
-            assert gamma(x) == pytest.approx(math.gamma(x), rel=1e-12)
+        with mpmath.workdps(40):
+            for _ in range(200):
+                x = rng.uniform(0.05, 30.0)
+                assert gamma(x) == pytest.approx(float(mpmath.gamma(x)), rel=1e-12)
+
+    def test_overflow_is_inf(self):
+        # Gamma passes the double range above about 171.6 and below about 5.6e-309.
+        assert gamma(171.7) == math.inf
+        assert gamma(5e-324) == math.inf
 
     def test_integral_oracle(self):
         for x in (0.5, 1.0, 1.7, 3.0, 4.2):
@@ -84,8 +92,25 @@ class TestBeta:
         for _ in range(1000):
             a = rng.uniform(0.05, 8.0)
             b = rng.uniform(0.05, 8.0)
-            x, y = beta(a, b), beta(b, a)
-            assert abs(x - y) <= 1e-13 * max(abs(x), abs(y))
+            assert beta(a, b) == beta(b, a)
+
+    def test_overflow_is_inf(self):
+        assert beta(5e-324, 1.0) == math.inf
+
+    def test_error_within_closed_form_allowance(self):
+        # bounds._evaluate charges every Beta of the term tables _BETA_ERR;
+        # check that against 40-digit mpmath on a seeded sample of s in (0, 1].
+        mpmath = pytest.importorskip("mpmath")
+        pairs = {(t[3], t[4]) for terms in (*PRINTED.values(), *PATCHES.values()) for t in terms}
+        rng = random.Random(20261018)
+        worst = 0.0
+        with mpmath.workdps(40):
+            for s in [1.0] + [1.0 - rng.random() for _ in range(300)]:
+                v = {"1": 1.0, "2": 2.0, "s+1": s + 1, "s+2": s + 2, "s+3": s + 3}
+                for x, y in pairs:
+                    ref = mpmath.beta(v[x], v[y])
+                    worst = max(worst, float(abs((beta(v[x], v[y]) - ref) / ref)))
+        assert worst <= _BETA_ERR
 
     def test_against_tanh_sinh_integral(self):
         # Euler integral of t^(a-1) (1-t)^(b-1).  Split at 1/2 and fold the
