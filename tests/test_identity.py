@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from harmonia import (
     AccuracyError,
     DomainError,
+    EvaluationError,
     IDENTITY_TOL,
     Instance,
     ParameterError,
@@ -19,7 +20,9 @@ from harmonia import (
     check_identity,
     integrate,
     kernel_representation,
+    combine,
     linear,
+    parse_function_spec,
     power,
     rule_deviation,
     rule_deviation_as_printed,
@@ -235,3 +238,56 @@ def test_identity_property(a, width, lam, mu, c, p):
     inst = make(power(c, p), a, a + width, lam, mu)
     chk = check_identity(inst)
     assert chk.passed
+
+
+# check_identity's lhs and rhs, bit for bit, at one instance of every
+# grammar kind on the sweep's default ranges (a in [0.5, 2], b - a in
+# [0.1, 2]) and on sweep_wide's (a in [0.05, 0.5], b - a in [1, 10]).  max
+# has no derivative, so its kernel side raises and only the lhs is pinned.
+_PIN_SPECS = {
+    "linear": "linear",
+    "power": "power:c=1,p=2",
+    "spower": "spower:b=1,s=0.5,c=0",
+    "scale": "scale:2.5:power:c=1,p=3",
+    "sum": "sum:linear+spower:b=1,s=0.5,c=0",
+    "max": "max:linear|power:c=1,p=2",
+}
+_PIN_RANGES = {"default": (0.8, 2.1, 0.7, 0.2), "wide": (0.07, 6.5, 0.9, 0.35)}
+IDENTITY_PINS = [
+    ("linear", "default", ("-0x1.01ebbf456a700p-7", "-0x1.01ebbf456a6a4p-7")),
+    ("power", "default", ("0x1.0b1027147cbf0p-4", "0x1.0b1027147cc02p-4")),
+    ("spower", "default", ("-0x1.40884d457e680p-7", "-0x1.40884d457e69fp-7")),
+    ("scale", "default", ("0x1.bcc2167b9fc88p-1", "0x1.bcc2167b9fc94p-1")),
+    ("sum", "default", ("-0x1.213a064574700p-6", "-0x1.213a06457469fp-6")),
+    ("max", "default", ("0x1.552a5f21572f0p-4", "EvaluationError")),
+    ("compose", "default", ("-0x1.4618814425a00p-5", "-0x1.461881442598ep-5")),
+    ("linear", "wide", ("0x1.04ce83dcbb4a7p+1", "0x1.04ce83dcbb4a8p+1")),
+    ("power", "wide", ("0x1.cafe4ac559c89p+3", "0x1.cafe4ac559c8ap+3")),
+    ("spower", "wide", ("0x1.49c480f35cef2p-1", "0x1.49c480f35cef3p-1")),
+    ("scale", "wide", ("0x1.d920bb07e60d4p+7", "0x1.d920bb07e60d7p+7")),
+    ("sum", "wide", ("0x1.573fa41992864p+1", "0x1.573fa41992865p+1")),
+    ("max", "wide", ("0x1.c962d33b7e853p+3", "EvaluationError")),
+    ("compose", "wide", ("0x1.b1a8c99b91294p+3", "0x1.b1a8c99b91296p+3")),
+]
+
+
+def _pin_spec(kind):
+    if kind == "compose":
+        return combine("compose", [power(1.0, 3.0), s_power(1.0, 0.5, 1.0)])
+    return parse_function_spec(_PIN_SPECS[kind])
+
+
+@pytest.mark.parametrize(
+    "kind,ranges,pinned", IDENTITY_PINS, ids=[f"{k}-{r}" for k, r, _ in IDENTITY_PINS]
+)
+def test_check_identity_pinned_bits(kind, ranges, pinned):
+    a, b, lam, mu = _PIN_RANGES[ranges]
+    inst = make(_pin_spec(kind), a, b, lam, mu)
+    try:
+        ic = check_identity(inst)
+    except EvaluationError:
+        got = (rule_deviation(inst).hex(), "EvaluationError")
+    else:
+        assert ic.passed
+        got = (ic.lhs.hex(), ic.rhs.hex())
+    assert got == pinned

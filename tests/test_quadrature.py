@@ -236,6 +236,48 @@ class TestTanhSinh:
 # evaluation order, and how many of them the nextafter endpoint clamp
 # produced.  Any change to the node table, node order, summation or
 # stopping rule moves at least one of these.
+# (name, integrand, lo, hi, settings, (value.hex, err.hex, evaluations,
+# converged, digest of the abscissae in evaluation order)).
+# oscillating_refresh runs past 512 bisections, where the running sums are
+# re-added exactly; kink_capped and log_refresh_capped stop at the
+# max_subdivisions cap.
+GK_PINS = [
+    ("exp", math.exp, 0.0, 1.0, None,
+     ("0x1.b7e151628aed2p+0", "0x1.57a80794fc894p-46", 15, True, "a2a2094c1fa55439")),
+    ("sin_tight", math.sin, 0.0, math.pi, QuadSettings(abs_tol=1e-13, rel_tol=1e-13),
+     ("0x1.0000000000000p+1", "0x1.9000000000000p-46", 45, True, "c3d0401a1eb8d670")),
+    ("recip", lambda t: 1.0 / t, 1.0, math.e, None,
+     ("0x1.0000000000000p+0", "0x1.105bfa232267dp-38", 45, True, "c058f27574cfecf0")),
+    ("kink", lambda t: abs(t - 1.0 / 3.0), 0.0, 1.0, None,
+     ("0x1.1c71c71d236b9p-2", "0x1.03c06479e4100p-34", 375, True, "5b651a80a63eae31")),
+    ("kink_capped", lambda t: abs(t - 1.0 / 3.0), 0.0, 1.0, QuadSettings(max_subdivisions=3),
+     ("0x1.1c748dae215d3p-2", "0x1.03bceb970ef00p-16", 105, False, "2e722e07f326817d")),
+    ("inv_sqrt", lambda t: t**-0.5, 0.0, 1.0, None,
+     ("0x1.ffffffff7bb38p+0", "0x1.aaecd636556d0p-33", 1725, True, "2c6ddb95b29ea7ef")),
+    ("oscillating_refresh", lambda t: math.sin(1.0 / t), 3e-4, 1.0, None,
+     ("0x1.021516f4c3b29p-1", "0x1.b2dfd450ed56dp-34", 16755, True, "e5903c9f36c4b79b")),
+    ("log_refresh_capped", math.log, 0.0, 1.0,
+     QuadSettings(abs_tol=1e-14, rel_tol=1e-14, max_subdivisions=600),
+     ("-0x1.0000000000000p+0", "0x1.91a66ef0e0d30p-47", 18015, False, "47b3e137fe98daa8")),
+]
+
+
+@pytest.mark.parametrize(
+    "name,f,lo,hi,settings,pinned", GK_PINS, ids=[c[0] for c in GK_PINS]
+)
+def test_integrate_pinned_bits(name, f, lo, hi, settings, pinned):
+    seen = []
+
+    def traced(t):
+        seen.append(t)
+        return f(t)
+
+    res = integrate(traced, lo, hi, settings)
+    digest = hashlib.sha256("".join(x.hex() for x in seen).encode()).hexdigest()[:16]
+    got = (res.value.hex(), res.err_estimate.hex(), res.evaluations, res.converged, digest)
+    assert got == pinned
+
+
 DE_PINS = [
     ("exp", math.exp, 0.0, 1.0, None,
      ("0x1.b7e151628aed3p+0", "0x1.0f37000000000p-36", 97, True, "6a0e9c93468f2759", 23)),
