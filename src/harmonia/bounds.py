@@ -536,6 +536,12 @@ def crosscheck_B(
     )
 
 
+def _endpoint_powers(inst: Instance) -> tuple[float, float]:
+    """|f'(a)|^q and |f'(b/m)|^q of the instance, from one derivative call."""
+    d_a, d_bm = inst.f.deriv([inst.a, inst.b / inst.m]).tolist()
+    return abs(d_a) ** inst.q, abs(d_bm) ** inst.q
+
+
 def _braces(
     inst: Instance,
     theorem: int,
@@ -561,8 +567,9 @@ def _braces(
         indices = (8, 9, 11, 12)
         weights = tuple(w ** (1.0 / p) for w in b7_b10(inst.mu_, inst.lambda_, p))
     try:
-        fa_q = abs(inst.f.deriv(inst.a)) ** q if fa_q is None else fa_q
-        fbm_q = abs(inst.f.deriv(inst.b / inst.m)) ** q if fbm_q is None else fbm_q
+        if fa_q is None or fbm_q is None:
+            own = _memoized(memo, ("fq", inst.a, inst.b, inst.m, q, inst.f), _endpoint_powers, inst)
+            fa_q, fbm_q = (own[0] if fa_q is None else fa_q), (own[1] if fbm_q is None else fbm_q)
     except OverflowError as exc:
         raise EvaluationError(f"|f'|^q of theorem {theorem} raised {exc!r}") from exc
     for name, val in (("fa_q", fa_q), ("fbm_q", fbm_q)):

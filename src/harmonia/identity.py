@@ -29,9 +29,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .convexity import FunctionSpec, _require_sm, _require_tol
 from .errors import DomainError, ParameterError
-from .quadrature import DEFAULT_SETTINGS, QuadSettings, integrate
+from .quadrature import DEFAULT_SETTINGS, QuadSettings, _ArrayIntegrand, integrate
 
 # Identity checks compare two 1e-10 quadratures, so 1e-8 leaves margin.
 IDENTITY_TOL = 1e-8
@@ -104,11 +106,19 @@ def _integral_avg_term(inst: Instance, settings: QuadSettings) -> float:
     """(ab/(b-a)) * integral_a^b f(u)/u**2 du."""
     f = inst.f
 
-    def integrand(u: float) -> float:
+    @_ArrayIntegrand
+    def integrand(u: list[float]) -> np.ndarray:
+        u = np.array(u)
         return f.value(u) / (u * u)
 
     integral = integrate(integrand, inst.a, inst.b, settings).checked("rule_deviation integral")
     return inst.a * inst.b / (inst.b - inst.a) * integral
+
+
+def _instance_terms(inst: Instance, settings: QuadSettings) -> tuple[list[float], float]:
+    """f at the harmonic mean, a and b, and the integral average; none reads lambda_ or mu_."""
+    nodes = inst.f.value([inst.harmonic_mean, inst.a, inst.b]).tolist()
+    return nodes, _integral_avg_term(inst, settings)
 
 
 def rule_deviation(
@@ -116,18 +126,14 @@ def rule_deviation(
 ) -> float:
     """The corrected node form of I_f (harmonic-mean midpoint node).
 
-    The integral average does not depend on lambda_ or mu_; ``memo`` lets the
-    rows of one instance share it.
+    The node values and the integral average do not depend on lambda_ or
+    mu_; ``memo`` lets the rows of one instance share them.
     """
     settings = settings if settings is not None else DEFAULT_SETTINGS
-    f = inst.f
-    nodes = (
-        (inst.lambda_ - inst.mu_) * f.value(inst.harmonic_mean)
-        + (1.0 - inst.lambda_) * f.value(inst.a)
-        + inst.mu_ * f.value(inst.b)
-    )
-    key = ("avg", inst.a, inst.b, f, settings)
-    return nodes - _memoized(memo, key, _integral_avg_term, inst, settings)
+    key = ("avg", inst.a, inst.b, inst.f, settings)
+    (f_h, f_a, f_b), avg = _memoized(memo, key, _instance_terms, inst, settings)
+    nodes = (inst.lambda_ - inst.mu_) * f_h + (1.0 - inst.lambda_) * f_a + inst.mu_ * f_b
+    return nodes - avg
 
 
 def rule_deviation_as_printed(
@@ -156,8 +162,10 @@ def kernel_representation(
     ab = a * b
     f = inst.f
 
-    def piece(weight_anchor: float):
-        def integrand(t: float) -> float:
+    def piece(weight_anchor: float) -> _ArrayIntegrand:
+        @_ArrayIntegrand
+        def integrand(t: list[float]) -> np.ndarray:
+            t = np.array(t)
             A = t * b + (1.0 - t) * a
             return (weight_anchor - t) / (A * A) * f.deriv(ab / A)
 

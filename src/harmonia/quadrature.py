@@ -12,7 +12,10 @@ tolerates algebraic endpoint behavior t**sigma with sigma > -1.
 Neither routine ever returns a silently wrong number: results carry an error
 estimate, an evaluation count and a ``converged`` flag, and a non-finite
 integrand value, an overflow or a division by zero raises
-``EvaluationError`` with the offending abscissa.  ``QuadResult.checked`` is
+``EvaluationError`` with the offending abscissa.  ``integrate`` also takes
+an integrand wrapped in the private ``_ArrayIntegrand``: it is called once
+per panel on the list of the panel's 15 abscissae and returns as many
+values, under the same contract and with the same bits.  ``QuadResult.checked`` is
 the one place a result becomes a number: it returns the value of a converged
 result and raises ``AccuracyError`` for any other.
 """
@@ -23,6 +26,7 @@ import functools
 import heapq
 import math
 from array import array
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from .errors import AccuracyError, EvaluationError, ParameterError
@@ -116,18 +120,40 @@ def _eval(f, x: float) -> float:
     return fx
 
 
+@dataclass(frozen=True)
+class _ArrayIntegrand:
+    """An integrand ``f`` that maps a list of abscissae to as many values."""
+
+    f: Callable[[list[float]], Sequence[float]]
+
+
+def _panel(f, xs: list[float]) -> list[float]:
+    """f at the abscissae xs, in order, each one finite (see ``integrate``)."""
+    if isinstance(f, _ArrayIntegrand):
+        try:
+            fs = list(map(float, f.f(xs)))
+        except (OverflowError, ZeroDivisionError):
+            fs = []
+        if len(fs) == len(xs) and all(map(math.isfinite, fs)):
+            return fs
+        # Something failed: find its node by evaluating one abscissa at a time.
+        return [_eval(lambda t: f.f([t])[0], x) for x in xs]
+    return [_eval(f, x) for x in xs]
+
+
 def _gk15(f, lo: float, hi: float) -> tuple[float, float, float]:
     """One Gauss-Kronrod 7/15 panel: (kronrod value, error score, resabs)."""
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    fc = _eval(f, center)
+    xs = [center]
+    for xk in _XGK[:7]:
+        xs += (center - half * xk, center + half * xk)
+    fs = _panel(f, xs)
+    fc = fs[0]
     kron = _WGK[7] * fc
     gauss = _WG[3] * fc
     resabs = _WGK[7] * abs(fc)
-    for j in range(7):
-        x = half * _XGK[j]
-        f1 = _eval(f, center - x)
-        f2 = _eval(f, center + x)
+    for j, f1, f2 in zip(range(7), fs[1::2], fs[2::2]):
         kron += _WGK[j] * (f1 + f2)
         resabs += _WGK[j] * (abs(f1) + abs(f2))
         if j % 2 == 1:
@@ -145,7 +171,13 @@ def integrate(f, lo: float, hi: float, settings: QuadSettings | None = None) -> 
     """Adaptive Gauss-Kronrod integration of ``f`` over ``[lo, hi]``.
 
     The integrand must be finite at every evaluated node (the rule is open:
-    the endpoints themselves are never evaluated).  The result's
+    the endpoints themselves are never evaluated).  Each panel evaluates its
+    centre, then centre - x_j and centre + x_j for j = 0..6; an
+    ``_ArrayIntegrand`` gets that list in one call.  The first node in this
+    order that gives a non-finite value, an OverflowError or a
+    ZeroDivisionError raises EvaluationError with its abscissa; for an array
+    integrand the failing panel is re-evaluated one node at a time to find it.
+    The result's
     ``err_estimate`` is the sum of per-panel Kronrod-minus-Gauss scores,
     which in practice bounds the true error by a wide margin on smooth and
     piecewise-smooth integrands.

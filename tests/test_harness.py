@@ -8,12 +8,14 @@ import os
 from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from harmonia import (
     AccuracyError,
     CSV_COLUMNS,
     ConfigError,
+    FunctionSpec,
     PRESETS,
     QuadSettings,
     Row,
@@ -446,6 +448,44 @@ class TestInstanceMemo:
             kind = bounds.KIND_FOR_INDEX[index]
             calls = sum(n for k, n in keys["kernel_oracle"].items() if k[0] == kind)
             assert calls == 1, (index, calls)
+
+
+    def test_function_values_once_per_instance(self, monkeypatch):
+        # Count FunctionSpec.value/.deriv calls on the instance's function by
+        # the number of points: the node values f(H), f(a), f(b) and the
+        # endpoint derivatives f'(a), f'(b/m) are one call each per instance,
+        # and each Gauss-Kronrod panel of the identity is one 15-point call.
+        inst = next(i for i in generate_instances(SMALL)[0] if i.q > 1.0)
+        payload = (
+            0, inst, certify_instance(inst),
+            SMALL.identity_tol, SMALL.crosscheck_tol, SMALL.margin_tol, SMALL.quad,
+        )
+        calls: dict[str, Counter] = {}
+        for name in ("value", "deriv"):
+            fn = getattr(FunctionSpec, name)
+            seen = calls[name] = Counter()
+
+            def wrapper(self, x, fn=fn, seen=seen):
+                if self is inst.f:
+                    seen[np.size(x) if np.ndim(x) else "scalar"] += 1
+                return fn(self, x)
+
+            monkeypatch.setattr(FunctionSpec, name, wrapper)
+        evaluations = []
+        integrate = identity.integrate
+
+        def spy(f, lo, hi, settings=None):
+            res = integrate(f, lo, hi, settings)
+            evaluations.append(res.evaluations)
+            return res
+
+        monkeypatch.setattr(identity, "integrate", spy)
+        rows, _ = harness._instance_rows(payload)
+        assert all(r.passed for r in rows)
+        assert len(evaluations) == 3  # the integral average and two kernel halves
+        panels = sum(evaluations) // 15
+        assert calls["value"] == Counter({3: 1, 15: evaluations[0] // 15})
+        assert calls["deriv"] == Counter({2: 1, 15: panels - evaluations[0] // 15})
 
 
 class TestReports:

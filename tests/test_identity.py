@@ -6,7 +6,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harmonia import (
@@ -18,9 +18,10 @@ from harmonia import (
     ParameterError,
     QuadSettings,
     check_identity,
+    combine,
+    identity,
     integrate,
     kernel_representation,
-    combine,
     linear,
     parse_function_spec,
     power,
@@ -291,3 +292,54 @@ def test_check_identity_pinned_bits(kind, ranges, pinned):
         assert ic.passed
         got = (ic.lhs.hex(), ic.rhs.hex())
     assert got == pinned
+
+
+def _scalar_integrands(inst):
+    """The identity's three integrands one node at a time, in check_identity's
+    call order; the array path must reproduce them bit for bit."""
+    a, b, f = inst.a, inst.b, inst.f
+    ab = a * b
+
+    def average(u):
+        return f.value(u) / (u * u)
+
+    def kernel(anchor):
+        def integrand(t):
+            A = t * b + (1.0 - t) * a
+            return (anchor - t) / (A * A) * f.deriv(ab / A)
+
+        return integrand
+
+    return [average, kernel(inst.mu_), kernel(inst.lambda_)]
+
+
+def _bits(res):
+    return res.value.hex(), res.err_estimate.hex(), res.evaluations, res.converged
+
+
+@settings(deadline=None)
+@given(
+    a=st.floats(0.05, 2.0),
+    width=st.floats(0.1, 10.0),
+    lam=st.floats(-1.0, 2.0),
+    mu=st.floats(-1.0, 2.0),
+    kind=st.sampled_from([k for k, _, _ in IDENTITY_PINS if k != "max"]),
+)
+def test_array_path_matches_scalar_reference(a, width, lam, mu, kind):
+    inst = make(_pin_spec(kind), a, a + width, lam, mu)
+    calls = []
+
+    def spy(f, lo, hi, settings=None):
+        res = integrate(f, lo, hi, settings)
+        calls.append((lo, hi, settings, res))
+        return res
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(identity, "integrate", spy)
+        try:
+            check_identity(inst)
+        except AccuracyError:
+            pass
+    assert calls
+    for ref, (lo, hi, quad, res) in zip(_scalar_integrands(inst), calls):
+        assert _bits(res) == _bits(integrate(ref, lo, hi, quad)), (lo, hi)

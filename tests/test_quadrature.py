@@ -28,6 +28,7 @@ from harmonia import (
     power,
     rule_deviation,
 )
+from harmonia.quadrature import _XGK, _ArrayIntegrand
 
 # (integrand, lo, hi, exact) - every member is analytic on its closed
 # interval so the Kronrod-minus-Gauss score is an honest error bound.
@@ -179,6 +180,52 @@ class TestGaussKronrod:
         with pytest.raises(EvaluationError) as exc:
             rule(f, 0.0, 1.0)
         assert exc.value.abscissa == 0.5
+
+
+class TestArrayIntegrand:
+    """integrate on an _ArrayIntegrand keeps the scalar path's error contract."""
+
+    @staticmethod
+    def _both(f):
+        # The scalar integrand and its list-valued twin.
+        return f, _ArrayIntegrand(lambda xs: [f(x) for x in xs])
+
+    # The second and third abscissae of the first panel on [0, 1].
+    LEFT = 0.5 - 0.5 * _XGK[0]
+    RIGHT = 0.5 + 0.5 * _XGK[0]
+
+    def test_nonfinite_off_centre_same_abscissa(self):
+        seen = []
+        for f in self._both(lambda t: math.inf if t > 0.9 else 1.0):
+            with pytest.raises(EvaluationError) as exc:
+                integrate(f, 0.0, 1.0)
+            seen.append(exc.value.abscissa)
+        assert seen == [self.RIGHT, self.RIGHT]
+
+    @pytest.mark.parametrize(
+        "f,node",
+        [(lambda t: 1.0 / (t - TestArrayIntegrand.RIGHT), "RIGHT"),
+         (lambda t: 10.0 ** (1000.0 * (t - 0.4)), "RIGHT"),
+         (lambda t: 1.0 / (t - TestArrayIntegrand.LEFT), "LEFT")],
+        ids=["ZeroDivisionError", "OverflowError", "ZeroDivisionError-left"],
+    )
+    def test_arithmetic_error_names_its_node(self, f, node):
+        for g in self._both(f):
+            with pytest.raises(EvaluationError) as exc:
+                integrate(g, 0.0, 1.0)
+            assert exc.value.abscissa == getattr(self, node)
+
+    def test_one_call_per_panel(self):
+        sizes = []
+
+        def f(xs):
+            sizes.append(len(xs))
+            return [abs(x - 1.0 / 3.0) for x in xs]
+
+        res = integrate(_ArrayIntegrand(f), 0.0, 1.0)
+        assert sizes == [15] * (res.evaluations // 15)
+        ref = integrate(lambda t: abs(t - 1.0 / 3.0), 0.0, 1.0)
+        assert (res.value.hex(), res.err_estimate.hex()) == (ref.value.hex(), ref.err_estimate.hex())
 
 
 class TestTanhSinh:
