@@ -84,6 +84,18 @@ def gamma(x: float) -> float:
         return math.inf
 
 
+# Past this argument beta() takes lgamma's Stirling form with log1p (DLMF 5.11;
+# TOMS 708 algdiv): a difference of two large lgamma values loses the b**-a factor.
+_BETA_LARGE = 10.0
+
+
+def _stirling_tail(x: float) -> float:
+    """lgamma(x) - ((x - 1/2) ln x - x + ln(2 pi)/2) for x >= 10, to 7 terms."""
+    z = 1.0 / (x * x)
+    tail = 1 / 1188 + z * (-691 / 360360 + z / 156)
+    return (1 / 12 + z * (-1 / 360 + z * (1 / 1260 + z * (-1 / 1680 + z * tail)))) / x
+
+
 def beta(a: float, b: float) -> float:
     """Euler Beta exp(lgamma(a) + lgamma(b) - lgamma(a + b)), exactly symmetric.
 
@@ -91,8 +103,16 @@ def beta(a: float, b: float) -> float:
     """
     if not math.isfinite(a) or a <= 0.0 or not math.isfinite(b) or b <= 0.0:
         raise DomainError(f"beta requires positive arguments, got ({a!r}, {b!r})")
+    a, b = min(a, b), max(a, b)
     try:
-        return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+        if b < _BETA_LARGE:
+            return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+        if a < _BETA_LARGE:
+            head = math.lgamma(a) + a - a * math.log(a + b)
+        else:  # the same in Stirling form; a + b, which may overflow, is left out
+            head = 0.5 * math.log(2.0 * math.pi / a) + _stirling_tail(a) - a * math.log1p(b / a)
+        tails = _stirling_tail(b) - _stirling_tail(a + b)
+        return math.exp(head - (b - 0.5) * math.log1p(a / b) + tails)
     except OverflowError:
         return math.inf
 

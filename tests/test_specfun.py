@@ -137,6 +137,43 @@ class TestBeta:
         with pytest.raises(DomainError):
             beta(a, b)
 
+    def test_large_arguments_match_mpmath(self):
+        # A log-spaced grid over [1e-3, 1e300]^2.  mpmath's own Beta cancels
+        # in lgamma(b) - lgamma(a + b) too, so the reference works with
+        # log10(b) digits on top of 50 and is rounded once at the end.
+        mpmath = pytest.importorskip("mpmath")
+        grid = [10.0 ** (-3.0 + 303.0 * k / 40) for k in range(41)]
+        smallest_normal = mpmath.mpf(2) ** -1022
+        underflow = mpmath.mpf(2) ** -1075
+        for i, a in enumerate(grid):
+            for b in grid[i:]:
+                with mpmath.workdps(50 + max(0, int(math.log10(b)))):
+                    ref = mpmath.beta(a, b)
+                got = beta(a, b)
+                assert got == beta(b, a)
+                if ref >= smallest_normal:
+                    assert abs((got - ref) / ref) <= 1e-12, (a, b, got)
+                elif ref < underflow:
+                    assert got == 0.0, (a, b, got)
+
+    @pytest.mark.parametrize(
+        "a,b,expected",
+        # 12 digits of mpmath at 400 working digits; the last one underflows.
+        [(0.5, 1e6, 1.77245407246e-3), (0.5, 1e10, 1.77245385093e-5),
+         (2.5, 1e12, 1.32934038818e-30), (0.5, 1e300, 1.77245385091e-150), (1e308, 1e308, 0.0)],
+    )
+    def test_extreme_arguments(self, a, b, expected):
+        assert beta(a, b) == pytest.approx(expected, rel=1e-10, abs=0.0)
+
+    def test_closed_form_range_bits_unchanged(self):
+        # The term tables' Beta arguments lie in [1, 4]; there beta() is the
+        # plain lgamma formula, so no closed-form bit moves.
+        grid = [1.0 + 3.0 * k / 60 for k in range(61)]
+        for a in grid:
+            for b in grid:
+                plain = math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+                assert beta(a, b) == plain
+
 
 class TestHyp2F1:
     def test_z_zero_is_one(self):
