@@ -568,8 +568,10 @@ def _braces(
         weights = tuple(w ** (1.0 / p) for w in b7_b10(inst.mu_, inst.lambda_, p))
     try:
         if fa_q is None or fbm_q is None:
-            own = _memoized(memo, ("fq", inst.a, inst.b, inst.m, q, inst.f), _endpoint_powers, inst)
-            fa_q, fbm_q = (own[0] if fa_q is None else fa_q), (own[1] if fbm_q is None else fbm_q)
+            key = ("fq", inst.a, inst.b, inst.m, q, inst.f)
+            own_a, own_bm = _memoized(memo, key, _endpoint_powers, inst)
+            fa_q = own_a if fa_q is None else fa_q
+            fbm_q = own_bm if fbm_q is None else fbm_q
     except OverflowError as exc:
         raise EvaluationError(f"|f'|^q of theorem {theorem} raised {exc!r}") from exc
     for name, val in (("fa_q", fa_q), ("fbm_q", fbm_q)):

@@ -13,10 +13,10 @@ Neither routine ever returns a silently wrong number: results carry an error
 estimate, an evaluation count and a ``converged`` flag, and a non-finite
 integrand value, an overflow or a division by zero raises
 ``EvaluationError`` with the offending abscissa.  ``integrate`` also takes
-an integrand wrapped in the private ``_ArrayIntegrand``: it is called once
-per panel on the list of the panel's 15 abscissae and returns as many
-values, under the same contract and with the same bits.  ``QuadResult.checked`` is
-the one place a result becomes a number: it returns the value of a converged
+an integrand wrapped in the private ``_ArrayIntegrand``, called once per
+panel on the list of its 15 abscissae to return as many values, under the
+same contract and with the same bits.  ``QuadResult.checked`` is the one
+place a result becomes a number: it returns the value of a converged
 result and raises ``AccuracyError`` for any other.
 """
 
@@ -177,10 +177,9 @@ def integrate(f, lo: float, hi: float, settings: QuadSettings | None = None) -> 
     order that gives a non-finite value, an OverflowError or a
     ZeroDivisionError raises EvaluationError with its abscissa; for an array
     integrand the failing panel is re-evaluated one node at a time to find it.
-    The result's
-    ``err_estimate`` is the sum of per-panel Kronrod-minus-Gauss scores,
-    which in practice bounds the true error by a wide margin on smooth and
-    piecewise-smooth integrands.
+    The result's ``err_estimate`` is the sum of per-panel Kronrod-minus-Gauss
+    scores, which in practice bounds the true error by a wide margin on
+    smooth and piecewise-smooth integrands.
     """
     s = settings if settings is not None else DEFAULT_SETTINGS
     _require_interval(lo, hi)
