@@ -1,0 +1,62 @@
+"""Report pins: two small seeded sweeps, serial and on the process pool.
+
+Each pin is the sha256 of the CSV report and of the JSON report with its
+run-dependent keys (``generated_at``, ``wall_time``) and its ``config``
+block left out, re-serialised with sorted keys.  A change that moves one
+bit of a row, a summary value or an erratum entry fails here, while the
+config block may follow the ``SweepConfig`` schema.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import pytest
+
+from harmonia import SweepConfig, emit_report, run_sweep
+
+# Criterion 9's config, and ten instances on sweep_wide's ranges (q up to 8).
+CONFIGS = {
+    "criterion9": {"samples": 8, "rng_seed": 777, "q_values": [1.0, 2.0]},
+    "wide10": {
+        "samples": 10,
+        "rng_seed": 3,
+        "a_range": [0.05, 0.5],
+        "b_minus_a_range": [1.0, 10.0],
+        "q_values": [1.0, 2.0, 4.0, 8.0],
+    },
+}
+
+# name -> (CSV sha256, JSON sha256 without generated_at, wall_time, config).
+REPORT_PINS = {
+    "criterion9": (
+        "f729236c63c6fa320f75c34a5c7ec68dd633697bc32281f7631b3155b54f8f4b",
+        "6d414bee3519c5836bc9bfd31a9a294f80c0a8f576f2bb8af72c1ee40f4b5600",
+    ),
+    "wide10": (
+        "924bbcb93add97d1af81175f6aadd9a3dee7879522e396226d8280addffd006f",
+        "62b0f99c882a5401fe7ad67e120e8bf7d6de4ed0342f086a2977330bb982a7c1",
+    ),
+}
+
+
+def _digests(report, tmp_path) -> tuple[str, str]:
+    csv_path, json_path = tmp_path / "r.csv", tmp_path / "r.json"
+    emit_report(report, "csv", str(csv_path))
+    emit_report(report, "json", str(json_path))
+    doc = json.loads(json_path.read_text(encoding="utf-8"))
+    for key in ("generated_at", "wall_time", "config"):
+        del doc[key]
+    text = json.dumps(doc, sort_keys=True, allow_nan=False)
+    return (
+        hashlib.sha256(csv_path.read_bytes()).hexdigest(),
+        hashlib.sha256(text.encode("utf-8")).hexdigest(),
+    )
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_report_pinned(name, jobs, tmp_path):
+    report = run_sweep(SweepConfig.from_dict(CONFIGS[name]), jobs=jobs)
+    assert _digests(report, tmp_path) == REPORT_PINS[name]
