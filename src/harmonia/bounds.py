@@ -591,6 +591,17 @@ def _finite_rhs(theorem: int, rhs: float) -> float:
     return rhs
 
 
+def _theorem_rhs(
+    inst: Instance, theorem: int, fa_q: float | None = None, fbm_q: float | None = None,
+    settings: QuadSettings | None = None, memo: dict | None = None,
+) -> float:
+    """Either theorem's right-hand side from ``_braces``; fa_q and fbm_q
+    default to |f'(a)|^q and |f'(b/m)|^q of the instance's own function."""
+    scale, (w_left, w_right), (left, right) = _braces(inst, theorem, fa_q, fbm_q, settings, memo)
+    q = inst.q
+    return _finite_rhs(theorem, scale * (w_left * left ** (1.0 / q) + w_right * right ** (1.0 / q)))
+
+
 def theorem1_rhs(
     inst: Instance,
     fa_q: float | None = None,
@@ -603,11 +614,9 @@ def theorem1_rhs(
 
     ab(b-a) * { B1^(1-1/q) (fa_q B2 + m fbm_q B3)^(1/q)
               + B4^(1-1/q) (fa_q B5 + m fbm_q B6)^(1/q) },
-    with the 1/q exponent applied to both braces.  fa_q and fbm_q default
-    to |f'(a)|^q and |f'(b/m)|^q of the instance's own function.
+    with the 1/q exponent applied to both braces.
     """
-    scale, (w1, w4), (left, right) = _braces(inst, 1, fa_q, fbm_q, settings, memo)
-    return _finite_rhs(1, scale * (w1 * left ** (1.0 / inst.q) + w4 * right ** (1.0 / inst.q)))
+    return _theorem_rhs(inst, 1, fa_q, fbm_q, settings, memo)
 
 
 def theorem2_rhs(
@@ -624,8 +633,7 @@ def theorem2_rhs(
               + B10^(1/p) (fa_q B11 + m fbm_q B12)^(1/q) },
     the weight moments B7 and B10 elementary and exact, the braces oracles.
     """
-    scale, (w7, w10), (left, right) = _braces(inst, 2, fa_q, fbm_q, settings, memo)
-    return _finite_rhs(2, scale * (w7 * left ** (1.0 / inst.q) + w10 * right ** (1.0 / inst.q)))
+    return _theorem_rhs(inst, 2, fa_q, fbm_q, settings, memo)
 
 
 def corollary_rhs(
@@ -740,10 +748,7 @@ def check_theorem(
             "the inequality hypotheses are not met"
         )
     lhs = abs(rule_deviation(inst, settings, memo=memo))
-    if theorem == 1:
-        rhs = theorem1_rhs(inst, settings=settings, memo=memo)
-    else:
-        rhs = theorem2_rhs(inst, settings=settings, memo=memo)
+    rhs = _theorem_rhs(inst, theorem, settings=settings, memo=memo)
     margin = rhs - lhs
     return Verdict(
         theorem=theorem, lhs=lhs, rhs=rhs, margin=margin, passed=margin >= -margin_tol

@@ -85,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--out", required=True)
     ps.add_argument("--format", choices=("json", "csv"), required=True)
     ps.add_argument("--seed", type=int, default=None)
-    ps.add_argument("--jobs", type=int, default=None)
+    ps.add_argument("--jobs", type=int, default=None, help="worker processes (default: core count)")
     return parser
 
 

@@ -115,21 +115,27 @@ class FunctionSpec:
                 return val
         raise ParameterError(f"{self.kind} has no param {name!r}")
 
-    def _check_domain(self, arr: np.ndarray, what: str) -> None:
-        bad = arr[~(arr > self.domain_lo)]
-        if bad.size:
+    def _evaluate(self, x: float | np.ndarray, what: str, rule) -> float | np.ndarray:
+        """rule(x) on the domain, with numpy's floating-point warnings off; a
+        result that is not finite raises EvaluationError at the first such x
+        (a sub-term's own EvaluationError names the point it was given)."""
+        arr = np.asarray(x, dtype=float)
+        outside = arr[~(arr > self.domain_lo)]
+        if outside.size:
             raise DomainError(
                 f"{what} of {self.kind} spec requires x > {self.domain_lo}, "
-                f"got x={float(bad.min())!r}"
+                f"got x={float(outside.min())!r}"
             )
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            out = rule(arr)
+        bad = ~np.isfinite(out)
+        if bad.any():
+            at = float(arr[bad][0])
+            raise EvaluationError(f"{self.kind} {what} is not finite at x={at!r}", abscissa=at)
+        return float(out) if arr.ndim == 0 else out
 
     def value(self, x: float | np.ndarray) -> float | np.ndarray:
-        arr = np.asarray(x, dtype=float)
-        self._check_domain(arr, "value")
-        out = self._value(arr)
-        if not np.all(np.isfinite(out)):
-            raise EvaluationError(f"{self.kind} spec produced a non-finite value")
-        return float(out) if arr.ndim == 0 else out
+        return self._evaluate(x, "value", self._value)
 
     def _value(self, x: np.ndarray) -> np.ndarray:
         if self.kind == "linear":
@@ -158,12 +164,7 @@ class FunctionSpec:
         raise ParameterError(f"unknown kind {self.kind!r}")
 
     def deriv(self, x: float | np.ndarray) -> float | np.ndarray:
-        arr = np.asarray(x, dtype=float)
-        self._check_domain(arr, "deriv")
-        out = self._deriv(arr)
-        if not np.all(np.isfinite(out)):
-            raise EvaluationError(f"{self.kind} spec produced a non-finite derivative")
-        return float(out) if arr.ndim == 0 else out
+        return self._evaluate(x, "derivative", self._deriv)
 
     def _deriv(self, x: np.ndarray) -> np.ndarray:
         if self.kind == "linear":

@@ -21,13 +21,12 @@ import random
 import time
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from operator import attrgetter
 
 from .bounds import (
     CROSSCHECK_TOL,
-    MARGIN_TOL,
     PRESETS,
     _require_band,
     certify_instance,
@@ -44,13 +43,11 @@ from .convexity import (
 )
 from .errors import AccuracyError, ConfigError, EvaluationError, HarmoniaError, ParameterError
 from .identity import (
-    IDENTITY_TOL,
     Instance,
     check_identity,
     rule_deviation,
     rule_deviation_as_printed,
 )
-from .quadrature import DEFAULT_SETTINGS, QuadSettings
 
 SCHEMA = "harmonia/v1"
 
@@ -118,9 +115,7 @@ def _reader(convert, what: str, ok=lambda x: True, *, nullable: bool = False):
 
 _integer = _reader(_as_int, "an integer")
 _count = _reader(_as_int, "an integer >= 1", lambda n: n >= 1)
-_read_jobs = _reader(_as_int, "an integer >= 1 or null", lambda n: n >= 1, nullable=True)
-_number = _reader(_as_float, "a finite number")
-_tolerance = _reader(_as_float, "a positive number", lambda x: x > 0.0)
+_read_jobs = _reader(_as_int, "an integer >= 1 or None", lambda n: n >= 1, nullable=True)
 _range = _reader(
     _as_floats, "a [lo, hi] pair with 0 < lo <= hi", lambda p: len(p) == 2 and 0.0 < p[0] <= p[1]
 )
@@ -138,13 +133,6 @@ _specs = _reader(
     lambda v: tuple(v) if isinstance(v, (list, tuple)) else None,
     "a nonempty list of function specs", lambda t: t and all(isinstance(s, str) for s in t),
 )
-_quad = _reader(
-    lambda v: v if isinstance(v, QuadSettings) else None,
-    "QuadSettings (an object with abs_tol, rel_tol and max_subdivisions in a config file)",
-)
-
-# The readers of a config file's "quad" object, which from_dict turns into QuadSettings.
-_QUAD_READERS = {"abs_tol": _number, "rel_tol": _number, "max_subdivisions": _integer}
 
 
 def _families(value: object, name: str) -> tuple[str, ...]:
@@ -163,10 +151,12 @@ def _field(default, read):
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Sweep parameters; JSON config files mirror these field names.
+    """What a sweep samples; JSON config files mirror these field names.
 
     Each field names its reader, which checks the value and normalises it
     (numbers to float or int, lists to tuples) on every construction path.
+    Every check runs at its library defaults (tolerances, quadrature
+    settings); parallelism is ``run_sweep``'s ``jobs`` argument alone.
     """
 
     samples: int = _field(200, _count)
@@ -178,11 +168,6 @@ class SweepConfig:
     q_values: tuple[float, ...] = _field((1.0, 1.5, 2.0, 3.0), _q_values)
     lambda_mu: object = _field("random", _lambda_mu)  # "random" | preset name | (lambda, mu)
     families: tuple[str, ...] = _field(_DEFAULT_FAMILIES, _families)
-    identity_tol: float = _field(IDENTITY_TOL, _tolerance)
-    crosscheck_tol: float = _field(CROSSCHECK_TOL, _tolerance)
-    margin_tol: float = _field(MARGIN_TOL, _tolerance)
-    quad: QuadSettings = _field(DEFAULT_SETTINGS, _quad)
-    jobs: int | None = _field(None, _read_jobs)
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -196,9 +181,7 @@ class SweepConfig:
         return PRESETS[lm] if isinstance(lm, str) else lm
 
     def to_dict(self) -> dict:
-        data = {f.name: getattr(self, f.name) for f in fields(self)}
-        data["quad"] = asdict(self.quad)
-        return {k: list(v) if isinstance(v, tuple) else v for k, v in data.items()}
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in vars(self).items()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepConfig":
@@ -207,13 +190,6 @@ class SweepConfig:
         unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        quad = data.get("quad")
-        if isinstance(quad, dict):
-            unknown = set(quad) - set(_QUAD_READERS)
-            if unknown:
-                raise ConfigError(f"unknown quad keys: {sorted(unknown)}")
-            quad = QuadSettings(**{k: _QUAD_READERS[k](v, k) for k, v in quad.items()})
-            data = {**data, "quad": quad}
         return cls(**data)
 
 
@@ -370,7 +346,7 @@ def _instance_rows(payload: tuple) -> tuple[list[Row], list[dict]]:
     One memo, dropped on return, lets the rows share every integral average,
     kernel oracle and 2F1 value that they have in common.
     """
-    inst_id, inst, certificate, identity_tol, crosscheck_tol, margin_tol, quad = payload
+    inst_id, inst, certificate = payload
     family = format_function_spec(inst.f)
     rows: list[Row] = []
     errata: list[dict] = []
@@ -380,7 +356,7 @@ def _instance_rows(payload: tuple) -> tuple[list[Row], list[dict]]:
     # for this instance; check_theorem still refuses one that does not hold.
 
     try:
-        ic = check_identity(inst, settings=quad, tol=identity_tol, memo=memo)
+        ic = check_identity(inst, memo=memo)
         rows.append(_row(inst_id, family, inst, "identity",
                          ic.lhs, ic.rhs, ic.tol - ic.abs_diff, ic.passed))
     except (AccuracyError, EvaluationError):
@@ -393,10 +369,7 @@ def _instance_rows(payload: tuple) -> tuple[list[Row], list[dict]]:
             check = f"theorem{theorem}@{name}"
             tri = replace(inst, lambda_=lam, mu_=mu)
             try:
-                verdict = check_theorem(
-                    tri, theorem, settings=quad, certificate=certificate,
-                    margin_tol=margin_tol, memo=memo,
-                )
+                verdict = check_theorem(tri, theorem, certificate=certificate, memo=memo)
                 rows.append(_row(inst_id, family, inst, check, verdict.lhs, verdict.rhs,
                                  verdict.margin, verdict.passed))
             except (AccuracyError, EvaluationError):
@@ -404,7 +377,7 @@ def _instance_rows(payload: tuple) -> tuple[list[Row], list[dict]]:
 
     for index in indices:
         try:
-            term = crosscheck_B(index, inst, settings=quad, tol=crosscheck_tol, memo=memo)
+            term = crosscheck_B(index, inst, memo=memo)
         except (AccuracyError, EvaluationError):
             rows.append(_row(inst_id, family, inst, f"crosscheck:B{index}:?"))
             continue
@@ -416,7 +389,7 @@ def _instance_rows(payload: tuple) -> tuple[list[Row], list[dict]]:
         closed = term.closed_form if term.closed_form is not None else _NAN
         rel = term.rel_diff if term.rel_diff is not None else _NAN
         rows.append(_row(inst_id, family, inst, f"crosscheck:B{index}:{term.case}",
-                         term.oracle, closed, crosscheck_tol - rel, term.passed))
+                         term.oracle, closed, CROSSCHECK_TOL - rel, term.passed))
     return rows, errata
 
 
@@ -437,22 +410,15 @@ def _printed_lock_row() -> Row:
 def run_sweep(cfg: SweepConfig, jobs: int | None = None) -> RunReport:
     """Execute the full verification matrix; never aborts on row failures.
 
-    ``jobs`` overrides cfg.jobs under the same rule (an integer >= 1 or
-    None); the default is the machine's core count.  Parallel and serial
-    execution produce identical reports: work is split per instance and
-    merged back in instance order.
+    ``jobs`` is the number of worker processes, an integer >= 1 or None
+    for the machine's core count; it is the only way to set parallelism.
+    Parallel and serial execution produce identical reports: work is split
+    per instance and merged back in instance order.
     """
-    jobs = _read_jobs(jobs, "jobs")
+    jobs = _read_jobs(jobs, "jobs") or os.cpu_count() or 1
     start = time.perf_counter()
     instances, discarded, certificates = generate_instances(cfg, with_certificates=True)
-    payloads = [
-        (i, inst, cert, cfg.identity_tol, cfg.crosscheck_tol, cfg.margin_tol, cfg.quad)
-        for i, (inst, cert) in enumerate(zip(instances, certificates))
-    ]
-    if jobs is None:
-        jobs = cfg.jobs
-    if jobs is None:
-        jobs = os.cpu_count() or 1
+    payloads = [(i, inst, cert) for i, (inst, cert) in enumerate(zip(instances, certificates))]
     if jobs == 1 or len(payloads) == 1:
         results = [_instance_rows(p) for p in payloads]
     else:

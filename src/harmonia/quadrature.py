@@ -11,13 +11,13 @@ tolerates algebraic endpoint behavior t**sigma with sigma > -1.
 
 Neither routine ever returns a silently wrong number: results carry an error
 estimate, an evaluation count and a ``converged`` flag, and a non-finite
-integrand value, an overflow or a division by zero raises
-``EvaluationError`` with the offending abscissa.  ``integrate`` also takes
-an integrand wrapped in the private ``_ArrayIntegrand``, called once per
-panel on the list of its 15 abscissae to return as many values, under the
-same contract and with the same bits.  ``QuadResult.checked`` is the one
-place a result becomes a number: it returns the value of a converged
-result and raises ``AccuracyError`` for any other.
+integrand value, an overflow, a division by zero or an integrand's own
+``EvaluationError`` raises ``EvaluationError`` at the offending abscissa.
+``integrate`` also takes an integrand wrapped in the private
+``_ArrayIntegrand``, called once per panel on the list of its 15 abscissae
+to return as many values, under the same contract and with the same bits.
+``QuadResult.checked`` is the one place a result becomes a number: it
+returns the value of a converged result, else raises ``AccuracyError``.
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ def _require_interval(lo: float, hi: float) -> None:
 def _eval(f, x: float) -> float:
     try:
         fx = float(f(x))
-    except (OverflowError, ZeroDivisionError) as exc:
+    except (OverflowError, ZeroDivisionError, EvaluationError) as exc:
         raise EvaluationError(f"integrand raised {exc!r} at x={x!r}", abscissa=x) from exc
     if not math.isfinite(fx):
         raise EvaluationError(f"integrand returned non-finite value at x={x!r}", abscissa=x)
@@ -132,7 +132,7 @@ def _panel(f, xs: list[float]) -> list[float]:
     if isinstance(f, _ArrayIntegrand):
         try:
             fs = list(map(float, f.f(xs)))
-        except (OverflowError, ZeroDivisionError):
+        except (OverflowError, ZeroDivisionError, EvaluationError):
             fs = []
         if len(fs) == len(xs) and all(map(math.isfinite, fs)):
             return fs
@@ -174,9 +174,9 @@ def integrate(f, lo: float, hi: float, settings: QuadSettings | None = None) -> 
     the endpoints themselves are never evaluated).  Each panel evaluates its
     centre, then centre - x_j and centre + x_j for j = 0..6; an
     ``_ArrayIntegrand`` gets that list in one call.  The first node in this
-    order that gives a non-finite value, an OverflowError or a
-    ZeroDivisionError raises EvaluationError with its abscissa; for an array
-    integrand the failing panel is re-evaluated one node at a time to find it.
+    order whose value is not finite, or whose evaluation raises OverflowError,
+    ZeroDivisionError or EvaluationError, raises EvaluationError with its
+    abscissa; an array integrand's failing panel is re-evaluated node by node.
     The result's ``err_estimate`` is the sum of per-panel Kronrod-minus-Gauss
     scores, which in practice bounds the true error by a wide margin on
     smooth and piecewise-smooth integrands.

@@ -308,6 +308,14 @@ class TestSweep:
         assert rc == 2
         assert "smaples" in capsys.readouterr().err
 
+    def test_jobs_in_config_is_usage_error(self, tmp_path, capsys):
+        # Parallelism is the --jobs flag's alone; a config names what to sample.
+        cfg = self.write_config(tmp_path, {**self.CONFIG, "jobs": 2})
+        rc = main(["sweep", "--config", str(cfg), "--out",
+                   str(tmp_path / "r.csv"), "--format", "csv"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: unknown config keys: ['jobs']")
+
     def test_malformed_json_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")

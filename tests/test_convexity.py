@@ -437,6 +437,15 @@ class TestFunctionSpecNodes:
         with pytest.raises(EvaluationError):
             shape.deriv(1.0)
 
+    @pytest.mark.parametrize("x", [1e3, [1.0, 2.0, 1e3, 2e3]], ids=["scalar", "array"])
+    @pytest.mark.parametrize("method", ["value", "deriv"])
+    def test_overflow_names_its_input_without_a_warning(self, method, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationError) as exc:
+                getattr(power(1.0, 400.0), method)(x)
+        assert exc.value.abscissa == 1e3
+
     def test_abs_deriv_pow_validates_q(self):
         with pytest.raises(ParameterError):
             abs_deriv_pow(linear(), 0.0)

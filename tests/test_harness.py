@@ -6,16 +6,20 @@ import json
 import math
 import os
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from harmonia import (
     AccuracyError,
+    CROSSCHECK_TOL,
     CSV_COLUMNS,
     ConfigError,
+    DEFAULT_SETTINGS,
     FunctionSpec,
+    IDENTITY_TOL,
+    MARGIN_TOL,
     PRESETS,
     QuadSettings,
     Row,
@@ -88,17 +92,20 @@ class TestSweepConfig:
         ],
     )
     def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ConfigError):
-            SweepConfig(**kwargs)
+        # from_dict builds SweepConfig(**kwargs) once every key is known; the
+        # tolerance, quad and jobs keys are not fields and fail as unknown keys.
+        with pytest.raises(ConfigError) as exc:
+            SweepConfig.from_dict(kwargs)
+        assert next(iter(kwargs)) in str(exc.value)
 
     def test_scalar_family_error_names_the_field(self):
         with pytest.raises(ConfigError, match="families"):
             SweepConfig(families="linear")
 
     def test_integer_fields_accept_integral_floats(self):
-        cfg = SweepConfig.from_dict({"samples": 200.0, "rng_seed": 7.0, "jobs": 2.0})
-        assert (cfg.samples, cfg.rng_seed, cfg.jobs) == (200, 7, 2)
-        assert all(type(n) is int for n in (cfg.samples, cfg.rng_seed, cfg.jobs))
+        cfg = SweepConfig.from_dict({"samples": 200.0, "rng_seed": 7.0})
+        assert (cfg.samples, cfg.rng_seed) == (200, 7)
+        assert all(type(n) is int for n in (cfg.samples, cfg.rng_seed))
 
     def test_lists_become_tuples(self):
         cfg = SweepConfig(a_range=[0.5, 2.0], s_values=[0.5, 1], families=["linear"])
@@ -117,21 +124,9 @@ class TestSweepConfig:
             rng_seed=7,
             lambda_mu=(0.9, 0.1),
             families=("power:c=1,p=2",),
-            quad=QuadSettings(abs_tol=1e-9, rel_tol=1e-9, max_subdivisions=500),
-            jobs=2,
         )
         again = SweepConfig.from_dict(cfg.to_dict())
         assert again == cfg
-
-    @pytest.mark.parametrize("value", [2.7, True, "x"])
-    def test_from_dict_rejects_non_integral_max_subdivisions(self, value):
-        with pytest.raises(ConfigError, match="max_subdivisions"):
-            SweepConfig.from_dict({"quad": {"max_subdivisions": value}})
-
-    def test_from_dict_accepts_integral_max_subdivisions(self):
-        quad = SweepConfig.from_dict({"quad": {"max_subdivisions": 500.0}}).quad
-        assert quad.max_subdivisions == 500
-        assert isinstance(quad.max_subdivisions, int)
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigError) as exc:
@@ -149,13 +144,23 @@ class TestSweepConfig:
             SweepConfig.from_dict({"s_values": 0.5})
         with pytest.raises(ConfigError):
             SweepConfig.from_dict({"families": "linear"})
-        with pytest.raises(ConfigError):
-            SweepConfig.from_dict({"quad": {"abs_tol": 1e-9, "extra": 1}})
 
-    def test_from_dict_partial_quad_uses_defaults(self):
-        cfg = SweepConfig.from_dict({"quad": {"abs_tol": 1e-8}})
-        assert cfg.quad.abs_tol == 1e-8
-        assert cfg.quad.rel_tol == SweepConfig().quad.rel_tol
+    def test_fields_are_the_sampling_parameters(self):
+        assert [f.name for f in fields(SweepConfig)] == [
+            "samples", "rng_seed", "a_range", "b_minus_a_range", "s_values",
+            "m_values", "q_values", "lambda_mu", "families",
+        ]
+
+    def test_from_dict_rejects_removed_keys(self):
+        # How rows are judged and how many workers run are not config keys,
+        # not even at the values a sweep uses.
+        removed = {
+            "identity_tol": IDENTITY_TOL, "crosscheck_tol": CROSSCHECK_TOL,
+            "margin_tol": MARGIN_TOL, "quad": {"abs_tol": 1e-10}, "jobs": 2,
+        }
+        for key, value in removed.items():
+            with pytest.raises(ConfigError, match=rf"unknown config keys: \['{key}'\]"):
+                SweepConfig.from_dict({"samples": 5, key: value})
 
 
 class TestGenerateInstances:
@@ -223,14 +228,14 @@ class TestRunSweep:
         for theorem in (1, 2):
             worst = small_report.worst_margin(theorem)
             assert worst is not None
-            assert worst >= -SMALL.margin_tol
+            assert worst >= -MARGIN_TOL
 
     def test_errata_rows_are_expected_and_shaped(self, small_report):
         assert small_report.errata, "flagged coefficients should appear in any sweep"
         for entry in small_report.errata:
             assert entry["expected"] is True
             assert entry["status"] == "erratum_suspected"
-            assert entry["rel_diff"] > SMALL.crosscheck_tol
+            assert entry["rel_diff"] > CROSSCHECK_TOL
             assert set(entry) == {
                 "index", "case", "oracle", "closed_form", "rel_diff",
                 "status", "instance_id", "expected",
@@ -292,10 +297,7 @@ class TestRunSweep:
             return real(tri, theorem, **kwargs)
 
         monkeypatch.setattr(harness, "check_theorem", fails_at_simpson)
-        payload = (
-            0, inst, certify_instance(inst),
-            SMALL.identity_tol, SMALL.crosscheck_tol, SMALL.margin_tol, SMALL.quad,
-        )
+        payload = (0, inst, certify_instance(inst))
         rows, _ = harness._instance_rows(payload)
         failed = [r for r in rows if not r.passed]
         assert [r.check for r in failed] == ["theorem1@simpson", "theorem2@simpson"]
@@ -309,11 +311,6 @@ class TestRunSweep:
         assert (again, discarded_again) == (instances, discarded)
         assert certificates == [certify_instance(inst) for inst in instances]
         assert all(cert.holds for cert in certificates)
-
-    def test_jobs_argument_overrides_config(self):
-        cfg = SweepConfig(samples=2, families=("power:c=1,p=2",), jobs=2)
-        rep = run_sweep(cfg, jobs=1)  # must not spawn; result identical anyway
-        assert rep.instances == 2
 
     @pytest.mark.parametrize("jobs", [0, -1, True])
     def test_bad_jobs_override_rejected(self, jobs):
@@ -330,14 +327,14 @@ class TestRunSweep:
         with pytest.raises(AccuracyError, match="systemic"):
             run_sweep(cfg, jobs=1)
 
-    def test_systemic_quadrature_failure_raises(self):
-        starved = SweepConfig(
-            samples=2,
-            families=("power:c=1,p=2",),
-            quad=QuadSettings(abs_tol=1e-300, rel_tol=1e-15, max_subdivisions=1),
-        )
-        with pytest.raises(AccuracyError):
-            run_sweep(starved, jobs=1)
+    def test_systemic_quadrature_failure_raises(self, monkeypatch):
+        # Starve the oracles, which every theorem and crosscheck row reads:
+        # those rows fail to converge, and the sweep reports it as systemic.
+        starved = QuadSettings(abs_tol=1e-300, rel_tol=1e-15, max_subdivisions=1)
+        monkeypatch.setattr(bounds, "DEFAULT_SETTINGS", starved)
+        cfg = SweepConfig(samples=2, families=("power:c=1,p=2",))
+        with pytest.raises(AccuracyError, match="systemic"):
+            run_sweep(cfg, jobs=1)
 
 
 def _exact_oracle_key(kind, inst, settings=None):
@@ -375,24 +372,24 @@ def test_closed_forms_run_no_quadrature(monkeypatch):
 class TestInstanceMemo:
     def test_rows_equal_the_unmemoized_functions(self, small_report):
         instances, _ = generate_instances(SMALL)
-        quad = SMALL.quad
+        quad = DEFAULT_SETTINGS
         for inst_id, inst in enumerate(instances):
             rows = {r.check: r for r in small_report.rows if r.instance_id == inst_id}
             expected = {}
-            ic = check_identity(inst, settings=quad, tol=SMALL.identity_tol)
+            ic = check_identity(inst, settings=quad, tol=IDENTITY_TOL)
             expected["identity"] = (ic.lhs, ic.rhs)
             triples = [("instance", (inst.lambda_, inst.mu_)), *PRESETS.items()]
             for theorem in (1,) if inst.q == 1.0 else (1, 2):
                 for name, (lam, mu) in triples:
                     v = check_theorem(
                         replace(inst, lambda_=lam, mu_=mu), theorem, settings=quad,
-                        margin_tol=SMALL.margin_tol,
+                        margin_tol=MARGIN_TOL,
                     )
                     expected[f"theorem{theorem}@{name}"] = (v.lhs, v.rhs)
             for index in range(1, 13):
                 if index in (7, 10) and inst.q == 1.0:
                     continue
-                term = crosscheck_B(index, inst, settings=quad, tol=SMALL.crosscheck_tol)
+                term = crosscheck_B(index, inst, settings=quad, tol=CROSSCHECK_TOL)
                 expected[f"crosscheck:B{index}:{term.case}"] = (term.oracle, term.closed_form)
             assert set(rows) == set(expected)
             for check, (lhs, rhs) in expected.items():
@@ -431,17 +428,14 @@ class TestInstanceMemo:
         count(bounds, "_evaluate",
               lambda index, terms, inst, memo=None: (index, inst.lambda_, inst.mu_))
         count(identity, "integrate", lambda f, lo, hi, settings=None: (lo, hi, settings))
-        payload = (
-            0, inst, certify_instance(inst),
-            SMALL.identity_tol, SMALL.crosscheck_tol, SMALL.margin_tol, SMALL.quad,
-        )
+        payload = (0, inst, certify_instance(inst))
         rows, _ = harness._instance_rows(payload)
         assert all(r.passed for r in rows)
         for name, seen in keys.items():
             repeated = {k: n for k, n in seen.items() if n > 1}
             assert not repeated, (name, repeated)
         assert keys["kernel_oracle"] and keys["_hyp2f1_bounded"] and keys["_evaluate"]
-        assert keys["integrate"][(inst.a, inst.b, SMALL.quad)] == 1
+        assert keys["integrate"][(inst.a, inst.b, DEFAULT_SETTINGS)] == 1
         # B8, B9, B11 and B12 do not read lambda or mu: one integral serves
         # all four triples and the crosscheck.
         for index in (8, 9, 11, 12):
@@ -456,10 +450,7 @@ class TestInstanceMemo:
         # endpoint derivatives f'(a), f'(b/m) are one call each per instance,
         # and each Gauss-Kronrod panel of the identity is one 15-point call.
         inst = next(i for i in generate_instances(SMALL)[0] if i.q > 1.0)
-        payload = (
-            0, inst, certify_instance(inst),
-            SMALL.identity_tol, SMALL.crosscheck_tol, SMALL.margin_tol, SMALL.quad,
-        )
+        payload = (0, inst, certify_instance(inst))
         calls: dict[str, Counter] = {}
         for name in ("value", "deriv"):
             fn = getattr(FunctionSpec, name)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -186,6 +187,15 @@ class TestKernelIdentity:
     def test_tol_validation(self):
         with pytest.raises(ParameterError):
             check_identity(CANONICAL, tol=0.0)
+
+    def test_overflow_names_its_point_without_a_warning(self):
+        inst = make(power(1.0, 120.0), 1e3, 2e3, 0.5, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationError) as exc:
+                check_identity(inst)
+        # f(H), f(a), f(b) come first, in that order; H**120 already overflows.
+        assert exc.value.abscissa == inst.harmonic_mean
 
     def test_quadrature_budget_exhaustion_raises(self):
         starved = QuadSettings(abs_tol=1e-300, rel_tol=1e-15, max_subdivisions=2)

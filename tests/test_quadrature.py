@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import warnings
 
 import pytest
 from hypothesis import given
@@ -214,6 +215,19 @@ class TestArrayIntegrand:
             with pytest.raises(EvaluationError) as exc:
                 integrate(g, 0.0, 1.0)
             assert exc.value.abscissa == getattr(self, node)
+
+    def test_function_spec_overflow_names_the_node(self):
+        # x**400 overflows above about 5.9: on [1, 10] the first panel's
+        # centre 5.5 is finite and its third abscissa is the first to fail.
+        f = power(1.0, 400.0)
+        seen = []
+        for g in (f.value, _ArrayIntegrand(f.value)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(EvaluationError) as exc:
+                    integrate(g, 1.0, 10.0)
+            seen.append(exc.value.abscissa)
+        assert seen == [5.5 + 4.5 * _XGK[0]] * 2
 
     def test_one_call_per_panel(self):
         sizes = []
