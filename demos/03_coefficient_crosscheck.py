@@ -3,8 +3,8 @@
 Twelve weight-moment coefficients feed the two bound theorems.  The
 elementary four (B1, B4, B7, B10) have simple polynomial closed forms; the
 other eight are Beta/2F1 combinations whose circulated closed forms are
-wrong in specific piecewise cases.  Each case was adjudicated against a
-tanh-sinh oracle of the defining integral; the locked erratum set and the
+wrong in specific piecewise cases.  Each case is adjudicated against a
+Gauss-Jacobi oracle of the defining integral; the locked erratum set and the
 hand-derived corrections both live in the library.  Every 2F1 in a closed
 form is summed as its Gauss series with an error bound, so a closed form
 whose terms cancel is reported as ill_conditioned, not as a misprint.

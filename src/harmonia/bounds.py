@@ -11,7 +11,7 @@ A_t = t*b + (1-t)*a and parameters s, q (and p = q/(q-1) where q > 1):
     B9  = int_0^{1/2} (1-t)^s / A^2q           B12 = int_{1/2}^1 (1-t)^s / A^2q
 
 Every coefficient has two evaluation paths: a defining-integral oracle
-(adaptive quadrature of the integral above, split at the weight's kink) and
+(Gauss-Jacobi quadrature of the integral above, split at the weight's kink) and
 the closed forms printed in the source tables (Beta and Gauss 2F1
 expressions, piecewise in mu or lam).  Several printed cases are misprinted;
 ``crosscheck_B`` compares the paths and flags disagreements as errata
@@ -41,6 +41,8 @@ import math
 import numbers
 from dataclasses import dataclass
 
+import numpy as np
+
 from .convexity import (
     FunctionSpec,
     GridSpec,
@@ -51,9 +53,9 @@ from .convexity import (
 )
 from .errors import AccuracyError, EvaluationError, ParameterError, PreconditionError
 from .identity import Instance, _memoized, rule_deviation
-from .quadrature import DEFAULT_SETTINGS, QuadSettings, integrate_de
-# The closed forms no longer call hyp2f1; the name stays bound here because
-# the benchmark's tracer wraps bounds.hyp2f1.
+# The kernel oracles no longer call integrate_de, nor the closed forms hyp2f1;
+# the names stay bound here because the benchmark's tracer wraps both.
+from .quadrature import DEFAULT_SETTINGS, QuadSettings, _product_rule, integrate_de  # noqa: F401
 from .specfun import _U, _hyp2f1_bounded, beta, hyp2f1  # noqa: F401
 
 CROSSCHECK_TOL = 1e-6
@@ -185,45 +187,60 @@ def kernel_oracle(
     The weight is |c - t| (to the conjugate exponent p = q/(q-1) of inst.q
     for abs_weight_pow_p, so ParameterError at q = 1), centred on mu_ or
     lambda_; the half is split at c, the weight's kink, when c lies strictly
-    inside it.  The weight "none" has no kink, so B8, B9, B11 and B12 are
-    one panel and do not depend on mu_ or lambda_.  Each panel is
-    integrated with the double-exponential rule: t^s and (1-t)^s have
-    algebraic endpoint singularities for fractional s, which defeat
-    polynomial error estimates but are exactly what tanh-sinh handles.
+    inside it.  The weight "none" has no kink, so B8, B9, B11 and B12 do not
+    depend on mu_ or lambda_.  Each panel is (t - lo)^at_lo (hi - t)^at_hi
+    times a smooth factor, at_lo and at_hi the fractional parts of the
+    powers t^s, (1-t)^s and |c - t|^e that vanish at its ends; the
+    Gauss-Jacobi product rule integrates those exactly.  A panel is split
+    geometrically toward a singularity of its factor that lies near it: the
+    pole of A^-2q at -a/(b-a), or a zero of fractional power.
     """
     _require_band(inst.mu_, inst.lambda_)
     settings = settings if settings is not None else DEFAULT_SETTINGS
-    a, b, s, q = inst.a, inst.b, inst.s, inst.q
+    a, width = inst.a, inst.b - inst.a
     lo, hi = (0.0, 0.5) if kind.side == "left" else (0.5, 1.0)
     centre = _centre(kind, inst)
-    p = _conjugate(q) if kind.needs_p else None
+    # The powers that vanish on [0, 1], as (zero, exponent).
+    zeros = [] if kind.factor == "none" else [(0.0 if kind.factor == "t_pow_s" else 1.0, inst.s)]
+    if centre is not None:
+        zeros.append((centre, _conjugate(inst.q) if kind.needs_p else 1.0))
+    # Where the smooth factor is singular: each zero of fractional power, and the pole of A^-2q.
+    singular = [zero for zero, e in zeros if e % 1.0]
+    two_q = 2.0 * inst.q if kind.include_A else 0.0
+    if two_q:
+        # A^2q grows with t; between e^-708 and e^709 it and A^-2q are normal floats.
+        if not -708.0 < two_q * math.log(a + width * lo) <= two_q * math.log(a + width * hi) < 709.0:
+            raise EvaluationError(f"A^2q leaves the float range on [{lo}, {hi}]")
+        singular.append(-a / width)
+    ends: dict[float, float] = {}  # the Jacobi exponent at each zero: its fractional powers
+    for zero, e in zeros:
+        ends[zero] = ends.get(zero, 0.0) + e % 1.0
+    cuts = [lo, centre, hi] if centre is not None and lo < centre < hi else [lo, hi]
+    panels = [(u, v, ends.get(u, 0.0), ends.get(v, 0.0))
+              for part in zip(cuts, cuts[1:]) for u, v in _graded(*part, singular)]
 
-    # Read the kind once here, not on every evaluation.
-    t_pow_s = kind.factor == "t_pow_s"
-    one_minus_t_pow_s = kind.factor == "one_minus_t_pow_s"
-    include_A = kind.include_A
-    two_q = 2.0 * q
+    def integrand(ts: np.ndarray) -> list[float]:
+        t = np.asarray(ts)
+        val = (a + width * t) ** -two_q  # 1 where two_q is 0
+        for zero, e in zeros:
+            dist = t if zero == 0.0 else np.abs(zero - t)
+            val = val * (dist if e == 1.0 else dist**e)
+        return val.tolist()
 
-    def integrand(t: float) -> float:
-        val = 1.0 if centre is None else abs(centre - t)
-        if p is not None:
-            val **= p
-        if t_pow_s:
-            val *= t**s
-        elif one_minus_t_pow_s:
-            val *= (1.0 - t) ** s
-        if include_A:
-            A = t * b + (1.0 - t) * a
-            val /= A**two_q
-        return val
+    return _product_rule(integrand, panels, settings).checked("kernel_oracle quadrature")
 
-    split = centre is not None and lo < centre < hi
-    panels = [(lo, centre), (centre, hi)] if split else [(lo, hi)]
-    total = 0.0
-    for panel_lo, panel_hi in panels:
-        res = integrate_de(integrand, panel_lo, panel_hi, settings)
-        total += res.checked("kernel_oracle quadrature")
-    return total
+
+_GRADE = 0.15  # the geometric ratio of graded panels
+
+
+def _graded(u: float, v: float, singular: list[float]) -> list[tuple[float, float]]:
+    """[u, v] split geometrically toward each point of singular within _GRADE of its width."""
+    reach = _GRADE * (v - u)
+    for z in singular:
+        if u - reach < z < u or v < z < v + reach:
+            m = u + reach if z < u else v - reach
+            return _graded(u, m, singular) + _graded(m, v, singular)
+    return [(u, v)]
 
 
 def _oracle(

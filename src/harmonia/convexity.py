@@ -65,6 +65,18 @@ def _require_sm(s: float, m: float) -> None:
         raise ParameterError(f"m must lie in (0, 1], got {m!r}")
 
 
+def _at_input(rule, x: np.ndarray, fx):
+    """rule(fx), fx = inner(x), with its EvaluationError named at the compose's input x."""
+    try:
+        return rule(fx)
+    except EvaluationError as exc:
+        hit = np.atleast_1d(fx) == exc.abscissa
+        if not hit.any():
+            raise
+        at = float(np.atleast_1d(x)[hit][0])
+        raise EvaluationError(f"compose is not finite at x={at!r} ({exc})", abscissa=at) from exc
+
+
 @dataclass(frozen=True)
 class FunctionSpec:
     """A closed-form function term on (domain_lo, inf).
@@ -156,7 +168,7 @@ class FunctionSpec:
             return np.maximum.reduce(vals)
         if self.kind == "compose":
             outer, inner = self.children
-            return np.asarray(outer.value(inner.value(x)), dtype=float)
+            return np.asarray(_at_input(outer.value, x, inner.value(x)), dtype=float)
         if self.kind == "seq_limit":
             return np.asarray(self.limit.value(x), dtype=float)
         if self.kind == "abs_deriv_pow":
@@ -184,8 +196,8 @@ class FunctionSpec:
             return np.asarray(total, dtype=float)
         if self.kind == "compose":
             outer, inner = self.children
-            fx = inner.value(x)
-            return np.asarray(outer.deriv(fx) * inner.deriv(x), dtype=float)
+            outer_deriv = _at_input(outer.deriv, x, inner.value(x))
+            return np.asarray(outer_deriv * inner.deriv(x), dtype=float)
         if self.kind == "seq_limit":
             return np.asarray(self.limit.deriv(x), dtype=float)
         raise EvaluationError(f"{self.kind} spec has no derivative evaluator")

@@ -7,9 +7,11 @@ the panel with the largest score is bisected until the summed estimate meets
 the requested tolerance or the subdivision budget runs out.  ``integrate_de``
 is a tanh-sinh (double exponential) rule with trapezoid step halving; it
 never evaluates the integrand at the interval endpoints and therefore
-tolerates algebraic endpoint behavior t**sigma with sigma > -1.
+tolerates algebraic endpoint behavior t**sigma with sigma > -1.  The kernel
+oracles use the private ``_product_rule``, a Gauss-Jacobi rule that
+integrates known endpoint powers exactly (node table built on first use).
 
-Neither routine ever returns a silently wrong number: results carry an error
+No routine ever returns a silently wrong number: results carry an error
 estimate, an evaluation count and a ``converged`` flag, and a non-finite
 integrand value, an overflow, a division by zero or an integrand's own
 ``EvaluationError`` raises ``EvaluationError`` at the offending abscissa.
@@ -25,9 +27,12 @@ from __future__ import annotations
 import functools
 import heapq
 import math
+import operator
 from array import array
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import AccuracyError, EvaluationError, ParameterError
 
@@ -137,7 +142,7 @@ def _panel(f, xs: list[float]) -> list[float]:
         if len(fs) == len(xs) and all(map(math.isfinite, fs)):
             return fs
         # Something failed: find its node by evaluating one abscissa at a time.
-        return [_eval(lambda t: f.f([t])[0], x) for x in xs]
+        return [_eval(lambda t: f.f([t])[0], x) for x in map(float, xs)]
     return [_eval(f, x) for x in xs]
 
 
@@ -329,3 +334,87 @@ def integrate_de(f, lo: float, hi: float, settings: QuadSettings | None = None) 
         prev_value = value
 
     return QuadResult(value, err, evals, converged)
+
+
+# Gauss-Jacobi product rule ------------------------------------------------
+
+
+@functools.cache
+def _jacobi_rule(n: int, alpha: float, beta: float) -> tuple[np.ndarray, list[float]]:
+    """Nodes x and weights w of the n-point Gauss rule for (1-x)^alpha (1+x)^beta.
+
+    x: the zeros of the orthonormal Jacobi p_n, by Newton's method on its
+    recurrence from cos guesses.  w: the Christoffel numbers 1 / sum_{k<n}
+    p_k(x)^2 over the weight at x, so sum w_j f(x_j) is exact when f / weight
+    is a polynomial of degree < 2n.  (beta, alpha) is this rule mirrored.
+    """
+    if alpha > beta:
+        x, w = _jacobi_rule(n, beta, alpha)
+        return -x[::-1], w[::-1]
+    ab, k = alpha + beta, np.arange(1.0, n + 1.0)
+    m = 2.0 * k + ab  # x p_k = off[k+1] p_{k+1} + diag[k] p_k + off[k] p_{k-1}
+    diag = [(beta - alpha) / (ab + 2.0), *((beta**2 - alpha**2) / (m * (m + 2.0))).tolist()]
+    off = [0.0, *np.sqrt(4.0 * k * (k + alpha) * (k + beta) * (k + ab)
+                         / (m * m * (m + 1.0) * (m - 1.0))).tolist()]
+    mass = 2.0 ** (ab + 1.0) * math.gamma(alpha + 1.0) * math.gamma(beta + 1.0) / math.gamma(ab + 2.0)
+
+    def walk(x, squares=False):
+        """p_{n-1}(x), p_n(x) and, if asked, sum_{k<n} p_k(x)^2."""
+        prev, p, ssq = 0.0, np.full_like(x, 1.0 / math.sqrt(mass)), 0.0
+        for k in range(n):
+            ssq = ssq + p * p if squares else ssq
+            prev, p = p, ((x - diag[k]) * p - off[k] * prev) / off[k + 1]
+        return prev, p, ssq
+
+    # Newton's step p_n / p_n', with p_n' from p_n and p_{n-1}:
+    # m (1 - x^2) p_n' = n (alpha - beta - m x) p_n + m (m + 1) off[n] p_{n-1}, m = 2n + ab.
+    m = 2.0 * n + ab
+    x = np.array([math.cos((k + 0.5 * alpha - 0.25) * math.pi / (n + 0.5 * (ab + 1.0)))
+                  for k in range(1, n + 1)])
+    for _ in range(100):
+        prev, p, _ = walk(x)
+        step = p * m * (1.0 - x * x) / (n * (alpha - beta - m * x) * p + off[n] * m * (m + 1.0) * prev)
+        x = x - step
+        if np.abs(step).max() <= 1e-13:  # quadratic convergence: x is now exact to rounding
+            w = 1.0 / (walk(x, squares=True)[2] * (1.0 - x) ** alpha * (1.0 + x) ** beta)
+            return x, w.tolist()
+    raise AccuracyError(f"Gauss-Jacobi nodes (n={n}, alpha={alpha}, beta={beta}) did not converge")
+
+
+@functools.cache
+def _jacobi_level(n: int, alpha: float, beta: float) -> tuple[np.ndarray, list[float], list[float]]:
+    """1 + x of the n- and 2n-point rules together, and the weights of each."""
+    (x1, w1), (x2, w2) = _jacobi_rule(n, alpha, beta), _jacobi_rule(2 * n, alpha, beta)
+    return 1.0 + np.concatenate((x1, x2)), w1, w2
+
+
+def _product_rule(f, panels, settings: QuadSettings | None = None) -> QuadResult:
+    """Gauss-Jacobi integration of f over panels (lo, hi, at_lo, at_hi), summed.
+
+    On each panel f is (t - lo)^at_lo (hi - t)^at_hi times a smooth factor.
+    Level by level, n = 8, 16, ..., 1024, f is called once on the n- and
+    2n-point nodes of every panel (an ``_ArrayIntegrand``, under its
+    contract).  It stops when |Q_2n - Q_n| <= rel_tol |Q_2n|, with no
+    absolute floor: for a nonnegative f, positive weights leave only relative
+    rounding.  A level that would take the evaluations past
+    15 * max_subdivisions is not run.
+    """
+    s = settings if settings is not None else DEFAULT_SETTINGS
+    for lo, hi, _, _ in panels:
+        _require_interval(lo, hi)
+    g = _ArrayIntegrand(f)
+    value, err, evals, n = math.nan, math.inf, 0, 8
+    while n <= 1024 and evals + 3 * n * len(panels) <= 15 * s.max_subdivisions:
+        levels = [(lo, 0.5 * (hi - lo), *_jacobi_level(n, at_hi, at_lo))
+                  for lo, hi, at_lo, at_hi in panels]
+        fs = _panel(g, np.concatenate([lo + half * u for lo, half, u, _, _ in levels]))
+        evals += len(fs)
+        coarse = value = 0.0
+        for i, (_, half, _, w1, w2) in enumerate(levels):
+            coarse += half * math.fsum(map(operator.mul, w1, fs[3 * n * i:]))
+            value += half * math.fsum(map(operator.mul, w2, fs[3 * n * i + n:]))
+        err = abs(value - coarse)
+        if err <= s.rel_tol * abs(value):
+            return QuadResult(value, err, evals, True)
+        n *= 2
+    return QuadResult(value, err, evals, False)

@@ -247,6 +247,17 @@ class TestCrosscheck:
         assert "(UNEXPECTED)" not in proc.stdout
         assert proc.returncode == 0, proc.stdout + proc.stderr
 
+    def test_tiny_conjugate_moments_are_not_errata(self, capsys):
+        # At q = 1.05 the weight |c - t|^p has p = 21 and B7 = B10 = 5.2e-15;
+        # an oracle that stopped on an absolute tolerance was 3.4e-6 off here.
+        rc = main(["crosscheck", "--a", "0.02", "--b", "30", "--s", "0.5", "--m", "1",
+                   "--q", "1.05", "--lambda", "0.75", "--mu", "0.25"])
+        out = capsys.readouterr().out
+        lines = {line.split()[0]: line for line in out.splitlines()}
+        assert lines["B7"].endswith(" ok") and lines["B10"].endswith(" ok"), out
+        assert "(UNEXPECTED)" not in out
+        assert rc == 0
+
     def test_oracle_overflow_is_numeric_failure(self, capsys):
         rc = main(["crosscheck", "--a", "1", "--b", "2", "--s", "0.5", "--m", "1",
                    "--q", "1000", "--lambda", "0.8", "--mu", "0.3"])

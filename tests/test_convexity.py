@@ -419,6 +419,18 @@ class TestComposition:
         # (x^2)^2 = x^4, derivative 4x^3
         assert comp.deriv(2.0) == pytest.approx(32.0)
 
+    @pytest.mark.parametrize("x", [100.0, [2.0, 100.0]], ids=["scalar", "array"])
+    @pytest.mark.parametrize("method", ["value", "deriv"])
+    def test_outer_overflow_names_the_compose_input(self, method, x):
+        # (x^2)^400 overflows at x = 100 through the inner value 1e4: the
+        # error names the compose's own input, not the inner value.
+        comp = combine("compose", [power(1.0, 400.0), power(1.0, 2.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationError) as exc:
+                getattr(comp, method)(x)
+        assert exc.value.abscissa == 100.0
+
     def test_compose_arity(self):
         with pytest.raises(ParameterError):
             combine("compose", [linear()])

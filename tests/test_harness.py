@@ -35,6 +35,7 @@ from harmonia import (
     generate_instances,
     harness,
     identity,
+    quadrature,
     report_to_dict,
     run_sweep,
     specfun,
@@ -368,6 +369,24 @@ def test_closed_forms_run_no_quadrature(monkeypatch):
     assert evaluated > 0 and calls == Counter()
     assert specfun.hyp2f1(2.0, 1.0, 3.5, 0.5) > 1.0 and calls["integrate"] == 1
 
+
+
+def test_kernel_oracles_run_no_tanh_sinh(monkeypatch):
+    # The oracles integrate with the Gauss-Jacobi product rule alone; the
+    # tanh-sinh rule serves specfun's public integrals only.
+    calls = Counter()
+    for module, name in ((quadrature, "_de_level"), (bounds, "kernel_oracle")):
+        fn = getattr(module, name)
+
+        def counted(*args, _name=name, _fn=fn, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    report = run_sweep(SMALL, jobs=1)
+    assert all(r.passed for r in report.rows)
+    assert calls["kernel_oracle"] > 0 and calls["_de_level"] == 0
+    assert specfun.gamma_integral(3.5) > 0.0 and calls["_de_level"] > 0
 
 class TestInstanceMemo:
     def test_rows_equal_the_unmemoized_functions(self, small_report):

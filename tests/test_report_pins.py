@@ -31,12 +31,12 @@ CONFIGS = {
 # name -> (CSV sha256, JSON sha256 without generated_at, wall_time, config).
 REPORT_PINS = {
     "criterion9": (
-        "f729236c63c6fa320f75c34a5c7ec68dd633697bc32281f7631b3155b54f8f4b",
-        "6d414bee3519c5836bc9bfd31a9a294f80c0a8f576f2bb8af72c1ee40f4b5600",
+        "a087f62f90eec1046f9e4604acf29d2391185d4aeec1d1e8334c16934a4e5db7",
+        "6f04bafbc2d99adb4aa301e0047061fcef7d0e9d359465c58f313ae8a2e49ea8",
     ),
     "wide10": (
-        "924bbcb93add97d1af81175f6aadd9a3dee7879522e396226d8280addffd006f",
-        "62b0f99c882a5401fe7ad67e120e8bf7d6de4ed0342f086a2977330bb982a7c1",
+        "c7e4175021ad6388893c384439a0dbab4ab377511503c5b2f551a5f4904994f8",
+        "0b89af09f92d782f443e7021716ec98c684906ee5b2ee5094044f6647a61aacc",
     ),
 }
 
