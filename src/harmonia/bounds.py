@@ -209,7 +209,8 @@ def kernel_oracle(
     two_q = 2.0 * inst.q if kind.include_A else 0.0
     if two_q:
         # A^2q grows with t; between e^-708 and e^709 it and A^-2q are normal floats.
-        if not -708.0 < two_q * math.log(a + width * lo) <= two_q * math.log(a + width * hi) < 709.0:
+        log_lo, log_hi = (two_q * math.log(a + width * t) for t in (lo, hi))
+        if not -708.0 < log_lo <= log_hi < 709.0:
             raise EvaluationError(f"A^2q leaves the float range on [{lo}, {hi}]")
         singular.append(-a / width)
     ends: dict[float, float] = {}  # the Jacobi exponent at each zero: its fractional powers
@@ -221,7 +222,7 @@ def kernel_oracle(
 
     def integrand(ts: np.ndarray) -> list[float]:
         t = np.asarray(ts)
-        val = (a + width * t) ** -two_q  # 1 where two_q is 0
+        val = (a + width * t) ** -two_q if two_q else 1.0
         for zero, e in zeros:
             dist = t if zero == 0.0 else np.abs(zero - t)
             val = val * (dist if e == 1.0 else dist**e)

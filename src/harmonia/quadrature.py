@@ -132,7 +132,7 @@ class _ArrayIntegrand:
     f: Callable[[list[float]], Sequence[float]]
 
 
-def _panel(f, xs: list[float]) -> list[float]:
+def _panel(f, xs: Sequence[float]) -> list[float]:
     """f at the abscissae xs, in order, each one finite (see ``integrate``)."""
     if isinstance(f, _ArrayIntegrand):
         try:
@@ -356,7 +356,7 @@ def _jacobi_rule(n: int, alpha: float, beta: float) -> tuple[np.ndarray, list[fl
     diag = [(beta - alpha) / (ab + 2.0), *((beta**2 - alpha**2) / (m * (m + 2.0))).tolist()]
     off = [0.0, *np.sqrt(4.0 * k * (k + alpha) * (k + beta) * (k + ab)
                          / (m * m * (m + 1.0) * (m - 1.0))).tolist()]
-    mass = 2.0 ** (ab + 1.0) * math.gamma(alpha + 1.0) * math.gamma(beta + 1.0) / math.gamma(ab + 2.0)
+    mass = 2.0 ** (ab + 1.0) * math.gamma(alpha + 1) * math.gamma(beta + 1) / math.gamma(ab + 2)
 
     def walk(x, squares=False):
         """p_{n-1}(x), p_n(x) and, if asked, sum_{k<n} p_k(x)^2."""
@@ -373,7 +373,7 @@ def _jacobi_rule(n: int, alpha: float, beta: float) -> tuple[np.ndarray, list[fl
                   for k in range(1, n + 1)])
     for _ in range(100):
         prev, p, _ = walk(x)
-        step = p * m * (1.0 - x * x) / (n * (alpha - beta - m * x) * p + off[n] * m * (m + 1.0) * prev)
+        step = p * m * (1 - x * x) / (n * (alpha - beta - m * x) * p + off[n] * m * (m + 1) * prev)
         x = x - step
         if np.abs(step).max() <= 1e-13:  # quadratic convergence: x is now exact to rounding
             w = 1.0 / (walk(x, squares=True)[2] * (1.0 - x) ** alpha * (1.0 + x) ** beta)

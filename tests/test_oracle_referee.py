@@ -43,10 +43,6 @@ WORKLOADS = runpy.run_path(
 )["WORKLOADS"]
 
 
-def _exponent(kind, q):
-    return q / (q - 1.0) if kind.needs_p else 1.0
-
-
 def referee(kind, inst) -> float:
     """The proof integral at 40 digits, split at the kink and graded toward the pole of A^-2q."""
     with mpmath.workdps(40):
@@ -87,10 +83,12 @@ def _sweep_oracles(workload: str) -> list[tuple[int, Instance]]:
         for lam, mu in [(inst.lambda_, inst.mu_), *PRESETS.values()]:
             tri = Instance(inst.a, inst.b, inst.s, inst.m, inst.q, lam, mu, inst.f)
             for theorem in theorems:
-                wanted += [(index, tri) for index in ((2, 3, 5, 6) if theorem == 1 else (8, 9, 11, 12))]
+                braces = (2, 3, 5, 6) if theorem == 1 else (8, 9, 11, 12)
+                wanted += [(index, tri) for index in braces]
         for index, tri in wanted:
             kind = KIND_FOR_INDEX[index]
-            seen.setdefault((kind, tri.a, tri.b, tri.s, tri.q, bounds._centre(kind, tri)), (index, tri))
+            key = (kind, tri.a, tri.b, tri.s, tri.q, bounds._centre(kind, tri))
+            seen.setdefault(key, (index, tri))
     return list(seen.values())
 
 
@@ -122,7 +120,7 @@ def tanh_sinh_oracle(kind, inst) -> float:
     a, b, s, q = inst.a, inst.b, inst.s, inst.q
     lo, hi = (0.0, 0.5) if kind.side == "left" else (0.5, 1.0)
     centre = bounds._centre(kind, inst)
-    e = _exponent(kind, q)
+    e = q / (q - 1.0) if kind.needs_p else 1.0
 
     def f(t: float) -> float:
         val = 1.0 if centre is None else abs(centre - t) ** e
@@ -154,7 +152,7 @@ def test_product_rule_agrees_with_tanh_sinh(index, a, ratio, s, q, lam, mu):
     try:
         rule = kernel_oracle(kind, inst)
         other = tanh_sinh_oracle(kind, inst)
-    except (AccuracyError, EvaluationError, ParameterError, OverflowError, ZeroDivisionError):
+    except (AccuracyError, EvaluationError, ParameterError):
         return  # a rule that does not converge, or a kind that needs q > 1
     assert math.isfinite(rule) and rule >= 0.0
     assert abs(rule - other) <= CROSSCHECK_TOL / 100 * other, (rule, other)

@@ -443,15 +443,17 @@ def test_node_tables_are_built_on_first_use_not_at_import():
     code = (
         "import harmonia, harmonia.cli\n"
         "from harmonia.quadrature import _jacobi_level, _jacobi_rule\n"
-        "sizes = lambda: (_jacobi_rule.cache_info().currsize, _jacobi_level.cache_info().currsize)\n"
+        "sizes = lambda: (_jacobi_rule.cache_info().currsize,"
+        " _jacobi_level.cache_info().currsize)\n"
         "print(*sizes())\n"
         "harmonia.kernel_oracle(harmonia.KIND_FOR_INDEX[2], harmonia.Instance("
         "1.0, 2.0, 0.5, 1.0, 2.0, 0.75, 0.25, harmonia.linear()))\n"
         "print(*sizes())\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     at_import, after_oracle = proc.stdout.splitlines()
     assert at_import == "0 0"
