@@ -33,6 +33,11 @@ The functions the sweep calls per row take a keyword-only ``memo``: a dict
 the caller creates for one instance, through which the rows share the
 oracle and 2F1 values they have in common.  The values are the same bits
 without it.
+
+Every verdict here is judged at the library's constants: ``crosscheck_B``
+at ``CROSSCHECK_TOL``, ``check_theorem`` at ``MARGIN_TOL``, and every oracle
+at ``quadrature.DEFAULT_SETTINGS``.  No function here takes a tolerance or
+quadrature settings, so a verdict on one instance has one meaning.
 """
 
 from __future__ import annotations
@@ -46,7 +51,6 @@ import numpy as np
 from .convexity import (
     FunctionSpec,
     GridSpec,
-    _require_tol,
     abs_deriv_pow,
     check_harmonic_sm,
     refuted_on_subgrid,
@@ -55,7 +59,7 @@ from .errors import AccuracyError, EvaluationError, ParameterError, Precondition
 from .identity import Instance, _memoized, rule_deviation
 # The kernel oracles no longer call integrate_de, nor the closed forms hyp2f1;
 # the names stay bound here because the benchmark's tracer wraps both.
-from .quadrature import DEFAULT_SETTINGS, QuadSettings, _product_rule, integrate_de  # noqa: F401
+from .quadrature import _product_rule, integrate_de  # noqa: F401
 from .specfun import _U, _hyp2f1_bounded, beta, hyp2f1  # noqa: F401
 
 CROSSCHECK_TOL = 1e-6
@@ -177,11 +181,7 @@ def _centre(kind: KernelKind, inst: Instance) -> float | None:
     return inst.mu_ if kind.weight == "abs_mu_minus_t" else inst.lambda_
 
 
-def kernel_oracle(
-    kind: KernelKind,
-    inst: Instance,
-    settings: QuadSettings | None = None,
-) -> float:
+def kernel_oracle(kind: KernelKind, inst: Instance) -> float:
     """Direct quadrature of one proof integral.
 
     The weight is |c - t| (to the conjugate exponent p = q/(q-1) of inst.q
@@ -196,13 +196,16 @@ def kernel_oracle(
     pole of A^-2q at -a/(b-a), or a zero of fractional power.
     """
     _require_band(inst.mu_, inst.lambda_)
-    settings = settings if settings is not None else DEFAULT_SETTINGS
     a, width = inst.a, inst.b - inst.a
     lo, hi = (0.0, 0.5) if kind.side == "left" else (0.5, 1.0)
     centre = _centre(kind, inst)
     # The powers that vanish on [0, 1], as (zero, exponent).
     zeros = [] if kind.factor == "none" else [(0.0 if kind.factor == "t_pow_s" else 1.0, inst.s)]
     if centre is not None:
+        # A centre closer to the factor's zero than the rule resolves is that
+        # zero: the sliver between them contributes below rounding.
+        if zeros and abs(centre - zeros[0][0]) < _U * (hi - lo):
+            centre = zeros[0][0]
         zeros.append((centre, _conjugate(inst.q) if kind.needs_p else 1.0))
     # Where the smooth factor is singular: each zero of fractional power, and the pole of A^-2q.
     singular = [zero for zero, e in zeros if e % 1.0]
@@ -228,7 +231,7 @@ def kernel_oracle(
             val = val * (dist if e == 1.0 else dist**e)
         return val.tolist()
 
-    return _product_rule(integrand, panels, settings).checked("kernel_oracle quadrature")
+    return _product_rule(integrand, panels).checked("kernel_oracle quadrature")
 
 
 _GRADE = 0.15  # the geometric ratio of graded panels
@@ -244,12 +247,10 @@ def _graded(u: float, v: float, singular: list[float]) -> list[tuple[float, floa
     return [(u, v)]
 
 
-def _oracle(
-    kind: KernelKind, inst: Instance, settings: QuadSettings | None, memo: dict | None
-) -> float:
+def _oracle(kind: KernelKind, inst: Instance, memo: dict | None) -> float:
     """kernel_oracle through the memo, keyed by everything its integral reads."""
-    key = ("oracle", kind, inst.a, inst.b, inst.s, inst.q, _centre(kind, inst), settings)
-    return _memoized(memo, key, kernel_oracle, kind, inst, settings=settings)
+    key = ("oracle", kind, inst.a, inst.b, inst.s, inst.q, _centre(kind, inst))
+    return _memoized(memo, key, kernel_oracle, kind, inst)
 
 
 def b1_b4(mu_: float, lambda_: float) -> tuple[float, float]:
@@ -501,30 +502,23 @@ class BoundTerm:
         return self.status in ("ok", "ill_conditioned")
 
 
-def crosscheck_B(
-    index: int,
-    inst: Instance,
-    settings: QuadSettings | None = None,
-    tol: float = CROSSCHECK_TOL,
-    *,
-    memo: dict | None = None,
-) -> BoundTerm:
+def crosscheck_B(index: int, inst: Instance, *, memo: dict | None = None) -> BoundTerm:
     """Adjudicate one coefficient: defining integral vs printed form.
 
     B7 and B10, moments of order p = q/(q-1), raise ParameterError at q = 1.
     The printed form is evaluated once, with its absolute error bound.  The
     status is ok when both |closed - oracle| and the bound are within
-    tol * |oracle|; else ill_conditioned when the gap is within the bound
-    (the terms cancel so far that rounding alone could explain it), and
-    erratum_suspected past it.  The oracle failing is fatal (AccuracyError,
-    EvaluationError); the closed form failing to evaluate demotes the term
-    to oracle_only, which does not pass, rather than killing the run.
+    CROSSCHECK_TOL * |oracle|; else ill_conditioned when the gap is within
+    the bound (the terms cancel so far that rounding alone could explain
+    it), and erratum_suspected past it.  The oracle failing is fatal
+    (AccuracyError, EvaluationError); the closed form failing to evaluate
+    demotes the term to oracle_only, which does not pass, rather than
+    killing the run.
     """
     case = case_label(index, inst)
     _require_band(inst.mu_, inst.lambda_)
-    _require_tol(tol)
     kind = KIND_FOR_INDEX[index]
-    oracle = _oracle(kind, inst, settings, memo)
+    oracle = _oracle(kind, inst, memo)
 
     closed: float | None
     bound: float | None = 0.0  # the weight moments are polynomials: nothing cancels
@@ -544,7 +538,7 @@ def crosscheck_B(
     else:
         gap, scale = abs(closed - oracle), max(abs(oracle), 1e-300)
         rel = gap / scale
-        if rel <= tol and bound <= tol * scale:
+        if rel <= CROSSCHECK_TOL and bound <= CROSSCHECK_TOL * scale:
             status = "ok"
         else:
             status = "ill_conditioned" if gap <= bound else "erratum_suspected"
@@ -565,7 +559,6 @@ def _braces(
     theorem: int,
     fa_q: float | None,
     fbm_q: float | None,
-    settings: QuadSettings | None,
     memo: dict | None = None,
 ) -> tuple[float, tuple[float, float], tuple[float, float]]:
     """ab(b-a), the weight-moment factors and the braces of one theorem's RHS.
@@ -595,7 +588,7 @@ def _braces(
     for name, val in (("fa_q", fa_q), ("fbm_q", fbm_q)):
         if not (isinstance(val, (int, float)) and math.isfinite(val) and val >= 0.0):
             raise ParameterError(f"{name} must be a finite nonnegative real, got {val!r}")
-    bi, bj, bk, bl = (_oracle(KIND_FOR_INDEX[i], inst, settings, memo) for i in indices)
+    bi, bj, bk, bl = (_oracle(KIND_FOR_INDEX[i], inst, memo) for i in indices)
     braces = (fa_q * bi + inst.m * fbm_q * bj, fa_q * bk + inst.m * fbm_q * bl)
     if not all(map(math.isfinite, braces)):
         raise EvaluationError(f"braces of theorem {theorem} are not finite: {braces!r}")
@@ -611,22 +604,18 @@ def _finite_rhs(theorem: int, rhs: float) -> float:
 
 def _theorem_rhs(
     inst: Instance, theorem: int, fa_q: float | None = None, fbm_q: float | None = None,
-    settings: QuadSettings | None = None, memo: dict | None = None,
+    memo: dict | None = None,
 ) -> float:
     """Either theorem's right-hand side from ``_braces``; fa_q and fbm_q
     default to |f'(a)|^q and |f'(b/m)|^q of the instance's own function."""
-    scale, (w_left, w_right), (left, right) = _braces(inst, theorem, fa_q, fbm_q, settings, memo)
+    scale, (w_left, w_right), (left, right) = _braces(inst, theorem, fa_q, fbm_q, memo)
     q = inst.q
     return _finite_rhs(theorem, scale * (w_left * left ** (1.0 / q) + w_right * right ** (1.0 / q)))
 
 
 def theorem1_rhs(
-    inst: Instance,
-    fa_q: float | None = None,
-    fbm_q: float | None = None,
-    settings: QuadSettings | None = None,
-    *,
-    memo: dict | None = None,
+    inst: Instance, fa_q: float | None = None, fbm_q: float | None = None,
+    *, memo: dict | None = None,
 ) -> float:
     """Power-mean right-hand side, valid for q >= 1.
 
@@ -634,16 +623,12 @@ def theorem1_rhs(
               + B4^(1-1/q) (fa_q B5 + m fbm_q B6)^(1/q) },
     with the 1/q exponent applied to both braces.
     """
-    return _theorem_rhs(inst, 1, fa_q, fbm_q, settings, memo)
+    return _theorem_rhs(inst, 1, fa_q, fbm_q, memo)
 
 
 def theorem2_rhs(
-    inst: Instance,
-    fa_q: float | None = None,
-    fbm_q: float | None = None,
-    settings: QuadSettings | None = None,
-    *,
-    memo: dict | None = None,
+    inst: Instance, fa_q: float | None = None, fbm_q: float | None = None,
+    *, memo: dict | None = None,
 ) -> float:
     """Conjugate-exponent right-hand side, valid for q > 1 (p = q/(q-1)).
 
@@ -651,7 +636,7 @@ def theorem2_rhs(
               + B10^(1/p) (fa_q B11 + m fbm_q B12)^(1/q) },
     the weight moments B7 and B10 elementary and exact, the braces oracles.
     """
-    return _theorem_rhs(inst, 2, fa_q, fbm_q, settings, memo)
+    return _theorem_rhs(inst, 2, fa_q, fbm_q, memo)
 
 
 def corollary_rhs(
@@ -660,7 +645,6 @@ def corollary_rhs(
     inst: Instance,
     fa_q: float | None = None,
     fbm_q: float | None = None,
-    settings: QuadSettings | None = None,
 ) -> float:
     """Specialized RHS at a preset triple, prefactor pulled out.
 
@@ -678,7 +662,7 @@ def corollary_rhs(
             f"instance triple (lambda_={inst.lambda_!r}, mu_={inst.mu_!r}) does not "
             f"match preset {kind!r} ({lam!r}, {mu!r})"
         )
-    scale, (weight, _), (left, right) = _braces(inst, theorem, fa_q, fbm_q, settings)
+    scale, (weight, _), (left, right) = _braces(inst, theorem, fa_q, fbm_q)
     q = inst.q
     return _finite_rhs(theorem, scale * weight * (left ** (1.0 / q) + right ** (1.0 / q)))
 
@@ -697,7 +681,7 @@ def simpson_theorem2_prefactor(p: float, as_printed: bool = False) -> float:
 
 @dataclass(frozen=True)
 class Verdict:
-    """Inequality verdict: passed iff margin = rhs - lhs >= -margin_tol."""
+    """Inequality verdict: passed iff margin = rhs - lhs >= -MARGIN_TOL."""
 
     theorem: int
     lhs: float
@@ -732,13 +716,7 @@ def refuted_coarsely(inst: Instance) -> bool:
 
 
 def check_theorem(
-    inst: Instance,
-    theorem: int,
-    settings: QuadSettings | None = None,
-    certificate=None,
-    margin_tol: float = MARGIN_TOL,
-    *,
-    memo: dict | None = None,
+    inst: Instance, theorem: int, *, certificate=None, memo: dict | None = None
 ) -> Verdict:
     """Verify |I_f| <= RHS for one instance and one theorem.
 
@@ -746,17 +724,17 @@ def check_theorem(
     ConvexityReport as ``certificate`` to reuse one computed elsewhere,
     otherwise a default grid certification runs here.  An instance whose
     certificate does not hold raises PreconditionError, never a silent
-    verdict.  The RHS reads the coefficient oracles only; the printed
-    coefficient tables are judged by crosscheck_B.  ``memo`` (a dict owned
-    by the caller) shares the integral average and the oracles between
-    calls on one instance; the verdict is the same without it.
+    verdict.  It passes when margin = rhs - |lhs| >= -MARGIN_TOL.  The RHS
+    reads the coefficient oracles only; the printed coefficient tables are
+    judged by crosscheck_B.  ``memo`` (a dict owned by the caller) shares
+    the integral average and the oracles between calls on one instance;
+    the verdict is the same without it.
     """
     if theorem not in (1, 2):
         raise ParameterError(f"theorem must be 1 or 2, got {theorem!r}")
     if theorem == 2:
         _conjugate(inst.q)  # a usage error, reported before the certification
     _require_band(inst.mu_, inst.lambda_)
-    _require_tol(margin_tol, "margin_tol")
     if certificate is None:
         certificate = certify_instance(inst)
     if not certificate.holds:
@@ -765,9 +743,7 @@ def check_theorem(
             f"resolution (worst defect {certificate.worst_defect:.3e}); "
             "the inequality hypotheses are not met"
         )
-    lhs = abs(rule_deviation(inst, settings, memo=memo))
-    rhs = _theorem_rhs(inst, theorem, settings=settings, memo=memo)
+    lhs = abs(rule_deviation(inst, memo=memo))
+    rhs = _theorem_rhs(inst, theorem, memo=memo)
     margin = rhs - lhs
-    return Verdict(
-        theorem=theorem, lhs=lhs, rhs=rhs, margin=margin, passed=margin >= -margin_tol
-    )
+    return Verdict(theorem=theorem, lhs=lhs, rhs=rhs, margin=margin, passed=margin >= -MARGIN_TOL)

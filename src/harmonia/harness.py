@@ -265,18 +265,15 @@ class RunReport:
         return self.failures == 0
 
 
-def generate_instances(
-    cfg: SweepConfig, *, with_certificates: bool = False
-) -> tuple[list[Instance], int] | tuple[list[Instance], int, list[ConvexityReport]]:
-    """Draw and grid-certify instances; returns (instances, discard count).
+def generate_instances(cfg: SweepConfig) -> tuple[list[Instance], int, list[ConvexityReport]]:
+    """Draw and grid-certify instances; returns (instances, discard count,
+    each instance's ConvexityReport in instance order).
 
     Candidates whose |f'|^q fails certification on [a, b/m] (or has no
     derivative evaluator) are discarded and counted.  A candidate that a
     subgrid of the certification grid already refutes is discarded without
     the full grid; the discard set is the same.  Draw order is fixed, so a
-    given seed always yields the same list.  With ``with_certificates``
-    the result gains a third item: each instance's ConvexityReport, in
-    instance order.
+    given seed always yields the same list.
     """
     rng = random.Random(cfg.rng_seed)
     families = [parse_function_spec(s) for s in cfg.families]
@@ -320,9 +317,7 @@ def generate_instances(
             f"only {len(instances)} of {cfg.samples} requested instances certified "
             f"after {max_attempts} draws; widen the ranges or change families"
         )
-    if with_certificates:
-        return instances, discarded, certificates
-    return instances, discarded
+    return instances, discarded, certificates
 
 
 _NAN = float("nan")
@@ -400,8 +395,11 @@ def _printed_lock_row() -> Row:
     triple: the two displays must keep disagreeing by at least 0.5.
     """
     inst = Instance(a=1.0, b=2.0, s=1.0, m=1.0, q=1.0, lambda_=0.5, mu_=0.5, f=linear())
-    printed = rule_deviation_as_printed(inst)
-    corrected = rule_deviation(inst)
+    try:
+        printed = rule_deviation_as_printed(inst)
+        corrected = rule_deviation(inst)
+    except (AccuracyError, EvaluationError):
+        return _row(-1, "linear", inst, "printed_deviation_lock")
     gap = abs(printed - corrected)
     return _row(-1, "linear", inst, "printed_deviation_lock",
                 printed, corrected, gap - 0.5, gap >= 0.5)
@@ -417,7 +415,7 @@ def run_sweep(cfg: SweepConfig, jobs: int | None = None) -> RunReport:
     """
     jobs = _read_jobs(jobs, "jobs") or os.cpu_count() or 1
     start = time.perf_counter()
-    instances, discarded, certificates = generate_instances(cfg, with_certificates=True)
+    instances, discarded, certificates = generate_instances(cfg)
     payloads = [(i, inst, cert) for i, (inst, cert) in enumerate(zip(instances, certificates))]
     if jobs == 1 or len(payloads) == 1:
         results = [_instance_rows(p) for p in payloads]

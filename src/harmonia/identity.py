@@ -14,7 +14,9 @@ deviates from the harmonic-weighted integral average.  Integration by parts
                     + integral_{1/2}^1 (lambda_ - t)/A_t**2 * f'(ab/A_t) dt ],
 
 valid for ALL real lambda_, mu_ whenever f' is integrable.  This module
-evaluates both sides by quadrature and checks the identity.
+evaluates both sides by quadrature and checks the identity.  Every integral
+runs at ``quadrature.DEFAULT_SETTINGS``; the one settable value is
+``check_identity``'s ``tol`` (``harmonia verify-identity --tol``).
 
 A widely circulated variant of the display writes the midpoint node as
 f((a+b)/2) and doubles the integral prefactor to 2ab/(b-a).  That variant
@@ -33,7 +35,7 @@ import numpy as np
 
 from .convexity import FunctionSpec, _require_sm, _require_tol
 from .errors import DomainError, ParameterError
-from .quadrature import DEFAULT_SETTINGS, QuadSettings, _ArrayIntegrand, integrate
+from .quadrature import _ArrayIntegrand, integrate
 
 # Identity checks compare two 1e-10 quadratures, so 1e-8 leaves margin.
 IDENTITY_TOL = 1e-8
@@ -102,7 +104,7 @@ def _memoized(memo: dict | None, key: tuple, fn, *args, **kwargs):
     return memo[key]
 
 
-def _integral_avg_term(inst: Instance, settings: QuadSettings) -> float:
+def _integral_avg_term(inst: Instance) -> float:
     """(ab/(b-a)) * integral_a^b f(u)/u**2 du."""
     f = inst.f
 
@@ -111,53 +113,44 @@ def _integral_avg_term(inst: Instance, settings: QuadSettings) -> float:
         u = np.array(u)
         return f.value(u) / (u * u)
 
-    integral = integrate(integrand, inst.a, inst.b, settings).checked("rule_deviation integral")
+    integral = integrate(integrand, inst.a, inst.b).checked("rule_deviation integral")
     return inst.a * inst.b / (inst.b - inst.a) * integral
 
 
-def _instance_terms(inst: Instance, settings: QuadSettings) -> tuple[list[float], float]:
+def _instance_terms(inst: Instance) -> tuple[list[float], float]:
     """f at the harmonic mean, a and b, and the integral average; none reads lambda_ or mu_."""
     nodes = inst.f.value([inst.harmonic_mean, inst.a, inst.b]).tolist()
-    return nodes, _integral_avg_term(inst, settings)
+    return nodes, _integral_avg_term(inst)
 
 
-def rule_deviation(
-    inst: Instance, settings: QuadSettings | None = None, *, memo: dict | None = None
-) -> float:
+def rule_deviation(inst: Instance, *, memo: dict | None = None) -> float:
     """The corrected node form of I_f (harmonic-mean midpoint node).
 
     The node values and the integral average do not depend on lambda_ or
     mu_; ``memo`` lets the rows of one instance share them.
     """
-    settings = settings if settings is not None else DEFAULT_SETTINGS
-    key = ("avg", inst.a, inst.b, inst.f, settings)
-    (f_h, f_a, f_b), avg = _memoized(memo, key, _instance_terms, inst, settings)
+    key = ("avg", inst.a, inst.b, inst.f)
+    (f_h, f_a, f_b), avg = _memoized(memo, key, _instance_terms, inst)
     nodes = (inst.lambda_ - inst.mu_) * f_h + (1.0 - inst.lambda_) * f_a + inst.mu_ * f_b
     return nodes - avg
 
 
-def rule_deviation_as_printed(
-    inst: Instance, settings: QuadSettings | None = None
-) -> float:
+def rule_deviation_as_printed(inst: Instance) -> float:
     """The defective variant: arithmetic-mean node, doubled prefactor.
 
     Kept only for the errata lock; it does not satisfy the kernel identity.
     """
-    settings = settings if settings is not None else DEFAULT_SETTINGS
     f = inst.f
     nodes = (
         (inst.lambda_ - inst.mu_) * f.value(0.5 * (inst.a + inst.b))
         + (1.0 - inst.lambda_) * f.value(inst.a)
         + inst.mu_ * f.value(inst.b)
     )
-    return nodes - 2.0 * _integral_avg_term(inst, settings)
+    return nodes - 2.0 * _integral_avg_term(inst)
 
 
-def kernel_representation(
-    inst: Instance, settings: QuadSettings | None = None
-) -> float:
+def kernel_representation(inst: Instance) -> float:
     """ab(b-a) times the two weighted kernel integrals of f'(ab/A_t)."""
-    settings = settings if settings is not None else DEFAULT_SETTINGS
     a, b = inst.a, inst.b
     ab = a * b
     f = inst.f
@@ -172,21 +165,17 @@ def kernel_representation(
         return integrand
 
     what = "kernel_representation integral"
-    lower = integrate(piece(inst.mu_), 0.0, 0.5, settings).checked(what)
-    upper = integrate(piece(inst.lambda_), 0.5, 1.0, settings).checked(what)
+    lower = integrate(piece(inst.mu_), 0.0, 0.5).checked(what)
+    upper = integrate(piece(inst.lambda_), 0.5, 1.0).checked(what)
     return ab * (b - a) * (lower + upper)
 
 
 def check_identity(
-    inst: Instance,
-    settings: QuadSettings | None = None,
-    tol: float = IDENTITY_TOL,
-    *,
-    memo: dict | None = None,
+    inst: Instance, tol: float = IDENTITY_TOL, *, memo: dict | None = None
 ) -> IdentityCheck:
     """Compare the node form against the kernel representation."""
     _require_tol(tol)
-    lhs = rule_deviation(inst, settings, memo=memo)
-    rhs = kernel_representation(inst, settings)
+    lhs = rule_deviation(inst, memo=memo)
+    rhs = kernel_representation(inst)
     abs_diff = abs(lhs - rhs)
     return IdentityCheck(lhs=lhs, rhs=rhs, abs_diff=abs_diff, tol=tol, passed=abs_diff <= tol)

@@ -1,0 +1,139 @@
+"""The public API, pinned: the names of ``harmonia.__all__`` and the
+parameters of each public callable.
+
+A change to either is a change to the API, so it has to edit one of the two
+tables below in plain sight.  Each signature is written as its parameter
+names and kinds, without annotations or defaults: ``*`` opens the
+keyword-only parameters, ``/`` closes the positional-only ones, and
+``*args``/``**kwargs`` stand for themselves.
+"""
+
+from __future__ import annotations
+
+import inspect
+
+import harmonia
+
+ALL = [
+    "AccuracyBudget", "AccuracyError", "BoundTerm", "CROSSCHECK_TOL", "CSV_COLUMNS",
+    "Classification", "ConfigError", "ConvexityReport", "CorpusEntry", "DEFAULT_BUDGET",
+    "DEFAULT_SETTINGS", "DEFECT_TOL", "DomainError", "EXPECTED_COEFFICIENT_ERRATA",
+    "EvaluationError", "FunctionSpec", "GridSpec", "HarmoniaError", "IDENTITY_TOL",
+    "IdentityCheck", "Instance", "KIND_FOR_INDEX", "KernelKind", "MARGIN_TOL", "PRESETS",
+    "PROPERTY_CORPUS", "ParameterError", "PreconditionError", "QuadResult", "QuadSettings",
+    "ReflectionWitness", "Row", "RunReport", "SCHEMA", "SM_PAIRS", "SweepConfig", "Verdict",
+    "__version__", "abs_deriv_pow", "b1_b4", "b7_b10", "beta", "case_label",
+    "certify_instance", "check_harmonic_sm", "check_identity", "check_plain_sm",
+    "check_theorem", "classify", "closed_B", "combine", "corollary_rhs", "corrected_B",
+    "crosscheck_B", "emit_report", "format_function_spec", "gamma", "gamma_integral",
+    "generate_instances", "harmonic_sm_defect", "hyp2f1", "hyp2f1_euler", "hyp2f1_series",
+    "integrate", "integrate_de", "kernel_oracle", "kernel_representation", "linear",
+    "parse_function_spec", "power", "reflection_witness", "report_to_dict", "rule_deviation",
+    "rule_deviation_as_printed", "run_sweep", "s_power", "simpson_theorem2_prefactor",
+    "theorem1_rhs", "theorem2_rhs",
+]
+
+# Every public callable except the exception classes that keep the built-in
+# constructor (HarmoniaError, ConfigError, DomainError, ParameterError,
+# PreconditionError), whose signature the interpreter does not expose.
+SIGNATURES = {
+    # errors
+    "AccuracyError": "message, **values",
+    "EvaluationError": "message, abscissa",
+    # quadrature
+    "QuadResult": "value, err_estimate, evaluations, converged",
+    "QuadSettings": "abs_tol, rel_tol, max_subdivisions",
+    "integrate": "f, lo, hi, settings",
+    "integrate_de": "f, lo, hi, settings",
+    # specfun
+    "AccuracyBudget": "rel_tol, max_work",
+    "beta": "a, b",
+    "gamma": "x",
+    "gamma_integral": "x, settings",
+    "hyp2f1": "alpha, beta_, gamma_, z, budget",
+    "hyp2f1_euler": "alpha, beta_, gamma_, z, budget",
+    "hyp2f1_series": "alpha, beta_, gamma_, z, rel_tol, max_terms",
+    # convexity
+    "Classification": "monotone, sm_convex, harmonic_sm_convex",
+    "ConvexityReport": "holds, worst_defect, witness, checked",
+    "CorpusEntry": "name, spec, lo, hi, universal, m1_max_s",
+    "FunctionSpec": "kind, params, children, domain_lo, claimed_s, claimed_m",
+    "GridSpec": "nx, ny, nt, lo, hi",
+    "ReflectionWitness": "t, lhs, rhs, holds",
+    "abs_deriv_pow": "f, q",
+    "check_harmonic_sm": "f, s, m, grid, defect_tol",
+    "check_plain_sm": "f, s, m, grid, defect_tol",
+    "classify": "f, s, m, grid, defect_tol",
+    "combine": "op, inputs, *, lam, limit",
+    "format_function_spec": "spec",
+    "harmonic_sm_defect": "f, x, y, t, s, m",
+    "linear": "",
+    "parse_function_spec": "text",
+    "power": "c, p",
+    "reflection_witness": "f, a, b, s, m, x, defect_tol",
+    "s_power": "b, s, c",
+    # identity
+    "IdentityCheck": "lhs, rhs, abs_diff, tol, passed",
+    "Instance": "a, b, s, m, q, lambda_, mu_, f",
+    "check_identity": "inst, tol, *, memo",
+    "kernel_representation": "inst",
+    "rule_deviation": "inst, *, memo",
+    "rule_deviation_as_printed": "inst",
+    # bounds
+    "BoundTerm": "index, case, oracle, closed_form, rel_diff, status, bound",
+    "KernelKind": "weight, factor, side",
+    "Verdict": "theorem, lhs, rhs, margin, passed",
+    "b1_b4": "mu_, lambda_",
+    "b7_b10": "mu_, lambda_, p",
+    "case_label": "index, inst",
+    "certify_instance": "inst, grid",
+    "check_theorem": "inst, theorem, *, certificate, memo",
+    "closed_B": "index, inst",
+    "corollary_rhs": "kind, theorem, inst, fa_q, fbm_q",
+    "corrected_B": "index, inst",
+    "crosscheck_B": "index, inst, *, memo",
+    "kernel_oracle": "kind, inst",
+    "simpson_theorem2_prefactor": "p, as_printed",
+    "theorem1_rhs": "inst, fa_q, fbm_q, *, memo",
+    "theorem2_rhs": "inst, fa_q, fbm_q, *, memo",
+    # harness
+    "Row": "instance_id, family, a, b, s, m, q, lambda_, mu_, check, lhs, rhs, margin, passed",
+    "RunReport": "config, instances, discarded, rows, errata, wall_time",
+    "SweepConfig": "samples, rng_seed, a_range, b_minus_a_range, s_values, m_values, "
+                   "q_values, lambda_mu, families",
+    "emit_report": "report, format, destination",
+    "generate_instances": "cfg",
+    "report_to_dict": "report",
+    "run_sweep": "cfg, jobs",
+}
+
+
+def _shape(obj) -> str:
+    """obj's signature without annotations or defaults, as in SIGNATURES."""
+    sig = inspect.signature(obj)
+    bare = [p.replace(annotation=p.empty, default=p.empty) for p in sig.parameters.values()]
+    return str(sig.replace(parameters=bare, return_annotation=sig.empty))[1:-1]
+
+
+def _builtin_constructor(obj) -> bool:
+    return isinstance(obj, type) and issubclass(obj, BaseException) and not inspect.isfunction(
+        obj.__init__
+    )
+
+
+def test_all_is_pinned():
+    assert sorted(harmonia.__all__) == ALL
+    assert len(set(harmonia.__all__)) == len(harmonia.__all__)
+
+
+def test_every_public_callable_is_pinned():
+    callables = {
+        name for name in harmonia.__all__
+        if callable(getattr(harmonia, name)) and not _builtin_constructor(getattr(harmonia, name))
+    }
+    assert callables == set(SIGNATURES)
+
+
+def test_signatures_are_pinned():
+    got = {name: _shape(getattr(harmonia, name)) for name in SIGNATURES}
+    assert got == SIGNATURES

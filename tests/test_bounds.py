@@ -42,8 +42,6 @@ from harmonia import (
 from harmonia.bounds import PATCHES, PRINTED
 
 SQUARE = power(1.0, 2.0)
-# Tolerances every verdict rejects: the rule is finite and > 0.
-BAD_TOLS = [math.inf, math.nan, -1.0, 0.0]
 
 
 def make(a=1.0, b=2.0, s=1.0, m=1.0, q=1.0, lam=0.75, mu=0.25, f=None):
@@ -154,6 +152,24 @@ class TestKernelOracle:
             )
             slope = coarse / 1e-2
             assert fine <= 1.5 * slope * 1e-4 + 1e-6, f"B{idx} jumps at {field}={anchor}"
+
+    @pytest.mark.parametrize("mu", [2.2e-309, 1e-100, 5e-17])
+    def test_centre_next_to_a_factor_zero_is_that_zero(self, monkeypatch, mu):
+        # A weight centre closer to the zero of t^s than the rule resolves is
+        # integrated as the zero itself: one panel, not panels graded down to
+        # the centre's distance, and the value at mu = 0.
+        kind = KIND_FOR_INDEX[2]
+        panels = []
+        real = bounds._product_rule
+
+        def spy(f, parts, *args):
+            panels.append(len(parts))
+            return real(f, parts, *args)
+
+        monkeypatch.setattr(bounds, "_product_rule", spy)
+        at_zero = kernel_oracle(kind, make(s=0.5, q=2.0, mu=0.0))
+        assert kernel_oracle(kind, make(s=0.5, q=2.0, mu=mu)) == at_zero
+        assert panels == [1, 1]
 
     # The weighted oracles, split at mu or lam strictly inside their half,
     # pinned bit for bit (float.hex).  Keyed (a, b, s, q, lam, mu) -> index
@@ -417,12 +433,6 @@ class TestAdjudication:
             crosscheck_B(0, make())
         with pytest.raises(ParameterError):
             crosscheck_B(13, make())
-
-    @pytest.mark.parametrize("tol", BAD_TOLS)
-    def test_tol_validation(self, tol):
-        # tol = inf would pass the locked misprint B8 as ok
-        with pytest.raises(ParameterError, match="tol must be positive and finite"):
-            crosscheck_B(8, make(s=0.5, q=2.0), tol=tol)
 
     def test_p_moments_reject_q_one(self):
         inst = make(q=1.0)
@@ -791,12 +801,6 @@ class TestCheckTheorem:
         with pytest.raises(ParameterError):
             check_theorem(make(f=SQUARE), 3)
 
-    @pytest.mark.parametrize("margin_tol", BAD_TOLS)
-    def test_margin_tol_validation(self, margin_tol):
-        inst = make(lam=0.5, mu=0.5, f=SQUARE)
-        with pytest.raises(ParameterError, match="margin_tol must be positive and finite"):
-            check_theorem(inst, 1, margin_tol=margin_tol)
-
     def test_theorem2_exponent_rule_comes_before_certification(self, monkeypatch):
         def certify(*args, **kwargs):
             raise AssertionError("certification ran before the q > 1 check")
@@ -823,10 +827,11 @@ class TestCheckTheorem:
                 break
         assert checked >= 8
 
-    def test_starved_quadrature_raises(self):
-        from harmonia import QuadSettings
+    def test_starved_quadrature_raises(self, monkeypatch):
+        from harmonia import QuadSettings, quadrature
 
         inst = make(lam=0.5, mu=0.5, f=SQUARE)
         starved = QuadSettings(abs_tol=1e-300, rel_tol=1e-16, max_subdivisions=1)
+        monkeypatch.setattr(quadrature, "DEFAULT_SETTINGS", starved)
         with pytest.raises(AccuracyError):
-            check_theorem(inst, 1, settings=starved)
+            check_theorem(inst, 1)

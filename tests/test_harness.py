@@ -16,7 +16,6 @@ from harmonia import (
     CROSSCHECK_TOL,
     CSV_COLUMNS,
     ConfigError,
-    DEFAULT_SETTINGS,
     FunctionSpec,
     IDENTITY_TOL,
     MARGIN_TOL,
@@ -166,13 +165,13 @@ class TestSweepConfig:
 
 class TestGenerateInstances:
     def test_deterministic_for_fixed_seed(self):
-        first, d1 = generate_instances(SMALL)
-        second, d2 = generate_instances(SMALL)
+        first, d1, _ = generate_instances(SMALL)
+        second, d2, _ = generate_instances(SMALL)
         assert first == second
         assert d1 == d2
 
     def test_requested_count_and_discards(self):
-        instances, discarded = generate_instances(SMALL)
+        instances, discarded, _ = generate_instances(SMALL)
         assert len(instances) == SMALL.samples
         # default families include linear, which cannot certify at m < 1
         assert discarded > 0
@@ -183,7 +182,7 @@ class TestGenerateInstances:
 
     def test_fixed_triple_applied_everywhere(self):
         cfg = SweepConfig(samples=4, lambda_mu="midpoint", families=("power:c=1,p=2",))
-        instances, _ = generate_instances(cfg)
+        instances, _, _ = generate_instances(cfg)
         assert all(i.lambda_ == 1.0 and i.mu_ == 0.0 for i in instances)
 
     def test_uncertifiable_corpus_rejected(self):
@@ -305,10 +304,8 @@ class TestRunSweep:
         assert {(r.lambda_, r.mu_) for r in rows} == {(inst.lambda_, inst.mu_)}
 
     def test_generate_returns_certificates_on_request(self):
-        instances, discarded = generate_instances(SMALL)
-        again, discarded_again, certificates = generate_instances(
-            SMALL, with_certificates=True
-        )
+        instances, discarded, certificates = generate_instances(SMALL)
+        again, discarded_again, _ = generate_instances(SMALL)
         assert (again, discarded_again) == (instances, discarded)
         assert certificates == [certify_instance(inst) for inst in instances]
         assert all(cert.holds for cert in certificates)
@@ -329,23 +326,24 @@ class TestRunSweep:
             run_sweep(cfg, jobs=1)
 
     def test_systemic_quadrature_failure_raises(self, monkeypatch):
-        # Starve the oracles, which every theorem and crosscheck row reads:
-        # those rows fail to converge, and the sweep reports it as systemic.
+        # Starve every quadrature, which every row reads (the printed-deviation
+        # lock row too): the rows fail to converge, and the sweep reports it
+        # as systemic.
         starved = QuadSettings(abs_tol=1e-300, rel_tol=1e-15, max_subdivisions=1)
-        monkeypatch.setattr(bounds, "DEFAULT_SETTINGS", starved)
+        monkeypatch.setattr(quadrature, "DEFAULT_SETTINGS", starved)
         cfg = SweepConfig(samples=2, families=("power:c=1,p=2",))
         with pytest.raises(AccuracyError, match="systemic"):
             run_sweep(cfg, jobs=1)
 
 
-def _exact_oracle_key(kind, inst, settings=None):
+def _exact_oracle_key(kind, inst):
     """Everything a kernel_oracle value depends on.
 
     The weight is centred on mu on the left half and on lambda on the right;
     the weight "none" reads neither.
     """
     centre = None if kind.weight == "none" else inst.mu_ if kind.side == "left" else inst.lambda_
-    return (kind, inst.a, inst.b, inst.s, inst.q, centre, settings)
+    return (kind, inst.a, inst.b, inst.s, inst.q, centre)
 
 
 def test_closed_forms_run_no_quadrature(monkeypatch):
@@ -390,25 +388,21 @@ def test_kernel_oracles_run_no_tanh_sinh(monkeypatch):
 
 class TestInstanceMemo:
     def test_rows_equal_the_unmemoized_functions(self, small_report):
-        instances, _ = generate_instances(SMALL)
-        quad = DEFAULT_SETTINGS
+        instances, _, _ = generate_instances(SMALL)
         for inst_id, inst in enumerate(instances):
             rows = {r.check: r for r in small_report.rows if r.instance_id == inst_id}
             expected = {}
-            ic = check_identity(inst, settings=quad, tol=IDENTITY_TOL)
+            ic = check_identity(inst)
             expected["identity"] = (ic.lhs, ic.rhs)
             triples = [("instance", (inst.lambda_, inst.mu_)), *PRESETS.items()]
             for theorem in (1,) if inst.q == 1.0 else (1, 2):
                 for name, (lam, mu) in triples:
-                    v = check_theorem(
-                        replace(inst, lambda_=lam, mu_=mu), theorem, settings=quad,
-                        margin_tol=MARGIN_TOL,
-                    )
+                    v = check_theorem(replace(inst, lambda_=lam, mu_=mu), theorem)
                     expected[f"theorem{theorem}@{name}"] = (v.lhs, v.rhs)
             for index in range(1, 13):
                 if index in (7, 10) and inst.q == 1.0:
                     continue
-                term = crosscheck_B(index, inst, settings=quad, tol=CROSSCHECK_TOL)
+                term = crosscheck_B(index, inst)
                 expected[f"crosscheck:B{index}:{term.case}"] = (term.oracle, term.closed_form)
             assert set(rows) == set(expected)
             for check, (lhs, rhs) in expected.items():
@@ -423,8 +417,8 @@ class TestInstanceMemo:
                 for index in range(1, 13):
                     if index in (7, 10) and inst.q == 1.0:
                         continue
-                    shared = crosscheck_B(index, tri, settings=quad, memo=memo)
-                    alone = crosscheck_B(index, tri, settings=quad)
+                    shared = crosscheck_B(index, tri, memo=memo)
+                    alone = crosscheck_B(index, tri)
                     assert shared == alone, (inst_id, lam, mu, index)
 
     def test_each_value_computed_once(self, monkeypatch):
@@ -446,7 +440,7 @@ class TestInstanceMemo:
         # One closed-form evaluation per 2F1 row gives both its value and its bound.
         count(bounds, "_evaluate",
               lambda index, terms, inst, memo=None: (index, inst.lambda_, inst.mu_))
-        count(identity, "integrate", lambda f, lo, hi, settings=None: (lo, hi, settings))
+        count(identity, "integrate", lambda f, lo, hi: (lo, hi))
         payload = (0, inst, certify_instance(inst))
         rows, _ = harness._instance_rows(payload)
         assert all(r.passed for r in rows)
@@ -454,7 +448,7 @@ class TestInstanceMemo:
             repeated = {k: n for k, n in seen.items() if n > 1}
             assert not repeated, (name, repeated)
         assert keys["kernel_oracle"] and keys["_hyp2f1_bounded"] and keys["_evaluate"]
-        assert keys["integrate"][(inst.a, inst.b, DEFAULT_SETTINGS)] == 1
+        assert keys["integrate"][(inst.a, inst.b)] == 1
         # B8, B9, B11 and B12 do not read lambda or mu: one integral serves
         # all four triples and the crosscheck.
         for index in (8, 9, 11, 12):

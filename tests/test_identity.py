@@ -26,6 +26,7 @@ from harmonia import (
     linear,
     parse_function_spec,
     power,
+    quadrature,
     rule_deviation,
     rule_deviation_as_printed,
     s_power,
@@ -121,12 +122,13 @@ class TestRuleDeviationMemo:
             assert rule_deviation(inst, memo=memo) == rule_deviation(inst)
         assert len(memo) == 1
 
-    def test_failed_integral_is_not_stored(self):
+    def test_failed_integral_is_not_stored(self, monkeypatch):
         starved = QuadSettings(abs_tol=1e-300, rel_tol=1e-15, max_subdivisions=1)
+        monkeypatch.setattr(quadrature, "DEFAULT_SETTINGS", starved)
         memo: dict = {}
         for _ in range(2):
             with pytest.raises(AccuracyError):
-                rule_deviation(CANONICAL, starved, memo=memo)
+                rule_deviation(CANONICAL, memo=memo)
         assert memo == {}
 
 
@@ -197,10 +199,11 @@ class TestKernelIdentity:
         # f(H), f(a), f(b) come first, in that order; H**120 already overflows.
         assert exc.value.abscissa == inst.harmonic_mean
 
-    def test_quadrature_budget_exhaustion_raises(self):
+    def test_quadrature_budget_exhaustion_raises(self, monkeypatch):
         starved = QuadSettings(abs_tol=1e-300, rel_tol=1e-15, max_subdivisions=2)
+        monkeypatch.setattr(quadrature, "DEFAULT_SETTINGS", starved)
         with pytest.raises(AccuracyError):
-            rule_deviation(CANONICAL, settings=starved)
+            rule_deviation(CANONICAL)
 
 
 class TestPresetSubstitutions:

@@ -33,6 +33,7 @@ from harmonia import (
     power,
     rule_deviation,
 )
+from harmonia import quadrature
 from harmonia.quadrature import _XGK, _ArrayIntegrand
 
 # (integrand, lo, hi, exact) - every member is analytic on its closed
@@ -411,6 +412,8 @@ def test_quadratic_exact_everywhere(a, width, c0, c1, c2):
 # floor of Gauss-Kronrod, and tanh-sinh gets one subdivision's worth of
 # evaluations.  hyp2f1_euler's budget keeps at least 100 subdivisions, so
 # its tanh-sinh branch needs a steep integrand (alpha 50, z near 1) to fail.
+# The verdict functions take no settings: they read quadrature.DEFAULT_SETTINGS,
+# which the test replaces with these.
 _STARVED = QuadSettings(abs_tol=1e-300, rel_tol=1e-16, max_subdivisions=1)
 _STARVED_BUDGET = AccuracyBudget(rel_tol=1e-16, max_work=1)
 _INST = Instance(a=1.0, b=2.0, s=0.5, m=1.0, q=2.0, lambda_=0.75, mu_=0.25, f=power(1.0, 2.0))
@@ -419,9 +422,9 @@ _INST = Instance(a=1.0, b=2.0, s=0.5, m=1.0, q=2.0, lambda_=0.75, mu_=0.25, f=po
 @pytest.mark.parametrize(
     "evaluate",
     [
-        lambda: kernel_oracle(KIND_FOR_INDEX[2], _INST, settings=_STARVED),
-        lambda: rule_deviation(_INST, _STARVED),
-        lambda: kernel_representation(_INST, _STARVED),
+        lambda: kernel_oracle(KIND_FOR_INDEX[2], _INST),
+        lambda: rule_deviation(_INST),
+        lambda: kernel_representation(_INST),
         lambda: hyp2f1_euler(2.0, 1.0, 3.0, 0.5, _STARVED_BUDGET),
         lambda: hyp2f1_euler(50.0, 0.5, 1.5, 0.9999, _STARVED_BUDGET),
         lambda: gamma_integral(3.7, _STARVED),
@@ -431,7 +434,8 @@ _INST = Instance(a=1.0, b=2.0, s=0.5, m=1.0, q=2.0, lambda_=0.75, mu_=0.25, f=po
         "hyp2f1_euler-gauss_kronrod", "hyp2f1_euler-tanh_sinh", "gamma_integral",
     ],
 )
-def test_unconverged_integral_reports_its_estimate(evaluate):
+def test_unconverged_integral_reports_its_estimate(evaluate, monkeypatch):
+    monkeypatch.setattr(quadrature, "DEFAULT_SETTINGS", _STARVED)
     with pytest.raises(AccuracyError) as exc:
         evaluate()
     assert set(exc.value.values) == {"estimate", "err_estimate"}
