@@ -6,8 +6,9 @@ other eight are Beta/2F1 combinations whose circulated closed forms are
 wrong in specific piecewise cases.  Each case is adjudicated against a
 Gauss-Jacobi oracle of the defining integral; the locked erratum set and the
 hand-derived corrections both live in the library.  Every 2F1 in a closed
-form is summed as its Gauss series with an error bound, so a closed form
-whose terms cancel is reported as ill_conditioned, not as a misprint.
+form carries an error bound (its Gauss series, or near z = 1 a connection
+formula), so a closed form whose terms cancel is reported as
+ill_conditioned, not as a misprint.
 
 Run:  python3 demos/03_coefficient_crosscheck.py
 """

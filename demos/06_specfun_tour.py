@@ -5,10 +5,11 @@ with a geometric tail bound; the two must agree or the call raises with
 both values attached.  The Euler integral goes to adaptive Gauss-Kronrod
 when its endpoint exponents beta-1 and gamma-beta-1 are >= 0 and to
 tanh-sinh when either is negative.  The coefficient closed forms of the
-bounds read the Gauss series alone, with its error bound, so no quadrature
-runs inside them.  Gamma is the standard library's math.gamma, checked
-against a quadrature oracle, and Beta, built on math.lgamma, is exactly
-symmetric.
+bounds read a 2F1 with an error bound and no quadrature: the Gauss series
+below z = 0.9, and above it the 1 - z connection formulas, which need a few
+dozen terms where the series needs hundreds of thousands.  Gamma is the
+standard library's math.gamma, checked against a quadrature oracle, and
+Beta, built on math.lgamma, is exactly symmetric.
 
 Run:  python3 demos/06_specfun_tour.py
 """
@@ -24,6 +25,7 @@ from harmonia import (
     hyp2f1,
     hyp2f1_euler,
     hyp2f1_series,
+    specfun,
 )
 
 
@@ -67,6 +69,16 @@ def main():
     except AccuracyError as exc:
         print(f"  starved series -> AccuracyError with partial_sum="
               f"{exc.values['partial_sum']:.4f}")
+
+    banner("near z = 1 the closed forms take a connection formula")
+    # F(6, 1; 2.5; 1 - 1e-4): the first 2F1 of B11 at b/a = 1e4, q = 3, s = 0.5.
+    # The connection path's terms include those of F'(z), which its bound reads.
+    args = (6.0, 1.0, 2.5, 0.9999)
+    for path, (value, err, _, terms) in (
+        ("Gauss series", specfun._series_bounded(*args)),
+        ("connection (DLMF 15.8.4)", specfun._near_one(*args)),
+    ):
+        print(f"  {path:<25} {value:.15e}  bound {err / value:.1e}  {terms} terms")
 
     banner("accuracy budgets are explicit")
     budget = AccuracyBudget(rel_tol=1e-8, max_work=10_000)

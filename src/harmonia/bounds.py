@@ -21,8 +21,9 @@ forms (each one oracle-backed by tests).  Both closed-form paths read one term
 table: ``PRINTED`` holds the printed forms, ``PATCHES`` the corrections.  The
 theorem right-hand sides read the oracles only.
 
-Every 2F1 in a closed form is the Gauss series with its error bound
-(``specfun._hyp2f1_bounded``), never the Euler quadrature, so the closed
+Every 2F1 in a closed form comes with its error bound from
+``specfun._hyp2f1_bounded`` (the Gauss series, or at arguments of 0.9 and
+above a 1 - z connection formula), never the Euler quadrature, so the closed
 forms and the oracle share no quadrature.  The evaluator also bounds the
 closed form's absolute error, read with the value from one evaluation; where
 the bound exceeds the tolerance and the gap lies within it, ``crosscheck_B``
@@ -55,7 +56,13 @@ from .convexity import (
     check_harmonic_sm,
     refuted_on_subgrid,
 )
-from .errors import AccuracyError, EvaluationError, ParameterError, PreconditionError
+from .errors import (
+    AccuracyError,
+    DomainError,
+    EvaluationError,
+    ParameterError,
+    PreconditionError,
+)
 from .identity import Instance, _memoized, rule_deviation
 # The kernel oracles no longer call integrate_de, nor the closed forms hyp2f1;
 # the names stay bound here because the benchmark's tracer wraps both.
@@ -389,7 +396,7 @@ def _evaluate(
     ((coef * 2^top) * B) / den * F, and an absolute error bound of the sum.
 
     The bound is sum_i |term_i| (F_i's relative bound + form_err), the 2F1
-    bound taken from the Gauss series with arguments off by _ARG_ERR.
+    bound taken from _hyp2f1_bounded with arguments off by _ARG_ERR.
     form_err covers, to first order in u, the term's other factors: the
     Beta (_BETA_ERR); the four products and the running sum of up to five
     terms (8u); and the powers, which carry their base's and exponent's
@@ -398,8 +405,9 @@ def _evaluate(
     14u while x or 1 - x is above e^-8 (below that the term is negligible
     in the sum).  In all, (28 + 5.4q)u <= (32 + 6q)u.
     ``memo`` computes each distinct F(2q, beta; gamma; argument) once.  An
-    overflow, a division by zero or a value or bound that is not finite
-    raises EvaluationError.
+    overflow, a division by zero, a 2F1 argument that rounds out of [0, 1)
+    (1 - a/b is 1.0 once b/a exceeds about 1e16) or a value or bound that is
+    not finite raises EvaluationError.
     """
     try:
         a, b, s, q = inst.a, inst.b, inst.s, inst.q
@@ -430,7 +438,7 @@ def _evaluate(
             term = c * t * beta(v[bx], v[by]) / v[den] * F
             total += sign * term
             bound += abs(term) * (f_err + form_err)
-    except (OverflowError, ZeroDivisionError) as exc:
+    except (DomainError, OverflowError, ZeroDivisionError) as exc:
         raise EvaluationError(f"closed form of B{index} raised {exc!r}") from exc
     if not (math.isfinite(total) and math.isfinite(bound)):
         raise EvaluationError(f"closed form of B{index} is {total!r} with bound {bound!r}")
@@ -459,7 +467,7 @@ def closed_B(index: int, inst: Instance) -> float:
     Statement-version transcription (where statement and proof tables
     disagree, the statement is used); misprinted cases return the
     misprinted value on purpose, and crosscheck_B adjudicates them
-    against the oracle.  Every 2F1 is the Gauss series; no quadrature runs.
+    against the oracle.  Every 2F1 is specfun._hyp2f1_bounded; no quadrature runs.
     """
     return _printed(index, inst, None)[0]
 

@@ -476,6 +476,16 @@ class TestAdjudication:
         assert term.status == "oracle_only" and not term.passed
         assert math.isfinite(term.oracle)
 
+    def test_argument_that_rounds_to_one_demotes_to_oracle_only(self):
+        # At b/a = 1e17, zeta = 1 - a/b rounds to 1.0, outside the 2F1 domain;
+        # the closed form fails as a row instead of aborting the run.
+        inst = make(a=1e-17, b=1.0, s=0.5, q=1.0, lam=0.8, mu=0.3)
+        with pytest.raises(EvaluationError, match="DomainError"):
+            closed_B(11, inst)
+        term = crosscheck_B(11, inst)
+        assert term.status == "oracle_only" and not term.passed
+        assert math.isfinite(term.oracle)
+
     def test_oracle_division_by_zero_is_evaluation_error(self):
         # A^400 underflows to 0 near t = 0 when a = 0.05.
         inst = make(a=0.05, b=0.5, s=0.5, q=200.0, lam=0.8, mu=0.3)
@@ -522,12 +532,13 @@ class TestIllConditioned:
 
     # Two sweep_wide (seed 3) B11 rows that land under tol, though their
     # closed forms are off by the whole gap against a 50-digit referee: the
-    # bound, not the gap, says they cannot be judged.
+    # bound, not the gap, says they cannot be judged.  The q = 4 row has
+    # zeta = 0.982, so its 2F1 values come from the connection formulas.
     @pytest.mark.parametrize(
         "a, b, s, q, lam, mu",
         [
-            (0.19217637478316485, 9.34765078608828, 0.75, 4.0,
-             0.8338207806798523, 0.44785101287070955),
+            (0.11585209567628575, 6.519319415334711, 0.75, 4.0,
+             0.7955273887456946, 0.3183598492969878),
             (0.2706238156792558, 1.808083506356541, 0.25, 8.0,
              0.5164194431284191, 0.15892822447323413),
         ],

@@ -214,14 +214,27 @@ class TestCrosscheck:
         rc = main(["crosscheck", "--index", bad, *self.ARGS])
         assert rc == 2
 
-    def test_oracle_only_fails(self, capsys):
-        # The B11 closed form cannot be evaluated at b/a = 1e4, q = 8: the
-        # sweep fails such a row, so the command must too.
-        rc = main(["crosscheck", "--index", "11", "--a", "0.001", "--b", "10",
+    def test_large_q_near_one_is_judged(self, capsys):
+        # At b/a = 1e4, q = 8 the Gauss series of B3, B5, B6, B9 and B11 needed
+        # more than 500,000 terms, so those rows were oracle_only; the
+        # connection formulas near z = 1 judge every one of them.
+        rc = main(["crosscheck", "--index", "all", "--a", "0.001", "--b", "10",
                    "--s", "0.5", "--m", "1", "--q", "8", "--lambda", "0.8", "--mu", "0.3"])
         out = capsys.readouterr().out
-        assert "oracle_only" in out
-        assert "FAIL" in out and "PASS" not in out
+        lines = {line.split()[0]: line for line in out.splitlines()}
+        assert "oracle_only" not in out
+        assert "ill_conditioned" in lines["B11"]
+        assert "PASS" in out and rc == 0
+
+    def test_argument_that_rounds_to_one_fails_the_row(self, capsys):
+        # At b/a = 1e17, zeta = 1 - a/b rounds to 1.0: the closed forms that
+        # read it are oracle_only and the command fails, without aborting.
+        rc = main(["crosscheck", "--a", "1e-17", "--b", "1", "--s", "0.5", "--m", "1",
+                   "--q", "1", "--lambda", "0.8", "--mu", "0.3"])
+        captured = capsys.readouterr()
+        lines = {line.split()[0]: line for line in captured.out.splitlines()}
+        assert "oracle_only" in lines["B11"] and "B12" in lines
+        assert "FAIL" in captured.out and "error:" not in captured.err
         assert rc == 1
 
     @pytest.mark.parametrize("index", ["5", "6", "11"])

@@ -18,6 +18,7 @@ from harmonia import (
     ConfigError,
     FunctionSpec,
     IDENTITY_TOL,
+    Instance,
     MARGIN_TOL,
     PRESETS,
     QuadSettings,
@@ -34,6 +35,7 @@ from harmonia import (
     generate_instances,
     harness,
     identity,
+    linear,
     quadrature,
     report_to_dict,
     run_sweep,
@@ -302,6 +304,19 @@ class TestRunSweep:
         failed = [r for r in rows if not r.passed]
         assert [r.check for r in failed] == ["theorem1@simpson", "theorem2@simpson"]
         assert {(r.lambda_, r.mu_) for r in rows} == {(inst.lambda_, inst.mu_)}
+
+    def test_closed_form_argument_that_rounds_to_one_fails_only_its_rows(self):
+        # At b/a = 1e17 the 2F1 arguments z, zeta and 1 - a/A_x round to 1.0:
+        # the rows of the closed forms that read them fail, the instance's
+        # other rows are still computed, and nothing raises.
+        inst = Instance(a=1e-17, b=1.0, s=0.5, m=1.0, q=1.0, lambda_=0.8, mu_=0.3, f=linear())
+        rows, _ = harness._instance_rows((0, inst, certify_instance(inst)))
+        failed = {r.check for r in rows if not r.passed}
+        assert failed == {f"crosscheck:B{i}:{case}" for i, case in (
+            (2, "interior"), (3, "interior"), (5, "interior"), (6, "interior"),
+            (8, "all"), (9, "all"), (11, "all"))}
+        assert all(math.isnan(r.rhs) for r in rows if r.check in failed)
+        assert {"identity", "theorem1@instance", "crosscheck:B12:all"} < {r.check for r in rows}
 
     def test_generate_returns_certificates_on_request(self):
         instances, discarded, certificates = generate_instances(SMALL)

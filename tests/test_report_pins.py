@@ -35,8 +35,8 @@ REPORT_PINS = {
         "6f04bafbc2d99adb4aa301e0047061fcef7d0e9d359465c58f313ae8a2e49ea8",
     ),
     "wide10": (
-        "c7e4175021ad6388893c384439a0dbab4ab377511503c5b2f551a5f4904994f8",
-        "0b89af09f92d782f443e7021716ec98c684906ee5b2ee5094044f6647a61aacc",
+        "2a72f2eb4887d8f75e772a6e670f0a3b30e9a6a46fdcef3a1c06b4905c708d23",
+        "9475c24236428f5a05952a87180f2e0244786615033fd46b15e82bf79f6b0b58",
     ),
 }
 

@@ -26,8 +26,18 @@ from harmonia import (
     hyp2f1_euler,
     hyp2f1_series,
 )
+from harmonia import specfun
 from harmonia.bounds import _BETA_ERR, PATCHES, PRINTED
-from harmonia.specfun import _hyp2f1_bounded
+from harmonia.cli import main
+from harmonia.specfun import (
+    _CUT,
+    _GAMMA_ERR,
+    _connection,
+    _digamma,
+    _digamma_err,
+    _hyp2f1_bounded,
+    _near_one,
+)
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 U = 2.0**-53
@@ -280,20 +290,41 @@ def _mp_rel_err(value, alpha, b_, g_, z):
         return float(abs((mpmath.mpf(value) - ref) / ref))
 
 
+@pytest.fixture
+def series_path(monkeypatch):
+    """Send every argument to the Gauss series, as below the cut."""
+    monkeypatch.setattr(specfun, "_CUT", 1.0)
+
+
 class TestBoundedSeries:
     """The private series path the closed forms read: value and error bound."""
 
     # hyp2f1_series misses rel_tol = 1e-13 here by the rounding of its term
     # recurrence: 1.01e-13 after 6,069 terms and 1.10e-13 after 8,816.
     @pytest.mark.parametrize("args", [(16.0, 1.0, 3.0, 0.99), (8.0, 1.0, 3.0, 0.995)])
-    def test_bound_covers_the_recurrence_rounding(self, args):
+    def test_bound_covers_the_recurrence_rounding(self, args, series_path):
         value, bound = _hyp2f1_bounded(*args)
         assert _mp_rel_err(value, *args) > 1e-13
         assert _mp_rel_err(value, *args) <= bound
 
-    def test_value_is_the_series_hyp2f1_sums(self):
+    def test_value_is_the_series_hyp2f1_sums(self, series_path):
         for args in ((16.0, 1.0, 3.0, 0.99), (4.0, 1.5, 3.5, 0.3), (2.0, 2.0, 3.25, 0.0)):
             assert _hyp2f1_bounded(*args)[0] == hyp2f1_series(*args, rel_tol=1e-13)[0]
+
+    def test_bound_covers_rounded_arguments_on_the_series(self, series_path):
+        # test_bound_covers_rounded_arguments now reads the connection formulas.
+        mpmath = pytest.importorskip("mpmath")
+        arg_err = 8 * U
+        value, bound = _hyp2f1_bounded(16.0, 1.5, 3.5, 0.99, arg_err)
+        for sign in (-1, 1):
+            with mpmath.workdps(40):
+                err = sign * mpmath.mpf(arg_err)
+                moved = (16.0, 1.5 * (1 + err), 3.5 / (1 + err), mpmath.mpf(0.99) + err)
+            assert _mp_rel_err(value, *moved) <= bound
+
+    def test_below_the_cut_the_value_is_the_series(self):
+        args = (16.0, 1.0, 3.0, math.nextafter(_CUT, 0.0))
+        assert _hyp2f1_bounded(*args)[0] == hyp2f1_series(*args, rel_tol=1e-13)[0]
 
     def test_bound_covers_rounded_arguments(self):
         # The caller's z, beta_ and gamma_ may each be off by arg_err.
@@ -322,6 +353,138 @@ class TestBoundedSeries:
         for args in sets:
             value, bound = _hyp2f1_bounded(*args)
             assert _mp_rel_err(value, *args) <= bound, args
+
+
+@pytest.fixture(scope="module")
+def wide_sets_near_one() -> list[tuple]:
+    """Every distinct (alpha, beta_, gamma_, z) with z >= _CUT that the
+    sweep_wide crosschecks read at seed 1."""
+    workloads = runpy.run_path(str(WORKLOADS))
+    cfg = SweepConfig.from_dict(workloads["sweep_config"]("sweep_wide", 1))
+    memo: dict = {}
+    for inst in generate_instances(cfg)[0]:
+        for index in (2, 3, 5, 6, 8, 9, 11, 12):
+            bounds._printed(index, inst, memo)
+    return sorted({key[1:5] for key in memo if key[0] == "2f1" and key[4] >= _CUT})
+
+
+class TestConnection:
+    """At z >= _CUT the closed forms' 2F1 comes from the 1 - z connection
+    formulas: DLMF 15.8.4, or A&S 15.3.10-15.3.12 where c - a - b is an
+    integer, with the Gauss series as the fallback."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (2.0, 1.0, 3.0),  # c - a - b = 0
+            (2.0, 1.0, 4.0),  # +1: q = 1, s = 1
+            *((1.0 - k, 1.5, 2.5) for k in range(-1, -16, -1)),  # -1 .. -15 (q = 1 .. 8)
+            (2.0, 1.0, 3.25),  # a quarter-integer
+            (4.0, 1.0, 3.0),  # -2 with b - m = -1: 1/Gamma(b - m) = 0, no log series
+            (2.0, 0.3 + 1.0, 0.3 + 3.0),  # 0 exactly, -2.2e-16 in floats
+        ],
+        ids=["0", "+1", *(f"{k}" for k in range(-1, -16, -1)), "quarter", "rgamma-zero",
+             "float-snap"],
+    )
+    @pytest.mark.parametrize("z", [_CUT, 0.99, 0.9999, 1.0 - 1e-6])
+    def test_pinned_cases_take_the_connection(self, args, z):
+        assert _near_one(*args, z) is not None
+        value, bound = _hyp2f1_bounded(*args, z)
+        assert bound <= 1e-13
+        assert _mp_rel_err(value, *args, z) <= bound
+
+    def test_integer_in_exact_arithmetic_takes_the_integer_formula(self):
+        gap = (0.3 + 3.0) - (0.3 + 1.0) - 2.0
+        assert gap != 0.0
+        assert _connection(2.0, 0.3 + 1.0, 0.3 + 3.0, 0.99)[2] >= abs(gap)
+        assert _connection(2.0, 1.0, 3.25, 0.99)[2] == 0.0
+
+    def test_near_integer_falls_back_to_the_series(self):
+        # q = 1.0000001: c - a - b = -2e-7 cancels the two terms of 15.8.4 by ~1e7.
+        args = (2.0000002, 1.0, 3.0, 0.95)
+        assert _connection(*args)[1] > 1e-13 * _connection(*args)[0]
+        assert _near_one(*args) is None
+        value, bound = _hyp2f1_bounded(*args)
+        assert value == hyp2f1_series(*args, rel_tol=1e-13)[0]
+        assert _mp_rel_err(value, *args) <= bound
+
+    def test_sweep_wide_sets_near_one_are_exact_to_1e13(self, wide_sets_near_one):
+        for args in wide_sets_near_one:
+            assert _near_one(*args) is not None, args
+            assert _mp_rel_err(_hyp2f1_bounded(*args)[0], *args) <= 1e-13, args
+
+
+@given(
+    q=st.floats(1.0, 10.0),
+    s=st.floats(0.0, 1.0, exclude_min=True),
+    z=st.floats(_CUT, 1.0 - 1e-6),
+    shape=st.sampled_from(F21_SHAPES),
+)
+def test_connection_value_within_its_bound_property(q, s, z, shape):
+    b_, g_ = shape(s)
+    try:
+        value, bound = _hyp2f1_bounded(2.0 * q, b_, g_, z)
+    except AccuracyError:
+        assert _near_one(2.0 * q, b_, g_, z) is None  # only the fallback gives up
+        return
+    assert _mp_rel_err(value, 2.0 * q, b_, g_, z) <= bound
+
+
+class TestWork:
+    """Gauss-series terms summed, counted through specfun._gauss_sum."""
+
+    @pytest.fixture
+    def terms(self, monkeypatch):
+        summed = [0]
+        real = specfun._gauss_sum
+
+        def counting(*args):
+            result = real(*args)
+            summed[0] += result[1]
+            return result
+
+        monkeypatch.setattr(specfun, "_gauss_sum", counting)
+        return summed
+
+    def test_large_ratio_crosscheck(self, terms, capsys):
+        # 2,432,428 terms when every argument took the series.
+        rc = main(["crosscheck", "--a", "0.01", "--b", "100", "--s", "0.5", "--m", "1",
+                   "--q", "3", "--lambda", "0.8", "--mu", "0.3"])
+        capsys.readouterr()
+        assert rc == 0
+        assert terms[0] < 20_000
+
+    def test_sweep_wide_sets_near_one(self, wide_sets_near_one, terms):
+        # 819,975 terms on these 695 sets when they took the series.
+        assert len(wide_sets_near_one) > 500
+        for args in wide_sets_near_one:
+            _hyp2f1_bounded(*args)
+        assert terms[0] < 50_000
+
+
+class TestDigamma:
+    def test_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(7)
+        xs = [10.0 ** rng.uniform(-6.0, 8.0) for _ in range(2000)]
+        root = 1.4616321449683622
+        xs += [1e-6, 1.0, 10.0, 1e8, root, *(root + k * 1e-12 for k in (-3, -1, 1, 3))]
+        with mpmath.workdps(40):
+            for x in xs:
+                psi = _digamma(x)
+                assert float(abs(psi - mpmath.digamma(x))) <= _digamma_err(psi), x
+
+    def test_math_gamma_within_its_allowance(self):
+        # The connection formulas charge _GAMMA_ERR per Gamma factor, at
+        # arguments of either sign away from the poles.
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(11)
+        xs = [rng.uniform(-40.0, 60.0) for _ in range(3000)]
+        xs += [-k + d for k in range(16) for d in (1e-9, -1e-9, 0.25)]
+        with mpmath.workdps(40):
+            for x in xs:
+                ref = mpmath.gamma(x)
+                assert float(abs((math.gamma(x) - ref) / ref)) <= _GAMMA_ERR, x
 
 
 @given(
