@@ -698,28 +698,23 @@ class Verdict:
     passed: bool
 
 
-def _hypothesis(inst: Instance, grid: GridSpec | None) -> tuple[FunctionSpec, GridSpec]:
-    """|f'|^q and the grid on [a, b/m] its convexity is certified over."""
-    if grid is None:
-        grid = GridSpec(lo=inst.a, hi=inst.b / inst.m)
-    return abs_deriv_pow(inst.f, inst.q), grid
+def _hypothesis(inst: Instance) -> tuple[FunctionSpec, GridSpec]:
+    """|f'|^q and the default grid on [a, b/m] its convexity is certified over."""
+    return abs_deriv_pow(inst.f, inst.q), GridSpec(lo=inst.a, hi=inst.b / inst.m)
 
 
-def certify_instance(
-    inst: Instance,
-    grid: GridSpec | None = None,
-):
+def certify_instance(inst: Instance):
     """Grid-certify that |f'|^q is harmonically (s,m)-convex on [a, b/m]."""
-    shape, grid = _hypothesis(inst, grid)
+    shape, grid = _hypothesis(inst)
     return check_harmonic_sm(shape, inst.s, inst.m, grid)
 
 
 def refuted_coarsely(inst: Instance) -> bool:
-    """True when a subgrid of certify_instance's default grid already
-    refutes the hypothesis; certify_instance(inst) then does not hold.
-    False decides nothing.
+    """True when a subgrid of certify_instance's grid already refutes the
+    hypothesis; certify_instance(inst) then does not hold.  False decides
+    nothing.
     """
-    shape, grid = _hypothesis(inst, None)
+    shape, grid = _hypothesis(inst)
     return refuted_on_subgrid(shape, inst.s, inst.m, grid)
 
 

@@ -15,7 +15,7 @@ import json
 import sys
 
 from .bounds import KIND_FOR_INDEX, PRESETS, check_theorem, crosscheck_B, crosscheck_plan
-from .convexity import GridSpec, _require_tol, check_harmonic_sm, linear, parse_function_spec
+from .convexity import GridSpec, check_harmonic_sm, linear, parse_function_spec
 from .errors import (
     AccuracyError,
     ConfigError,
@@ -51,7 +51,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pi.add_argument("--b", type=float, required=True)
     pi.add_argument("--lambda", dest="lambda_", type=float, required=True)
     pi.add_argument("--mu", dest="mu_", type=float, required=True)
-    pi.add_argument("--tol", type=float, default=IDENTITY_TOL)
     pi.add_argument(
         "--printed", action="store_true",
         help="evaluate the as-printed deviation display instead (errata demo; "
@@ -115,20 +114,19 @@ def _cmd_verify_identity(args: argparse.Namespace) -> int:
         a=args.a, b=args.b, s=1.0, m=1.0, q=1.0,
         lambda_=args.lambda_, mu_=args.mu_, f=f,
     )
-    _require_tol(args.tol)
     if args.printed:
         printed = rule_deviation_as_printed(inst)
         rhs = kernel_representation(inst)
         diff = abs(printed - rhs)
         print(f"as-printed deviation  {printed:.10g}")
         print(f"kernel representation {rhs:.10g}")
-        print(f"|difference|          {diff:.6e}  (tol {args.tol:g})")
-        if diff <= args.tol:
+        print(f"|difference|          {diff:.6e}  (tol {IDENTITY_TOL:g})")
+        if diff <= IDENTITY_TOL:
             print("PASS: printed display matches the kernel representation here")
             return 0
         print("FAIL: printed display does not satisfy the identity (known erratum)")
         return 1
-    check = check_identity(inst, tol=args.tol)
+    check = check_identity(inst)
     print(f"rule deviation        {check.lhs:.10g}")
     print(f"kernel representation {check.rhs:.10g}")
     print(f"|difference|          {check.abs_diff:.6e}  (tol {check.tol:g})")

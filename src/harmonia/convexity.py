@@ -11,7 +11,8 @@ left instead.  Neither class is decidable from point samples, so this module
 reports grid verdicts: the worst signed defect of the defining inequality
 over a rectangular (x, y, t) grid, together with the witness triple that
 attains it.  A verdict "holds" means the worst defect does not exceed
-``DEFECT_TOL``; callers that need a guarantee combine the verdict with an
+``DEFECT_TOL``, the one tolerance every verdict here reads and none takes as
+a parameter; callers that need a guarantee combine the verdict with an
 analytic certificate for the family in question (see ``PROPERTY_CORPUS``).
 
 ``FunctionSpec`` is a small closed term language (linear, powers, scaled
@@ -50,12 +51,6 @@ _KINDS: dict[str, tuple[tuple[str, ...], tuple[int, int | None], str | None]] = 
     "seq_limit": ((), (2, None), None),
     "abs_deriv_pow": (("q",), (1, 1), "q"),
 }
-
-
-def _require_tol(tol: float, name: str = "tol") -> None:
-    """ParameterError unless tol is a positive finite tolerance."""
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ParameterError(f"{name} must be positive and finite, got {tol!r}")
 
 
 def _require_sm(s: float, m: float) -> None:
@@ -367,7 +362,7 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class ConvexityReport:
-    """Grid verdict: holds iff worst_defect <= the tolerance used."""
+    """Grid verdict: holds iff worst_defect <= DEFECT_TOL."""
 
     holds: bool
     worst_defect: float
@@ -439,10 +434,9 @@ def _check_grid_args(f: FunctionSpec, s: float, m: float, grid: GridSpec) -> Non
 
 
 def _verdict(
-    f: FunctionSpec, s: float, m: float, grid: GridSpec, defect_tol: float, harmonic: bool
+    f: FunctionSpec, s: float, m: float, grid: GridSpec, harmonic: bool
 ) -> ConvexityReport:
     _check_grid_args(f, s, m, grid)
-    _require_tol(defect_tol, "defect_tol")
     xs, ys, ts = _grid_axes(grid)
     defect = _defect(f, s, m, xs, ys, ts, harmonic)
     # C-order argmax returns the first maximizer, which is the
@@ -450,7 +444,7 @@ def _verdict(
     ix, iy, it = np.unravel_index(int(np.argmax(defect)), defect.shape)
     worst = float(defect[ix, iy, it])
     return ConvexityReport(
-        holds=worst <= defect_tol, worst_defect=worst,
+        holds=worst <= DEFECT_TOL, worst_defect=worst,
         witness=(float(xs[ix]), float(ys[iy]), float(ts[it])), checked=defect.size,
     )
 
@@ -470,26 +464,14 @@ def refuted_on_subgrid(f: FunctionSpec, s: float, m: float, grid: GridSpec) -> b
     return bool(defect.max() > DEFECT_TOL)
 
 
-def check_harmonic_sm(
-    f: FunctionSpec,
-    s: float,
-    m: float,
-    grid: GridSpec,
-    defect_tol: float = DEFECT_TOL,
-) -> ConvexityReport:
+def check_harmonic_sm(f: FunctionSpec, s: float, m: float, grid: GridSpec) -> ConvexityReport:
     """Grid verdict for harmonic (s,m)-convexity over grid's interval."""
-    return _verdict(f, s, m, grid, defect_tol, harmonic=True)
+    return _verdict(f, s, m, grid, harmonic=True)
 
 
-def check_plain_sm(
-    f: FunctionSpec,
-    s: float,
-    m: float,
-    grid: GridSpec,
-    defect_tol: float = DEFECT_TOL,
-) -> ConvexityReport:
+def check_plain_sm(f: FunctionSpec, s: float, m: float, grid: GridSpec) -> ConvexityReport:
     """Grid verdict for plain (s,m)-convexity (combination t*x + m*(1-t)*y)."""
-    return _verdict(f, s, m, grid, defect_tol, harmonic=False)
+    return _verdict(f, s, m, grid, harmonic=False)
 
 
 @dataclass(frozen=True)
@@ -499,13 +481,7 @@ class Classification:
     harmonic_sm_convex: bool
 
 
-def classify(
-    f: FunctionSpec,
-    s: float,
-    m: float,
-    grid: GridSpec,
-    defect_tol: float = DEFECT_TOL,
-) -> Classification:
+def classify(f: FunctionSpec, s: float, m: float, grid: GridSpec) -> Classification:
     """Monotonicity plus plain and harmonic (s,m)-convexity grid verdicts.
 
     The two verdicts feed the implication pair: nondecreasing plain-convex
@@ -525,8 +501,8 @@ def classify(
         monotone = "nonincreasing"
     else:
         monotone = "neither"
-    plain = check_plain_sm(f, s, m, grid, defect_tol)
-    harmonic = check_harmonic_sm(f, s, m, grid, defect_tol)
+    plain = check_plain_sm(f, s, m, grid)
+    harmonic = check_harmonic_sm(f, s, m, grid)
     return Classification(
         monotone=monotone,
         sm_convex=plain.holds,
@@ -543,22 +519,16 @@ class ReflectionWitness:
 
 
 def reflection_witness(
-    f: FunctionSpec,
-    a: float,
-    b: float,
-    s: float,
-    m: float,
-    x: float,
-    defect_tol: float = DEFECT_TOL,
+    f: FunctionSpec, a: float, b: float, s: float, m: float, x: float
 ) -> ReflectionWitness:
     """One-point reflection inequality for a harmonically (s,m)-convex f.
 
     Writes x = t*a + (1-t)*b with t = (b-x)/(b-a) and compares
     f(a*b/(a+b-x)) against t**s*(f(a)+f(b)) + m*(1-t)**s*(f(a/m)+f(b/m))
-    - f(a*b/x).  The caller certifies the convexity hypothesis.
+    - f(a*b/x); it holds when lhs <= rhs + DEFECT_TOL.  The caller
+    certifies the convexity hypothesis.
     """
     _require_sm(s, m)
-    _require_tol(defect_tol, "defect_tol")
     if not (0.0 < a < b):
         raise ParameterError(f"need 0 < a < b, got a={a!r}, b={b!r}")
     if not (a <= x <= b):
@@ -570,7 +540,7 @@ def reflection_witness(
         + m * (1.0 - t) ** s * (f.value(a / m) + f.value(b / m))
         - f.value(a * b / x)
     )
-    return ReflectionWitness(t=t, lhs=lhs, rhs=rhs, holds=lhs <= rhs + defect_tol)
+    return ReflectionWitness(t=t, lhs=lhs, rhs=rhs, holds=lhs <= rhs + DEFECT_TOL)
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ from .bounds import (
     CROSSCHECK_TOL,
     PRESETS,
     _require_band,
+    case_label,
     certify_instance,
     check_theorem,
     crosscheck_B,
@@ -371,10 +372,11 @@ def _instance_rows(payload: tuple) -> tuple[list[Row], list[dict]]:
                 rows.append(_row(inst_id, family, inst, check))
 
     for index in indices:
+        check = f"crosscheck:B{index}:{case_label(index, inst)}"
         try:
             term = crosscheck_B(index, inst, memo=memo)
         except (AccuracyError, EvaluationError):
-            rows.append(_row(inst_id, family, inst, f"crosscheck:B{index}:?"))
+            rows.append(_row(inst_id, family, inst, check))
             continue
         if term.status == "erratum_suspected":
             # vars, not asdict: the fields are flat; asdict's deep copy costs ~1% of a sweep.
@@ -383,7 +385,7 @@ def _instance_rows(payload: tuple) -> tuple[list[Row], list[dict]]:
             errata.append(entry)
         closed = term.closed_form if term.closed_form is not None else _NAN
         rel = term.rel_diff if term.rel_diff is not None else _NAN
-        rows.append(_row(inst_id, family, inst, f"crosscheck:B{index}:{term.case}",
+        rows.append(_row(inst_id, family, inst, check,
                          term.oracle, closed, CROSSCHECK_TOL - rel, term.passed))
     return rows, errata
 

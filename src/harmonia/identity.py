@@ -15,8 +15,8 @@ deviates from the harmonic-weighted integral average.  Integration by parts
 
 valid for ALL real lambda_, mu_ whenever f' is integrable.  This module
 evaluates both sides by quadrature and checks the identity.  Every integral
-runs at ``quadrature.DEFAULT_SETTINGS``; the one settable value is
-``check_identity``'s ``tol`` (``harmonia verify-identity --tol``).
+runs at ``quadrature.DEFAULT_SETTINGS`` and every check is judged at
+``IDENTITY_TOL``; neither can be re-set per call.
 
 A widely circulated variant of the display writes the midpoint node as
 f((a+b)/2) and doubles the integral prefactor to 2ab/(b-a).  That variant
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convexity import FunctionSpec, _require_sm, _require_tol
+from .convexity import FunctionSpec, _require_sm
 from .errors import DomainError, ParameterError
 from .quadrature import _ArrayIntegrand, integrate
 
@@ -170,12 +170,11 @@ def kernel_representation(inst: Instance) -> float:
     return ab * (b - a) * (lower + upper)
 
 
-def check_identity(
-    inst: Instance, tol: float = IDENTITY_TOL, *, memo: dict | None = None
-) -> IdentityCheck:
-    """Compare the node form against the kernel representation."""
-    _require_tol(tol)
+def check_identity(inst: Instance, *, memo: dict | None = None) -> IdentityCheck:
+    """Compare the node form against the kernel representation, to IDENTITY_TOL."""
     lhs = rule_deviation(inst, memo=memo)
     rhs = kernel_representation(inst)
     abs_diff = abs(lhs - rhs)
-    return IdentityCheck(lhs=lhs, rhs=rhs, abs_diff=abs_diff, tol=tol, passed=abs_diff <= tol)
+    return IdentityCheck(
+        lhs=lhs, rhs=rhs, abs_diff=abs_diff, tol=IDENTITY_TOL, passed=abs_diff <= IDENTITY_TOL
+    )

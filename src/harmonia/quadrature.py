@@ -388,18 +388,18 @@ def _jacobi_level(n: int, alpha: float, beta: float) -> tuple[np.ndarray, list[f
     return 1.0 + np.concatenate((x1, x2)), w1, w2
 
 
-def _product_rule(f, panels, settings: QuadSettings | None = None) -> QuadResult:
+def _product_rule(f, panels) -> QuadResult:
     """Gauss-Jacobi integration of f over panels (lo, hi, at_lo, at_hi), summed.
 
     On each panel f is (t - lo)^at_lo (hi - t)^at_hi times a smooth factor.
     Level by level, n = 8, 16, ..., 1024, f is called once on the n- and
     2n-point nodes of every panel (an ``_ArrayIntegrand``, under its
-    contract).  It stops when |Q_2n - Q_n| <= rel_tol |Q_2n|, with no
-    absolute floor: for a nonnegative f, positive weights leave only relative
-    rounding.  A level that would take the evaluations past
-    15 * max_subdivisions is not run.
+    contract).  It reads DEFAULT_SETTINGS: it stops when |Q_2n - Q_n| <=
+    rel_tol |Q_2n|, with no absolute floor (for a nonnegative f, positive
+    weights leave only relative rounding), and a level that would take the
+    evaluations past 15 * max_subdivisions is not run.
     """
-    s = settings if settings is not None else DEFAULT_SETTINGS
+    s = DEFAULT_SETTINGS
     for lo, hi, _, _ in panels:
         _require_interval(lo, hi)
     g = _ArrayIntegrand(f)

@@ -14,9 +14,11 @@ so each one can be computed here by two independent methods:
   (1-zt)**(-alpha) goes to adaptive Gauss-Kronrod when both endpoint
   exponents are >= 0, and to tanh-sinh on two folded halves when either is
   negative (a singular endpoint).
-  The two paths must agree to max(budget.rel_tol, 1e-10) in relative terms,
+  The two paths must agree to 1e-10 in relative terms (``_AGREE_TOL``),
   otherwise an ``AccuracyError`` carrying both values is raised.  The Euler
-  value is returned.
+  value is returned.  Their accuracy target, the series' term cap and the
+  quadrature's settings are the private constants ``_REL_TOL``,
+  ``_MAX_TERMS`` and ``_EULER_SETTINGS``; no call re-sets them.
 
 The coefficient closed forms of the bounds module do not call ``hyp2f1``:
 they read the private ``_hyp2f1_bounded``, a value with a relative error
@@ -34,9 +36,9 @@ serves the public ``hyp2f1`` alone.  ``_hyp2f1_bounded`` has two paths:
   covers each series, the Gamma and digamma coefficients and the
   cancellation between the terms (Pearson, Olver & Porter 2017, "Numerical
   methods for the computation of the confluent and Gauss hypergeometric
-  functions").  Where that bound exceeds ``DEFAULT_BUDGET.rel_tol / 10``,
-  which happens when c - a - b is near an integer without being one, the
-  series runs instead.
+  functions").  Where that bound exceeds ``_REL_TOL / 10``, which happens
+  when c - a - b is near an integer without being one, the series runs
+  instead.
 
 Both paths add the same allowance for arguments the caller has rounded.
 
@@ -49,14 +51,11 @@ past b/a of about 1e16 the first two round to 1.0 and raise DomainError).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import AccuracyError, DomainError, ParameterError
+from .errors import AccuracyError, DomainError
 from .quadrature import QuadSettings, integrate, integrate_de
 
 __all__ = [
-    "AccuracyBudget",
-    "DEFAULT_BUDGET",
     "gamma",
     "beta",
     "gamma_integral",
@@ -66,24 +65,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AccuracyBudget:
-    """Relative tolerance target and work cap for dual-path evaluations."""
-
-    rel_tol: float = 1e-12
-    max_work: int = 500_000
-
-    def __post_init__(self) -> None:
-        if not (self.rel_tol > 0.0) or not math.isfinite(self.rel_tol):
-            raise ParameterError("rel_tol must be finite and > 0")
-        n = self.max_work
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise ParameterError(f"max_work must be an integer >= 1, got {n!r}")
-
-
-DEFAULT_BUDGET = AccuracyBudget()
-
 _U = 2.0**-53  # unit roundoff of IEEE double
+
+# The 2F1 accuracy target of the Euler quadrature; every Gauss series
+# (hyp2f1_series' default, _series_bounded) and _near_one's bound take a tenth.
+_REL_TOL = 1e-12
+# The Gauss series' term cap; the Euler quadrature gets as many evaluations.
+_MAX_TERMS = 500_000
+_EULER_SETTINGS = QuadSettings(
+    abs_tol=1e-300, rel_tol=_REL_TOL, max_subdivisions=_MAX_TERMS // 15
+)
+# hyp2f1's Euler and series values must agree to this, relative.
+_AGREE_TOL = 1e-10
 
 
 def gamma(x: float) -> float:
@@ -133,7 +126,7 @@ def beta(a: float, b: float) -> float:
         return math.inf
 
 
-def gamma_integral(x: float, settings: QuadSettings | None = None) -> float:
+def gamma_integral(x: float) -> float:
     """Defining integral of Gamma, as an independent (slow) oracle.
 
     Splits at t=1 so the tanh-sinh rule absorbs the t**(x-1) endpoint
@@ -146,9 +139,9 @@ def gamma_integral(x: float, settings: QuadSettings | None = None) -> float:
     def integrand(t: float) -> float:
         return t ** (x - 1.0) * math.exp(-t)
 
-    head = integrate_de(integrand, 0.0, 1.0, settings).checked("gamma_integral head on [0, 1]")
+    head = integrate_de(integrand, 0.0, 1.0).checked("gamma_integral head on [0, 1]")
     upper = max(60.0, 12.0 * x)
-    return head + integrate(integrand, 1.0, upper, settings).checked("gamma_integral tail")
+    return head + integrate(integrand, 1.0, upper).checked("gamma_integral tail")
 
 
 def _check_2f1_domain(alpha: float, beta_: float, gamma_: float, z: float) -> None:
@@ -161,15 +154,8 @@ def _check_2f1_domain(alpha: float, beta_: float, gamma_: float, z: float) -> No
         raise DomainError(f"hyp2f1 requires 0 <= z < 1, got z={z!r}")
 
 
-def hyp2f1_euler(
-    alpha: float,
-    beta_: float,
-    gamma_: float,
-    z: float,
-    budget: AccuracyBudget | None = None,
-) -> float:
+def hyp2f1_euler(alpha: float, beta_: float, gamma_: float, z: float) -> float:
     """Euler integral path: quadrature of t**(b-1)(1-t)**(g-b-1)(1-zt)**(-a)."""
-    bud = budget if budget is not None else DEFAULT_BUDGET
     _check_2f1_domain(alpha, beta_, gamma_, z)
     e0 = beta_ - 1.0
     e1 = gamma_ - beta_ - 1.0
@@ -177,11 +163,6 @@ def hyp2f1_euler(
     def integrand(t: float) -> float:
         return t**e0 * (1.0 - t) ** e1 * (1.0 - z * t) ** (-alpha)
 
-    settings = QuadSettings(
-        abs_tol=1e-300,
-        rel_tol=bud.rel_tol,
-        max_subdivisions=max(100, bud.max_work // 15),
-    )
     what = "hyp2f1 Euler quadrature"
     # Negative exponents make the endpoints singular: use the rule that
     # never touches them.  Otherwise the adaptive pair handles steepness
@@ -196,10 +177,10 @@ def hyp2f1_euler(
         def folded(u: float) -> float:
             return u**e1 * (1.0 - u) ** e0 * (one_minus_z + z * u) ** (-alpha)
 
-        lower = integrate_de(integrand, 0.0, 0.5, settings).checked(what)
-        value = lower + integrate_de(folded, 0.0, 0.5, settings).checked(what)
+        lower = integrate_de(integrand, 0.0, 0.5, _EULER_SETTINGS).checked(what)
+        value = lower + integrate_de(folded, 0.0, 0.5, _EULER_SETTINGS).checked(what)
     else:
-        value = integrate(integrand, 0.0, 1.0, settings).checked(what)
+        value = integrate(integrand, 0.0, 1.0, _EULER_SETTINGS).checked(what)
     return value / beta(beta_, gamma_ - beta_)
 
 
@@ -254,8 +235,8 @@ def hyp2f1_series(
     beta_: float,
     gamma_: float,
     z: float,
-    rel_tol: float = 1e-13,
-    max_terms: int = 500_000,
+    rel_tol: float = _REL_TOL / 10.0,
+    max_terms: int = _MAX_TERMS,
 ) -> tuple[float, int]:
     """Gauss series path with a geometric tail bound on the truncation.
 
@@ -520,7 +501,7 @@ def _near_one(
     alpha: float, beta_: float, gamma_: float, z: float
 ) -> tuple[float, float, float, int] | None:
     """(value, absolute error bound, moment, terms) of F by _connection, or
-    None where that bound exceeds DEFAULT_BUDGET.rel_tol / 10 of the value.
+    None where that bound exceeds _REL_TOL / 10 of the value.
 
     moment = z F'(z) = z (alpha beta_ / gamma_) F(alpha+1, beta_+1; gamma_+1; z),
     taken by the same path at its upper bound; it is sum_k k |term_k| of the
@@ -539,7 +520,7 @@ def _near_one(
         return None
     if snap:
         err += snap * value * (1.0 / gamma_ + math.log1p(moment / (gamma_ * value)))
-    if not err <= DEFAULT_BUDGET.rel_tol / 10.0 * value:
+    if not err <= _REL_TOL / 10.0 * value:
         return None
     return value, err, moment, terms + slope_terms
 
@@ -556,10 +537,7 @@ def _series_bounded(
     where moment = sum_k k |term_k|; and the Kahan sum, at most
     3 u sum_k |term_k| <= 3 u (1 + moment).
     """
-    bud = DEFAULT_BUDGET
-    value, terms, tail, moment = _gauss_sum(
-        alpha, beta_, gamma_, z, bud.rel_tol / 10.0, bud.max_work
-    )
+    value, terms, tail, moment = _gauss_sum(alpha, beta_, gamma_, z, _REL_TOL / 10.0, _MAX_TERMS)
     return value, tail + _U * (11.0 * moment + 3.0), moment, terms
 
 
@@ -575,9 +553,8 @@ def _hyp2f1_bounded(
     is), summed in powers of 1 - z <= 0.1, with the bound of _near_one: each
     series' tail, recurrence and summation rounding, the Gamma and digamma
     coefficients, the cancellation between the terms and the snap of
-    c - a - b to an integer.  Where that bound exceeds DEFAULT_BUDGET.rel_tol
-    / 10 (c - a - b near an integer without being one), the series runs
-    instead.
+    c - a - b to an integer.  Where that bound exceeds _REL_TOL / 10
+    (c - a - b near an integer without being one), the series runs instead.
 
     On both paths the bound adds arguments off by up to arg_err from the ones
     the caller means (beta_ and gamma_ relatively, z absolutely): that moves
@@ -594,29 +571,21 @@ def _hyp2f1_bounded(
     return value, (1.01 * (err + shift) / abs(value) if value else math.inf)
 
 
-def hyp2f1(
-    alpha: float,
-    beta_: float,
-    gamma_: float,
-    z: float,
-    budget: AccuracyBudget | None = None,
-) -> float:
+def hyp2f1(alpha: float, beta_: float, gamma_: float, z: float) -> float:
     """Gauss 2F1 with mandatory dual-path agreement.
 
     Both the Euler integral and the Gauss series are evaluated on every
-    call; they must agree to max(budget.rel_tol, 1e-10) relative, else an
+    call; they must agree to _AGREE_TOL (1e-10) relative, else an
     AccuracyError carrying both values is raised.  The Euler value is
     returned because the quadrature oracle controls its own error bound.
     """
-    bud = budget if budget is not None else DEFAULT_BUDGET
-    euler = hyp2f1_euler(alpha, beta_, gamma_, z, bud)
-    series, _ = hyp2f1_series(alpha, beta_, gamma_, z, rel_tol=bud.rel_tol / 10.0, max_terms=bud.max_work)
+    euler = hyp2f1_euler(alpha, beta_, gamma_, z)
+    series, _ = hyp2f1_series(alpha, beta_, gamma_, z)
     scale = max(abs(euler), abs(series), 1e-300)
     rel_gap = abs(euler - series) / scale
-    agree_tol = max(bud.rel_tol, 1e-10)
-    if rel_gap > agree_tol:
+    if rel_gap > _AGREE_TOL:
         raise AccuracyError(
-            f"hyp2f1 paths disagree: rel gap {rel_gap:.3e} > {agree_tol:.1e}",
+            f"hyp2f1 paths disagree: rel gap {rel_gap:.3e} > {_AGREE_TOL:.1e}",
             euler=euler,
             series=series,
         )

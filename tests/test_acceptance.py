@@ -73,7 +73,8 @@ def test_criterion_1_kernel_identity(acceptance):
         if not certify_instance(inst).holds:
             continue
         certified += 1
-        chk = check_identity(inst, tol=1e-8)
+        chk = check_identity(inst)
+        assert chk.tol == 1e-8
         worst = max(worst, chk.abs_diff)
         if not chk.passed:
             failures += 1

@@ -1,7 +1,7 @@
-"""The public API, pinned: the names of ``harmonia.__all__`` and the
-parameters of each public callable.
+"""The public API, pinned: the names of ``harmonia.__all__``, the
+parameters of each public callable and the options of each CLI subcommand.
 
-A change to either is a change to the API, so it has to edit one of the two
+A change to any of them is a change to the API, so it has to edit one of the
 tables below in plain sight.  Each signature is written as its parameter
 names and kinds, without annotations or defaults: ``*`` opens the
 keyword-only parameters, ``/`` closes the positional-only ones, and
@@ -10,14 +10,16 @@ keyword-only parameters, ``/`` closes the positional-only ones, and
 
 from __future__ import annotations
 
+import argparse
 import inspect
 
 import harmonia
+from harmonia.cli import _build_parser
 
 ALL = [
-    "AccuracyBudget", "AccuracyError", "BoundTerm", "CROSSCHECK_TOL", "CSV_COLUMNS",
-    "Classification", "ConfigError", "ConvexityReport", "CorpusEntry", "DEFAULT_BUDGET",
-    "DEFAULT_SETTINGS", "DEFECT_TOL", "DomainError", "EXPECTED_COEFFICIENT_ERRATA",
+    "AccuracyError", "BoundTerm", "CROSSCHECK_TOL", "CSV_COLUMNS", "Classification",
+    "ConfigError", "ConvexityReport", "CorpusEntry", "DEFAULT_SETTINGS", "DEFECT_TOL",
+    "DomainError", "EXPECTED_COEFFICIENT_ERRATA",
     "EvaluationError", "FunctionSpec", "GridSpec", "HarmoniaError", "IDENTITY_TOL",
     "IdentityCheck", "Instance", "KIND_FOR_INDEX", "KernelKind", "MARGIN_TOL", "PRESETS",
     "PROPERTY_CORPUS", "ParameterError", "PreconditionError", "QuadResult", "QuadSettings",
@@ -46,12 +48,11 @@ SIGNATURES = {
     "integrate": "f, lo, hi, settings",
     "integrate_de": "f, lo, hi, settings",
     # specfun
-    "AccuracyBudget": "rel_tol, max_work",
     "beta": "a, b",
     "gamma": "x",
-    "gamma_integral": "x, settings",
-    "hyp2f1": "alpha, beta_, gamma_, z, budget",
-    "hyp2f1_euler": "alpha, beta_, gamma_, z, budget",
+    "gamma_integral": "x",
+    "hyp2f1": "alpha, beta_, gamma_, z",
+    "hyp2f1_euler": "alpha, beta_, gamma_, z",
     "hyp2f1_series": "alpha, beta_, gamma_, z, rel_tol, max_terms",
     # convexity
     "Classification": "monotone, sm_convex, harmonic_sm_convex",
@@ -61,21 +62,21 @@ SIGNATURES = {
     "GridSpec": "nx, ny, nt, lo, hi",
     "ReflectionWitness": "t, lhs, rhs, holds",
     "abs_deriv_pow": "f, q",
-    "check_harmonic_sm": "f, s, m, grid, defect_tol",
-    "check_plain_sm": "f, s, m, grid, defect_tol",
-    "classify": "f, s, m, grid, defect_tol",
+    "check_harmonic_sm": "f, s, m, grid",
+    "check_plain_sm": "f, s, m, grid",
+    "classify": "f, s, m, grid",
     "combine": "op, inputs, *, lam, limit",
     "format_function_spec": "spec",
     "harmonic_sm_defect": "f, x, y, t, s, m",
     "linear": "",
     "parse_function_spec": "text",
     "power": "c, p",
-    "reflection_witness": "f, a, b, s, m, x, defect_tol",
+    "reflection_witness": "f, a, b, s, m, x",
     "s_power": "b, s, c",
     # identity
     "IdentityCheck": "lhs, rhs, abs_diff, tol, passed",
     "Instance": "a, b, s, m, q, lambda_, mu_, f",
-    "check_identity": "inst, tol, *, memo",
+    "check_identity": "inst, *, memo",
     "kernel_representation": "inst",
     "rule_deviation": "inst, *, memo",
     "rule_deviation_as_printed": "inst",
@@ -86,7 +87,7 @@ SIGNATURES = {
     "b1_b4": "mu_, lambda_",
     "b7_b10": "mu_, lambda_, p",
     "case_label": "index, inst",
-    "certify_instance": "inst, grid",
+    "certify_instance": "inst",
     "check_theorem": "inst, theorem, *, certificate, memo",
     "closed_B": "index, inst",
     "corollary_rhs": "kind, theorem, inst, fa_q, fbm_q",
@@ -137,3 +138,53 @@ def test_every_public_callable_is_pinned():
 def test_signatures_are_pinned():
     got = {name: _shape(getattr(harmonia, name)) for name in SIGNATURES}
     assert got == SIGNATURES
+
+
+# The only public functions that take a tolerance, a work budget or
+# quadrature settings: the integrators, whose settings have two values in
+# use, and the series primitive, which its tests sweep against mpmath.  Every
+# verdict reads the library's constants instead.
+KNOBS = {
+    "integrate": {"settings"},
+    "integrate_de": {"settings"},
+    "hyp2f1_series": {"rel_tol", "max_terms"},
+}
+
+
+def _is_knob(name: str) -> bool:
+    return name in ("tol", "budget", "settings") or name.endswith("_tol") or name.startswith("max_")
+
+
+def test_only_the_primitives_take_a_tolerance_or_budget():
+    got = {}
+    for name in harmonia.__all__:
+        obj = getattr(harmonia, name)
+        if inspect.isfunction(obj):
+            knobs = {p for p in inspect.signature(obj).parameters if _is_knob(p)}
+            if knobs:
+                got[name] = knobs
+    assert got == KNOBS
+
+
+CLI_OPTIONS = {
+    "check-convexity": "--f --s --m --lo --hi --grid",
+    "verify-identity": "--f --a --b --lambda --mu --printed",
+    "verify-bounds": "--theorem --f --a --b --s --m --q --lambda --mu --preset",
+    "crosscheck": "--index --a --b --s --m --q --lambda --mu",
+    "sweep": "--config --out --format --seed --jobs",
+}
+
+
+def test_cli_options_are_pinned():
+    (subparsers,) = [
+        action for action in _build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    got = {
+        command: " ".join(
+            option for action in sub._actions for option in action.option_strings
+            if option not in ("-h", "--help")
+        )
+        for command, sub in subparsers.choices.items()
+    }
+    assert got == CLI_OPTIONS

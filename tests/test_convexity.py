@@ -260,26 +260,6 @@ class TestMonotoneImplications:
                 assert report.holds, f"{entry.name} at ({s},{m}): {report.worst_defect}"
 
 
-class TestToleranceValidation:
-    # defect_tol = inf would certify any function, a concave one included.
-    VERDICTS = {
-        "check_harmonic_sm": lambda tol: check_harmonic_sm(
-            linear(), 1.0, 1.0, GridSpec(lo=1.0, hi=2.0), defect_tol=tol),
-        "check_plain_sm": lambda tol: check_plain_sm(
-            linear(), 1.0, 1.0, GridSpec(lo=1.0, hi=2.0), defect_tol=tol),
-        "classify": lambda tol: classify(
-            linear(), 1.0, 1.0, GridSpec(lo=1.0, hi=2.0), defect_tol=tol),
-        "reflection_witness": lambda tol: reflection_witness(
-            linear(), 1.0, 2.0, 1.0, 1.0, x=1.5, defect_tol=tol),
-    }
-
-    @pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0, 0.0])
-    @pytest.mark.parametrize("verdict", sorted(VERDICTS))
-    def test_bad_defect_tol_rejected(self, verdict, tol):
-        with pytest.raises(ParameterError, match="defect_tol must be positive and finite"):
-            self.VERDICTS[verdict](tol)
-
-
 class TestReflectionInequality:
     def test_left_endpoint_equality(self):
         w = reflection_witness(power(1.0, 2.0), 1.0, 2.0, 1.0, 1.0, x=1.0)

@@ -305,6 +305,17 @@ class TestRunSweep:
         assert [r.check for r in failed] == ["theorem1@simpson", "theorem2@simpson"]
         assert {(r.lambda_, r.mu_) for r in rows} == {(inst.lambda_, inst.mu_)}
 
+    def test_failed_crosscheck_row_names_its_case(self, monkeypatch):
+        def starved(kind, inst):
+            raise AccuracyError("starved", estimate=0.0, err_estimate=1.0)
+
+        monkeypatch.setattr(bounds, "kernel_oracle", starved)
+        inst = Instance(a=1.0, b=2.0, s=0.5, m=1.0, q=2.0, lambda_=0.8, mu_=0.3, f=linear())
+        rows, _ = harness._instance_rows((0, inst, certify_instance(inst)))
+        failed = [r.check for r in rows if not r.passed and r.check.startswith("crosscheck")]
+        assert "crosscheck:B2:interior" in failed
+        assert failed == [f"crosscheck:B{i}:{bounds.case_label(i, inst)}" for i in range(1, 13)]
+
     def test_closed_form_argument_that_rounds_to_one_fails_only_its_rows(self):
         # At b/a = 1e17 the 2F1 arguments z, zeta and 1 - a/A_x round to 1.0:
         # the rows of the closed forms that read them fail, the instance's

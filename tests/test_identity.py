@@ -186,10 +186,6 @@ class TestKernelIdentity:
             chk = check_identity(make(f, a, b, lam, mu))
             assert chk.passed, f"f={f.kind} a={a} b={b} lam={lam} mu={mu}: {chk.abs_diff}"
 
-    def test_tol_validation(self):
-        with pytest.raises(ParameterError):
-            check_identity(CANONICAL, tol=0.0)
-
     def test_overflow_names_its_point_without_a_warning(self):
         inst = make(power(1.0, 120.0), 1e3, 2e3, 0.5, 0.5)
         with warnings.catch_warnings():

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from harmonia import (
     DEFAULT_SETTINGS,
     KIND_FOR_INDEX,
-    AccuracyBudget,
     AccuracyError,
     EvaluationError,
     Instance,
@@ -33,7 +32,7 @@ from harmonia import (
     power,
     rule_deviation,
 )
-from harmonia import quadrature
+from harmonia import quadrature, specfun
 from harmonia.quadrature import _XGK, _ArrayIntegrand
 
 # (integrand, lo, hi, exact) - every member is analytic on its closed
@@ -410,12 +409,10 @@ def test_quadratic_exact_everywhere(a, width, c0, c1, c2):
 
 # Settings no integral here can meet: the tolerance is below the roundoff
 # floor of Gauss-Kronrod, and tanh-sinh gets one subdivision's worth of
-# evaluations.  hyp2f1_euler's budget keeps at least 100 subdivisions, so
-# its tanh-sinh branch needs a steep integrand (alpha 50, z near 1) to fail.
-# The verdict functions take no settings: they read quadrature.DEFAULT_SETTINGS,
-# which the test replaces with these.
+# evaluations.  No function here takes settings: the verdicts and
+# gamma_integral read quadrature.DEFAULT_SETTINGS and hyp2f1_euler reads
+# specfun._EULER_SETTINGS, which the test replaces with these.
 _STARVED = QuadSettings(abs_tol=1e-300, rel_tol=1e-16, max_subdivisions=1)
-_STARVED_BUDGET = AccuracyBudget(rel_tol=1e-16, max_work=1)
 _INST = Instance(a=1.0, b=2.0, s=0.5, m=1.0, q=2.0, lambda_=0.75, mu_=0.25, f=power(1.0, 2.0))
 
 
@@ -425,9 +422,9 @@ _INST = Instance(a=1.0, b=2.0, s=0.5, m=1.0, q=2.0, lambda_=0.75, mu_=0.25, f=po
         lambda: kernel_oracle(KIND_FOR_INDEX[2], _INST),
         lambda: rule_deviation(_INST),
         lambda: kernel_representation(_INST),
-        lambda: hyp2f1_euler(2.0, 1.0, 3.0, 0.5, _STARVED_BUDGET),
-        lambda: hyp2f1_euler(50.0, 0.5, 1.5, 0.9999, _STARVED_BUDGET),
-        lambda: gamma_integral(3.7, _STARVED),
+        lambda: hyp2f1_euler(2.0, 1.0, 3.0, 0.5),
+        lambda: hyp2f1_euler(50.0, 0.5, 1.5, 0.9999),
+        lambda: gamma_integral(3.7),
     ],
     ids=[
         "kernel_oracle", "rule_deviation", "kernel_representation",
@@ -436,6 +433,7 @@ _INST = Instance(a=1.0, b=2.0, s=0.5, m=1.0, q=2.0, lambda_=0.75, mu_=0.25, f=po
 )
 def test_unconverged_integral_reports_its_estimate(evaluate, monkeypatch):
     monkeypatch.setattr(quadrature, "DEFAULT_SETTINGS", _STARVED)
+    monkeypatch.setattr(specfun, "_EULER_SETTINGS", _STARVED)
     with pytest.raises(AccuracyError) as exc:
         evaluate()
     assert set(exc.value.values) == {"estimate", "err_estimate"}

@@ -12,10 +12,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from harmonia import (
-    AccuracyBudget,
     AccuracyError,
     DomainError,
-    ParameterError,
     SweepConfig,
     beta,
     bounds,
@@ -247,14 +245,6 @@ class TestHyp2F1:
     def test_domain(self, alpha, b_, g_, z):
         with pytest.raises(DomainError):
             hyp2f1(alpha, b_, g_, z)
-
-    def test_budget_validation(self):
-        with pytest.raises(ParameterError):
-            AccuracyBudget(rel_tol=0.0)
-        with pytest.raises(ParameterError):
-            AccuracyBudget(max_work=0)
-        with pytest.raises(ParameterError):
-            AccuracyBudget(max_work=2.5e5)  # a float cap would reach QuadSettings
 
     @pytest.mark.parametrize(
         "alpha,b_,g_,z,rel_tol",
