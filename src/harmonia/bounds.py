@@ -509,6 +509,11 @@ class BoundTerm:
             return self.expected
         return self.status in ("ok", "ill_conditioned")
 
+    @property
+    def margin(self) -> float:
+        """CROSSCHECK_TOL - rel_diff, or nan when no closed form was evaluated."""
+        return math.nan if self.rel_diff is None else CROSSCHECK_TOL - self.rel_diff
+
 
 def crosscheck_B(index: int, inst: Instance, *, memo: dict | None = None) -> BoundTerm:
     """Adjudicate one coefficient: defining integral vs printed form.
@@ -647,13 +652,7 @@ def theorem2_rhs(
     return _theorem_rhs(inst, 2, fa_q, fbm_q, memo)
 
 
-def corollary_rhs(
-    kind: str,
-    theorem: int,
-    inst: Instance,
-    fa_q: float | None = None,
-    fbm_q: float | None = None,
-) -> float:
+def corollary_rhs(kind: str, theorem: int, inst: Instance) -> float:
     """Specialized RHS at a preset triple, prefactor pulled out.
 
     At each preset B1 = B4 (and B7 = B10), so the weight moment factors
@@ -670,7 +669,7 @@ def corollary_rhs(
             f"instance triple (lambda_={inst.lambda_!r}, mu_={inst.mu_!r}) does not "
             f"match preset {kind!r} ({lam!r}, {mu!r})"
         )
-    scale, (weight, _), (left, right) = _braces(inst, theorem, fa_q, fbm_q)
+    scale, (weight, _), (left, right) = _braces(inst, theorem, None, None)
     q = inst.q
     return _finite_rhs(theorem, scale * weight * (left ** (1.0 / q) + right ** (1.0 / q)))
 

@@ -25,7 +25,7 @@ from .errors import (
     PreconditionError,
 )
 from .harness import SweepConfig, emit_report, run_sweep
-from .identity import IDENTITY_TOL, Instance, check_identity
+from .identity import Instance, _judged, check_identity
 from .identity import kernel_representation, rule_deviation_as_printed
 
 
@@ -115,22 +115,17 @@ def _cmd_verify_identity(args: argparse.Namespace) -> int:
         lambda_=args.lambda_, mu_=args.mu_, f=f,
     )
     if args.printed:
-        printed = rule_deviation_as_printed(inst)
-        rhs = kernel_representation(inst)
-        diff = abs(printed - rhs)
-        print(f"as-printed deviation  {printed:.10g}")
-        print(f"kernel representation {rhs:.10g}")
-        print(f"|difference|          {diff:.6e}  (tol {IDENTITY_TOL:g})")
-        if diff <= IDENTITY_TOL:
-            print("PASS: printed display matches the kernel representation here")
-            return 0
-        print("FAIL: printed display does not satisfy the identity (known erratum)")
-        return 1
-    check = check_identity(inst)
-    print(f"rule deviation        {check.lhs:.10g}")
+        check = _judged(rule_deviation_as_printed(inst), kernel_representation(inst))
+        label = "as-printed deviation"
+        verdicts = ("FAIL: printed display does not satisfy the identity (known erratum)",
+                    "PASS: printed display matches the kernel representation here")
+    else:
+        check = check_identity(inst)
+        label, verdicts = "rule deviation", ("FAIL", "PASS")
+    print(f"{label:<21} {check.lhs:.10g}")
     print(f"kernel representation {check.rhs:.10g}")
     print(f"|difference|          {check.abs_diff:.6e}  (tol {check.tol:g})")
-    print("PASS" if check.passed else "FAIL")
+    print(verdicts[check.passed])
     return 0 if check.passed else 1
 
 

@@ -375,16 +375,16 @@ def harmonic_sm_defect(
 ) -> float:
     """Signed defect of the harmonic (s,m)-convexity inequality at one point.
 
-    Returns f(m*x*y/(m*t*y+(1-t)*x)) - t**s*f(x) - m*(1-t)**s*f(y); the
-    inequality holds at (x, y, t) exactly when this is <= 0.
+    Returns f(m*x*y/(m*t*y+(1-t)*x)) - t**s*f(x) - m*(1-t)**s*f(y) (``_defect``
+    on one-point axes); the inequality holds at (x, y, t) exactly when this is <= 0.
     """
     _require_sm(s, m)
     if not (0.0 <= t <= 1.0):
         raise ParameterError(f"t must lie in [0, 1], got {t!r}")
     if not (x > f.domain_lo and y > f.domain_lo):
         raise DomainError(f"x and y must exceed domain_lo={f.domain_lo}, got {x!r}, {y!r}")
-    comb = m * x * y / (m * t * y + (1.0 - t) * x)
-    return f.value(comb) - (t**s * f.value(x) + m * (1.0 - t) ** s * f.value(y))
+    xs, ys, ts = (np.array([v], dtype=float) for v in (x, y, t))
+    return float(_defect(f, s, m, xs, ys, ts, harmonic=True)[0, 0, 0])
 
 
 def _grid_axes(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

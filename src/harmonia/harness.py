@@ -23,10 +23,11 @@ from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
+from functools import partial
 from operator import attrgetter
 
 from .bounds import (
-    CROSSCHECK_TOL,
+    BoundTerm,
     PRESETS,
     _require_band,
     case_label,
@@ -339,54 +340,48 @@ def _row(
 def _instance_rows(payload: tuple) -> tuple[list[Row], list[dict]]:
     """Verification matrix for one certified instance (worker-safe).
 
-    One memo, dropped on return, lets the rows share every integral average,
-    kernel oracle and 2F1 value that they have in common.
+    Each row runs one (name, call) check: a call that raises gives a failed
+    row, any other takes its pass and margin from the verdict record the call
+    returns, whose module holds the rule.  A crosscheck row writes the oracle
+    and the closed form as lhs and rhs; an erratum_suspected term also enters
+    the errata.  check_theorem refuses a payload certificate that does not
+    hold.  One memo, dropped on return, lets the rows share every integral
+    average, kernel oracle and 2F1 value that they have in common.
     """
     inst_id, inst, certificate = payload
     family = format_function_spec(inst.f)
-    rows: list[Row] = []
-    errata: list[dict] = []
     memo: dict = {}
-
-    # The payload carries the ConvexityReport generate_instances computed
-    # for this instance; check_theorem still refuses one that does not hold.
-
-    try:
-        ic = check_identity(inst, memo=memo)
-        rows.append(_row(inst_id, family, inst, "identity",
-                         ic.lhs, ic.rhs, ic.tol - ic.abs_diff, ic.passed))
-    except (AccuracyError, EvaluationError):
-        rows.append(_row(inst_id, family, inst, "identity"))
-
     theorems, indices = crosscheck_plan(inst.q)
     triples = [("instance", (inst.lambda_, inst.mu_)), *PRESETS.items()]
-    for theorem in theorems:
-        for name, (lam, mu) in triples:
-            check = f"theorem{theorem}@{name}"
-            tri = replace(inst, lambda_=lam, mu_=mu)
-            try:
-                verdict = check_theorem(tri, theorem, certificate=certificate, memo=memo)
-                rows.append(_row(inst_id, family, inst, check, verdict.lhs, verdict.rhs,
-                                 verdict.margin, verdict.passed))
-            except (AccuracyError, EvaluationError):
-                rows.append(_row(inst_id, family, inst, check))
-
-    for index in indices:
-        check = f"crosscheck:B{index}:{case_label(index, inst)}"
+    checks = [("identity", partial(check_identity, inst, memo=memo))]
+    checks += [
+        (f"theorem{theorem}@{name}", partial(check_theorem, replace(inst, lambda_=lam, mu_=mu),
+                                             theorem, certificate=certificate, memo=memo))
+        for theorem in theorems for name, (lam, mu) in triples
+    ]
+    checks += [
+        (f"crosscheck:B{index}:{case_label(index, inst)}",
+         partial(crosscheck_B, index, inst, memo=memo))
+        for index in indices
+    ]
+    rows: list[Row] = []
+    errata: list[dict] = []
+    for check, call in checks:
         try:
-            term = crosscheck_B(index, inst, memo=memo)
+            record = call()
         except (AccuracyError, EvaluationError):
             rows.append(_row(inst_id, family, inst, check))
             continue
-        if term.status == "erratum_suspected":
-            # vars, not asdict: the fields are flat; asdict's deep copy costs ~1% of a sweep.
-            entry = {**vars(term), "instance_id": inst_id, "expected": term.expected}
-            del entry["bound"]  # an erratum's gap exceeds it by definition; keep the table's keys
-            errata.append(entry)
-        closed = term.closed_form if term.closed_form is not None else _NAN
-        rel = term.rel_diff if term.rel_diff is not None else _NAN
-        rows.append(_row(inst_id, family, inst, check,
-                         term.oracle, closed, CROSSCHECK_TOL - rel, term.passed))
+        if isinstance(record, BoundTerm):
+            if record.status == "erratum_suspected":
+                # vars, not asdict: the fields are flat; asdict's deep copy costs ~1% of a sweep.
+                entry = {**vars(record), "instance_id": inst_id, "expected": record.expected}
+                del entry["bound"]  # its gap exceeds the bound by definition; keep the table's keys
+                errata.append(entry)
+            lhs, rhs = record.oracle, _NAN if record.closed_form is None else record.closed_form
+        else:
+            lhs, rhs = record.lhs, record.rhs
+        rows.append(_row(inst_id, family, inst, check, lhs, rhs, record.margin, record.passed))
     return rows, errata
 
 

@@ -14,9 +14,10 @@ deviates from the harmonic-weighted integral average.  Integration by parts
                     + integral_{1/2}^1 (lambda_ - t)/A_t**2 * f'(ab/A_t) dt ],
 
 valid for ALL real lambda_, mu_ whenever f' is integrable.  This module
-evaluates both sides by quadrature and checks the identity.  Every integral
-runs at ``quadrature.DEFAULT_SETTINGS`` and every check is judged at
-``IDENTITY_TOL``; neither can be re-set per call.
+evaluates both sides by quadrature, at ``quadrature.DEFAULT_SETTINGS``, and
+judges the identity in ``_judged`` alone: |lhs - rhs| <= ``IDENTITY_TOL``.
+``check_identity`` and ``verify-identity --printed`` both call it; their
+callers read the verdict and its margin from the ``IdentityCheck`` it returns.
 
 A widely circulated variant of the display writes the midpoint node as
 f((a+b)/2) and doubles the integral prefactor to 2ab/(b-a).  That variant
@@ -89,6 +90,11 @@ class IdentityCheck:
     abs_diff: float
     tol: float
     passed: bool
+
+    @property
+    def margin(self) -> float:
+        """tol - abs_diff: how far inside the rule the check passed (< 0: failed)."""
+        return self.tol - self.abs_diff
 
 
 def _memoized(memo: dict | None, key: tuple, fn, *args, **kwargs):
@@ -170,11 +176,14 @@ def kernel_representation(inst: Instance) -> float:
     return ab * (b - a) * (lower + upper)
 
 
-def check_identity(inst: Instance, *, memo: dict | None = None) -> IdentityCheck:
-    """Compare the node form against the kernel representation, to IDENTITY_TOL."""
-    lhs = rule_deviation(inst, memo=memo)
-    rhs = kernel_representation(inst)
+def _judged(lhs: float, rhs: float) -> IdentityCheck:
+    """lhs against rhs under the identity rule |lhs - rhs| <= IDENTITY_TOL."""
     abs_diff = abs(lhs - rhs)
     return IdentityCheck(
         lhs=lhs, rhs=rhs, abs_diff=abs_diff, tol=IDENTITY_TOL, passed=abs_diff <= IDENTITY_TOL
     )
+
+
+def check_identity(inst: Instance, *, memo: dict | None = None) -> IdentityCheck:
+    """``_judged`` on the corrected node form (lhs) and the kernel representation (rhs)."""
+    return _judged(rule_deviation(inst, memo=memo), kernel_representation(inst))

@@ -11,7 +11,9 @@ keyword-only parameters, ``/`` closes the positional-only ones, and
 from __future__ import annotations
 
 import argparse
+import ast
 import inspect
+from pathlib import Path
 
 import harmonia
 from harmonia.cli import _build_parser
@@ -90,7 +92,7 @@ SIGNATURES = {
     "certify_instance": "inst",
     "check_theorem": "inst, theorem, *, certificate, memo",
     "closed_B": "index, inst",
-    "corollary_rhs": "kind, theorem, inst, fa_q, fbm_q",
+    "corollary_rhs": "kind, theorem, inst",
     "corrected_B": "index, inst",
     "crosscheck_B": "index, inst, *, memo",
     "kernel_oracle": "kind, inst",
@@ -164,6 +166,42 @@ def test_only_the_primitives_take_a_tolerance_or_budget():
             if knobs:
                 got[name] = knobs
     assert got == KNOBS
+
+
+# Each verdict constant and the one module whose rule reads it.  Every other
+# module takes the verdict and its margin from that module's record, so
+# restating a rule is one edit; ``__init__`` only re-exports the constant.
+VERDICT_CONSTANTS = {
+    "IDENTITY_TOL": "identity",
+    "CROSSCHECK_TOL": "bounds",
+    "MARGIN_TOL": "bounds",
+    "DEFECT_TOL": "convexity",
+}
+
+
+def _names_used(tree: ast.Module, module: str) -> set[str]:
+    """Every name, attribute and imported name in tree, except __init__'s re-exports."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(
+                alias.name for alias in node.names
+                if not (module == "__init__" and VERDICT_CONSTANTS.get(alias.name) == node.module)
+            )
+    return used
+
+
+def test_each_verdict_constant_is_read_in_its_home_module_only():
+    readers = {name: set() for name in VERDICT_CONSTANTS}
+    for path in Path(harmonia.__file__).parent.glob("*.py"):
+        used = _names_used(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+        for name in used & set(VERDICT_CONSTANTS):
+            readers[name].add(path.stem)
+    assert readers == {name: {home} for name, home in VERDICT_CONSTANTS.items()}
 
 
 CLI_OPTIONS = {

@@ -464,17 +464,30 @@ class TestAdjudication:
         assert term.status == "oracle_only" and not term.passed
         assert term.oracle > 0.0
 
+    # The oracles are ~1e302, and a term's product F / b^2q passes 1e308:
+    # a float product overflows to inf without an OverflowError, and
+    # inf - inf is nan.
+    NONFINITE_CLOSED = make(a=0.01, b=0.05, s=0.25, q=100.0, lam=0.8, mu=0.3)
+
     @pytest.mark.parametrize("index", [5, 6, 11])
     def test_closed_form_that_is_not_finite_demotes_to_oracle_only(self, index):
-        # The oracles are ~1e302, and a term's product F / b^2q passes 1e308:
-        # a float product overflows to inf without an OverflowError, and
-        # inf - inf is nan.
-        inst = make(a=0.01, b=0.05, s=0.25, q=100.0, lam=0.8, mu=0.3)
+        inst = self.NONFINITE_CLOSED
         with pytest.raises(EvaluationError, match="with bound"):
             closed_B(index, inst)
         term = crosscheck_B(index, inst)
         assert term.status == "oracle_only" and not term.passed
         assert math.isfinite(term.oracle)
+
+    def test_margin_is_tol_minus_rel_diff(self):
+        for index in (1, 2, 11):
+            term = crosscheck_B(index, make(s=0.5, q=2.0))
+            assert term.margin == CROSSCHECK_TOL - term.rel_diff
+        assert crosscheck_B(1, make(q=2.0)).margin > 0.0
+
+    def test_oracle_only_margin_is_nan(self):
+        term = crosscheck_B(11, self.NONFINITE_CLOSED)
+        assert term.rel_diff is None
+        assert math.isnan(term.margin)
 
     def test_argument_that_rounds_to_one_demotes_to_oracle_only(self):
         # At b/a = 1e17, zeta = 1 - a/b rounds to 1.0, outside the 2F1 domain;

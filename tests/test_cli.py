@@ -114,6 +114,26 @@ class TestVerifyIdentity:
         assert rc == 1
         assert "known erratum" in out
 
+    @pytest.mark.parametrize("printed, code, expected", [
+        (False, 0, [
+            "rule deviation        0.1137056389",
+            "kernel representation 0.1137056389",
+            "|difference|          2.636780e-16  (tol 1e-08)",
+            "PASS",
+        ]),
+        (True, 1, [
+            "as-printed deviation  -1.272588722",
+            "kernel representation 0.1137056389",
+            "|difference|          1.386294e+00  (tol 1e-08)",
+            "FAIL: printed display does not satisfy the identity (known erratum)",
+        ]),
+    ])
+    def test_stdout_is_pinned(self, capsys, printed, code, expected):
+        # Both forms share one print block; their text must not drift.
+        rc = main(["verify-identity", *IDENTITY_ARGS, *(["--printed"] if printed else [])])
+        assert rc == code
+        assert capsys.readouterr().out.splitlines() == expected
+
     def test_tol_is_not_an_option(self, capsys):
         # The identity is judged at IDENTITY_TOL alone; --tol is a usage error.
         with pytest.raises(SystemExit) as exc:

@@ -160,6 +160,17 @@ class TestKernelIdentity:
         chk = check_identity(make(power(1.0, 2.0), 1.0, 3.0, 0.8, 0.3))
         assert chk.passed
 
+    def test_margin_is_tol_minus_abs_diff(self):
+        chk = check_identity(CANONICAL)
+        assert chk.margin == chk.tol - chk.abs_diff
+        assert chk.margin > 0.0
+
+    def test_printed_form_is_judged_by_the_same_rule(self):
+        printed = rule_deviation_as_printed(CANONICAL)
+        chk = identity._judged(printed, kernel_representation(CANONICAL))
+        assert chk.tol == IDENTITY_TOL and not chk.passed
+        assert chk.margin == IDENTITY_TOL - abs(chk.lhs - chk.rhs) < 0.0
+
     def test_constant_function_kernel_is_zero(self):
         for lam, mu in ((0.5, 0.5), (2.0, -1.0)):
             val = kernel_representation(make(CONST_ONE, 1.0, 2.0, lam, mu))
