@@ -66,7 +66,7 @@ from .errors import (
 from .identity import Instance, _memoized, rule_deviation
 # The kernel oracles no longer call integrate_de, nor the closed forms hyp2f1;
 # the names stay bound here because the benchmark's tracer wraps both.
-from .quadrature import _product_rule, integrate_de  # noqa: F401
+from .quadrature import _graded, _product_rule, integrate_de  # noqa: F401
 from .specfun import _U, _hyp2f1_bounded, beta, hyp2f1  # noqa: F401
 
 CROSSCHECK_TOL = 1e-6
@@ -201,18 +201,30 @@ def kernel_oracle(kind: KernelKind, inst: Instance) -> float:
     Gauss-Jacobi product rule integrates those exactly.  A panel is split
     geometrically toward a singularity of its factor that lies near it: the
     pole of A^-2q at -a/(b-a), or a zero of fractional power.
+
+    A centre within u (hi - lo) of the factor's zero (u the unit roundoff)
+    is that zero.  One within r = l (u/32)^(1/(s+2)) of it, where
+    l = min(hi - lo, d/(2q)) and d = a/(b-a) is the pole's distance, is no
+    cut: the integrand keeps the true centre, and the rule integrates
+    |c - t| as the branch beyond c.  It misses twice the integral over the
+    sliver between the zero and c, at most u/4 of the value: A^-2q varies by
+    at most a factor e over the l next to the zero, so the sliver is at most
+    (8e/3) (delta/l)^(s+2) of the value for delta = |c - zero| <= l/8.
     """
     _require_band(inst.mu_, inst.lambda_)
     a, width = inst.a, inst.b - inst.a
     lo, hi = (0.0, 0.5) if kind.side == "left" else (0.5, 1.0)
     centre = _centre(kind, inst)
+    cut = centre is not None and lo < centre < hi
     # The powers that vanish on [0, 1], as (zero, exponent).
     zeros = [] if kind.factor == "none" else [(0.0 if kind.factor == "t_pow_s" else 1.0, inst.s)]
     if centre is not None:
-        # A centre closer to the factor's zero than the rule resolves is that
-        # zero: the sliver between them contributes below rounding.
-        if zeros and abs(centre - zeros[0][0]) < _U * (hi - lo):
-            centre = zeros[0][0]
+        if zeros:  # the sliver between the centre and the factor's zero: see above
+            gap = abs(centre - zeros[0][0])
+            if gap < _U * (hi - lo):
+                centre = zeros[0][0]
+            window = min(hi - lo, a / (2.0 * inst.q * width))  # l above
+            cut = cut and gap >= window * (_U / 32.0) ** (1.0 / (inst.s + 2.0))
         zeros.append((centre, _conjugate(inst.q) if kind.needs_p else 1.0))
     # Where the smooth factor is singular: each zero of fractional power, and the pole of A^-2q.
     singular = [zero for zero, e in zeros if e % 1.0]
@@ -226,7 +238,7 @@ def kernel_oracle(kind: KernelKind, inst: Instance) -> float:
     ends: dict[float, float] = {}  # the Jacobi exponent at each zero: its fractional powers
     for zero, e in zeros:
         ends[zero] = ends.get(zero, 0.0) + e % 1.0
-    cuts = [lo, centre, hi] if centre is not None and lo < centre < hi else [lo, hi]
+    cuts = [lo, centre, hi] if cut else [lo, hi]
     panels = [(u, v, ends.get(u, 0.0), ends.get(v, 0.0))
               for part in zip(cuts, cuts[1:]) for u, v in _graded(*part, singular)]
 
@@ -239,19 +251,6 @@ def kernel_oracle(kind: KernelKind, inst: Instance) -> float:
         return val.tolist()
 
     return _product_rule(integrand, panels).checked("kernel_oracle quadrature")
-
-
-_GRADE = 0.15  # the geometric ratio of graded panels
-
-
-def _graded(u: float, v: float, singular: list[float]) -> list[tuple[float, float]]:
-    """[u, v] split geometrically toward each point of singular within _GRADE of its width."""
-    reach = _GRADE * (v - u)
-    for z in singular:
-        if u - reach < z < u or v < z < v + reach:
-            m = u + reach if z < u else v - reach
-            return _graded(u, m, singular) + _graded(m, v, singular)
-    return [(u, v)]
 
 
 def _oracle(kind: KernelKind, inst: Instance, memo: dict | None) -> float:

@@ -8,8 +8,10 @@ the requested tolerance or the subdivision budget runs out.  ``integrate_de``
 is a tanh-sinh (double exponential) rule with trapezoid step halving; it
 never evaluates the integrand at the interval endpoints and therefore
 tolerates algebraic endpoint behavior t**sigma with sigma > -1.  The kernel
-oracles use the private ``_product_rule``, a Gauss-Jacobi rule that
-integrates known endpoint powers exactly (node table built on first use).
+oracles and the Euler integral of 2F1 use the private ``_product_rule``, a
+Gauss-Jacobi rule that integrates known endpoint powers exactly (node table
+built on first use), on panels that ``_graded`` splits toward a nearby
+singularity of the smooth factor.
 
 No routine ever returns a silently wrong number: results carry an error
 estimate, an evaluation count and a ``converged`` flag, and a non-finite
@@ -418,3 +420,16 @@ def _product_rule(f, panels) -> QuadResult:
             return QuadResult(value, err, evals, True)
         n *= 2
     return QuadResult(value, err, evals, False)
+
+
+_GRADE = 0.15  # the geometric ratio of graded panels
+
+
+def _graded(u: float, v: float, singular: list[float]) -> list[tuple[float, float]]:
+    """[u, v] split geometrically toward each point of singular within _GRADE of its width."""
+    reach = _GRADE * (v - u)
+    for z in singular:
+        if u - reach < z < u or v < z < v + reach:
+            m = u + reach if z < u else v - reach
+            return _graded(u, m, singular) + _graded(m, v, singular)
+    return [(u, v)]

@@ -1,32 +1,26 @@
 """Gamma, Beta and Gauss hypergeometric 2F1 with built-in cross-validation.
 
-Every closed-form coefficient downstream reduces to these three functions,
-so each one can be computed here by two independent methods:
+Every closed-form coefficient downstream reduces to these three functions:
 
-* ``gamma`` is the standard library's ``math.gamma``; the defining integral
-  is exposed as ``gamma_integral`` so the test suite can check one against
-  the other (slow path, quadrature based).
+* ``gamma`` is the standard library's ``math.gamma``, checked in the tests
+  against 40-digit mpmath.
 * ``beta`` is the Gamma-ratio formula on ``math.lgamma``, cross-checked in
   the tests against direct tanh-sinh integration of t**(a-1) (1-t)**(b-1).
-* ``hyp2f1`` evaluates the Euler integral representation by quadrature AND
-  sums the Gauss series with a geometric tail bound that holds for every
-  later term.  The Euler integrand t**(beta_-1) (1-t)**(gamma_-beta_-1)
-  (1-zt)**(-alpha) goes to adaptive Gauss-Kronrod when both endpoint
-  exponents are >= 0, and to tanh-sinh on two folded halves when either is
-  negative (a singular endpoint).
-  The two paths must agree to 1e-10 in relative terms (``_AGREE_TOL``),
-  otherwise an ``AccuracyError`` carrying both values is raised.  The Euler
-  value is returned.  Their accuracy target, the series' term cap and the
-  quadrature's settings are the private constants ``_REL_TOL``,
-  ``_MAX_TERMS`` and ``_EULER_SETTINGS``; no call re-sets them.
+* ``hyp2f1`` returns the 2F1 that the coefficient closed forms of the bounds
+  module read, the private ``_hyp2f1_bounded``: a value with a relative
+  error bound and no quadrature.  It raises ``AccuracyError`` where that
+  bound exceeds ``_REL_TOL`` (1e-12), and checks the value against the Euler
+  integral ``hyp2f1_euler``: the two must agree to ``_AGREE_TOL`` (1e-10)
+  relative, otherwise an ``AccuracyError`` carrying both values is raised.
+  The Euler integrand t**(beta_-1) (1-t)**(gamma_-beta_-1) (1-zt)**(-alpha)
+  goes to the Gauss-Jacobi product rule of the kernel oracles, with the two
+  endpoint powers as its weight and panels graded toward the pole 1/z, at
+  ``quadrature.DEFAULT_SETTINGS`` (Gautschi 2004).  No call re-sets these
+  constants or the series' term cap ``_MAX_TERMS``.
 
-The coefficient closed forms of the bounds module do not call ``hyp2f1``:
-they read the private ``_hyp2f1_bounded``, a value with a relative error
-bound, so no quadrature runs inside a closed form and the defining-integral
-oracle they are checked against stays the only quadrature.  The Euler path
-serves the public ``hyp2f1`` alone.  ``_hyp2f1_bounded`` has two paths:
+``_hyp2f1_bounded`` has two paths:
 
-* below z = 0.9 (``_CUT``), the same Gauss series, with its tail,
+* below z = 0.9 (``_CUT``), the Gauss series (``_gauss_sum``), with its tail,
   recurrence and summation rounding in the bound;
 * at and above it, where the series needs thousands to millions of terms,
   the 1 - z connection formulas: DLMF 15.8.4 when c - a - b is not an
@@ -52,30 +46,24 @@ from __future__ import annotations
 
 import math
 
-from .errors import AccuracyError, DomainError
-from .quadrature import QuadSettings, integrate, integrate_de
+import numpy as np
 
-__all__ = [
-    "gamma",
-    "beta",
-    "gamma_integral",
-    "hyp2f1",
-    "hyp2f1_euler",
-    "hyp2f1_series",
-]
+from .errors import AccuracyError, DomainError
+# integrate and integrate_de are not called here; the names stay bound
+# because the benchmark's tracer wraps both.
+from .quadrature import _graded, _product_rule, integrate, integrate_de  # noqa: F401
+
+__all__ = ["gamma", "beta", "hyp2f1", "hyp2f1_euler"]
 
 
 _U = 2.0**-53  # unit roundoff of IEEE double
 
-# The 2F1 accuracy target of the Euler quadrature; every Gauss series
-# (hyp2f1_series' default, _series_bounded) and _near_one's bound take a tenth.
+# The largest relative bound hyp2f1 accepts; every Gauss series (_gauss_sum)
+# and _near_one's bound take a tenth.
 _REL_TOL = 1e-12
-# The Gauss series' term cap; the Euler quadrature gets as many evaluations.
+# The Gauss series' term cap.
 _MAX_TERMS = 500_000
-_EULER_SETTINGS = QuadSettings(
-    abs_tol=1e-300, rel_tol=_REL_TOL, max_subdivisions=_MAX_TERMS // 15
-)
-# hyp2f1's Euler and series values must agree to this, relative.
+# hyp2f1's value and its Euler integral must agree to this, relative.
 _AGREE_TOL = 1e-10
 
 
@@ -126,24 +114,6 @@ def beta(a: float, b: float) -> float:
         return math.inf
 
 
-def gamma_integral(x: float) -> float:
-    """Defining integral of Gamma, as an independent (slow) oracle.
-
-    Splits at t=1 so the tanh-sinh rule absorbs the t**(x-1) endpoint
-    behavior for x < 1, and truncates the upper tail where the integrand
-    is below double-precision significance relative to the result.
-    """
-    if not math.isfinite(x) or x <= 0.0:
-        raise DomainError(f"gamma_integral requires x > 0, got {x!r}")
-
-    def integrand(t: float) -> float:
-        return t ** (x - 1.0) * math.exp(-t)
-
-    head = integrate_de(integrand, 0.0, 1.0).checked("gamma_integral head on [0, 1]")
-    upper = max(60.0, 12.0 * x)
-    return head + integrate(integrand, 1.0, upper).checked("gamma_integral tail")
-
-
 def _check_2f1_domain(alpha: float, beta_: float, gamma_: float, z: float) -> None:
     for name, val in (("alpha", alpha), ("beta_", beta_), ("gamma_", gamma_), ("z", z)):
         if not math.isfinite(val):
@@ -155,47 +125,50 @@ def _check_2f1_domain(alpha: float, beta_: float, gamma_: float, z: float) -> No
 
 
 def hyp2f1_euler(alpha: float, beta_: float, gamma_: float, z: float) -> float:
-    """Euler integral path: quadrature of t**(b-1)(1-t)**(g-b-1)(1-zt)**(-a)."""
+    """Euler integral path (DLMF 15.6.1): int_0^1 t**(b-1) (1-t)**(g-b-1)
+    (1-zt)**(-a) dt / B(b, g-b), by the Gauss-Jacobi product rule with the
+    endpoint exponents b-1 and g-b-1 as its weight, on panels graded toward
+    the pole 1/z of (1-zt)**(-a).  The rule reads DEFAULT_SETTINGS.
+    """
     _check_2f1_domain(alpha, beta_, gamma_, z)
     e0 = beta_ - 1.0
     e1 = gamma_ - beta_ - 1.0
+    parts = _graded(0.0, 1.0, [1.0 / z] if z else [])
+    panels = [(u, v, e0 if u == 0.0 else 0.0, e1 if v == 1.0 else 0.0) for u, v in parts]
 
-    def integrand(t: float) -> float:
-        return t**e0 * (1.0 - t) ** e1 * (1.0 - z * t) ** (-alpha)
+    def integrand(ts: np.ndarray) -> list[float]:
+        t = np.asarray(ts)
+        return (t**e0 * (1.0 - t) ** e1 * (1.0 - z * t) ** -alpha).tolist()
 
-    what = "hyp2f1 Euler quadrature"
-    # Negative exponents make the endpoints singular: use the rule that
-    # never touches them.  Otherwise the adaptive pair handles steepness
-    # near t=1 (large alpha with z close to 1) by bisection.
-    if e0 < 0.0 or e1 < 0.0:
-        # Split at 1/2 and fold the upper half with u = 1 - t so each
-        # piece carries its singularity at a zero lower endpoint; there
-        # the tanh-sinh abscissae are exact, while forming 1 - t from an
-        # abscissa next to 1 would cancel and poison (1-t)**e1.
-        one_minus_z = 1.0 - z
-
-        def folded(u: float) -> float:
-            return u**e1 * (1.0 - u) ** e0 * (one_minus_z + z * u) ** (-alpha)
-
-        lower = integrate_de(integrand, 0.0, 0.5, _EULER_SETTINGS).checked(what)
-        value = lower + integrate_de(folded, 0.0, 0.5, _EULER_SETTINGS).checked(what)
-    else:
-        value = integrate(integrand, 0.0, 1.0, _EULER_SETTINGS).checked(what)
+    value = _product_rule(integrand, panels).checked("hyp2f1 Euler quadrature")
     return value / beta(beta_, gamma_ - beta_)
 
 
 def _gauss_sum(
-    alpha: float, beta_: float, gamma_: float, z: float, rel_tol: float, max_terms: int
+    alpha: float, beta_: float, gamma_: float, z: float
 ) -> tuple[float, int, float, float]:
-    """The Gauss series loop: (value, terms_used, tail, moment).
+    """The Gauss series with a geometric tail bound: (value, terms_used, tail, moment).
 
-    tail bounds the sum of the dropped terms (0 for a terminating series) and
-    moment = sum_k k |term_k| over the terms summed; hyp2f1_series documents
-    the stopping rule.
+    It stops once the bounded tail is below _REL_TOL / 10 relative to the
+    accumulated sum, and raises AccuracyError, with the partial sum, if
+    _MAX_TERMS terms come first.  tail bounds the sum of the dropped terms
+    (0 for a terminating series) and moment = sum_k k |term_k| over the
+    terms summed.
+
+    The tail is bounded with a ratio r_k that holds for every later term,
+    not just the current one.  With A = |alpha|, the ratio of term j+1 to
+    term j is at most z (1 + (c1 j + c0) / ((gamma_+j)(j+1))), where
+    c1 = A + beta_ - gamma_ - 1 and c0 = A beta_ - gamma_.  Since
+    j / ((gamma_+j)(j+1)) <= 1/(gamma_+j), and 1/(gamma_+j) and
+    1/((gamma_+j)(j+1)) decrease in j, r_k = z (1 + max(c1,0)/(gamma_+k)
+    + max(c0,0)/((gamma_+k)(k+1))) bounds every ratio from the k-th on.
+    The sum is compensated (Kahan).  The tail test bounds the truncation
+    only: the term recurrence rounds too, which _series_bounded adds.
     """
     _check_2f1_domain(alpha, beta_, gamma_, z)
     if z == 0.0:
         return 1.0, 1, 0.0, 0.0
+    rel_tol = _REL_TOL / 10.0
     c1 = max(abs(alpha) + beta_ - gamma_ - 1.0, 0.0)
     c0 = max(abs(alpha) * beta_ - gamma_, 0.0)
     # r_k >= z, so |term| z/(1-z) <= rel_tol |acc| must hold before the
@@ -206,7 +179,7 @@ def _gauss_sum(
     lost = 0.0  # Kahan: rounding error of the last addition, taken off the next term
     moment = 0.0
     k = 0
-    while k < max_terms:
+    while k < _MAX_TERMS:
         ratio = (alpha + k) * (beta_ + k) / ((gamma_ + k) * (k + 1.0)) * z
         term *= ratio
         y = term - lost
@@ -225,38 +198,9 @@ def _gauss_sum(
         if term == 0.0:  # terminating series (alpha a non-positive integer)
             return acc, k + 1, 0.0, moment
     raise AccuracyError(
-        f"hyp2f1 series did not converge within {max_terms} terms",
+        f"hyp2f1 series did not converge within {_MAX_TERMS} terms",
         partial_sum=acc,
     )
-
-
-def hyp2f1_series(
-    alpha: float,
-    beta_: float,
-    gamma_: float,
-    z: float,
-    rel_tol: float = _REL_TOL / 10.0,
-    max_terms: int = _MAX_TERMS,
-) -> tuple[float, int]:
-    """Gauss series path with a geometric tail bound on the truncation.
-
-    Returns (value, terms_used).  Stops once the bounded tail is below
-    rel_tol relative to the accumulated sum; raises AccuracyError if the
-    term cap is hit first.
-
-    The tail is bounded with a ratio r_k that holds for every later term,
-    not just the current one.  With A = |alpha|, the ratio of term j+1 to
-    term j is at most z (1 + (c1 j + c0) / ((gamma_+j)(j+1))), where
-    c1 = A + beta_ - gamma_ - 1 and c0 = A beta_ - gamma_.  Since
-    j / ((gamma_+j)(j+1)) <= 1/(gamma_+j), and 1/(gamma_+j) and
-    1/((gamma_+j)(j+1)) decrease in j, r_k = z (1 + max(c1,0)/(gamma_+k)
-    + max(c0,0)/((gamma_+k)(k+1))) bounds every ratio from the k-th on.
-    The sum is compensated (Kahan).  rel_tol bounds the truncation only:
-    the term recurrence rounds too, and over thousands of terms near z = 1
-    that can take the value a few percent past rel_tol.
-    """
-    value, terms, _, _ = _gauss_sum(alpha, beta_, gamma_, z, rel_tol, max_terms)
-    return value, terms
 
 
 # At and above this argument the closed forms' 2F1 is taken through the 1 - z
@@ -528,8 +472,8 @@ def _near_one(
 def _series_bounded(
     alpha: float, beta_: float, gamma_: float, z: float
 ) -> tuple[float, float, float, int]:
-    """(value, absolute error bound, moment, terms) of F by the Gauss series,
-    summed to the tail bound and term cap that hyp2f1 gives its own series.
+    """(value, absolute error bound, moment, terms) of F by the Gauss series
+    (_gauss_sum).
 
     The bound adds, to first order in the unit roundoff u: the tail bound of
     the dropped terms; the term recurrence, whose term k is k steps of 8
@@ -537,7 +481,7 @@ def _series_bounded(
     where moment = sum_k k |term_k|; and the Kahan sum, at most
     3 u sum_k |term_k| <= 3 u (1 + moment).
     """
-    value, terms, tail, moment = _gauss_sum(alpha, beta_, gamma_, z, _REL_TOL / 10.0, _MAX_TERMS)
+    value, terms, tail, moment = _gauss_sum(alpha, beta_, gamma_, z)
     return value, tail + _U * (11.0 * moment + 3.0), moment, terms
 
 
@@ -546,8 +490,8 @@ def _hyp2f1_bounded(
 ) -> tuple[float, float]:
     """F(alpha, beta_; gamma_; z) with its error bound: (value, relative error bound).
 
-    Below _CUT it is the Gauss series with its bound (_series_bounded), so it
-    evaluates exactly where hyp2f1 does, with no quadrature.  At and above
+    Below _CUT it is the Gauss series with its bound (_series_bounded), with
+    no quadrature.  It is the value hyp2f1 returns.  At and above
     _CUT it is a 1 - z connection formula (_connection: DLMF 15.8.4 where
     c - a - b is not an integer, the logarithmic A&S 15.3.10-15.3.12 where it
     is), summed in powers of 1 - z <= 0.1, with the bound of _near_one: each
@@ -572,21 +516,24 @@ def _hyp2f1_bounded(
 
 
 def hyp2f1(alpha: float, beta_: float, gamma_: float, z: float) -> float:
-    """Gauss 2F1 with mandatory dual-path agreement.
+    """Gauss 2F1: the value the closed forms read, checked on every call.
 
-    Both the Euler integral and the Gauss series are evaluated on every
-    call; they must agree to _AGREE_TOL (1e-10) relative, else an
-    AccuracyError carrying both values is raised.  The Euler value is
-    returned because the quadrature oracle controls its own error bound.
+    Returns the value of _hyp2f1_bounded.  Raises AccuracyError carrying
+    that value and its relative bound where the bound exceeds _REL_TOL, and
+    AccuracyError carrying both values where the Euler integral
+    (hyp2f1_euler) differs from it by more than _AGREE_TOL (1e-10) relative.
     """
+    value, bound = _hyp2f1_bounded(alpha, beta_, gamma_, z)
+    if not bound <= _REL_TOL:
+        raise AccuracyError(
+            f"hyp2f1 bound {bound:.3e} exceeds {_REL_TOL:.1e}", value=value, bound=bound
+        )
     euler = hyp2f1_euler(alpha, beta_, gamma_, z)
-    series, _ = hyp2f1_series(alpha, beta_, gamma_, z)
-    scale = max(abs(euler), abs(series), 1e-300)
-    rel_gap = abs(euler - series) / scale
+    rel_gap = abs(euler - value) / max(abs(euler), abs(value), 1e-300)
     if rel_gap > _AGREE_TOL:
         raise AccuracyError(
             f"hyp2f1 paths disagree: rel gap {rel_gap:.3e} > {_AGREE_TOL:.1e}",
             euler=euler,
-            series=series,
+            value=value,
         )
-    return euler
+    return value

@@ -29,8 +29,8 @@ ALL = [
     "__version__", "abs_deriv_pow", "b1_b4", "b7_b10", "beta", "case_label",
     "certify_instance", "check_harmonic_sm", "check_identity", "check_plain_sm",
     "check_theorem", "classify", "closed_B", "combine", "corollary_rhs", "corrected_B",
-    "crosscheck_B", "emit_report", "format_function_spec", "gamma", "gamma_integral",
-    "generate_instances", "harmonic_sm_defect", "hyp2f1", "hyp2f1_euler", "hyp2f1_series",
+    "crosscheck_B", "emit_report", "format_function_spec", "gamma",
+    "generate_instances", "harmonic_sm_defect", "hyp2f1", "hyp2f1_euler",
     "integrate", "integrate_de", "kernel_oracle", "kernel_representation", "linear",
     "parse_function_spec", "power", "reflection_witness", "report_to_dict", "rule_deviation",
     "rule_deviation_as_printed", "run_sweep", "s_power", "simpson_theorem2_prefactor",
@@ -52,10 +52,8 @@ SIGNATURES = {
     # specfun
     "beta": "a, b",
     "gamma": "x",
-    "gamma_integral": "x",
     "hyp2f1": "alpha, beta_, gamma_, z",
     "hyp2f1_euler": "alpha, beta_, gamma_, z",
-    "hyp2f1_series": "alpha, beta_, gamma_, z, rel_tol, max_terms",
     # convexity
     "Classification": "monotone, sm_convex, harmonic_sm_convex",
     "ConvexityReport": "holds, worst_defect, witness, checked",
@@ -144,12 +142,10 @@ def test_signatures_are_pinned():
 
 # The only public functions that take a tolerance, a work budget or
 # quadrature settings: the integrators, whose settings have two values in
-# use, and the series primitive, which its tests sweep against mpmath.  Every
-# verdict reads the library's constants instead.
+# use.  Every verdict and every 2F1 reads the library's constants instead.
 KNOBS = {
     "integrate": {"settings"},
     "integrate_de": {"settings"},
-    "hyp2f1_series": {"rel_tol", "max_terms"},
 }
 
 
@@ -202,6 +198,27 @@ def test_each_verdict_constant_is_read_in_its_home_module_only():
         for name in used & set(VERDICT_CONSTANTS):
             readers[name].add(path.stem)
     assert readers == {name: {home} for name, home in VERDICT_CONSTANTS.items()}
+
+
+def _calls(tree: ast.Module) -> set[str]:
+    """The name of every function that tree calls by name or attribute."""
+    return {
+        node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
+    }
+
+
+def test_one_module_sets_the_quadrature_accuracy():
+    # Nothing in the library runs the tanh-sinh rule, and only quadrature
+    # builds a QuadSettings (its DEFAULT_SETTINGS): every integral the
+    # library takes meets that one accuracy target.
+    callers = {"integrate_de": set(), "QuadSettings": set()}
+    for path in Path(harmonia.__file__).parent.glob("*.py"):
+        called = _calls(ast.parse(path.read_text(encoding="utf-8")))
+        for name in called & set(callers):
+            callers[name].add(path.stem)
+    assert callers == {"integrate_de": set(), "QuadSettings": {"quadrature"}}
 
 
 CLI_OPTIONS = {

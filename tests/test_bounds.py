@@ -171,6 +171,37 @@ class TestKernelOracle:
         assert kernel_oracle(kind, make(s=0.5, q=2.0, mu=mu)) == at_zero
         assert panels == [1, 1]
 
+    @pytest.mark.parametrize(
+        "index,field,value", [(2, "mu", 1e-16), (2, "mu", 1e-12), (6, "lam", 1.0 - 2.0**-53)]
+    )
+    def test_centre_in_the_sliver_is_no_cut(self, monkeypatch, index, field, value):
+        # A centre past that snap but within the sliver radius of the factor's
+        # zero cuts no panel; the integrand keeps the true centre, and the
+        # value stays within rounding of the defining integral.
+        mpmath = pytest.importorskip("mpmath")
+        kind = KIND_FOR_INDEX[index]
+        panels = []
+        real = bounds._product_rule
+
+        def spy(f, parts, *args):
+            panels.append(len(parts))
+            return real(f, parts, *args)
+
+        monkeypatch.setattr(bounds, "_product_rule", spy)
+        inst = make(s=0.5, q=2.0, **{field: value})
+        got = kernel_oracle(kind, inst)
+        assert panels == [1]
+        with mpmath.workdps(40):
+            c, s = mpmath.mpf(value), mpmath.mpf(inst.s)
+            lo, hi = (0, mpmath.mpf(1) / 2) if kind.side == "left" else (mpmath.mpf(1) / 2, 1)
+
+            def f(t):
+                x = t if kind.factor == "t_pow_s" else 1 - t
+                return abs(c - t) * x**s / (t * inst.b + (1 - t) * inst.a) ** (2 * inst.q)
+
+            ref = mpmath.quad(f, [lo, c, hi])
+            assert abs(got - ref) <= 4e-16 * ref
+
     # The weighted oracles, split at mu or lam strictly inside their half,
     # pinned bit for bit (float.hex).  Keyed (a, b, s, q, lam, mu) -> index
     # -> value; B7 and B10 use p = q/(q-1).

@@ -373,17 +373,16 @@ def _exact_oracle_key(kind, inst):
 
 
 def test_closed_forms_run_no_quadrature(monkeypatch):
-    # Every 2F1 of a closed form is the Gauss series; the Euler integral
-    # serves only the public hyp2f1.
+    # Every 2F1 of a closed form is a series with an error bound; the Euler
+    # integral serves only the public hyp2f1's check.
     calls = Counter()
-    for name in ("integrate", "integrate_de"):
-        fn = getattr(specfun, name)
+    real = specfun._product_rule
 
-        def counted(*args, _name=name, _fn=fn, **kwargs):
-            calls[_name] += 1
-            return _fn(*args, **kwargs)
+    def counted(*args, **kwargs):
+        calls["_product_rule"] += 1
+        return real(*args, **kwargs)
 
-        monkeypatch.setattr(specfun, name, counted)
+    monkeypatch.setattr(specfun, "_product_rule", counted)
     evaluated = 0
     for inst in generate_instances(SMALL)[0]:
         for lam, mu in [(inst.lambda_, inst.mu_), *PRESETS.values()]:
@@ -391,13 +390,12 @@ def test_closed_forms_run_no_quadrature(monkeypatch):
                 assert math.isfinite(bounds.closed_B(index, replace(inst, lambda_=lam, mu_=mu)))
                 evaluated += 1
     assert evaluated > 0 and calls == Counter()
-    assert specfun.hyp2f1(2.0, 1.0, 3.5, 0.5) > 1.0 and calls["integrate"] == 1
-
+    assert specfun.hyp2f1(2.0, 1.0, 3.5, 0.5) > 1.0 and calls["_product_rule"] == 1
 
 
 def test_kernel_oracles_run_no_tanh_sinh(monkeypatch):
-    # The oracles integrate with the Gauss-Jacobi product rule alone; the
-    # tanh-sinh rule serves specfun's public integrals only.
+    # The oracles and the Euler integral integrate with the Gauss-Jacobi
+    # product rule alone; nothing in the library runs the tanh-sinh rule.
     calls = Counter()
     for module, name in ((quadrature, "_de_level"), (bounds, "kernel_oracle")):
         fn = getattr(module, name)
@@ -410,7 +408,9 @@ def test_kernel_oracles_run_no_tanh_sinh(monkeypatch):
     report = run_sweep(SMALL, jobs=1)
     assert all(r.passed for r in report.rows)
     assert calls["kernel_oracle"] > 0 and calls["_de_level"] == 0
-    assert specfun.gamma_integral(3.5) > 0.0 and calls["_de_level"] > 0
+    assert specfun.hyp2f1(50.0, 0.5, 1.5, 0.9999) > 1.0 and calls["_de_level"] == 0
+    assert quadrature.integrate_de(math.sqrt, 0.0, 1.0).converged and calls["_de_level"] > 0
+
 
 class TestInstanceMemo:
     def test_rows_equal_the_unmemoized_functions(self, small_report):

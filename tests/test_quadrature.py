@@ -23,7 +23,6 @@ from harmonia import (
     Instance,
     ParameterError,
     QuadSettings,
-    gamma_integral,
     hyp2f1_euler,
     integrate,
     integrate_de,
@@ -32,7 +31,7 @@ from harmonia import (
     power,
     rule_deviation,
 )
-from harmonia import quadrature, specfun
+from harmonia import quadrature
 from harmonia.quadrature import _XGK, _ArrayIntegrand
 
 # (integrand, lo, hi, exact) - every member is analytic on its closed
@@ -408,10 +407,9 @@ def test_quadratic_exact_everywhere(a, width, c0, c1, c2):
 
 
 # Settings no integral here can meet: the tolerance is below the roundoff
-# floor of Gauss-Kronrod, and tanh-sinh gets one subdivision's worth of
-# evaluations.  No function here takes settings: the verdicts and
-# gamma_integral read quadrature.DEFAULT_SETTINGS and hyp2f1_euler reads
-# specfun._EULER_SETTINGS, which the test replaces with these.
+# floor of Gauss-Kronrod, and the product rule gets fewer evaluations than
+# its first level takes.  No function here takes settings: the verdicts and
+# hyp2f1_euler read quadrature.DEFAULT_SETTINGS, which the test replaces.
 _STARVED = QuadSettings(abs_tol=1e-300, rel_tol=1e-16, max_subdivisions=1)
 _INST = Instance(a=1.0, b=2.0, s=0.5, m=1.0, q=2.0, lambda_=0.75, mu_=0.25, f=power(1.0, 2.0))
 
@@ -424,16 +422,14 @@ _INST = Instance(a=1.0, b=2.0, s=0.5, m=1.0, q=2.0, lambda_=0.75, mu_=0.25, f=po
         lambda: kernel_representation(_INST),
         lambda: hyp2f1_euler(2.0, 1.0, 3.0, 0.5),
         lambda: hyp2f1_euler(50.0, 0.5, 1.5, 0.9999),
-        lambda: gamma_integral(3.7),
     ],
     ids=[
         "kernel_oracle", "rule_deviation", "kernel_representation",
-        "hyp2f1_euler-gauss_kronrod", "hyp2f1_euler-tanh_sinh", "gamma_integral",
+        "hyp2f1_euler-one_panel", "hyp2f1_euler-graded",
     ],
 )
 def test_unconverged_integral_reports_its_estimate(evaluate, monkeypatch):
     monkeypatch.setattr(quadrature, "DEFAULT_SETTINGS", _STARVED)
-    monkeypatch.setattr(specfun, "_EULER_SETTINGS", _STARVED)
     with pytest.raises(AccuracyError) as exc:
         evaluate()
     assert set(exc.value.values) == {"estimate", "err_estimate"}

@@ -18,11 +18,9 @@ from harmonia import (
     beta,
     bounds,
     gamma,
-    gamma_integral,
     generate_instances,
     hyp2f1,
     hyp2f1_euler,
-    hyp2f1_series,
 )
 from harmonia import specfun
 from harmonia.bounds import _BETA_ERR, PATCHES, PRINTED
@@ -33,6 +31,7 @@ from harmonia.specfun import (
     _connection,
     _digamma,
     _digamma_err,
+    _gauss_sum,
     _hyp2f1_bounded,
     _near_one,
 )
@@ -78,10 +77,6 @@ class TestGamma:
         # Gamma passes the double range above about 171.6 and below about 5.6e-309.
         assert gamma(171.7) == math.inf
         assert gamma(5e-324) == math.inf
-
-    def test_integral_oracle(self):
-        for x in (0.5, 1.0, 1.7, 3.0, 4.2):
-            assert gamma_integral(x) == pytest.approx(gamma(x), rel=1e-9)
 
     @pytest.mark.parametrize("x", [0.0, -1.0, -0.5, math.inf, math.nan])
     def test_domain(self, x):
@@ -211,7 +206,7 @@ class TestHyp2F1:
                     b_, g_ = shape(s)
                     for z in (0.0, 0.1, 0.3, 0.5, 0.7, 0.9):
                         e = hyp2f1_euler(alpha, b_, g_, z)
-                        srs, _ = hyp2f1_series(alpha, b_, g_, z)
+                        srs = _gauss_sum(alpha, b_, g_, z)[0]
                         assert abs(e - srs) <= 1e-10 * max(abs(e), abs(srs), 1.0), (
                             f"paths disagree at alpha={alpha}, beta_={b_}, gamma_={g_}, z={z}"
                         )
@@ -227,7 +222,7 @@ class TestHyp2F1:
                 prev = val
 
     def test_series_reports_terms(self):
-        val, terms = hyp2f1_series(2.0, 1.0, 3.0, 0.5)
+        val, terms, _, _ = _gauss_sum(2.0, 1.0, 3.0, 0.5)
         assert terms >= 2
         assert val == pytest.approx(hyp2f1_euler(2.0, 1.0, 3.0, 0.5), rel=1e-10)
 
@@ -258,18 +253,45 @@ class TestHyp2F1:
             (4.0, 1.0, 3.5, 0.99, 1e-12),
         ],
     )
-    def test_series_error_within_rel_tol(self, alpha, b_, g_, z, rel_tol):
+    def test_series_error_within_rel_tol(self, alpha, b_, g_, z, rel_tol, monkeypatch):
         mpmath = pytest.importorskip("mpmath")
-        val, _ = hyp2f1_series(alpha, b_, g_, z, rel_tol=rel_tol)
+        monkeypatch.setattr(specfun, "_REL_TOL", 10.0 * rel_tol)  # the series sums to a tenth
+        assert specfun._REL_TOL / 10.0 == rel_tol
+        val = _gauss_sum(alpha, b_, g_, z)[0]
         with mpmath.workdps(40):
             ref = mpmath.hyp2f1(alpha, b_, g_, z)
             rel_err = float(abs((mpmath.mpf(val) - ref) / ref))
         assert rel_err <= rel_tol
 
-    def test_series_term_cap_raises(self):
+    def test_series_term_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_REL_TOL", 1e-14)
+        monkeypatch.setattr(specfun, "_MAX_TERMS", 10)
         with pytest.raises(AccuracyError) as exc:
-            hyp2f1_series(8.0, 2.0, 3.0, 0.95, rel_tol=1e-15, max_terms=10)
+            _gauss_sum(8.0, 2.0, 3.0, 0.95)
         assert "partial_sum" in exc.value.values
+
+    def test_returns_the_bounded_value(self):
+        # Both of _hyp2f1_bounded's paths: the series and a connection formula.
+        for args in ((2.0, 1.0, 3.0, 0.5), (4.0, 1.5, 3.5, 0.7), (16.0, 1.0, 3.0, 0.99)):
+            assert hyp2f1(*args) == _hyp2f1_bounded(*args)[0]
+
+    def test_paths_that_disagree_raise(self, monkeypatch):
+        args = (4.0, 1.5, 3.5, 0.7)
+        value = hyp2f1(*args)
+        monkeypatch.setattr(specfun, "hyp2f1_euler", lambda *a: value * (1.0 + 2e-10))
+        with pytest.raises(AccuracyError, match="disagree") as exc:
+            hyp2f1(*args)
+        assert exc.value.values == {"euler": value * (1.0 + 2e-10), "value": value}
+
+    def test_bound_above_rel_tol_raises(self):
+        # q = 1.0000001 near z = 1: c - a - b is near an integer, so the
+        # connection formulas give up and the series' bound is 1.6e-12.
+        args = (2.0000002, 1.0, 3.0, 0.9999)
+        value, bound = _hyp2f1_bounded(*args)
+        assert bound > specfun._REL_TOL
+        with pytest.raises(AccuracyError, match="bound") as exc:
+            hyp2f1(*args)
+        assert exc.value.values == {"value": value, "bound": bound}
 
 
 def _mp_rel_err(value, alpha, b_, g_, z):
@@ -289,8 +311,8 @@ def series_path(monkeypatch):
 class TestBoundedSeries:
     """The private series path the closed forms read: value and error bound."""
 
-    # hyp2f1_series misses rel_tol = 1e-13 here by the rounding of its term
-    # recurrence: 1.01e-13 after 6,069 terms and 1.10e-13 after 8,816.
+    # The Gauss series misses its 1e-13 tail target here by the rounding of
+    # its term recurrence: 1.01e-13 after 6,069 terms and 1.10e-13 after 8,816.
     @pytest.mark.parametrize("args", [(16.0, 1.0, 3.0, 0.99), (8.0, 1.0, 3.0, 0.995)])
     def test_bound_covers_the_recurrence_rounding(self, args, series_path):
         value, bound = _hyp2f1_bounded(*args)
@@ -299,7 +321,7 @@ class TestBoundedSeries:
 
     def test_value_is_the_series_hyp2f1_sums(self, series_path):
         for args in ((16.0, 1.0, 3.0, 0.99), (4.0, 1.5, 3.5, 0.3), (2.0, 2.0, 3.25, 0.0)):
-            assert _hyp2f1_bounded(*args)[0] == hyp2f1_series(*args, rel_tol=1e-13)[0]
+            assert _hyp2f1_bounded(*args)[0] == _gauss_sum(*args)[0]
 
     def test_bound_covers_rounded_arguments_on_the_series(self, series_path):
         # test_bound_covers_rounded_arguments now reads the connection formulas.
@@ -314,7 +336,7 @@ class TestBoundedSeries:
 
     def test_below_the_cut_the_value_is_the_series(self):
         args = (16.0, 1.0, 3.0, math.nextafter(_CUT, 0.0))
-        assert _hyp2f1_bounded(*args)[0] == hyp2f1_series(*args, rel_tol=1e-13)[0]
+        assert _hyp2f1_bounded(*args)[0] == _gauss_sum(*args)[0]
 
     def test_bound_covers_rounded_arguments(self):
         # The caller's z, beta_ and gamma_ may each be off by arg_err.
@@ -395,7 +417,7 @@ class TestConnection:
         assert _connection(*args)[1] > 1e-13 * _connection(*args)[0]
         assert _near_one(*args) is None
         value, bound = _hyp2f1_bounded(*args)
-        assert value == hyp2f1_series(*args, rel_tol=1e-13)[0]
+        assert value == _gauss_sum(*args)[0]
         assert _mp_rel_err(value, *args) <= bound
 
     def test_sweep_wide_sets_near_one_are_exact_to_1e13(self, wide_sets_near_one):
