@@ -17,6 +17,7 @@ from harmonia import (
     PreconditionError,
     certify_instance,
     check_theorem,
+    combine,
     power,
     s_power,
     theorem1_rhs,
@@ -53,11 +54,11 @@ def main():
             print(f"  {name:<10} theorem {theorem}  lhs {v.lhs:.6f}  "
                   f"rhs {v.rhs:.6f}  margin {v.margin:+.6f}")
 
-    banner("the bound scales with the derivative weights")
-    for scale in (1.0, 2.0, 4.0):
-        rhs = theorem1_rhs(replace(base, lambda_=0.5, mu_=0.5),
-                           fa_q=scale, fbm_q=scale)
-        print(f"  |f'(a)|^q = |f'(b/m)|^q = {scale:g}  ->  rhs {rhs:.6f}")
+    banner("the bound scales with f: |(c f)'|^q = c^q |f'|^q")
+    rhs = theorem1_rhs(base)
+    for c in (1.0, 2.0, 4.0):
+        scaled = theorem1_rhs(replace(base, f=combine("scale", [square], lam=c)))
+        print(f"  c = {c:g}  ->  rhs {scaled:.6f}  rhs(c f) / rhs(f) = {scaled / rhs:.12f}")
 
     banner("the hypothesis gate rejects uncertified instances")
     # |f'|^q of sqrt is 0.5/sqrt(x), outside the class at s=1

@@ -567,18 +567,15 @@ def _endpoint_powers(inst: Instance) -> tuple[float, float]:
 
 
 def _braces(
-    inst: Instance,
-    theorem: int,
-    fa_q: float | None,
-    fbm_q: float | None,
-    memo: dict | None = None,
+    inst: Instance, theorem: int, memo: dict | None = None
 ) -> tuple[float, tuple[float, float], tuple[float, float]]:
     """ab(b-a), the weight-moment factors and the braces of one theorem's RHS.
 
     Theorem 1 reads (B2, B3, B5, B6) with the factors B1^(1-1/q), B4^(1-1/q);
     theorem 2 reads (B8, B9, B11, B12) with B7^(1/p), B10^(1/p).  The braces
-    are fa_q B_i + m fbm_q B_j and fa_q B_k + m fbm_q B_l, each B an oracle:
-    a positive-weight sum of a nonnegative integrand, so no brace is negative.
+    are |f'(a)|^q B_i + m |f'(b/m)|^q B_j and |f'(a)|^q B_k + m |f'(b/m)|^q B_l,
+    each B an oracle: a positive-weight sum of a nonnegative integrand, so no
+    brace is negative.
     """
     _require_band(inst.mu_, inst.lambda_)
     q = inst.q
@@ -590,16 +587,10 @@ def _braces(
         indices = (8, 9, 11, 12)
         weights = tuple(w ** (1.0 / p) for w in b7_b10(inst.mu_, inst.lambda_, p))
     try:
-        if fa_q is None or fbm_q is None:
-            key = ("fq", inst.a, inst.b, inst.m, q, inst.f)
-            own_a, own_bm = _memoized(memo, key, _endpoint_powers, inst)
-            fa_q = own_a if fa_q is None else fa_q
-            fbm_q = own_bm if fbm_q is None else fbm_q
+        key = ("fq", inst.a, inst.b, inst.m, q, inst.f)
+        fa_q, fbm_q = _memoized(memo, key, _endpoint_powers, inst)
     except OverflowError as exc:
         raise EvaluationError(f"|f'|^q of theorem {theorem} raised {exc!r}") from exc
-    for name, val in (("fa_q", fa_q), ("fbm_q", fbm_q)):
-        if not (isinstance(val, (int, float)) and math.isfinite(val) and val >= 0.0):
-            raise ParameterError(f"{name} must be a finite nonnegative real, got {val!r}")
     bi, bj, bk, bl = (_oracle(KIND_FOR_INDEX[i], inst, memo) for i in indices)
     braces = (fa_q * bi + inst.m * fbm_q * bj, fa_q * bk + inst.m * fbm_q * bl)
     if not all(map(math.isfinite, braces)):
@@ -614,61 +605,50 @@ def _finite_rhs(theorem: int, rhs: float) -> float:
     return rhs
 
 
-def _theorem_rhs(
-    inst: Instance, theorem: int, fa_q: float | None = None, fbm_q: float | None = None,
-    memo: dict | None = None,
-) -> float:
-    """Either theorem's right-hand side from ``_braces``; fa_q and fbm_q
-    default to |f'(a)|^q and |f'(b/m)|^q of the instance's own function."""
-    scale, (w_left, w_right), (left, right) = _braces(inst, theorem, fa_q, fbm_q, memo)
+def _theorem_rhs(inst: Instance, theorem: int, memo: dict | None = None) -> float:
+    """Either theorem's right-hand side from ``_braces``."""
+    scale, (w_left, w_right), (left, right) = _braces(inst, theorem, memo)
     q = inst.q
     return _finite_rhs(theorem, scale * (w_left * left ** (1.0 / q) + w_right * right ** (1.0 / q)))
 
 
-def theorem1_rhs(
-    inst: Instance, fa_q: float | None = None, fbm_q: float | None = None,
-    *, memo: dict | None = None,
-) -> float:
+def theorem1_rhs(inst: Instance) -> float:
     """Power-mean right-hand side, valid for q >= 1.
 
-    ab(b-a) * { B1^(1-1/q) (fa_q B2 + m fbm_q B3)^(1/q)
-              + B4^(1-1/q) (fa_q B5 + m fbm_q B6)^(1/q) },
+    ab(b-a) * { B1^(1-1/q) (|f'(a)|^q B2 + m |f'(b/m)|^q B3)^(1/q)
+              + B4^(1-1/q) (|f'(a)|^q B5 + m |f'(b/m)|^q B6)^(1/q) },
     with the 1/q exponent applied to both braces.
     """
-    return _theorem_rhs(inst, 1, fa_q, fbm_q, memo)
+    return _theorem_rhs(inst, 1)
 
 
-def theorem2_rhs(
-    inst: Instance, fa_q: float | None = None, fbm_q: float | None = None,
-    *, memo: dict | None = None,
-) -> float:
+def theorem2_rhs(inst: Instance) -> float:
     """Conjugate-exponent right-hand side, valid for q > 1 (p = q/(q-1)).
 
-    ab(b-a) * { B7^(1/p) (fa_q B8 + m fbm_q B9)^(1/q)
-              + B10^(1/p) (fa_q B11 + m fbm_q B12)^(1/q) },
+    ab(b-a) * { B7^(1/p) (|f'(a)|^q B8 + m |f'(b/m)|^q B9)^(1/q)
+              + B10^(1/p) (|f'(a)|^q B11 + m |f'(b/m)|^q B12)^(1/q) },
     the weight moments B7 and B10 elementary and exact, the braces oracles.
     """
-    return _theorem_rhs(inst, 2, fa_q, fbm_q, memo)
+    return _theorem_rhs(inst, 2)
 
 
-def corollary_rhs(kind: str, theorem: int, inst: Instance) -> float:
+def corollary_rhs(inst: Instance, theorem: int) -> float:
     """Specialized RHS at a preset triple, prefactor pulled out.
 
-    At each preset B1 = B4 (and B7 = B10), so the weight moment factors
-    out of the brace sum exactly as the specialized displays write it;
-    the result is algebraically identical to the general RHS.
+    The instance's (lambda_, mu_) must be one of the PRESETS triples, which
+    names the corollary.  At each preset B1 = B4 (and B7 = B10), so the
+    weight moment factors out of the brace sum exactly as the specialized
+    displays write it; the result is algebraically identical to the general
+    RHS.
     """
-    if kind not in PRESETS:
-        raise ParameterError(f"corollary kind must be one of {sorted(PRESETS)}, got {kind!r}")
+    if (inst.lambda_, inst.mu_) not in PRESETS.values():
+        raise ParameterError(
+            f"instance triple (lambda_={inst.lambda_!r}, mu_={inst.mu_!r}) is none of "
+            f"the preset triples {PRESETS!r}"
+        )
     if theorem not in (1, 2):
         raise ParameterError(f"theorem must be 1 or 2, got {theorem!r}")
-    lam, mu = PRESETS[kind]
-    if inst.lambda_ != lam or inst.mu_ != mu:
-        raise ParameterError(
-            f"instance triple (lambda_={inst.lambda_!r}, mu_={inst.mu_!r}) does not "
-            f"match preset {kind!r} ({lam!r}, {mu!r})"
-        )
-    scale, (weight, _), (left, right) = _braces(inst, theorem, None, None)
+    scale, (weight, _), (left, right) = _braces(inst, theorem)
     q = inst.q
     return _finite_rhs(theorem, scale * weight * (left ** (1.0 / q) + right ** (1.0 / q)))
 
@@ -745,6 +725,6 @@ def check_theorem(
             "the inequality hypotheses are not met"
         )
     lhs = abs(rule_deviation(inst, memo=memo))
-    rhs = _theorem_rhs(inst, theorem, memo=memo)
+    rhs = _theorem_rhs(inst, theorem, memo)
     margin = rhs - lhs
     return Verdict(theorem=theorem, lhs=lhs, rhs=rhs, margin=margin, passed=margin >= -MARGIN_TOL)

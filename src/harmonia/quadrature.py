@@ -340,8 +340,14 @@ def integrate_de(f, lo: float, hi: float, settings: QuadSettings | None = None) 
 
 # Gauss-Jacobi product rule ------------------------------------------------
 
+# Node tables kept by each cache below, least recently used dropped first.
+# Each new pair of Jacobi exponents (a new s, or a new 2F1) adds tables, so an
+# unbounded cache only grows; the benchmark sweeps keep at most 35 rules and
+# 24 levels, which this bound never evicts.
+_TABLES = 256
 
-@functools.cache
+
+@functools.lru_cache(maxsize=_TABLES)
 def _jacobi_rule(n: int, alpha: float, beta: float) -> tuple[np.ndarray, list[float]]:
     """Nodes x and weights w of the n-point Gauss rule for (1-x)^alpha (1+x)^beta.
 
@@ -383,7 +389,7 @@ def _jacobi_rule(n: int, alpha: float, beta: float) -> tuple[np.ndarray, list[fl
     raise AccuracyError(f"Gauss-Jacobi nodes (n={n}, alpha={alpha}, beta={beta}) did not converge")
 
 
-@functools.cache
+@functools.lru_cache(maxsize=_TABLES)
 def _jacobi_level(n: int, alpha: float, beta: float) -> tuple[np.ndarray, list[float], list[float]]:
     """1 + x of the n- and 2n-point rules together, and the weights of each."""
     (x1, w1), (x2, w2) = _jacobi_rule(n, alpha, beta), _jacobi_rule(2 * n, alpha, beta)

@@ -1,11 +1,11 @@
 """Gamma, Beta and Gauss hypergeometric 2F1 with built-in cross-validation.
 
-Every closed-form coefficient downstream reduces to these three functions:
+Three functions; the closed-form coefficients downstream read Beta and 2F1 only:
 
 * ``gamma`` is the standard library's ``math.gamma``, checked in the tests
   against 40-digit mpmath.
-* ``beta`` is the Gamma-ratio formula on ``math.lgamma``, cross-checked in
-  the tests against direct tanh-sinh integration of t**(a-1) (1-t)**(b-1).
+* ``beta`` is the Gamma-ratio formula on ``math.lgamma``, checked in the
+  tests against 40-digit mpmath.
 * ``hyp2f1`` returns the 2F1 that the coefficient closed forms of the bounds
   module read, the private ``_hyp2f1_bounded``: a value with a relative
   error bound and no quadrature.  It raises ``AccuracyError`` where that

@@ -215,7 +215,7 @@ def test_criterion_6_corollary_consistency(acceptance):
                 a=1.0, b=2.3, s=s, m=m, q=q, lambda_=lam, mu_=mu, f=f,
             )
             general = theorem1_rhs(inst) if theorem == 1 else theorem2_rhs(inst)
-            special = corollary_rhs(preset, theorem, inst)
+            special = corollary_rhs(inst, theorem)
             worst = max(worst, abs(special - general) / abs(general))
             combos += 1
     ok = worst <= 1e-12

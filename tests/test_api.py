@@ -90,13 +90,13 @@ SIGNATURES = {
     "certify_instance": "inst",
     "check_theorem": "inst, theorem, *, certificate, memo",
     "closed_B": "index, inst",
-    "corollary_rhs": "kind, theorem, inst",
+    "corollary_rhs": "inst, theorem",
     "corrected_B": "index, inst",
     "crosscheck_B": "index, inst, *, memo",
     "kernel_oracle": "kind, inst",
     "simpson_theorem2_prefactor": "p, as_printed",
-    "theorem1_rhs": "inst, fa_q, fbm_q, *, memo",
-    "theorem2_rhs": "inst, fa_q, fbm_q, *, memo",
+    "theorem1_rhs": "inst",
+    "theorem2_rhs": "inst",
     # harness
     "Row": "instance_id, family, a, b, s, m, q, lambda_, mu_, check, lhs, rhs, margin, passed",
     "RunReport": "config, instances, discarded, rows, errata, wall_time",
@@ -220,6 +220,18 @@ def test_one_module_sets_the_quadrature_accuracy():
             callers[name].add(path.stem)
     assert callers == {"integrate_de": set(), "QuadSettings": {"quadrature"}}
 
+
+
+def test_only_the_quadrature_tests_call_the_tanh_sinh_rule():
+    # Besides the library (above), no demo and no test but integrate_de's
+    # own unit tests calls it, so removing the rule touches no other file.
+    root = Path(__file__).resolve().parents[1]
+    paths = [*(root / "demos").glob("*.py"), *(root / "tests").glob("*.py")]
+    callers = {
+        path.relative_to(root).as_posix() for path in paths
+        if "integrate_de" in _calls(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert callers == {"tests/test_quadrature.py"}
 
 CLI_OPTIONS = {
     "check-convexity": "--f --s --m --lo --hi --grid",

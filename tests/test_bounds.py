@@ -21,6 +21,7 @@ from harmonia import (
     ParameterError,
     PreconditionError,
     PRESETS,
+    SweepConfig,
     b1_b4,
     b7_b10,
     bounds,
@@ -28,9 +29,11 @@ from harmonia import (
     certify_instance,
     check_theorem,
     closed_B,
+    combine,
     corollary_rhs,
     corrected_B,
     crosscheck_B,
+    generate_instances,
     kernel_oracle,
     linear,
     power,
@@ -675,6 +678,24 @@ class TestClosedFormValues:
             )
 
 
+def assert_scales_with_f(rhs, seed):
+    """rhs(c f) = c rhs(f) for c = 2^k, k in [-40, 40], on sampled sweep instances.
+
+    |(c f)'|^q = c^q |f'|^q, so each brace scales by c^q and its 1/q power by c.
+    """
+    instances = generate_instances(SweepConfig(samples=150, rng_seed=seed))[0]
+    rng = random.Random(seed)
+    draws = 0
+    for inst in instances:
+        if rhs is theorem2_rhs and inst.q == 1.0:
+            continue
+        c = 2.0 ** rng.randint(-40, 40)
+        scaled = replace(inst, f=combine("scale", [inst.f], lam=c))
+        assert rhs(scaled) == pytest.approx(c * rhs(inst), rel=1e-13, abs=0.0), (inst, c)
+        draws += 1
+    assert draws >= 100
+
+
 class TestTheorem1:
     GOLDEN = make(s=1.0, q=1.0, lam=0.5, mu=0.5)
 
@@ -695,11 +716,8 @@ class TestTheorem1:
         assert right == pytest.approx(0.03768207245178093, abs=1e-9)
         assert theorem1_rhs(self.GOLDEN) == pytest.approx(2.0 * (left + right), rel=1e-12)
 
-    def test_monotone_in_derivative_weights(self):
-        inst = make(s=0.5, q=2.0)
-        base = theorem1_rhs(inst, fa_q=1.0, fbm_q=1.0)
-        assert theorem1_rhs(inst, fa_q=2.0, fbm_q=1.0) > base
-        assert theorem1_rhs(inst, fa_q=1.0, fbm_q=2.0) > base
+    def test_scales_with_f(self):
+        assert_scales_with_f(theorem1_rhs, seed=41)
 
     def test_band_enforced(self):
         with pytest.raises(ParameterError):
@@ -718,11 +736,8 @@ class TestTheorem2:
             rhs = theorem2_rhs(inst)
             assert math.isfinite(rhs) and rhs > 0.0
 
-    def test_monotone_in_derivative_weights(self):
-        inst = make(s=0.5, q=2.0)
-        base = theorem2_rhs(inst, fa_q=1.0, fbm_q=1.0)
-        assert theorem2_rhs(inst, fa_q=3.0, fbm_q=1.0) > base
-        assert theorem2_rhs(inst, fa_q=1.0, fbm_q=3.0) > base
+    def test_scales_with_f(self):
+        assert_scales_with_f(theorem2_rhs, seed=42)
 
 
 class TestCorollaries:
@@ -732,24 +747,24 @@ class TestCorollaries:
         lam, mu = PRESETS[preset]
         inst = make(a=1.0, b=2.3, s=0.7, m=1.0, q=2.5, lam=lam, mu=mu, f=SQUARE)
         general = theorem1_rhs(inst) if theorem == 1 else theorem2_rhs(inst)
-        special = corollary_rhs(preset, theorem, inst)
+        special = corollary_rhs(inst, theorem)
         assert special == pytest.approx(general, rel=1e-12)
 
     def test_triple_mismatch_rejected(self):
         inst = make(lam=0.8, mu=0.3)
-        with pytest.raises(ParameterError):
-            corollary_rhs("trapezoid", 1, inst)
+        with pytest.raises(ParameterError, match="preset"):
+            corollary_rhs(inst, 1)
 
     def test_kind_and_theorem_validation(self):
-        inst = make(lam=0.5, mu=0.5)
-        with pytest.raises(ParameterError):
-            corollary_rhs("booles_rule", 1, inst)
-        with pytest.raises(ParameterError):
-            corollary_rhs("trapezoid", 3, inst)
+        # The triple names the corollary: one off a preset by one ulp names none.
+        with pytest.raises(ParameterError, match="preset"):
+            corollary_rhs(make(lam=0.5, mu=math.nextafter(0.5, 0.0)), 1)
+        with pytest.raises(ParameterError, match="theorem"):
+            corollary_rhs(make(lam=0.5, mu=0.5), 3)
 
     def test_theorem2_needs_q_above_one(self):
         with pytest.raises(ParameterError, match="q > 1"):
-            corollary_rhs("trapezoid", 2, make(q=1.0, lam=0.5, mu=0.5))
+            corollary_rhs(make(q=1.0, lam=0.5, mu=0.5), 2)
 
     def test_preset_table(self):
         assert PRESETS["trapezoid"] == (0.5, 0.5)
@@ -768,7 +783,7 @@ class TestRhsOverflow:
     RHS = {
         "theorem1": theorem1_rhs,
         "theorem2": theorem2_rhs,
-        "trapezoid1": lambda inst: corollary_rhs("trapezoid", 1, inst),
+        "trapezoid1": lambda inst: corollary_rhs(inst, 1),
     }
     # Theorem 2 needs q > 1, which the "product" instance (q = 1) lacks.
     CASES = [
@@ -818,7 +833,7 @@ class TestRhsPinnedBitwise:
             inst = make(a=a, b=b, s=s, m=m, q=q, lam=lam_, mu=mu_, f=SQUARE)
             got = [theorem1_rhs(inst).hex(), theorem2_rhs(inst).hex()]
             if name in PRESETS:
-                got += [corollary_rhs(name, theorem, inst).hex() for theorem in (1, 2)]
+                got += [corollary_rhs(inst, theorem).hex() for theorem in (1, 2)]
             assert tuple(got) == expected, name
 
 

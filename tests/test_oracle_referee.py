@@ -1,10 +1,9 @@
-"""The kernel oracles against a 40-digit referee and against a second rule.
+"""The kernel oracles against a 40-digit referee.
 
 ``kernel_oracle`` integrates the twelve proof integrals with a Gauss-Jacobi
 product rule.  Here its values are held to mpmath at 40 digits (a test-only
-import) on sampled oracles of the benchmark workloads and at b/a = 1e4, and
-to the independent tanh-sinh rule ``integrate_de`` over the documented
-domain, wherever both rules converge.
+import) on sampled oracles of the benchmark workloads, at b/a = 1e4 and over
+the documented domain, wherever the rule converges.
 """
 
 from __future__ import annotations
@@ -15,22 +14,19 @@ import runpy
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from harmonia import (
-    CROSSCHECK_TOL,
     KIND_FOR_INDEX,
     PRESETS,
     AccuracyError,
     EvaluationError,
     Instance,
     ParameterError,
-    QuadSettings,
     SweepConfig,
     bounds,
     generate_instances,
-    integrate_de,
     kernel_oracle,
     linear,
 )
@@ -44,13 +40,20 @@ WORKLOADS = runpy.run_path(
 
 
 def referee(kind, inst) -> float:
-    """The proof integral at 40 digits, split at the kink and graded toward the pole of A^-2q."""
+    """The proof integral at 40 digits, split at the kink and graded toward the pole of A^-2q.
+
+    mpmath.quad controls the absolute error, so A^-2q is taken relative to
+    its value at the half's lower end, where it is largest, and that scale
+    is divided back out: an integral of 1e-118 is then as accurate as one of 1.
+    """
     with mpmath.workdps(40):
         mp = mpmath.mpf
         a, b, s, q = mp(inst.a), mp(inst.b), mp(inst.s), mp(inst.q)
         lo, hi = (mp(0), mp(1) / 2) if kind.side == "left" else (mp(1) / 2, mp(1))
         centre = bounds._centre(kind, inst)
         e = q / (q - 1) if kind.needs_p else mp(1)
+        A_lo = lo * b + (1 - lo) * a
+        scale = A_lo ** (2 * q) if kind.include_A else mp(1)
 
         def f(t):
             val = mp(1) if centre is None else abs(mp(centre) - t) ** e
@@ -59,7 +62,7 @@ def referee(kind, inst) -> float:
             elif kind.factor == "one_minus_t_pow_s":
                 val *= (1 - t) ** s
             if kind.include_A:
-                val /= (t * b + (1 - t) * a) ** (2 * q)
+                val *= (A_lo / (t * b + (1 - t) * a)) ** (2 * q)
             return val
 
         points = {lo, hi}
@@ -70,7 +73,7 @@ def referee(kind, inst) -> float:
             while cut < hi:
                 points.add(cut)
                 cut *= 4
-        return float(mpmath.quad(f, sorted(points)))
+        return float(mpmath.quad(f, sorted(points)) / scale)
 
 
 def _sweep_oracles(workload: str) -> list[tuple[int, Instance]]:
@@ -112,31 +115,6 @@ def test_every_kind_at_ratio_1e4_matches_referee(q):
         assert abs(got - ref) <= 1e-13 * ref, (index, got, ref)
 
 
-_TANH_SINH = QuadSettings(abs_tol=1e-300, rel_tol=1e-12)
-
-
-def tanh_sinh_oracle(kind, inst) -> float:
-    """The proof integral by integrate_de, one scalar integrand split at the kink."""
-    a, b, s, q = inst.a, inst.b, inst.s, inst.q
-    lo, hi = (0.0, 0.5) if kind.side == "left" else (0.5, 1.0)
-    centre = bounds._centre(kind, inst)
-    e = q / (q - 1.0) if kind.needs_p else 1.0
-
-    def f(t: float) -> float:
-        val = 1.0 if centre is None else abs(centre - t) ** e
-        if kind.factor == "t_pow_s":
-            val *= t**s
-        elif kind.factor == "one_minus_t_pow_s":
-            val *= (1.0 - t) ** s
-        if kind.include_A:
-            val /= (t * b + (1.0 - t) * a) ** (2.0 * q)
-        return val
-
-    cuts = [lo, centre, hi] if centre is not None and lo < centre < hi else [lo, hi]
-    return sum(integrate_de(f, u, v, _TANH_SINH).checked("tanh-sinh oracle")
-               for u, v in zip(cuts, cuts[1:]))
-
-
 @given(
     index=st.integers(1, 12),
     a=st.floats(1e-3, 1e2),
@@ -146,16 +124,18 @@ def tanh_sinh_oracle(kind, inst) -> float:
     lam=st.floats(0.5, 1.0),
     mu=st.floats(0.0, 0.5),
 )
-def test_product_rule_agrees_with_tanh_sinh(index, a, ratio, s, q, lam, mu):
+# Values near 1e-118, where an absolute error control alone is 1.9e-5 off.
+@example(index=6, a=100.0, ratio=1e4, s=1.0, q=10.0, lam=0.5, mu=0.0)
+def test_product_rule_agrees_with_referee(index, a, ratio, s, q, lam, mu):
     kind = KIND_FOR_INDEX[index]
     inst = Instance(a=a, b=a * (1.0 + ratio), s=s, m=1.0, q=q, lambda_=lam, mu_=mu, f=linear())
     try:
         rule = kernel_oracle(kind, inst)
-        other = tanh_sinh_oracle(kind, inst)
     except (AccuracyError, EvaluationError, ParameterError):
         return  # a rule that does not converge, or a kind that needs q > 1
+    ref = referee(kind, inst)
     assert math.isfinite(rule) and rule >= 0.0
-    assert abs(rule - other) <= CROSSCHECK_TOL / 100 * other, (rule, other)
+    assert abs(rule - ref) <= 1e-13 * ref, (rule, ref)
 
 
 def test_weighted_oracle_pins_match_referee():

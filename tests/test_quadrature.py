@@ -456,3 +456,15 @@ def test_node_tables_are_built_on_first_use_not_at_import():
     at_import, after_oracle = proc.stdout.splitlines()
     assert at_import == "0 0"
     assert "0" not in after_oracle.split()
+
+
+def test_node_caches_are_bounded():
+    # Each new s brings new Jacobi exponents and so new node tables; the
+    # caches drop the least recently used instead of growing without end.
+    rng = random.Random(22)
+    for _ in range(300):
+        s = rng.uniform(0.01, 1.0)
+        assert math.isfinite(hyp2f1_euler(rng.uniform(2.0, 16.0), s + 1.0, s + 3.0, 0.5))
+    for cache in (quadrature._jacobi_rule, quadrature._jacobi_level):
+        info = cache.cache_info()
+        assert info.misses > info.maxsize >= info.currsize, info

@@ -115,25 +115,15 @@ class TestBeta:
                     worst = max(worst, float(abs((beta(v[x], v[y]) - ref) / ref)))
         assert worst <= _BETA_ERR
 
-    def test_against_tanh_sinh_integral(self):
-        # Euler integral of t^(a-1) (1-t)^(b-1).  Split at 1/2 and fold the
-        # upper half with u = 1-t so each singularity sits at a zero lower
-        # endpoint, where the tanh-sinh abscissae carry full precision.
-        from harmonia import QuadSettings, integrate_de
-
-        deep = QuadSettings(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=40000)
+    def test_against_mpmath_beta(self):
+        mpmath = pytest.importorskip("mpmath")
         rng = random.Random(99)
-        for _ in range(40):
-            a = rng.uniform(0.05, 4.0)
-            b = rng.uniform(0.05, 4.0)
-            lower = integrate_de(
-                lambda t, a=a, b=b: t ** (a - 1.0) * (1.0 - t) ** (b - 1.0), 0.0, 0.5, deep
-            )
-            upper = integrate_de(
-                lambda u, a=a, b=b: u ** (b - 1.0) * (1.0 - u) ** (a - 1.0), 0.0, 0.5, deep
-            )
-            assert lower.converged and upper.converged
-            assert abs(lower.value + upper.value - beta(a, b)) <= 1e-9
+        with mpmath.workdps(40):
+            for _ in range(40):
+                a = rng.uniform(0.05, 4.0)
+                b = rng.uniform(0.05, 4.0)
+                ref = mpmath.beta(a, b)
+                assert abs(beta(a, b) - ref) <= 1e-13 * ref, (a, b)
 
     @pytest.mark.parametrize("a,b", [(0.0, 1.0), (-1.0, 2.0), (1.0, 0.0), (math.nan, 1.0)])
     def test_domain(self, a, b):
