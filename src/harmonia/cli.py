@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .bounds import KIND_FOR_INDEX, PRESETS, check_theorem, crosscheck_B, crosscheck_plan
@@ -207,6 +208,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.seed is not None and isinstance(data, dict):
         data["rng_seed"] = args.seed
     cfg = SweepConfig.from_dict(data)
+    out_dir = os.path.dirname(args.out) or "."
+    if not os.path.isdir(out_dir):
+        raise ConfigError(f"--out: directory {out_dir!r} does not exist")
     report = run_sweep(cfg, jobs=args.jobs)
     emit_report(report, args.format, args.out)
     print(f"instances {report.instances}  discarded {report.discarded}")

@@ -24,7 +24,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from functools import partial
+from json.encoder import encode_basestring_ascii
 from operator import attrgetter
+from typing import TextIO
 
 from .bounds import (
     BoundTerm,
@@ -440,7 +442,7 @@ def run_sweep(cfg: SweepConfig, jobs: int | None = None) -> RunReport:
 
 
 _g17 = "{:.17g}".format
-_flag = ("false", "true").__getitem__  # CSV text of a bool
+_flag = ("false", "true").__getitem__  # CSV and JSON text of a bool
 
 
 def _finite_or_null(x: float) -> float | None:
@@ -448,36 +450,75 @@ def _finite_or_null(x: float) -> float | None:
     return x if math.isfinite(x) else None
 
 
-# Report column -> (Row field, CSV cell, JSON value); None writes the field
-# as it is.  Both reports write these columns in this order.
+def _json_float(x: float) -> str:
+    """x as json.dump writes a float with allow_nan=False."""
+    if math.isfinite(x):
+        return float.__repr__(x)
+    raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+
+
+def _json_float_or_null(x: float) -> str:
+    return float.__repr__(x) if math.isfinite(x) else "null"
+
+
+# Report column -> (Row field, CSV cell, JSON value, JSON text); None writes
+# the field as it is.  Both reports write these columns; the CSV in this
+# order, the JSON with its keys sorted.
 _COLUMNS = {
-    "instance_id": ("instance_id", None, None),
-    "family": ("family", None, None),
-    "a": ("a", _g17, None),
-    "b": ("b", _g17, None),
-    "s": ("s", _g17, None),
-    "m": ("m", _g17, None),
-    "q": ("q", _g17, None),
-    "lambda": ("lambda_", _g17, None),
-    "mu": ("mu_", _g17, None),
-    "check": ("check", None, None),
-    "lhs": ("lhs", _g17, _finite_or_null),
-    "rhs": ("rhs", _g17, _finite_or_null),
-    "margin": ("margin", _g17, _finite_or_null),
-    "pass": ("passed", _flag, None),
+    "instance_id": ("instance_id", None, None, int.__repr__),
+    "family": ("family", None, None, encode_basestring_ascii),
+    "a": ("a", _g17, None, _json_float),
+    "b": ("b", _g17, None, _json_float),
+    "s": ("s", _g17, None, _json_float),
+    "m": ("m", _g17, None, _json_float),
+    "q": ("q", _g17, None, _json_float),
+    "lambda": ("lambda_", _g17, None, _json_float),
+    "mu": ("mu_", _g17, None, _json_float),
+    "check": ("check", None, None, encode_basestring_ascii),
+    "lhs": ("lhs", _g17, _finite_or_null, _json_float_or_null),
+    "rhs": ("rhs", _g17, _finite_or_null, _json_float_or_null),
+    "margin": ("margin", _g17, _finite_or_null, _json_float_or_null),
+    "pass": ("passed", _flag, None, _flag),
 }
 CSV_COLUMNS = tuple(_COLUMNS)
-_FIELDS, _CSV_CELLS, _JSON_VALUES = zip(*_COLUMNS.values())
+_FIELDS, _CSV_CELLS, _JSON_VALUES = zip(*(column[:3] for column in _COLUMNS.values()))
+# json.dump(sort_keys=True) writes the keys of a row sorted.
+_JSON_KEYS = sorted(_COLUMNS)
+_JSON_FIELDS = tuple(_COLUMNS[key][0] for key in _JSON_KEYS)
+_JSON_TEXTS = tuple(_COLUMNS[key][3] for key in _JSON_KEYS)
+# One JSON row, as json.dump(indent=2, sort_keys=True) writes an object in
+# the report's "rows" list; its cells come in _JSON_KEYS order.
+_JSON_ROW = "    {\n%s\n    }" % ",\n".join(
+    f"      {encode_basestring_ascii(key)}: %s" for key in _JSON_KEYS
+)
+_JSON_CHUNK = 512  # list items formatted and written at a time
 
 
-def _table(rows: list[Row], formats: tuple) -> Iterator[tuple]:
-    """Each row's formatted values as a tuple, formatted a column at a time."""
-    columns = (map(attrgetter(name), rows) for name in _FIELDS)
+def _table(rows: list[Row], names: tuple, formats: tuple) -> Iterator[tuple]:
+    """Each row's formatted fields as a tuple, formatted a column at a time."""
+    columns = (map(attrgetter(name), rows) for name in names)
     return zip(*(col if fmt is None else map(fmt, col) for col, fmt in zip(columns, formats)))
 
 
-def report_to_dict(report: RunReport) -> dict:
-    """Nested JSON form under the versioned schema key."""
+def _json_rows(rows: list[Row]) -> str:
+    return ",\n".join(map(_JSON_ROW.__mod__, _table(rows, _JSON_FIELDS, _JSON_TEXTS)))
+
+
+# json's own encoder, with each item of an object on a line of its own at
+# the indent of an object in the report's "errata" list.
+_json_items = json.JSONEncoder(
+    sort_keys=True, allow_nan=False, separators=(",\n      ", ": ")
+).encode
+
+
+def _json_errata(errata: list[dict]) -> str:
+    """The errata as json.dump(indent=2, sort_keys=True) writes them in the
+    report, for flat objects such as _instance_rows makes."""
+    return ",\n".join("    {\n      %s\n    }" % _json_items(entry)[1:-1] for entry in errata)
+
+
+def _report_head(report: RunReport) -> dict:
+    """The JSON form without its two long lists, "errata" and "rows"."""
     return {
         "schema": SCHEMA,
         "generated_at": datetime.now(timezone.utc).isoformat(),
@@ -496,23 +537,62 @@ def report_to_dict(report: RunReport) -> dict:
             "failures": report.failures,
             "all_pass": report.all_pass,
         },
-        "errata": report.errata,
-        "rows": [dict(zip(CSV_COLUMNS, cells)) for cells in _table(report.rows, _JSON_VALUES)],
     }
 
 
+def report_to_dict(report: RunReport) -> dict:
+    """Nested JSON form under the versioned schema key."""
+    return {
+        **_report_head(report),
+        "errata": report.errata,
+        "rows": [
+            dict(zip(CSV_COLUMNS, cells)) for cells in _table(report.rows, _FIELDS, _JSON_VALUES)
+        ],
+    }
+
+
+def _write_json(report: RunReport, fh: TextIO) -> None:
+    """Write the head through json.dumps and splice the two long lists into
+    it at their keys (only a top-level key is indented by two spaces), each
+    formatted and written _JSON_CHUNK items at a time."""
+    head = json.dumps(
+        {**_report_head(report), "errata": [], "rows": []},
+        indent=2, sort_keys=True, allow_nan=False,
+    )
+    for key, items, encode in (("errata", report.errata, _json_errata),
+                               ("rows", report.rows, _json_rows)):
+        before, mark, head = head.partition(f'\n  "{key}": []')
+        fh.write(before)
+        if not items:
+            fh.write(mark)
+            continue
+        fh.write(mark[:-1] + "\n")
+        for start in range(0, len(items), _JSON_CHUNK):
+            if start:
+                fh.write(",\n")
+            fh.write(encode(items[start:start + _JSON_CHUNK]))
+        fh.write("\n  ]")
+    fh.write(head + "\n")
+
+
 def emit_report(report: RunReport, format: str, destination: str) -> None:
-    """Write the report; CSV is deterministic for a fixed config and seed."""
+    """Write the report as "json" or "csv" to the file destination.
+
+    The JSON file holds the bytes that ``json.dump(report_to_dict(report),
+    fh, indent=2, sort_keys=True, allow_nan=False)`` followed by "\\n"
+    writes, without building the row dicts: a non-finite lhs, rhs or
+    margin is null, and one in any other float column raises ValueError.
+    The CSV is deterministic for a fixed config and seed; the JSON also
+    carries generated_at and wall_time.
+    """
     if format == "json":
-        payload = report_to_dict(report)
         with open(destination, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-            fh.write("\n")
+            _write_json(report, fh)
         return
     if format == "csv":
         with open(destination, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(CSV_COLUMNS)
-            writer.writerows(_table(report.rows, _CSV_CELLS))
+            writer.writerows(_table(report.rows, _FIELDS, _CSV_CELLS))
         return
     raise ConfigError(f"format must be 'json' or 'csv', got {format!r}")

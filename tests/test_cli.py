@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import harmonia
+from harmonia import cli
 from harmonia.cli import main
 
 IDENTITY_ARGS = ["--f", "linear", "--a", "1", "--b", "2", "--lambda", "0.5", "--mu", "0.5"]
@@ -418,6 +419,17 @@ class TestSweep:
         rc = main(["sweep", "--config", str(tmp_path / "absent.json"),
                    "--out", str(tmp_path / "r.csv"), "--format", "csv"])
         assert rc == 2
+
+    def test_missing_out_directory_fails_before_the_sweep(self, tmp_path, monkeypatch, capsys):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("run_sweep called although --out cannot be written")
+
+        monkeypatch.setattr(cli, "run_sweep", no_sweep)
+        cfg = self.write_config(tmp_path)
+        rc = main(["sweep", "--config", str(cfg),
+                   "--out", str(tmp_path / "missing_dir" / "r.json"), "--format", "json"])
+        assert rc == 2
+        assert "--out" in capsys.readouterr().err
 
 
 class TestArgparseBehavior:

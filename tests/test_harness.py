@@ -7,6 +7,7 @@ import math
 import os
 from collections import Counter
 from dataclasses import fields, replace
+from datetime import datetime
 
 import numpy as np
 import pytest
@@ -50,6 +51,37 @@ SMALL = SweepConfig(samples=6, rng_seed=424242, q_values=(1.0, 2.0))
 @pytest.fixture(scope="module")
 def small_report():
     return run_sweep(SMALL, jobs=1)
+
+
+def _one_row_report(**row) -> RunReport:
+    nan = float("nan")
+    values = dict(
+        instance_id=0, family="linear", a=1.0, b=2.0, s=1.0, m=1.0,
+        q=1.0, lambda_=0.5, mu_=0.5, check="identity",
+        lhs=nan, rhs=nan, margin=nan, passed=False,
+    )
+    return RunReport(
+        config=SMALL, instances=1, discarded=0, rows=[Row(**{**values, **row})],
+        errata=[], wall_time=0.0,
+    )
+
+
+@pytest.fixture
+def failed_report():
+    """One failed row: nan lhs, rhs and margin, and no errata."""
+    return _one_row_report()
+
+
+@pytest.fixture
+def non_ascii_report():
+    return _one_row_report(family="caf\u00e9 \u03bb", lhs=1.0, rhs=2.0, margin=1.0, passed=True)
+
+
+@pytest.fixture
+def odd_errata_report():
+    """An erratum with values no sweep writes: None and a float subclass."""
+    errata = [{"expected": False, "a": None, "x": np.float64(0.5)}]
+    return replace(_one_row_report(), errata=errata)
 
 
 class TestSweepConfig:
@@ -540,23 +572,19 @@ class TestReports:
             "lambda", "mu", "check", "lhs", "rhs", "margin", "pass",
         }
 
-    def test_json_is_strict(self, small_report):
-        # allow_nan=False round trip: no NaN/Infinity tokens may appear
-        text = json.dumps(report_to_dict(small_report), allow_nan=False)
-        assert json.loads(text)["schema"] == "harmonia/v1"
+    def test_json_is_strict(self, small_report, failed_report, tmp_path):
+        # the emitted files, read back: no NaN/Infinity tokens may appear
+        def reject(token):
+            raise AssertionError(f"non-strict JSON token {token}")
 
-    def test_nan_rows_serialize_as_null(self, small_report):
-        nan = float("nan")
-        broken = Row(
-            instance_id=0, family="linear", a=1.0, b=2.0, s=1.0, m=1.0,
-            q=1.0, lambda_=0.5, mu_=0.5, check="identity",
-            lhs=nan, rhs=nan, margin=nan, passed=False,
-        )
-        rep = RunReport(
-            config=SMALL, instances=1, discarded=0, rows=[broken],
-            errata=[], wall_time=0.0,
-        )
-        doc = report_to_dict(rep)
+        dest = tmp_path / "report.json"
+        for report in (small_report, failed_report):
+            emit_report(report, "json", str(dest))
+            doc = json.loads(dest.read_text(encoding="utf-8"), parse_constant=reject)
+            assert doc["schema"] == "harmonia/v1"
+
+    def test_nan_rows_serialize_as_null(self, failed_report):
+        doc = report_to_dict(failed_report)
         assert doc["rows"][0]["lhs"] is None
         assert doc["rows"][0]["margin"] is None
         assert doc["rows"][0]["pass"] is False
@@ -587,3 +615,47 @@ class TestReports:
     def test_emit_rejects_unknown_format(self, small_report, tmp_path):
         with pytest.raises(ConfigError):
             emit_report(small_report, "xml", str(tmp_path / "r.xml"))
+
+
+class TestJsonBytes:
+    """emit_report writes the bytes of json.dump(report_to_dict(...), indent=2,
+    sort_keys=True, allow_nan=False) plus a newline."""
+
+    @pytest.fixture(autouse=True)
+    def fixed_clock(self, monkeypatch):
+        class Clock(datetime):
+            @classmethod
+            def now(cls, tz=None):
+                return datetime(2026, 1, 2, 3, 4, 5, tzinfo=tz)
+
+        monkeypatch.setattr(harness, "datetime", Clock)
+
+    @staticmethod
+    def emitted(report, tmp_path) -> str:
+        dest = tmp_path / "report.json"
+        emit_report(report, "json", str(dest))
+        return dest.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize(
+        "name", ["small_report", "failed_report", "non_ascii_report", "odd_errata_report"]
+    )
+    def test_same_bytes_as_json_dump(self, name, request, tmp_path):
+        report = request.getfixturevalue(name)
+        expected = json.dumps(
+            report_to_dict(report), indent=2, sort_keys=True, allow_nan=False
+        ) + "\n"
+        assert self.emitted(report, tmp_path) == expected
+
+    def test_fixtures_cover_errata_null_and_escapes(
+        self, small_report, failed_report, non_ascii_report, tmp_path
+    ):
+        assert small_report.errata and not failed_report.errata
+        assert '"lhs": null' in self.emitted(failed_report, tmp_path)
+        assert r'"family": "caf\u00e9 \u03bb"' in self.emitted(non_ascii_report, tmp_path)
+
+    def test_nan_in_a_non_nullable_column_raises(self, failed_report, tmp_path):
+        report = replace(failed_report, rows=[replace(failed_report.rows[0], a=float("nan"))])
+        with pytest.raises(ValueError):
+            json.dumps(report_to_dict(report), indent=2, sort_keys=True, allow_nan=False)
+        with pytest.raises(ValueError):
+            emit_report(report, "json", str(tmp_path / "report.json"))
