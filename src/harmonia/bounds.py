@@ -49,13 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convexity import (
-    FunctionSpec,
-    GridSpec,
-    abs_deriv_pow,
-    check_harmonic_sm,
-    refuted_on_subgrid,
-)
+from .convexity import GridSpec, abs_deriv_pow, check_harmonic_sm_subgrid_first
 from .errors import (
     AccuracyError,
     DomainError,
@@ -676,24 +670,17 @@ class Verdict:
     passed: bool
 
 
-def _hypothesis(inst: Instance) -> tuple[FunctionSpec, GridSpec]:
-    """|f'|^q and the default grid on [a, b/m] its convexity is certified over."""
-    return abs_deriv_pow(inst.f, inst.q), GridSpec(lo=inst.a, hi=inst.b / inst.m)
-
-
 def certify_instance(inst: Instance):
-    """Grid-certify that |f'|^q is harmonically (s,m)-convex on [a, b/m]."""
-    shape, grid = _hypothesis(inst)
-    return check_harmonic_sm(shape, inst.s, inst.m, grid)
+    """Grid-certify that |f'|^q is harmonically (s,m)-convex on [a, b/m].
 
-
-def refuted_coarsely(inst: Instance) -> bool:
-    """True when a subgrid of certify_instance's grid already refutes the
-    hypothesis; certify_instance(inst) then does not hold.  False decides
-    nothing.
+    One call certifies: the default GridSpec on [a, b/m] is tried first on
+    its SUBGRID_STRIDE subgrid (convexity.check_harmonic_sm_subgrid_first).
+    A refuted instance gets the subgrid's report, whose worst defect and
+    witness are over the subgrid's 726 points only; any other gets
+    check_harmonic_sm's full-grid report.
     """
-    shape, grid = _hypothesis(inst)
-    return refuted_on_subgrid(shape, inst.s, inst.m, grid)
+    grid = GridSpec(lo=inst.a, hi=inst.b / inst.m)
+    return check_harmonic_sm_subgrid_first(abs_deriv_pow(inst.f, inst.q), inst.s, inst.m, grid)
 
 
 def check_theorem(

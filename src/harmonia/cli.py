@@ -211,16 +211,20 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     out_dir = os.path.dirname(args.out) or "."
     if not os.path.isdir(out_dir):
         raise ConfigError(f"--out: directory {out_dir!r} does not exist")
+    if os.path.isdir(args.out):
+        raise ConfigError(f"--out: {args.out!r} is a directory")
     report = run_sweep(cfg, jobs=args.jobs)
     emit_report(report, args.format, args.out)
-    print(f"instances {report.instances}  discarded {report.discarded}")
-    print(f"identity  {report.identity_pass}/{report.identity_total}")
-    print(f"theorem1  {report.bound_pass(1)}/{report.bound_total(1)}")
-    print(f"theorem2  {report.bound_pass(2)}/{report.bound_total(2)}")
-    print(f"errata    expected {report.expected_errata}  unexpected {report.unexpected_errata}")
+    summary = report._summary()  # one pass over the rows for every count below
+    print(f"instances {summary['instances']}  discarded {summary['discarded']}")
+    print(f"identity  {summary['identity_pass']}/{summary['identity_total']}")
+    for t in ("1", "2"):
+        print(f"theorem{t}  {summary['bound_pass'][t]}/{summary['bound_total'][t]}")
+    print(f"errata    expected {summary['expected_errata']}  "
+          f"unexpected {summary['unexpected_errata']}")
     print(f"report    {args.out} ({args.format})")
-    print("PASS" if report.all_pass else "FAIL")
-    return 0 if report.all_pass else 1
+    print("PASS" if summary["all_pass"] else "FAIL")
+    return 0 if summary["all_pass"] else 1
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -34,8 +34,8 @@ DEFECT_TOL = 1e-9
 # Monotonicity is decided from adjacent differences of this many samples.
 MONO_SAMPLES = 401
 MONO_TOL = 1e-12
-# refuted_on_subgrid keeps every 4th sample per axis: 11x11x6 of the default
-# 41x41x21 grid, about 1/26 of its points.
+# check_harmonic_sm_subgrid_first tries every 4th sample per axis first:
+# 11x11x6 of the default 41x41x21 grid, about 1/26 of its points.
 SUBGRID_STRIDE = 4
 
 # kind -> (parameter names, (min, max) children with None for no maximum,
@@ -433,45 +433,49 @@ def _check_grid_args(f: FunctionSpec, s: float, m: float, grid: GridSpec) -> Non
         )
 
 
-def _verdict(
-    f: FunctionSpec, s: float, m: float, grid: GridSpec, harmonic: bool
+def _report(
+    f: FunctionSpec, s: float, m: float, axes: tuple, harmonic: bool
 ) -> ConvexityReport:
-    _check_grid_args(f, s, m, grid)
-    xs, ys, ts = _grid_axes(grid)
-    defect = _defect(f, s, m, xs, ys, ts, harmonic)
+    """Grid verdict over the product of the given axes."""
+    defect = _defect(f, s, m, *axes, harmonic)
     # C-order argmax returns the first maximizer, which is the
     # lexicographically smallest (x, y, t) witness.
-    ix, iy, it = np.unravel_index(int(np.argmax(defect)), defect.shape)
-    worst = float(defect[ix, iy, it])
+    index = np.unravel_index(int(np.argmax(defect)), defect.shape)
+    worst = float(defect[index])
     return ConvexityReport(
         holds=worst <= DEFECT_TOL, worst_defect=worst,
-        witness=(float(xs[ix]), float(ys[iy]), float(ts[it])), checked=defect.size,
+        witness=tuple(float(ax[i]) for ax, i in zip(axes, index)), checked=defect.size,
     )
-
-
-def refuted_on_subgrid(f: FunctionSpec, s: float, m: float, grid: GridSpec) -> bool:
-    """True when every SUBGRID_STRIDE-th sample of each grid axis already
-    refutes harmonic (s,m)-convexity.
-
-    The sub-axes are slices of the grid's own axes, so each subgrid defect
-    is bit for bit the grid's defect at that point: True implies that
-    check_harmonic_sm(f, s, m, grid) does not hold.  False decides nothing.
-    """
-    _check_grid_args(f, s, m, grid)
-    xs, ys, ts = _grid_axes(grid)
-    k = SUBGRID_STRIDE
-    defect = _defect(f, s, m, xs[::k], ys[::k], ts[::k], harmonic=True)
-    return bool(defect.max() > DEFECT_TOL)
 
 
 def check_harmonic_sm(f: FunctionSpec, s: float, m: float, grid: GridSpec) -> ConvexityReport:
     """Grid verdict for harmonic (s,m)-convexity over grid's interval."""
-    return _verdict(f, s, m, grid, harmonic=True)
+    _check_grid_args(f, s, m, grid)
+    return _report(f, s, m, _grid_axes(grid), harmonic=True)
 
 
 def check_plain_sm(f: FunctionSpec, s: float, m: float, grid: GridSpec) -> ConvexityReport:
     """Grid verdict for plain (s,m)-convexity (combination t*x + m*(1-t)*y)."""
-    return _verdict(f, s, m, grid, harmonic=False)
+    _check_grid_args(f, s, m, grid)
+    return _report(f, s, m, _grid_axes(grid), harmonic=False)
+
+
+def check_harmonic_sm_subgrid_first(
+    f: FunctionSpec, s: float, m: float, grid: GridSpec
+) -> ConvexityReport:
+    """check_harmonic_sm's verdict, tried first on every SUBGRID_STRIDE-th
+    sample of each grid axis.
+
+    The sub-axes are slices of the grid's own axes, so each subgrid defect
+    is bit for bit the grid's defect at that point.  When the subgrid
+    already refutes, its report is returned (holds False, worst defect and
+    witness over the subgrid's points only); otherwise the report is
+    check_harmonic_sm(f, s, m, grid)'s.
+    """
+    _check_grid_args(f, s, m, grid)
+    axes = _grid_axes(grid)
+    coarse = _report(f, s, m, tuple(ax[::SUBGRID_STRIDE] for ax in axes), harmonic=True)
+    return _report(f, s, m, axes, harmonic=True) if coarse.holds else coarse
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ import numbers
 import os
 import random
 import time
+from collections import defaultdict
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
@@ -37,7 +38,6 @@ from .bounds import (
     check_theorem,
     crosscheck_B,
     crosscheck_plan,
-    refuted_coarsely,
 )
 from .convexity import (
     ConvexityReport,
@@ -217,9 +217,13 @@ class Row:
     passed: bool
 
 
+def _summary_entry(key: str) -> property:
+    return property(lambda report: report._summary()[key], doc=f"The summary's {key!r}.")
+
+
 @dataclass
 class RunReport:
-    """Aggregated sweep results."""
+    """Aggregated sweep results; each accessor reads its entry of _summary()."""
 
     config: SweepConfig
     instances: int
@@ -228,56 +232,60 @@ class RunReport:
     errata: list[dict]
     wall_time: float
 
-    @property
-    def identity_total(self) -> int:
-        return sum(1 for r in self.rows if r.check == "identity")
+    def _summary(self) -> dict:
+        """The JSON report's summary, from one pass over the rows and one
+        over the errata.  A row counts towards the first nine characters of
+        its check: "identity", "theorem1@", "theorem2@" or another kind."""
+        tally: dict = defaultdict(lambda: [0, 0, math.inf])  # total, passed, least finite margin
+        for r in self.rows:
+            t = tally[r.check[:9]]
+            t[0] += 1
+            t[1] += bool(r.passed)
+            if r.margin < t[2] and math.isfinite(r.margin):
+                t[2] = r.margin
+        failures = len(self.rows) - sum(t[1] for t in tally.values())
+        expected = sum(1 for e in self.errata if e["expected"])
+        identity = tally["identity"]
+        bounds = {t: tally[f"theorem{t}@"] for t in ("1", "2")}
+        return {
+            "instances": self.instances,
+            "discarded": self.discarded,
+            "identity_pass": identity[1],
+            "identity_total": identity[0],
+            "bound_pass": {t: b[1] for t, b in bounds.items()},
+            "bound_total": {t: b[0] for t, b in bounds.items()},
+            "worst_margin": {t: b[2] if b[2] < math.inf else None for t, b in bounds.items()},
+            "expected_errata": expected,
+            "unexpected_errata": len(self.errata) - expected,
+            "failures": failures,
+            "all_pass": failures == 0,
+        }
 
-    @property
-    def identity_pass(self) -> int:
-        return sum(1 for r in self.rows if r.check == "identity" and r.passed)
+    identity_total = _summary_entry("identity_total")
+    identity_pass = _summary_entry("identity_pass")
+    expected_errata = _summary_entry("expected_errata")
+    unexpected_errata = _summary_entry("unexpected_errata")
+    failures = _summary_entry("failures")
+    all_pass = _summary_entry("all_pass")
 
     def bound_total(self, theorem: int) -> int:
-        prefix = f"theorem{theorem}@"
-        return sum(1 for r in self.rows if r.check.startswith(prefix))
+        return self._summary()["bound_total"][str(theorem)]
 
     def bound_pass(self, theorem: int) -> int:
-        prefix = f"theorem{theorem}@"
-        return sum(1 for r in self.rows if r.check.startswith(prefix) and r.passed)
+        return self._summary()["bound_pass"][str(theorem)]
 
     def worst_margin(self, theorem: int) -> float | None:
-        prefix = f"theorem{theorem}@"
-        margins = [
-            r.margin for r in self.rows
-            if r.check.startswith(prefix) and math.isfinite(r.margin)
-        ]
-        return min(margins) if margins else None
-
-    @property
-    def expected_errata(self) -> int:
-        return sum(1 for e in self.errata if e["expected"])
-
-    @property
-    def unexpected_errata(self) -> int:
-        return sum(1 for e in self.errata if not e["expected"])
-
-    @property
-    def failures(self) -> int:
-        return sum(1 for r in self.rows if not r.passed)
-
-    @property
-    def all_pass(self) -> bool:
-        return self.failures == 0
+        return self._summary()["worst_margin"][str(theorem)]
 
 
 def generate_instances(cfg: SweepConfig) -> tuple[list[Instance], int, list[ConvexityReport]]:
     """Draw and grid-certify instances; returns (instances, discard count,
     each instance's ConvexityReport in instance order).
 
-    Candidates whose |f'|^q fails certification on [a, b/m] (or has no
-    derivative evaluator) are discarded and counted.  A candidate that a
-    subgrid of the certification grid already refutes is discarded without
-    the full grid; the discard set is the same.  Draw order is fixed, so a
-    given seed always yields the same list.
+    Each candidate is certified by one certify_instance call; those whose
+    |f'|^q fails certification on [a, b/m] (or has no derivative
+    evaluator) are discarded and counted.  Draw order is fixed, so a given
+    seed always yields the same list.
     """
     rng = random.Random(cfg.rng_seed)
     families = [parse_function_spec(s) for s in cfg.families]
@@ -302,11 +310,11 @@ def generate_instances(cfg: SweepConfig) -> tuple[list[Instance], int, list[Conv
             lam, mu = fixed_triple
         inst = Instance(a=a, b=b, s=s, m=m, q=q, lambda_=lam, mu_=mu, f=f)
         try:
-            report = None if refuted_coarsely(inst) else certify_instance(inst)
+            report = certify_instance(inst)
         except EvaluationError:
             discarded += 1
             continue
-        if report is not None and report.holds:
+        if report.holds:
             instances.append(inst)
             certificates.append(report)
         else:
@@ -524,19 +532,7 @@ def _report_head(report: RunReport) -> dict:
         "generated_at": datetime.now(timezone.utc).isoformat(),
         "wall_time": report.wall_time,
         "config": report.config.to_dict(),
-        "summary": {
-            "instances": report.instances,
-            "discarded": report.discarded,
-            "identity_pass": report.identity_pass,
-            "identity_total": report.identity_total,
-            "bound_pass": {"1": report.bound_pass(1), "2": report.bound_pass(2)},
-            "bound_total": {"1": report.bound_total(1), "2": report.bound_total(2)},
-            "worst_margin": {"1": report.worst_margin(1), "2": report.worst_margin(2)},
-            "expected_errata": report.expected_errata,
-            "unexpected_errata": report.unexpected_errata,
-            "failures": report.failures,
-            "all_pass": report.all_pass,
-        },
+        "summary": report._summary(),
     }
 
 

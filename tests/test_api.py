@@ -221,6 +221,22 @@ def test_one_module_sets_the_quadrature_accuracy():
     assert callers == {"integrate_de": set(), "QuadSettings": {"quadrature"}}
 
 
+# convexity's grid machinery.  The sweep harness certifies each candidate
+# with one bounds.certify_instance call and reaches none of it directly,
+# so the subgrid prefilter and the grid it stands in front of have one home.
+GRID_NAMES = {
+    "GridSpec", "SUBGRID_STRIDE", "abs_deriv_pow", "check_harmonic_sm",
+    "check_harmonic_sm_subgrid_first", "check_plain_sm", "classify", "harmonic_sm_defect",
+    "_check_grid_args", "_defect", "_grid_axes", "_report",
+}
+
+
+def test_the_sweep_certifies_through_certify_instance_only():
+    path = Path(harmonia.__file__).parent / "harness.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert "certify_instance" in _calls(tree)
+    assert _names_used(tree, "harness") & GRID_NAMES == set()
+
 
 def test_only_the_quadrature_tests_call_the_tanh_sinh_rule():
     # Besides the library (above), no demo and no test but integrate_de's

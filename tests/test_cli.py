@@ -431,6 +431,18 @@ class TestSweep:
         assert rc == 2
         assert "--out" in capsys.readouterr().err
 
+    def test_out_directory_fails_before_the_sweep(self, tmp_path, monkeypatch, capsys):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("run_sweep called although --out is a directory")
+
+        monkeypatch.setattr(cli, "run_sweep", no_sweep)
+        cfg = self.write_config(tmp_path)
+        (tmp_path / "outdir").mkdir()
+        rc = main(["sweep", "--config", str(cfg),
+                   "--out", str(tmp_path / "outdir"), "--format", "csv"])
+        assert rc == 2
+        assert "--out" in capsys.readouterr().err
+
 
 class TestArgparseBehavior:
     def test_missing_subcommand_is_usage_exit(self):

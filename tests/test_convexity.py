@@ -33,7 +33,12 @@ from harmonia import (
     s_power,
     abs_deriv_pow,
 )
-from harmonia.convexity import SUBGRID_STRIDE, _defect, _grid_axes, refuted_on_subgrid
+from harmonia.convexity import (
+    SUBGRID_STRIDE,
+    _defect,
+    _grid_axes,
+    check_harmonic_sm_subgrid_first,
+)
 
 NEG_LINEAR = power(-1.0, 1.0)
 
@@ -119,7 +124,7 @@ class TestDefect:
             with pytest.raises(EvaluationError):
                 check_harmonic_sm(shape, 1.0, 1.0, grid)
             with pytest.raises(EvaluationError):
-                refuted_on_subgrid(shape, 1.0, 1.0, grid)
+                check_harmonic_sm_subgrid_first(shape, 1.0, 1.0, grid)
 
 
 class TestGridSpec:
@@ -192,17 +197,22 @@ class TestSubgrid:
             sub = _defect(shape, s, m, xs[::k], ys[::k], ts[::k], harmonic=True)
             assert sub.shape == (11, 11, 6)
             assert np.array_equal(sub.view(np.int64), full[::k, ::k, ::k].view(np.int64))
-            if refuted_on_subgrid(shape, s, m, grid):
+            report = check_harmonic_sm_subgrid_first(shape, s, m, grid)
+            full_report = check_harmonic_sm(shape, s, m, grid)
+            assert report.holds is full_report.holds
+            if sub.max() > DEFECT_TOL:
                 refuted += 1
-                assert not check_harmonic_sm(shape, s, m, grid).holds
+                assert (report.checked, report.worst_defect) == (sub.size, float(sub.max()))
+            else:
+                assert report == full_report
         assert refuted > 0
 
     def test_subgrid_checks_arguments_like_the_full_grid(self):
         shifted = FunctionSpec(kind="linear", domain_lo=1.0)
         with pytest.raises(DomainError):
-            refuted_on_subgrid(shifted, 1.0, 1.0, GridSpec(lo=1.0, hi=2.0))
+            check_harmonic_sm_subgrid_first(shifted, 1.0, 1.0, GridSpec(lo=1.0, hi=2.0))
         with pytest.raises(ParameterError):
-            refuted_on_subgrid(linear(), 0.0, 1.0, GridSpec())
+            check_harmonic_sm_subgrid_first(linear(), 0.0, 1.0, GridSpec())
 
 
 class TestClassify:

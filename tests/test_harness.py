@@ -292,31 +292,26 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_each_accepted_instance_certified_once(self, monkeypatch, small_report, jobs):
-        # certify_instance runs in the parent only: once per candidate the
-        # subgrid does not refute, never again for the rows.
+        # certify_instance runs in the parent only: once per candidate,
+        # never again for the rows.
         parent = os.getpid()
-        coarse: list[bool] = []
+        candidates: list[Instance] = []
         verdicts: list[bool] = []
-        real_coarse, real_certify = harness.refuted_coarsely, harness.certify_instance
-
-        def counting_coarse(inst):
-            coarse.append(real_coarse(inst))
-            return coarse[-1]
+        real_certify = harness.certify_instance
 
         def counting_certify(inst, *args, **kwargs):
             if os.getpid() != parent:
                 raise AssertionError("a pool worker re-certified an instance")
+            candidates.append(inst)
             report = real_certify(inst, *args, **kwargs)
             verdicts.append(report.holds)
             return report
 
-        monkeypatch.setattr(harness, "refuted_coarsely", counting_coarse)
         monkeypatch.setattr(harness, "certify_instance", counting_certify)
         rep = run_sweep(SMALL, jobs=jobs)
+        assert len(candidates) == rep.instances + rep.discarded
         assert verdicts.count(True) == rep.instances
-        assert len(verdicts) == coarse.count(False)
-        assert len(coarse) == rep.instances + rep.discarded
-        assert coarse.count(True) > 0
+        assert verdicts.count(False) > 0
         assert rep.rows == small_report.rows
         assert rep.errata == small_report.errata
         assert rep.discarded == small_report.discarded
