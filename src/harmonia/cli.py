@@ -215,7 +215,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError(f"--out: {args.out!r} is a directory")
     report = run_sweep(cfg, jobs=args.jobs)
     emit_report(report, args.format, args.out)
-    summary = report._summary()  # one pass over the rows for every count below
+    summary = report._summary
     print(f"instances {summary['instances']}  discarded {summary['discarded']}")
     print(f"identity  {summary['identity_pass']}/{summary['identity_total']}")
     for t in ("1", "2"):

@@ -24,7 +24,7 @@ from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
-from functools import partial
+from functools import cached_property, partial
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from typing import TextIO
@@ -218,12 +218,17 @@ class Row:
 
 
 def _summary_entry(key: str) -> property:
-    return property(lambda report: report._summary()[key], doc=f"The summary's {key!r}.")
+    return property(lambda report: report._summary[key], doc=f"The summary's {key!r}.")
 
 
 @dataclass
 class RunReport:
-    """Aggregated sweep results; each accessor reads its entry of _summary()."""
+    """Aggregated sweep results; each accessor reads its entry of _summary.
+
+    A report is read-only once run_sweep returns it: the summary is built
+    on its first read and kept, so changing rows or errata in place would
+    leave it stale (dataclasses.replace makes a new report).
+    """
 
     config: SweepConfig
     instances: int
@@ -232,6 +237,7 @@ class RunReport:
     errata: list[dict]
     wall_time: float
 
+    @cached_property
     def _summary(self) -> dict:
         """The JSON report's summary, from one pass over the rows and one
         over the errata.  A row counts towards the first nine characters of
@@ -269,33 +275,34 @@ class RunReport:
     all_pass = _summary_entry("all_pass")
 
     def bound_total(self, theorem: int) -> int:
-        return self._summary()["bound_total"][str(theorem)]
+        return self._summary["bound_total"][str(theorem)]
 
     def bound_pass(self, theorem: int) -> int:
-        return self._summary()["bound_pass"][str(theorem)]
+        return self._summary["bound_pass"][str(theorem)]
 
     def worst_margin(self, theorem: int) -> float | None:
-        return self._summary()["worst_margin"][str(theorem)]
+        return self._summary["worst_margin"][str(theorem)]
 
 
-def generate_instances(cfg: SweepConfig) -> tuple[list[Instance], int, list[ConvexityReport]]:
-    """Draw and grid-certify instances; returns (instances, discard count,
-    each instance's ConvexityReport in instance order).
+def _certified(cfg: SweepConfig) -> Iterator[tuple[Instance, ConvexityReport, int]]:
+    """Draw and grid-certify candidates; yields (instance, certificate,
+    discarded) for each certified instance, in draw order.
 
-    Each candidate is certified by one certify_instance call; those whose
-    |f'|^q fails certification on [a, b/m] (or has no derivative
-    evaluator) are discarded and counted.  Draw order is fixed, so a given
-    seed always yields the same list.
+    discarded counts the candidates dropped before that instance, so the
+    last triple carries the sweep's count: the draws stop at the
+    cfg.samples-th instance.  Each candidate is certified by one
+    certify_instance call; one whose |f'|^q fails certification on
+    [a, b/m] (or has no derivative evaluator) is discarded.  When the draws
+    run out first, ConfigError is raised after the last instance found.
     """
     rng = random.Random(cfg.rng_seed)
     families = [parse_function_spec(s) for s in cfg.families]
     fixed_triple = cfg._triple_mode()
-    instances: list[Instance] = []
-    certificates: list[ConvexityReport] = []
+    certified = 0
     discarded = 0
     attempts = 0
     max_attempts = cfg.samples * 50
-    while len(instances) < cfg.samples and attempts < max_attempts:
+    while certified < cfg.samples and attempts < max_attempts:
         attempts += 1
         f = rng.choice(families)
         a = rng.uniform(*cfg.a_range)
@@ -315,21 +322,30 @@ def generate_instances(cfg: SweepConfig) -> tuple[list[Instance], int, list[Conv
             discarded += 1
             continue
         if report.holds:
-            instances.append(inst)
-            certificates.append(report)
+            certified += 1
+            yield inst, report, discarded
         else:
             discarded += 1
-    if not instances:
+    if not certified:
         raise ConfigError(
             "no candidate instance could be certified; the configured families "
             "do not satisfy the convexity hypothesis on the configured ranges"
         )
-    if len(instances) < cfg.samples:
+    if certified < cfg.samples:
         raise ConfigError(
-            f"only {len(instances)} of {cfg.samples} requested instances certified "
+            f"only {certified} of {cfg.samples} requested instances certified "
             f"after {max_attempts} draws; widen the ranges or change families"
         )
-    return instances, discarded, certificates
+
+
+def generate_instances(cfg: SweepConfig) -> tuple[list[Instance], int, list[ConvexityReport]]:
+    """Draw and grid-certify instances; returns (instances, discard count,
+    each instance's ConvexityReport in instance order), as _certified draws
+    and certifies them.  Draw order is fixed, so a given seed always yields
+    the same list.
+    """
+    instances, certificates, discards = zip(*_certified(cfg))
+    return list(instances), discards[-1], list(certificates)
 
 
 _NAN = float("nan")
@@ -350,7 +366,9 @@ def _row(
 def _instance_rows(payload: tuple) -> tuple[list[Row], list[dict]]:
     """Verification matrix for one certified instance (worker-safe).
 
-    Each row runs one (name, call) check: a call that raises gives a failed
+    The payload is (id, instance, certificate): run_sweep's parent has
+    certified the instance, and on the pool path it streams such payloads
+    to the workers in batches, so no worker certifies.  Each row runs one (name, call) check: a call that raises gives a failed
     row, any other takes its pass and margin from the verdict record the call
     returns, whose module holds the rule.  A crosscheck row writes the oracle
     and the closed form as lhs and rhs; an erratum_suspected term also enters
@@ -418,18 +436,35 @@ def run_sweep(cfg: SweepConfig, jobs: int | None = None) -> RunReport:
     ``jobs`` is the number of worker processes, an integer >= 1 or None
     for the machine's core count; it is the only way to set parallelism.
     Parallel and serial execution produce identical reports: work is split
-    per instance and merged back in instance order.
+    per instance and merged back in instance order.  The parent alone
+    certifies.  With more than one job it opens the pool first and submits
+    the certified instances in batches as the draws find them, so the
+    workers evaluate rows while the parent certifies the next candidates;
+    if the draws raise, the queued batches are cancelled.
     """
     jobs = _read_jobs(jobs, "jobs") or os.cpu_count() or 1
     start = time.perf_counter()
-    instances, discarded, certificates = generate_instances(cfg)
-    payloads = [(i, inst, cert) for i, (inst, cert) in enumerate(zip(instances, certificates))]
-    if jobs == 1 or len(payloads) == 1:
-        results = [_instance_rows(p) for p in payloads]
+    if jobs == 1 or cfg.samples == 1:
+        instances, discarded, certificates = generate_instances(cfg)
+        results = [
+            _instance_rows((i, inst, cert))
+            for i, (inst, cert) in enumerate(zip(instances, certificates))
+        ]
     else:
-        chunk = max(1, len(payloads) // (4 * jobs))
+        # About twelve batches per worker: the first reaches the pool early.
+        size = max(1, cfg.samples // (12 * jobs))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_instance_rows, payloads, chunksize=chunk))
+            batches, batch = [], []
+            try:
+                for i, (inst, cert, discarded) in enumerate(_certified(cfg)):
+                    batch.append((i, inst, cert))
+                    if len(batch) == size or i + 1 == cfg.samples:
+                        batches.append(pool.map(_instance_rows, batch, chunksize=size))
+                        batch = []
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
+            results = [result for chunk in batches for result in chunk]
     rows: list[Row] = []
     errata: list[dict] = []
     for r, e in results:
@@ -444,7 +479,7 @@ def run_sweep(cfg: SweepConfig, jobs: int | None = None) -> RunReport:
             failed=len(rows) - finite, total=len(rows),
         )
     return RunReport(
-        config=cfg, instances=len(instances), discarded=discarded,
+        config=cfg, instances=len(results), discarded=discarded,
         rows=rows, errata=errata, wall_time=time.perf_counter() - start,
     )
 
@@ -532,7 +567,7 @@ def _report_head(report: RunReport) -> dict:
         "generated_at": datetime.now(timezone.utc).isoformat(),
         "wall_time": report.wall_time,
         "config": report.config.to_dict(),
-        "summary": report._summary(),
+        "summary": report._summary,
     }
 
 

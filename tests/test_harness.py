@@ -285,10 +285,70 @@ class TestRunSweep:
         assert row.margin == pytest.approx(abs(row.lhs - row.rhs) - 0.5, abs=1e-15)
 
     def test_parallel_equals_serial(self, small_report):
-        parallel = run_sweep(SMALL, jobs=2)
-        assert parallel.rows == small_report.rows
-        assert parallel.errata == small_report.errata
-        assert parallel.discarded == small_report.discarded
+        power = ("power:c=1,p=2",)
+        cases = [
+            (SMALL, small_report, 2),
+            (SMALL, small_report, 3),
+            # fewer instances than workers
+            (SweepConfig(samples=2, rng_seed=7, families=power), None, 3),
+            # batches of two and a last batch of one
+            (SweepConfig(samples=49, rng_seed=7, q_values=(1.0,), families=power), None, 2),
+        ]
+        for cfg, serial, jobs in cases:
+            serial = serial or run_sweep(cfg, jobs=1)
+            parallel = run_sweep(cfg, jobs=jobs)
+            assert parallel.rows == serial.rows
+            assert parallel.errata == serial.errata
+            assert parallel.discarded == serial.discarded
+            assert parallel.instances == serial.instances == cfg.samples
+
+    def test_pool_evaluates_rows_while_the_parent_certifies(self, monkeypatch, small_report):
+        # The first batch reaches the pool before the last candidate is
+        # certified, and only the parent certifies.
+        parent = os.getpid()
+        events: list[str] = []
+        real_certify = harness.certify_instance
+
+        def logging_certify(inst):
+            if os.getpid() != parent:
+                raise AssertionError("a pool worker certified an instance")
+            events.append("certify")
+            return real_certify(inst)
+
+        class LoggingPool(harness.ProcessPoolExecutor):
+            def submit(self, *args, **kwargs):
+                events.append("submit")
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "certify_instance", logging_certify)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", LoggingPool)
+        rep = run_sweep(SMALL, jobs=2)
+        last_certify = len(events) - 1 - events[::-1].index("certify")
+        assert events.index("submit") < last_certify
+        assert events.count("certify") == rep.instances + rep.discarded
+        assert events.count("submit") == SMALL.samples  # batches of one at 6 samples
+        assert rep.rows == small_report.rows
+
+    def test_pool_cancels_queued_batches_when_too_few_certify(self, monkeypatch):
+        # linear certifies only at m = 1, drawn once in sixty: 4 of the 8
+        # instances certify in the 400 draws, each submitted as it comes.
+        cfg = SweepConfig(samples=8, rng_seed=1, families=("linear",),
+                          m_values=(0.25,) * 59 + (1.0,))
+        with pytest.raises(ConfigError) as serial:
+            run_sweep(cfg, jobs=1)
+        shutdowns: list[dict] = []
+
+        class LoggingPool(harness.ProcessPoolExecutor):
+            def shutdown(self, *args, **kwargs):
+                shutdowns.append(kwargs)
+                return super().shutdown(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", LoggingPool)
+        with pytest.raises(ConfigError) as pooled:
+            run_sweep(cfg, jobs=2)
+        assert str(pooled.value) == str(serial.value)
+        assert str(serial.value).startswith("only 4 of 8 requested instances certified")
+        assert shutdowns[0] == {"cancel_futures": True}
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_each_accepted_instance_certified_once(self, monkeypatch, small_report, jobs):
@@ -606,6 +666,23 @@ class TestReports:
         emit_report(small_report, "csv", str(first))
         emit_report(run_sweep(SMALL, jobs=1), "csv", str(second))
         assert first.read_bytes() == second.read_bytes()
+
+    def test_accessors_and_json_report_walk_the_rows_once(self, small_report, tmp_path):
+        class CountedRows(list):
+            walks = 0
+
+            def __iter__(self):
+                self.walks += 1
+                return super().__iter__()
+
+        report = replace(small_report, rows=CountedRows(small_report.rows))
+        for name in ("identity_total", "identity_pass", "expected_errata",
+                     "unexpected_errata", "failures", "all_pass"):
+            getattr(report, name)
+        for theorem in (1, 2):
+            report.bound_total(theorem), report.bound_pass(theorem), report.worst_margin(theorem)
+        emit_report(report, "json", str(tmp_path / "report.json"))
+        assert report.rows.walks == 1
 
     def test_emit_rejects_unknown_format(self, small_report, tmp_path):
         with pytest.raises(ConfigError):
