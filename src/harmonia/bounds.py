@@ -470,10 +470,19 @@ def corrected_B(index: int, inst: Instance) -> float:
 
     For cases whose printed form already passes the oracle this returns the
     printed value; for flagged cases it returns the corrected conjecture.
-    Every branch is locked to the defining-integral oracle by tests.
+    Every branch is locked to the defining-integral oracle by tests.  When
+    the terms cancel so far that _evaluate's error bound exceeds
+    CROSSCHECK_TOL * |value| (crosscheck_B's rule for a closed form), the
+    value says nothing and AccuracyError is raised, carrying value and bound.
     """
     key = _case_key(index, inst)
-    return _evaluate(index, PATCHES.get(key, PRINTED[key]), inst)[0]
+    value, bound = _evaluate(index, PATCHES.get(key, PRINTED[key]), inst)
+    if bound > CROSSCHECK_TOL * abs(value):
+        raise AccuracyError(
+            f"corrected B{index} ({key[1]}) bound {bound:.3e} exceeds "
+            f"{CROSSCHECK_TOL:.1e} of its value {value:.3e}", value=value, bound=bound,
+        )
+    return value
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ and seed).
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import numbers
@@ -24,7 +25,8 @@ from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
+from itertools import groupby, islice
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from typing import TextIO
@@ -486,6 +488,7 @@ def run_sweep(cfg: SweepConfig, jobs: int | None = None) -> RunReport:
 
 _g17 = "{:.17g}".format
 _flag = ("false", "true").__getitem__  # CSV and JSON text of a bool
+_json_int = int.__repr__
 
 
 def _finite_or_null(x: float) -> float | None:
@@ -504,47 +507,130 @@ def _json_float_or_null(x: float) -> str:
     return float.__repr__(x) if math.isfinite(x) else "null"
 
 
-# Report column -> (Row field, CSV cell, JSON value, JSON text); None writes
-# the field as it is.  Both reports write these columns; the CSV in this
-# order, the JSON with its keys sorted.
+# Report column -> (Row field, CSV cell, JSON value, JSON text).  A format
+# names a function of this module, looked up each time a report is written
+# (so a formatter replaced at run time, say to count its calls, is used);
+# None writes the field as it is.  Both reports write these columns; the
+# CSV in this order, the JSON with its keys sorted.
 _COLUMNS = {
-    "instance_id": ("instance_id", None, None, int.__repr__),
-    "family": ("family", None, None, encode_basestring_ascii),
-    "a": ("a", _g17, None, _json_float),
-    "b": ("b", _g17, None, _json_float),
-    "s": ("s", _g17, None, _json_float),
-    "m": ("m", _g17, None, _json_float),
-    "q": ("q", _g17, None, _json_float),
-    "lambda": ("lambda_", _g17, None, _json_float),
-    "mu": ("mu_", _g17, None, _json_float),
-    "check": ("check", None, None, encode_basestring_ascii),
-    "lhs": ("lhs", _g17, _finite_or_null, _json_float_or_null),
-    "rhs": ("rhs", _g17, _finite_or_null, _json_float_or_null),
-    "margin": ("margin", _g17, _finite_or_null, _json_float_or_null),
-    "pass": ("passed", _flag, None, _flag),
+    "instance_id": ("instance_id", None, None, "_json_int"),
+    "family": ("family", None, None, "encode_basestring_ascii"),
+    "a": ("a", "_g17", None, "_json_float"),
+    "b": ("b", "_g17", None, "_json_float"),
+    "s": ("s", "_g17", None, "_json_float"),
+    "m": ("m", "_g17", None, "_json_float"),
+    "q": ("q", "_g17", None, "_json_float"),
+    "lambda": ("lambda_", "_g17", None, "_json_float"),
+    "mu": ("mu_", "_g17", None, "_json_float"),
+    "check": ("check", None, None, "encode_basestring_ascii"),
+    "lhs": ("lhs", "_g17", "_finite_or_null", "_json_float_or_null"),
+    "rhs": ("rhs", "_g17", "_finite_or_null", "_json_float_or_null"),
+    "margin": ("margin", "_g17", "_finite_or_null", "_json_float_or_null"),
+    "pass": ("passed", "_flag", None, "_flag"),
 }
 CSV_COLUMNS = tuple(_COLUMNS)
-_FIELDS, _CSV_CELLS, _JSON_VALUES = zip(*(column[:3] for column in _COLUMNS.values()))
+_FIELDS, _CSV_CELLS, _JSON_VALUES, _JSON_TEXTS = zip(*_COLUMNS.values())
+# The columns _row copies from the instance: all rows of one instance
+# repeat them, so the writers format them once per run of such rows.
+_RUN_COLUMNS = CSV_COLUMNS[:CSV_COLUMNS.index("check")]
+_RUN_FIELDS = _FIELDS[:len(_RUN_COLUMNS)]
+# A row's run key: its instance cells, then their classes (1 == 1.0 == True).
+_run_key = attrgetter(*_RUN_FIELDS, *(f"{name}.__class__" for name in _RUN_FIELDS))
 # json.dump(sort_keys=True) writes the keys of a row sorted.
 _JSON_KEYS = sorted(_COLUMNS)
-_JSON_FIELDS = tuple(_COLUMNS[key][0] for key in _JSON_KEYS)
-_JSON_TEXTS = tuple(_COLUMNS[key][3] for key in _JSON_KEYS)
 # One JSON row, as json.dump(indent=2, sort_keys=True) writes an object in
 # the report's "rows" list; its cells come in _JSON_KEYS order.
 _JSON_ROW = "    {\n%s\n    }" % ",\n".join(
     f"      {encode_basestring_ascii(key)}: %s" for key in _JSON_KEYS
 )
-_JSON_CHUNK = 512  # list items formatted and written at a time
+_CHUNK = 128  # report rows (and errata) read, formatted and written at a time
 
 
-def _table(rows: list[Row], names: tuple, formats: tuple) -> Iterator[tuple]:
-    """Each row's formatted fields as a tuple, formatted a column at a time."""
+def _formats(formats) -> list:
+    """Each format as a function: a name is looked up in this module now."""
+    return [globals()[f] if isinstance(f, str) else f for f in formats]
+
+
+def _table(rows: list[Row], names: tuple, formats) -> Iterator[tuple]:
+    """Each row's formatted fields as a tuple, formatted a column at a time.
+    A format is a function, the name of one in this module, or None."""
     columns = (map(attrgetter(name), rows) for name in names)
-    return zip(*(col if fmt is None else map(fmt, col) for col, fmt in zip(columns, formats)))
+    return zip(*(col if fmt is None else map(fmt, col)
+                 for col, fmt in zip(columns, _formats(formats))))
 
 
-def _json_rows(rows: list[Row]) -> str:
-    return ",\n".join(map(_JSON_ROW.__mod__, _table(rows, _JSON_FIELDS, _JSON_TEXTS)))
+def _shared(key: tuple) -> bool:
+    """Whether rows with this run key print the same instance cells: equal
+    ints, strings and nonzero floats do; 0.0 == -0.0 and other classes
+    (Decimal("1") == Decimal("1.0")) may not."""
+    n = len(_RUN_FIELDS)
+    return all(c is int or c is str or (c is float and x != 0.0)
+               for x, c in zip(key[:n], key[n:]))
+
+
+def _runs(rows: list[Row]) -> Iterator[tuple[tuple | None, list[Row]]]:
+    """The rows as (run key, run): runs of consecutive rows with equal run
+    keys that _shared passes, read _CHUNK rows at a time.  A row whose
+    key fails _shared is a run of its own, with key None."""
+    for start in range(0, len(rows), _CHUNK):
+        for key, run in groupby(rows[start:start + _CHUNK], _run_key):
+            if _shared(key):
+                yield key, list(run)
+            else:
+                yield from ((None, [row]) for row in run)
+
+
+def _texts(rows: list[Row], template, columns: tuple, formats: list) -> Iterator[str]:
+    """Each row's text: its run's template(instance cells), made once per
+    run (a run cut by a chunk's end keeps it), with its %s slots filled by
+    the row's own cells, columns formatted a column at a time by formats."""
+    fields = [_COLUMNS[column][0] for column in columns]
+    last = text = None
+    for key, run in _runs(rows):
+        if key is None or key != last:
+            text = template((key or _run_key(run[0]))[:len(_RUN_FIELDS)])
+        last = key
+        yield from map(text.__mod__, _table(run, fields, formats))
+
+
+def _escaped(cell):
+    """cell with each % doubled, to stand in a %-template."""
+    return cell.replace("%", "%%") if isinstance(cell, str) else cell
+
+
+def _csv_line(cells) -> str:
+    """One line of cells as the CSV report's csv.writer quotes them."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow(cells)
+    return out.getvalue()
+
+
+def _csv_lines(rows: list[Row]) -> Iterator[str]:
+    """The CSV lines of rows.  A run's line template is csv.writer's line of
+    its instance cells and a %s slot for each other cell; the numbers and
+    flags need no quoting, and each distinct check is quoted once."""
+    cells = dict(zip(CSV_COLUMNS, _formats(_CSV_CELLS)))
+    own = CSV_COLUMNS[len(_RUN_COLUMNS):]
+
+    def template(values: tuple) -> str:
+        texts = (v if cells[c] is None else cells[c](v) for c, v in zip(_RUN_COLUMNS, values))
+        return _csv_line([*map(_escaped, texts), *["%s"] * len(own)])
+
+    quoted = cache(lambda check: _csv_line(("", check))[1:-1])  # "" keeps an empty check bare
+    return _texts(rows, template, own, [quoted if c == "check" else cells[c] for c in own])
+
+
+def _json_rows(rows: list[Row]) -> Iterator[str]:
+    """The JSON texts of rows: _JSON_ROW with a run's instance slots filled
+    once, and each distinct check encoded once."""
+    texts = dict(zip(CSV_COLUMNS, _formats(_JSON_TEXTS)))
+    own = tuple(key for key in _JSON_KEYS if key not in _RUN_COLUMNS)
+
+    def template(values: tuple) -> str:
+        filled = {c: _escaped(texts[c](v)) for c, v in zip(_RUN_COLUMNS, values)}
+        return _JSON_ROW % tuple(filled.get(key, "%s") for key in _JSON_KEYS)
+
+    return _texts(rows, template, own, [cache(texts[c]) if c == "check" else texts[c] for c in own])
 
 
 # json's own encoder, with each item of an object on a line of its own at
@@ -554,10 +640,21 @@ _json_items = json.JSONEncoder(
 ).encode
 
 
-def _json_errata(errata: list[dict]) -> str:
-    """The errata as json.dump(indent=2, sort_keys=True) writes them in the
+def _json_erratum(entry: dict) -> str:
+    """An erratum as json.dump(indent=2, sort_keys=True) writes it in the
     report, for flat objects such as _instance_rows makes."""
-    return ",\n".join("    {\n      %s\n    }" % _json_items(entry)[1:-1] for entry in errata)
+    return "    {\n      %s\n    }" % _json_items(entry)[1:-1]
+
+
+def _write_chunks(fh: TextIO, texts: Iterator[str], separator: str) -> None:
+    """Write texts, none of them empty, with separator between them,
+    _CHUNK at a time: at most one chunk is held at once."""
+    lead = ""
+    while chunk := separator.join(islice(texts, _CHUNK)):
+        fh.write(lead)
+        fh.write(chunk)
+        del chunk
+        lead = separator
 
 
 def _report_head(report: RunReport) -> dict:
@@ -584,24 +681,20 @@ def report_to_dict(report: RunReport) -> dict:
 
 def _write_json(report: RunReport, fh: TextIO) -> None:
     """Write the head through json.dumps and splice the two long lists into
-    it at their keys (only a top-level key is indented by two spaces), each
-    formatted and written _JSON_CHUNK items at a time."""
+    it at their keys (only a top-level key is indented by two spaces)."""
     head = json.dumps(
         {**_report_head(report), "errata": [], "rows": []},
         indent=2, sort_keys=True, allow_nan=False,
     )
-    for key, items, encode in (("errata", report.errata, _json_errata),
-                               ("rows", report.rows, _json_rows)):
+    for key, items, texts in (("errata", report.errata, map(_json_erratum, report.errata)),
+                              ("rows", report.rows, _json_rows(report.rows))):
         before, mark, head = head.partition(f'\n  "{key}": []')
         fh.write(before)
         if not items:
             fh.write(mark)
             continue
         fh.write(mark[:-1] + "\n")
-        for start in range(0, len(items), _JSON_CHUNK):
-            if start:
-                fh.write(",\n")
-            fh.write(encode(items[start:start + _JSON_CHUNK]))
+        _write_chunks(fh, texts, ",\n")
         fh.write("\n  ]")
     fh.write(head + "\n")
 
@@ -613,8 +706,21 @@ def emit_report(report: RunReport, format: str, destination: str) -> None:
     fh, indent=2, sort_keys=True, allow_nan=False)`` followed by "\\n"
     writes, without building the row dicts: a non-finite lhs, rhs or
     margin is null, and one in any other float column raises ValueError.
-    The CSV is deterministic for a fixed config and seed; the JSON also
-    carries generated_at and wall_time.
+    The CSV file holds the bytes that ``csv.writer(fh, lineterminator="\\n")``
+    writes for the header and each row's CSV cells.  The CSV is
+    deterministic for a fixed config and seed; the JSON also carries
+    generated_at and wall_time.
+
+    Both writers take the rows in runs of consecutive rows whose instance
+    cells (instance_id through mu) are equal, as all rows of one instance
+    are, pickled or not.  A run's cells are formatted once, into a CSV line
+    template made by csv.writer or a _JSON_ROW with those nine slots
+    filled; each row fills in only its check, lhs, rhs, margin and pass,
+    and each distinct check is quoted or encoded once.  A run breaks where
+    the next row's cells differ in value or in class (1 == 1.0 == True),
+    and a row whose cells hold a float zero (0.0 == -0.0) or a value other
+    than an int, a str or a float is a run of its own.  Both files are
+    written _CHUNK rows at a time.
     """
     if format == "json":
         with open(destination, "w", encoding="utf-8", newline="\n") as fh:
@@ -622,8 +728,7 @@ def emit_report(report: RunReport, format: str, destination: str) -> None:
         return
     if format == "csv":
         with open(destination, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(CSV_COLUMNS)
-            writer.writerows(_table(report.rows, _FIELDS, _CSV_CELLS))
+            fh.write(_csv_line(CSV_COLUMNS))
+            _write_chunks(fh, _csv_lines(report.rows), "")
         return
     raise ConfigError(f"format must be 'json' or 'csv', got {format!r}")

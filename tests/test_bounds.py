@@ -426,6 +426,18 @@ class TestAdjudication:
                 f"B{index} {case}: corrected {corrected} oracle {oracle}"
             )
 
+    @pytest.mark.parametrize("index", [5, 11])
+    def test_corrected_form_raises_where_its_terms_cancel(self, index):
+        # At q = 8 and b/a = 101 the oracle is about 1e-13, while the
+        # corrected sum is left with rounding noise of about 3e-3 (B5 returned
+        # -5.3e-3, B11 2.7e-3): its own bound is hundreds of times the value.
+        inst = make(a=0.1, b=10.1, s=0.5, q=8.0, lam=0.75, mu=0.25)
+        with pytest.raises(AccuracyError) as info:
+            corrected_B(index, inst)
+        value, bound = info.value.values["value"], info.value.values["bound"]
+        assert bound > 100 * abs(value) > 0.0
+        assert abs(kernel_oracle(KIND_FOR_INDEX[index], inst)) < 1e-12
+
     def test_flag_set_is_seed_stable(self):
         for seed in (101, 202):
             rng = random.Random(seed)

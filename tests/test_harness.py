@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import os
 from collections import Counter
 from dataclasses import fields, replace
 from datetime import datetime
+from decimal import Decimal
+from itertools import groupby
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from harmonia import (
     AccuracyError,
@@ -731,3 +737,150 @@ class TestJsonBytes:
             json.dumps(report_to_dict(report), indent=2, sort_keys=True, allow_nan=False)
         with pytest.raises(ValueError):
             emit_report(report, "json", str(tmp_path / "report.json"))
+
+
+class _FixedClock(datetime):
+    @classmethod
+    def now(cls, tz=None):
+        return datetime(2026, 1, 2, 3, 4, 5, tzinfo=tz)
+
+
+# Pools for the instance cells: a zero in a, lambda and mu, quoting and
+# %-template hazards in the family, and equal values under other ids.
+_RUN_CELLS = {
+    "instance_id": st.sampled_from([0, 1, -1]),
+    "family": st.sampled_from(["linear", 'f,"%s"', "caf\u00e9\n%", ""]),
+    "a": st.sampled_from([0.5, 1e-300, 0.0]),
+    "b": st.sampled_from([2.0, 3.0]),
+    "q": st.sampled_from([1.0, 0.1 + 0.2]),
+    "lambda_": st.sampled_from([1.0, 0.75, 0.0]),
+    "mu_": st.sampled_from([2.5e10, 0.25, 0.0]),
+}
+_CELL_FLOATS = st.sampled_from([1.25, 0.0, -0.0, -3e-5, math.nan, math.inf, -math.inf])
+_OWN_CELLS = st.tuples(
+    st.text(alphabet=list('ab,"%\n\r \u00e9\u03bb'), max_size=5),
+    _CELL_FLOATS, _CELL_FLOATS, _CELL_FLOATS, st.booleans(),
+)
+
+
+@st.composite
+def _reports(draw) -> RunReport:
+    """Runs of rows.  Each instance changes one cell of the one before:
+    it redraws it or negates a, lambda or mu.  So equal cells under two ids,
+    two instances under one id and zeros that differ only in sign follow
+    each other often.  Now and then one row holds a non-finite instance
+    float."""
+    own = draw(st.lists(_OWN_CELLS, min_size=1, max_size=4))
+    cells = {name: draw(pool) for name, pool in _RUN_CELLS.items()}
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        name = draw(st.sampled_from(sorted(_RUN_CELLS)))
+        if name in ("a", "lambda_", "mu_") and draw(st.booleans()):
+            cells[name] = -cells[name]
+        else:
+            cells[name] = draw(_RUN_CELLS[name])
+        for i in range(draw(st.sampled_from([1, 2, 21]))):
+            check, lhs, rhs, margin, passed = own[i % len(own)]
+            rows.append(Row(**cells, s=0.5, m=1.0, check=check, lhs=lhs, rhs=rhs,
+                            margin=margin, passed=passed))
+    poison = draw(st.sampled_from([None] * 5 + [math.nan, math.inf, -math.inf]))
+    if rows and poison is not None:
+        i = draw(st.integers(0, len(rows) - 1))
+        rows[i] = replace(rows[i], **{draw(st.sampled_from(["a", "q", "mu_"])): poison})
+    return RunReport(config=SMALL, instances=0, discarded=0, rows=rows, errata=[], wall_time=0.0)
+
+
+def _csv_reference(report: RunReport) -> str:
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows(harness._table(report.rows, harness._FIELDS, harness._CSV_CELLS))
+    return out.getvalue()
+
+
+def _instance_floats(row: Row) -> tuple:
+    return row.a, row.b, row.s, row.m, row.q, row.lambda_, row.mu_
+
+
+class TestReportRuns:
+    """emit_report formats the instance cells once per run of rows and still
+    writes the bytes of its reference definitions."""
+
+    @staticmethod
+    def assert_reference_bytes(report: RunReport, tmp_path) -> None:
+        csv_path, json_path = tmp_path / "r.csv", tmp_path / "r.json"
+        emit_report(report, "csv", str(csv_path))
+        assert csv_path.read_bytes().decode("utf-8") == _csv_reference(report)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(harness, "datetime", _FixedClock)
+            if all(math.isfinite(x) for row in report.rows for x in _instance_floats(row)):
+                expected = json.dumps(
+                    report_to_dict(report), indent=2, sort_keys=True, allow_nan=False
+                ) + "\n"
+                emit_report(report, "json", str(json_path))
+                assert json_path.read_text(encoding="utf-8") == expected
+            else:
+                with pytest.raises(ValueError):
+                    emit_report(report, "json", str(json_path))
+
+    # Rows are read and written _CHUNK at a time.  Runs cross a drawn
+    # chunk size here, so examples stay small enough to shrink quickly;
+    # test_edge_runs_match_their_references crosses the module's own chunk.
+    @given(report=_reports(), chunk=st.sampled_from([harness._CHUNK, 5, 16, 1]))
+    def test_writers_match_their_references(self, report, chunk, tmp_path_factory):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(harness, "_CHUNK", chunk)
+            self.assert_reference_bytes(report, tmp_path_factory.mktemp("runs"))
+
+    def test_edge_runs_match_their_references(self, tmp_path):
+        base = _one_row_report(lhs=1.0, rhs=-0.0, margin=math.inf, passed=True).rows[0]
+        signs = (0.0, 0.0, -0.0, -0.0, 0.0)
+        rows = [
+            *(replace(base, a=x) for x in signs),
+            *(replace(base, lambda_=x) for x in signs),
+            *(replace(base, mu_=x) for x in signs),
+            replace(base, instance_id=1), replace(base, instance_id=2),
+            replace(base, instance_id=2, b=3.0),
+            *(replace(base, instance_id=3, family='f,"%s"\n\u00e9',
+                      check=f'c{i % 3},%d"\n\u03bb', lhs=float(i)) for i in range(600)),
+        ]
+        report = replace(_one_row_report(), rows=rows)
+        assert 18 < harness._CHUNK < len(rows)  # the 600-row run crosses a chunk end
+        self.assert_reference_bytes(report, tmp_path)
+        self.assert_reference_bytes(replace(report, rows=[]), tmp_path)
+
+    def test_csv_run_breaks_between_equal_cells_of_other_classes(self, tmp_path):
+        base = _one_row_report(instance_id=1, lhs=1.0, rhs=2.0, margin=1.0, passed=True).rows[0]
+        rows = [
+            base, replace(base, instance_id=True), base,
+            replace(base, a=Decimal("1.0")), replace(base, a=Decimal("1.00")),
+        ]
+        assert len({harness._run_key(row)[:9] for row in rows}) == 1  # all equal as values
+        report = replace(_one_row_report(), rows=rows)
+        emit_report(report, "csv", str(tmp_path / "r.csv"))
+        assert (tmp_path / "r.csv").read_bytes().decode("utf-8") == _csv_reference(report)
+        with pytest.raises(TypeError):  # float.__repr__ of a Decimal, as per row
+            emit_report(report, "json", str(tmp_path / "r.json"))
+
+    def test_instance_cells_formatted_once_per_run(self, monkeypatch, small_report, tmp_path):
+        calls = Counter()
+
+        def counting(name):
+            fmt = getattr(harness, name)
+
+            def counted(x):
+                calls[name] += 1
+                return fmt(x)
+
+            return counted
+
+        for name in ("_g17", "_json_float", "_json_float_or_null"):
+            monkeypatch.setattr(harness, name, counting(name))
+        rows = len(small_report.rows)
+        runs = len(list(groupby(row.instance_id for row in small_report.rows)))
+        assert runs == small_report.instances + 1  # the lock row is a run of its own
+        emit_report(small_report, "csv", str(tmp_path / "r.csv"))
+        assert calls == Counter(_g17=7 * runs + 3 * rows)
+        calls.clear()
+        emit_report(small_report, "json", str(tmp_path / "r.json"))
+        assert calls == Counter(_json_float=7 * runs, _json_float_or_null=3 * rows)
