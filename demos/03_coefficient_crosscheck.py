@@ -5,10 +5,10 @@ elementary four (B1, B4, B7, B10) have simple polynomial closed forms; the
 other eight are Beta/2F1 combinations whose circulated closed forms are
 wrong in specific piecewise cases.  Each case is adjudicated against a
 Gauss-Jacobi oracle of the defining integral; the locked erratum set and the
-hand-derived corrections both live in the library.  Every 2F1 in a closed
-form carries an error bound (its Gauss series, or near z = 1 a connection
-formula), so a closed form whose terms cancel is reported as
-ill_conditioned, not as a misprint.
+corrected forms, derived from each defining integral, both live in the
+library.  Every 2F1 in a closed form carries an error bound (its Gauss
+series, or near z = 1 a connection formula), so a closed form whose terms
+cancel is reported as ill_conditioned, not as a misprint.
 
 Run:  python3 demos/03_coefficient_crosscheck.py
 """

@@ -16,10 +16,10 @@ the closed forms printed in the source tables (Beta and Gauss 2F1
 expressions, piecewise in mu or lam).  Several printed cases are misprinted;
 ``crosscheck_B`` compares the paths and flags disagreements as errata
 instead of silently patching, ``EXPECTED_COEFFICIENT_ERRATA`` freezes the
-adjudicated flag set, and ``corrected_B`` evaluates the hand-derived corrected
-forms (each one oracle-backed by tests).  Both closed-form paths read one term
-table: ``PRINTED`` holds the printed forms, ``PATCHES`` the corrections.  The
-theorem right-hand sides read the oracles only.
+adjudicated flag set, and ``corrected_B`` evaluates corrected forms derived
+from ``KIND_FOR_INDEX`` (each one oracle-backed by tests).  It and the
+printed forms, ``PRINTED``, share one evaluator; the theorem right-hand
+sides read the oracles only.
 
 Every 2F1 in a closed form comes with its error bound from
 ``specfun._hyp2f1_bounded`` (the Gauss series, or at arguments of 0.9 and
@@ -45,7 +45,9 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import pairwise
 
 import numpy as np
 
@@ -273,17 +275,9 @@ def b7_b10(mu_: float, lambda_: float, p: float) -> tuple[float, float]:
 def case_label(index: int, inst: Instance) -> str:
     """Piecewise-case selector; selection is by exact float equality."""
     if index in (2, 3):
-        if inst.mu_ == 0.0:
-            return "mu=0"
-        if inst.mu_ == 0.5:
-            return "mu=1/2"
-        return "interior"
+        return {0.0: "mu=0", 0.5: "mu=1/2"}.get(inst.mu_, "interior")
     if index in (5, 6):
-        if inst.lambda_ == 0.5:
-            return "lambda=1/2"
-        if inst.lambda_ == 1.0:
-            return "lambda=1"
-        return "interior"
+        return {0.5: "lambda=1/2", 1.0: "lambda=1"}.get(inst.lambda_, "interior")
     if index in (1, 4, 7, 8, 9, 10, 11, 12):
         return "all"
     raise ParameterError(f"coefficient index must be 1..12, got {index!r}")
@@ -339,97 +333,43 @@ PRINTED: dict[tuple[int, str], tuple[tuple, ...]] = {
     (12, "all"): ((+1, None, 0, "s+1", "2", "2^(s+1)b^2q", "s+1", "s+3", "w"),),
 }
 
-# The hand-derived corrected forms, one entry per row of the ERRATA.md summary.
-# Printed terms that a correction keeps are taken from PRINTED.
-PATCHES: dict[tuple[int, str], tuple[tuple, ...]] = {
-    (2, "interior"): (PRINTED[2, "interior"][0],
-                      (-1, "x", 1, "1", "s+1", "(a+b)^2q", "1", "s+2", "z"),
-                      PRINTED[2, "interior"][2]),
-    (3, "mu=0"): ((+1, None, 0, "s+1", "2", "b^2q", "s+1", "s+3", "zeta"),
-                  (-1, None, 0, "s+1", "1", "2^(s+1)b^2q", "s+1", "s+2", "w"),
-                  (+1, None, 0, "s+2", "1", "2^(s+2)b^2q", "s+2", "s+3", "w")),
-    (3, "mu=1/2"): ((+1, None, 0, "s+2", "1", "b^2q", "s+2", "s+3", "zeta"),
-                    (-1, "1/2", 0, "s+1", "1", "b^2q", "s+1", "s+2", "zeta"),
-                    (-1, None, 0, "s+2", "1", "2^(s+2)b^2q", "s+2", "s+3", "w"),
-                    (+1, None, 0, "s+1", "1", "2^(s+2)b^2q", "s+1", "s+2", "w")),
-    (3, "interior"): (*PRINTED[3, "interior"][:3],
-                      (+1, "x-1", 0, "s+1", "1", "2^(s+1)b^2q", "s+1", "s+2", "w"),
-                      (+1, None, 0, "s+2", "1", "2^(s+2)b^2q", "s+2", "s+3", "w")),
-    (5, "lambda=1"): ((+1, None, 0, "2", "s+1", "b^2q", "2", "s+3", "zeta"),
-                      (-1, None, 1, "1", "s+1", "(a+b)^2q", "1", "s+2", "z"),
-                      (+1, None, 2, "1", "s+2", "(a+b)^2q", "1", "s+3", "z")),
-    (5, "interior"): (PRINTED[5, "interior"][0],
-                      (-1, "x", 1, "1", "s+1", "(a+b)^2q", "1", "s+2", "z"),
-                      *PRINTED[5, "interior"][2:]),
-    (6, "interior"): ((+1, "x-1", 0, "s+1", "1", "2^(s+1)b^2q", "s+1", "s+2", "w"),
-                      (+1, None, 0, "s+2", "1", "2^(s+2)b^2q", "s+2", "s+3", "w"),
-                      PRINTED[6, "interior"][2]),
-    (6, "lambda=1/2"): ((+1, None, 0, "s+1", "2", "2^(s+2)b^2q", "s+1", "s+3", "w"),),
-    (8, "all"): ((+1, None, 1, "1", "s+1", "(a+b)^2q", "1", "s+2", "z"),),
-    (9, "all"): (PRINTED[9, "all"][0],
-                 (-1, None, 0, "s+1", "1", "2^(s+1)b^2q", "s+1", "s+2", "w")),
-    (12, "all"): ((+1, None, 0, "s+1", "1", "2^(s+1)b^2q", "s+1", "s+2", "w"),),
-}
-
-
 # How far _evaluate's 2F1 arguments may be from the exact ones, in units of
 # the unit roundoff u: each of s+1, s+2, s+3 is one rounding (relative), and
-# each of z, zeta, w, (1-x)zeta and 1-a/A_x is formed with at most 4u
-# (absolute, all lie in [0, 1)).
+# each argument, in [0, 1), is formed with at most 5u (absolute).
 _ARG_ERR = 8.0 * _U
-# The worst relative error of beta() on the 7 Beta argument pairs of the term tables
+# The worst relative error of beta() on the 6 Beta argument pairs of PRINTED
 # is 4.1e-15 (37u), at B(s+1, s+3), against 40-digit mpmath over s in (0, 1].
 _BETA_ERR = 128.0 * _U
 
 
 def _evaluate(
-    index: int, terms: tuple[tuple, ...], inst: Instance, memo: dict | None = None
+    index: int, terms: Iterable[tuple], form_err: float, memo: dict | None = None
 ) -> tuple[float, float]:
-    """(value, bound): the terms summed left to right, each as
-    ((coef * 2^top) * B) / den * F, and an absolute error bound of the sum.
+    """(value, bound): terms (coef, den, (2q, beta, gamma, argument)) summed
+    left to right, each as coef / den * F, and an absolute error bound of the sum.
 
     The bound is sum_i |term_i| (F_i's relative bound + form_err), the 2F1
     bound taken from _hyp2f1_bounded with arguments off by _ARG_ERR.
-    form_err covers, to first order in u, the term's other factors: the
-    Beta (_BETA_ERR); the four products and the running sum of up to five
-    terms (8u); and the powers, which carry their base's and exponent's
-    rounding times the exponent: the denominator at most (4q + 2)u,
-    2^(2q-s-top) at most (1.4q + 4)u, and 2x^(s+2) or 2(1-x)^(s+2) at most
-    14u while x or 1 - x is above e^-8 (below that the term is negligible
-    in the sum).  In all, (28 + 5.4q)u <= (32 + 6q)u.
+    form_err covers, to first order in u, the term's other factors.  For
+    PRINTED it is _BETA_ERR + (32 + 6q)u: the Beta, the four products and the
+    sum of up to five terms (8u), and powers off by their base's and
+    exponent's rounding times the exponent: the denominator at most
+    (4q + 2)u, 2^(2q-s-top) (1.4q + 4)u, 2x^(s+2) or 2(1-x)^(s+2) 14u while
+    x or 1 - x is above e^-8 (below that the term is negligible).  For the
+    derived terms it is (22 + 6q)u, pow() charged 2u: the coefficient 11u
+    (y^(alpha+1) is y**s * y [* y], no exponent rounded), b^2q 2u or A_x^2q
+    (6q + 2)u, the two products 2u and the sum of up to eight terms 7u.
     ``memo`` computes each distinct F(2q, beta; gamma; argument) once.  An
     overflow, a division by zero, a 2F1 argument that rounds out of [0, 1)
     (1 - a/b is 1.0 once b/a exceeds about 1e16) or a value or bound that is
-    not finite raises EvaluationError.
+    not finite raises EvaluationError; terms are read inside that guard.
     """
     try:
-        a, b, s, q = inst.a, inst.b, inst.s, inst.q
-        x = inst.mu_ if KIND_FOR_INDEX[index].side == "left" else inst.lambda_
-        A_x = x * b + (1.0 - x) * a
-        zeta = 1.0 - a / b
-        b2q = b ** (2.0 * q)
-        v = {
-            "1": 1.0, "2": 2.0, "s+1": s + 1, "s+2": s + 2, "s+3": s + 3,
-            "x": x, "2x": 2.0 * x, "x-1": x - 1.0, "1/2": 0.5,
-            "2x^(s+2)": 2.0 * x ** (s + 2), "2(1-x)^(s+2)": 2.0 * (1.0 - x) ** (s + 2),
-            "b^2q": b2q, "2b^2q": 2.0 * b2q,
-            "2^(s+1)b^2q": 2.0 ** (s + 1) * b2q, "2^(s+2)b^2q": 2.0 ** (s + 2) * b2q,
-            "(a+b)^2q": (a + b) ** (2.0 * q), "A_x^2q": A_x ** (2 * q),
-            "z": 1.0 - 2.0 * a / (a + b), "zeta": zeta, "w": 1.0 - (a + b) / (2.0 * b),
-            "(1-x)zeta": (1.0 - x) * zeta, "1-a/A_x": 1.0 - a / A_x,
-        }
-        form_err = _BETA_ERR + (32.0 + 6.0 * q) * _U
-        total = 0.0
-        bound = 0.0
-        for sign, coef, top, bx, by, den, fb, fg, arg in terms:
-            # 2^(2q-s-top) is formed only where a term has it: it can overflow
-            # at large q where the b^2q forms still evaluate.
-            c = v[coef] if coef else 1.0
-            t = 2.0 ** (2 * q - s - top) if top else 1.0
-            f_args = (2 * q, v[fb], v[fg], v[arg], _ARG_ERR)
-            F, f_err = _memoized(memo, ("2f1", *f_args), _hyp2f1_bounded, *f_args)
-            term = c * t * beta(v[bx], v[by]) / v[den] * F
-            total += sign * term
+        total = bound = 0.0
+        for coef, den, f_args in terms:
+            F, f_err = _memoized(memo, ("2f1", *f_args, _ARG_ERR), _hyp2f1_bounded, *f_args, _ARG_ERR)
+            term = coef / den * F
+            total += term
             bound += abs(term) * (f_err + form_err)
     except (DomainError, OverflowError, ZeroDivisionError) as exc:
         raise EvaluationError(f"closed form of B{index} raised {exc!r}") from exc
@@ -442,16 +382,77 @@ def _case_key(index: int, inst: Instance) -> tuple[int, str]:
     """(index, case) of a 2F1-based coefficient in the band: a key of PRINTED."""
     _require_band(inst.mu_, inst.lambda_)
     key = (index, case_label(index, inst))
-    if key not in PRINTED:
-        raise ParameterError(
-            f"closed forms cover the 2F1-based indices 2,3,5,6,8,9,11,12, got {index!r}"
-        )
+    if not KIND_FOR_INDEX[index].include_A:
+        raise ParameterError(f"closed forms cover the 2F1-based indices, got {index!r}")
     return key
+
+
+def _printed_terms(index: int, inst: Instance) -> Iterator[tuple]:
+    """PRINTED's rows for the case as _evaluate's terms, each sign folded into its coefficient."""
+    rows = PRINTED[_case_key(index, inst)]
+    a, b, s, q = inst.a, inst.b, inst.s, inst.q
+    x = inst.mu_ if KIND_FOR_INDEX[index].side == "left" else inst.lambda_
+    A_x = x * b + (1.0 - x) * a
+    zeta = 1.0 - a / b
+    b2q = b ** (2.0 * q)
+    v = {
+        "1": 1.0, "2": 2.0, "s+1": s + 1, "s+2": s + 2, "s+3": s + 3,
+        "x": x, "2x": 2.0 * x, "x-1": x - 1.0,
+        "2x^(s+2)": 2.0 * x ** (s + 2), "2(1-x)^(s+2)": 2.0 * (1.0 - x) ** (s + 2),
+        "b^2q": b2q, "2b^2q": 2.0 * b2q,
+        "2^(s+1)b^2q": 2.0 ** (s + 1) * b2q, "2^(s+2)b^2q": 2.0 ** (s + 2) * b2q,
+        "(a+b)^2q": (a + b) ** (2.0 * q), "A_x^2q": A_x ** (2 * q),
+        "z": 1.0 - 2.0 * a / (a + b), "zeta": zeta, "w": 1.0 - (a + b) / (2.0 * b),
+        "(1-x)zeta": (1.0 - x) * zeta, "1-a/A_x": 1.0 - a / A_x,
+    }
+    for sign, coef, top, bx, by, den, fb, fg, arg in rows:
+        # 2^(2q-s-top) is formed only where a term has it: it can overflow
+        # at large q where the b^2q forms still evaluate.
+        c = v[coef] if coef else 1.0
+        t = 2.0 ** (2 * q - s - top) if top else 1.0
+        yield sign * (c * t * beta(v[bx], v[by])), v[den], (2 * q, v[fb], v[fg], v[arg])
 
 
 def _printed(index: int, inst: Instance, memo: dict | None) -> tuple[float, float]:
     """(value, bound) of the printed closed form; see _evaluate."""
-    return _evaluate(index, PRINTED[_case_key(index, inst)], inst, memo)
+    return _evaluate(index, _printed_terms(index, inst), _BETA_ERR + (32 + 6 * inst.q) * _U, memo)
+
+
+def _corrected_terms(index: int, inst: Instance) -> Iterator[tuple]:
+    """B<index>'s defining integral as _evaluate's terms, from its kernel kind.
+
+    The half is split at the weight's centre c.  On each piece weight *
+    factor is a sum of monomials k v^alpha, alpha in {s, s+1}, in v = t for
+    the factor t^s and v = 1 - t for (1-t)^s (c - t = v - (1 - c)), each
+    integrated by its primitive at the piece's ends (an end at v = 0 adds
+    nothing), from DLMF 15.6.1 and, for G, the Pfaff transformation 15.8.1:
+      G_alpha(x) = int_0^x t^alpha A_t^-2q dt
+                 = x^(alpha+1)/(alpha+1) A_x^-2q F(2q, 1; alpha+2; 1 - a/A_x),
+      H_alpha(y) = int_0^y v^alpha (b - (b-a) v)^-2q dv
+                 = y^(alpha+1)/(alpha+1) b^-2q F(2q, alpha+1; alpha+2; zeta y).
+    """
+    kind = KIND_FOR_INDEX[_case_key(index, inst)[0]]
+    a, b, s, two_q = inst.a, inst.b, inst.s, 2.0 * inst.q
+    e = (s + 1.0, s + 2.0, s + 3.0)  # alpha + 1 = e[n] and alpha + 2 = e[n + 1] at alpha = s + n
+    lo, hi = (0.0, 0.5) if kind.side == "left" else (0.5, 1.0)
+    c = _centre(kind, inst)
+    in_u = kind.factor == "one_minus_t_pow_s"
+    for t0, t1 in pairwise([lo, c, hi] if c is not None and lo < c < hi else [lo, hi]):
+        sign = 1.0 if c is None or t1 <= c else -1.0  # the weight is sign * (c - t), or 1
+        monomials = (((1.0, 0),) if c is None else ((-sign * (1.0 - c), 0), (sign, 1)) if in_u
+                     else ((sign * c, 0), (-sign, 1)))  # (k, n)
+        for v, end in ((1.0 - t0, 1.0), (1.0 - t1, -1.0)) if in_u else ((t1, 1.0), (t0, -1.0)):
+            if v:
+                A_v = v * b + (1.0 - v) * a
+                den, arg = (b**two_q, (1.0 - a / b) * v) if in_u else (A_v**two_q, 1.0 - a / A_v)
+                for k, n in monomials:
+                    coef = end * k * (v**s * v * (v if n else 1.0)) / e[n]
+                    yield coef, den, (two_q, e[n] if in_u else 1.0, e[n + 1], arg)
+
+
+def _corrected(index: int, inst: Instance) -> tuple[float, float]:
+    """(value, bound) of the corrected closed form; see _evaluate."""
+    return _evaluate(index, _corrected_terms(index, inst), (22.0 + 6.0 * inst.q) * _U)
 
 
 def closed_B(index: int, inst: Instance) -> float:
@@ -466,20 +467,18 @@ def closed_B(index: int, inst: Instance) -> float:
 
 
 def corrected_B(index: int, inst: Instance) -> float:
-    """Hand-derived corrected closed form for one coefficient case.
+    """The corrected closed form for one 2F1-based coefficient.
 
-    For cases whose printed form already passes the oracle this returns the
-    printed value; for flagged cases it returns the corrected conjecture.
-    Every branch is locked to the defining-integral oracle by tests.  When
-    the terms cancel so far that _evaluate's error bound exceeds
+    Its terms are derived from the kernel kind (_corrected_terms), whatever
+    the printed case, and tests lock every case to the oracle and a 40-digit
+    referee.  Where the terms cancel so far that _evaluate's bound exceeds
     CROSSCHECK_TOL * |value| (crosscheck_B's rule for a closed form), the
-    value says nothing and AccuracyError is raised, carrying value and bound.
+    value says nothing: AccuracyError is raised, carrying value and bound.
     """
-    key = _case_key(index, inst)
-    value, bound = _evaluate(index, PATCHES.get(key, PRINTED[key]), inst)
+    value, bound = _corrected(index, inst)
     if bound > CROSSCHECK_TOL * abs(value):
         raise AccuracyError(
-            f"corrected B{index} ({key[1]}) bound {bound:.3e} exceeds "
+            f"corrected B{index} ({case_label(index, inst)}) bound {bound:.3e} exceeds "
             f"{CROSSCHECK_TOL:.1e} of its value {value:.3e}", value=value, bound=bound,
         )
     return value

@@ -558,9 +558,9 @@ class TestInstanceMemo:
 
         count(bounds, "kernel_oracle", _exact_oracle_key)
         count(bounds, "_hyp2f1_bounded", lambda *args: args)
-        # One closed-form evaluation per 2F1 row gives both its value and its bound.
-        count(bounds, "_evaluate",
-              lambda index, terms, inst, memo=None: (index, inst.lambda_, inst.mu_))
+        # One closed-form evaluation per 2F1 row gives both its value and its
+        # bound; the crosscheck rows are at the instance's own triple only.
+        count(bounds, "_evaluate", lambda index, terms, form_err, memo=None: index)
         count(identity, "integrate", lambda f, lo, hi: (lo, hi))
         payload = (0, inst, certify_instance(inst))
         rows, _ = harness._instance_rows(payload)
@@ -673,22 +673,42 @@ class TestReports:
         emit_report(run_sweep(SMALL, jobs=1), "csv", str(second))
         assert first.read_bytes() == second.read_bytes()
 
-    def test_accessors_and_json_report_walk_the_rows_once(self, small_report, tmp_path):
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_accessors_and_writers_read_each_row_once(
+        self, small_report, tmp_path, monkeypatch, fmt
+    ):
+        # A row is read by a walk (__iter__) or through __getitem__, as the
+        # writers read their chunks by slices; both are counted.  A small
+        # _CHUNK makes the writers cut the rows, and their runs, into chunks.
         class CountedRows(list):
             walks = 0
+
+            def __init__(self, rows):
+                super().__init__(rows)
+                self.reads = Counter()
 
             def __iter__(self):
                 self.walks += 1
                 return super().__iter__()
 
+            def __getitem__(self, key):
+                span = range(len(self))[key]
+                self.reads.update(span if isinstance(key, slice) else [span])
+                return super().__getitem__(key)
+
+        monkeypatch.setattr(harness, "_CHUNK", 5)
         report = replace(small_report, rows=CountedRows(small_report.rows))
+        assert len(report.rows) > 4 * harness._CHUNK
         for name in ("identity_total", "identity_pass", "expected_errata",
                      "unexpected_errata", "failures", "all_pass"):
             getattr(report, name)
         for theorem in (1, 2):
             report.bound_total(theorem), report.bound_pass(theorem), report.worst_margin(theorem)
-        emit_report(report, "json", str(tmp_path / "report.json"))
-        assert report.rows.walks == 1
+        assert report.rows.walks == 1 and not report.rows.reads  # the summary's one pass
+        emit_report(report, fmt, str(tmp_path / f"report.{fmt}"))
+        walks = report.rows.walks - 1
+        reads = [report.rows.reads[i] + walks for i in range(len(report.rows))]
+        assert reads == [1] * len(report.rows)
 
     def test_emit_rejects_unknown_format(self, small_report, tmp_path):
         with pytest.raises(ConfigError):

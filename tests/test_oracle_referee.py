@@ -1,9 +1,11 @@
-"""The kernel oracles against a 40-digit referee.
+"""The kernel oracles and closed forms against a 40-digit referee.
 
 ``kernel_oracle`` integrates the twelve proof integrals with a Gauss-Jacobi
 product rule.  Here its values are held to mpmath at 40 digits (a test-only
 import) on sampled oracles of the benchmark workloads, at b/a = 1e4 and over
-the documented domain, wherever the rule converges.
+the documented domain, wherever the rule converges.  The corrected closed
+forms, and the pinned closed-form values, are held to the same referee
+within their own error bounds.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from harmonia import (
+    CROSSCHECK_TOL,
+    EXPECTED_COEFFICIENT_ERRATA,
     KIND_FOR_INDEX,
     PRESETS,
     AccuracyError,
@@ -147,3 +151,39 @@ def test_weighted_oracle_pins_match_referee():
         for index, pinned in pins.items():
             ref = referee(KIND_FOR_INDEX[index], inst)
             assert abs(float.fromhex(pinned) - ref) <= 1e-14 * ref, (a, index)
+
+
+def _closed_cases():
+    from test_bounds import TestAdjudication
+
+    return TestAdjudication.F21_CASES
+
+
+@pytest.mark.parametrize(
+    "index,case", _closed_cases(), ids=[f"B{i}-{c}" for i, c in _closed_cases()]
+)
+def test_corrected_forms_lie_within_their_bound_of_referee(index, case):
+    # The draws of test_bounds' test_corrected_forms_match_oracle: the
+    # derived form's error, not only its gap to the oracle, is within its bound.
+    from test_bounds import corrected_draws
+
+    for inst in corrected_draws(index, case):
+        value, bound = bounds._corrected(index, inst)
+        assert bound <= CROSSCHECK_TOL * abs(value)  # corrected_B returns it
+        ref = referee(KIND_FOR_INDEX[index], inst)
+        assert abs(value - ref) <= bound, (index, case, inst, value, ref, bound)
+
+
+def test_closed_form_pins_lie_within_their_bound_of_referee():
+    # Every corrected pin, and every printed pin of a case that is no
+    # erratum, re-recorded ones included.
+    from test_bounds import TestClosedFormValues
+
+    for absq, pins in TestClosedFormValues.GOLDEN.items():
+        for (index, case), (printed, corrected) in pins.items():
+            inst = TestClosedFormValues.pinned_instance(absq, case)
+            ref = referee(KIND_FOR_INDEX[index], inst)
+            assert abs(corrected - ref) <= bounds._corrected(index, inst)[1], (absq, index, case)
+            if (index, case) not in EXPECTED_COEFFICIENT_ERRATA:
+                bound = bounds._printed(index, inst, None)[1]
+                assert abs(printed - ref) <= bound, (absq, index, case)
