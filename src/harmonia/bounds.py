@@ -33,7 +33,12 @@ the row passes.
 The functions the sweep calls per row take a keyword-only ``memo``: a dict
 the caller creates for one instance, through which the rows share the
 oracle and 2F1 values they have in common.  The values are the same bits
-without it.
+without it.  The sweep first fills the memo with every oracle its rows on
+the instance read (``_row_kernels``) in one batched pass, ``_oracle_pass``:
+each Gauss-Jacobi level evaluates the integrands of all the oracles still
+running in one set of numpy operations, and each oracle keeps its own
+panels, stopping rule and budget, so every value is ``kernel_oracle``'s,
+bit for bit.  An oracle the pass cannot finish is left to ``kernel_oracle``.
 
 Every verdict here is judged at the library's constants: ``crosscheck_B``
 at ``CROSSCHECK_TOL``, ``check_theorem`` at ``MARGIN_TOL``, and every oracle
@@ -46,8 +51,9 @@ from __future__ import annotations
 import math
 import numbers
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import pairwise
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,13 +62,14 @@ from .errors import (
     AccuracyError,
     DomainError,
     EvaluationError,
+    HarmoniaError,
     ParameterError,
     PreconditionError,
 )
 from .identity import Instance, _memoized, rule_deviation
 # The kernel oracles no longer call integrate_de, nor the closed forms hyp2f1;
 # the names stay bound here because the benchmark's tracer wraps both.
-from .quadrature import _graded, _product_rule, integrate_de  # noqa: F401
+from .quadrature import _graded, _product_rule, _product_rules, integrate_de  # noqa: F401
 from .specfun import _U, _hyp2f1_bounded, beta, hyp2f1  # noqa: F401
 
 CROSSCHECK_TOL = 1e-6
@@ -184,6 +191,15 @@ def _centre(kind: KernelKind, inst: Instance) -> float | None:
     return inst.mu_ if kind.weight == "abs_mu_minus_t" else inst.lambda_
 
 
+class _Plan(NamedTuple):
+    """kernel_oracle's set-up of one integral: its panels and its integrand's zeros."""
+
+    panels: list[tuple[float, float, float, float]]
+    zero: float | None  # where the factor t^s or (1-t)^s vanishes; None for the factor "none"
+    centre: float | None  # the weight's centre, None for the weight "none"
+    e: float  # the weight's exponent
+
+
 def kernel_oracle(kind: KernelKind, inst: Instance) -> float:
     """Direct quadrature of one proof integral.
 
@@ -206,53 +222,151 @@ def kernel_oracle(kind: KernelKind, inst: Instance) -> float:
     sliver between the zero and c, at most u/4 of the value: A^-2q varies by
     at most a factor e over the l next to the zero, so the sliver is at most
     (8e/3) (delta/l)^(s+2) of the value for delta = |c - zero| <= l/8.
+
+    This is the one-kernel case of the sweep's batched pass, _oracle_pass,
+    which gives the same bits.
     """
+    plan = _plan(kind, inst)
+
+    def integrand(ts: np.ndarray) -> list[float]:
+        t = np.asarray(ts)
+        return _kernel_values(inst, t, [plan], [len(t)]).tolist()
+
+    return _product_rule(integrand, plan.panels).checked("kernel_oracle quadrature")
+
+
+def _plan(kind: KernelKind, inst: Instance) -> _Plan:
+    """kernel_oracle's panels and integrand for kind on inst, or its set-up's error."""
     _require_band(inst.mu_, inst.lambda_)
     a, width = inst.a, inst.b - inst.a
     lo, hi = (0.0, 0.5) if kind.side == "left" else (0.5, 1.0)
     centre = _centre(kind, inst)
     cut = centre is not None and lo < centre < hi
+    zero = None if kind.factor == "none" else 0.0 if kind.factor == "t_pow_s" else 1.0
+    e = _conjugate(inst.q) if kind.needs_p else 1.0
     # The powers that vanish on [0, 1], as (zero, exponent).
-    zeros = [] if kind.factor == "none" else [(0.0 if kind.factor == "t_pow_s" else 1.0, inst.s)]
+    zeros = [] if zero is None else [(zero, inst.s)]
     if centre is not None:
-        if zeros:  # the sliver between the centre and the factor's zero: see above
-            gap = abs(centre - zeros[0][0])
+        if zeros:  # the sliver between the centre and the factor's zero: see kernel_oracle
+            gap = abs(centre - zero)
             if gap < _U * (hi - lo):
-                centre = zeros[0][0]
-            window = min(hi - lo, a / (2.0 * inst.q * width))  # l above
+                centre = zero
+            window = min(hi - lo, a / (2.0 * inst.q * width))  # kernel_oracle's l
             cut = cut and gap >= window * (_U / 32.0) ** (1.0 / (inst.s + 2.0))
-        zeros.append((centre, _conjugate(inst.q) if kind.needs_p else 1.0))
+        zeros.append((centre, e))
     # Where the smooth factor is singular: each zero of fractional power, and the pole of A^-2q.
-    singular = [zero for zero, e in zeros if e % 1.0]
-    two_q = 2.0 * inst.q if kind.include_A else 0.0
-    if two_q:
+    singular = [z for z, power in zeros if power % 1.0]
+    if kind.include_A:
         # A^2q grows with t; between e^-708 and e^709 it and A^-2q are normal floats.
-        log_lo, log_hi = (two_q * math.log(a + width * t) for t in (lo, hi))
-        if not -708.0 < log_lo <= log_hi < 709.0:
+        two_q = 2.0 * inst.q
+        if not -708.0 < two_q * math.log(a + width * lo) <= two_q * math.log(a + width * hi) < 709.0:
             raise EvaluationError(f"A^2q leaves the float range on [{lo}, {hi}]")
         singular.append(-a / width)
     ends: dict[float, float] = {}  # the Jacobi exponent at each zero: its fractional powers
-    for zero, e in zeros:
-        ends[zero] = ends.get(zero, 0.0) + e % 1.0
+    for z, power in zeros:
+        ends[z] = ends.get(z, 0.0) + power % 1.0
     cuts = [lo, centre, hi] if cut else [lo, hi]
     panels = [(u, v, ends.get(u, 0.0), ends.get(v, 0.0))
-              for part in zip(cuts, cuts[1:]) for u, v in _graded(*part, singular)]
+              for part in pairwise(cuts) for u, v in _graded(*part, singular)]
+    return _Plan(panels, zero, centre, e)
 
-    def integrand(ts: np.ndarray) -> list[float]:
-        t = np.asarray(ts)
-        val = (a + width * t) ** -two_q if two_q else 1.0
-        for zero, e in zeros:
-            dist = t if zero == 0.0 else np.abs(zero - t)
-            val = val * (dist if e == 1.0 else dist**e)
-        return val.tolist()
 
-    return _product_rule(integrand, panels).checked("kernel_oracle quadrature")
+def _kernel_values(inst: Instance, t: np.ndarray, plans: list[_Plan], counts: list[int]) -> np.ndarray:
+    """The integrands of plans on inst's a, b, s and q at t: counts[i] nodes of plans[i], in turn.
+
+    A plan's integrand is A^-2q |zero - t|^s for a factor (|0 - t| is t),
+    times |centre - t|^e for a weight.  The plans with a factor come first
+    and those with a weight last, so each part reads one slice of t.  Each
+    power has a scalar exponent, as numpy computes x**2.0 and x**0.5 on
+    other paths than an array exponent's: a plan's values are the same bits
+    alone as in any batch.
+    """
+    val = np.ones_like(t)
+    factor = [i for i, plan in enumerate(plans) if plan.zero is not None]
+    if factor:
+        sizes = [counts[i] for i in factor]
+        head = t[:sum(sizes)]
+        dist = np.abs(np.array([plans[i].zero for i in factor]).repeat(sizes) - head)
+        two_q, s = 2.0 * inst.q, inst.s
+        val[:len(head)] = (inst.a + (inst.b - inst.a) * head) ** -two_q * (dist if s == 1.0 else dist**s)
+    weight = [i for i, plan in enumerate(plans) if plan.centre is not None]
+    if weight:
+        sizes = [counts[i] for i in weight]
+        tail = t[len(t) - sum(sizes):]
+        dist = np.abs(np.array([plans[i].centre for i in weight]).repeat(sizes) - tail)
+        start = 0
+        for i, size in zip(weight, sizes):
+            if plans[i].e != 1.0:
+                dist[start:start + size] **= plans[i].e
+            start += size
+        val[len(t) - len(tail):] *= dist
+    return val
+
+
+def _oracle_key(kind: KernelKind, inst: Instance) -> tuple:
+    """The memo key of kind's oracle on inst: everything its integral reads."""
+    return ("oracle", kind, inst.a, inst.b, inst.s, inst.q, _centre(kind, inst))
 
 
 def _oracle(kind: KernelKind, inst: Instance, memo: dict | None) -> float:
-    """kernel_oracle through the memo, keyed by everything its integral reads."""
-    key = ("oracle", kind, inst.a, inst.b, inst.s, inst.q, _centre(kind, inst))
-    return _memoized(memo, key, kernel_oracle, kind, inst)
+    """kernel_oracle through the memo."""
+    return _memoized(memo, _oracle_key(kind, inst), kernel_oracle, kind, inst)
+
+
+# The coefficients in the braces of each theorem's right-hand side.
+_BRACES = {1: (2, 3, 5, 6), 2: (8, 9, 11, 12)}
+
+
+def _row_kernels(inst: Instance) -> Iterator[tuple[int, Instance]]:
+    """(index, instance) of each oracle the sweep's rows on inst read.
+
+    The braces of crosscheck_plan's theorems at inst's triple and at each
+    of PRESETS, and crosscheck_plan's coefficients at inst.
+    """
+    theorems, indices = crosscheck_plan(inst.q)
+    for tri in [inst, *(replace(inst, lambda_=lam, mu_=mu) for lam, mu in PRESETS.values())]:
+        for theorem in theorems:
+            for index in _BRACES[theorem]:
+                yield index, tri
+    for index in indices:
+        yield index, inst
+
+
+def _oracle_pass(inst: Instance, memo: dict) -> None:
+    """Every oracle of _row_kernels(inst), in one _product_rules pass, into memo.
+
+    Each kernel keeps kernel_oracle's plan, and each level evaluates the
+    integrands of all that still run in one _kernel_values call, so every
+    value is kernel_oracle's, bit for bit, under _oracle's key.  A kernel
+    whose set-up raises, whose values are not all finite or that does not
+    converge is left out: _oracle then computes it alone, and raises as
+    kernel_oracle does; so is every kernel if a node table does not converge.
+    """
+    kernels: dict[tuple, tuple | None] = {}  # (index, centre): (kind, instance, plan)
+    for index, tri in _row_kernels(inst):
+        kind = KIND_FOR_INDEX[index]
+        seen = (index, _centre(kind, tri))  # the oracle's key, as all share a, b, s and q
+        if seen not in kernels:
+            try:
+                kernels[seen] = (kind, tri, _plan(kind, tri))
+            except HarmoniaError:
+                kernels[seen] = None
+    # _kernel_values takes the plans with a factor first and those with a weight last.
+    batch = sorted(filter(None, kernels.values()),
+                   key=lambda kernel: (kernel[2].zero is None, kernel[2].centre is not None))
+    plans = [plan for _, _, plan in batch]
+
+    def integrand(t: np.ndarray, runs: list[tuple[int, int]]) -> np.ndarray:
+        return _kernel_values(inst, t, [plans[k] for k, _ in runs], [count for _, count in runs])
+
+    try:
+        with np.errstate(all="ignore"):  # a value that is not finite leaves its kernel out
+            results = _product_rules(integrand, [plan.panels for plan in plans])
+    except AccuracyError:  # a Gauss-Jacobi node table that did not converge
+        return
+    for (kind, tri, _), result in zip(batch, results):
+        if result is not None and result[3]:  # (value, err_estimate, evaluations, converged)
+            memo[_oracle_key(kind, tri)] = result[0]
 
 
 def b1_b4(mu_: float, lambda_: float) -> tuple[float, float]:
@@ -582,18 +696,16 @@ def _braces(
     _require_band(inst.mu_, inst.lambda_)
     q = inst.q
     if theorem == 1:
-        indices = (2, 3, 5, 6)
         weights = tuple(w ** (1.0 - 1.0 / q) for w in b1_b4(inst.mu_, inst.lambda_))
     else:
         p = _conjugate(q)
-        indices = (8, 9, 11, 12)
         weights = tuple(w ** (1.0 / p) for w in b7_b10(inst.mu_, inst.lambda_, p))
     try:
         key = ("fq", inst.a, inst.b, inst.m, q, inst.f)
         fa_q, fbm_q = _memoized(memo, key, _endpoint_powers, inst)
     except OverflowError as exc:
         raise EvaluationError(f"|f'|^q of theorem {theorem} raised {exc!r}") from exc
-    bi, bj, bk, bl = (_oracle(KIND_FOR_INDEX[i], inst, memo) for i in indices)
+    bi, bj, bk, bl = (_oracle(KIND_FOR_INDEX[i], inst, memo) for i in _BRACES[theorem])
     braces = (fa_q * bi + inst.m * fbm_q * bj, fa_q * bk + inst.m * fbm_q * bl)
     if not all(map(math.isfinite, braces)):
         raise EvaluationError(f"braces of theorem {theorem} are not finite: {braces!r}")

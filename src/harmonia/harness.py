@@ -34,6 +34,7 @@ from typing import TextIO
 from .bounds import (
     BoundTerm,
     PRESETS,
+    _oracle_pass,
     _require_band,
     case_label,
     certify_instance,
@@ -376,11 +377,14 @@ def _instance_rows(payload: tuple) -> tuple[list[Row], list[dict]]:
     and the closed form as lhs and rhs; an erratum_suspected term also enters
     the errata.  check_theorem refuses a payload certificate that does not
     hold.  One memo, dropped on return, lets the rows share every integral
-    average, kernel oracle and 2F1 value that they have in common.
+    average, kernel oracle and 2F1 value that they have in common; before
+    the checks run, bounds' batched pass puts in it every kernel oracle the
+    rows read, and the rows compute alone only the oracles it could not.
     """
     inst_id, inst, certificate = payload
     family = format_function_spec(inst.f)
     memo: dict = {}
+    _oracle_pass(inst, memo)
     theorems, indices = crosscheck_plan(inst.q)
     triples = [("instance", (inst.lambda_, inst.mu_)), *PRESETS.items()]
     checks = [("identity", partial(check_identity, inst, memo=memo))]

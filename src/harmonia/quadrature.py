@@ -11,7 +11,9 @@ tolerates algebraic endpoint behavior t**sigma with sigma > -1.  The kernel
 oracles and the Euler integral of 2F1 use the private ``_product_rule``, a
 Gauss-Jacobi rule that integrates known endpoint powers exactly (node table
 built on first use), on panels that ``_graded`` splits toward a nearby
-singularity of the smooth factor.
+singularity of the smooth factor.  ``_product_rules`` runs several such
+integrals level by level together, with one integrand call per level, and
+gives each the bits ``_product_rule`` gives it alone.
 
 No routine ever returns a silently wrong number: results carry an error
 estimate, an evaluation count and a ``converged`` flag, and a non-finite
@@ -29,10 +31,10 @@ from __future__ import annotations
 import functools
 import heapq
 import math
-import operator
 from array import array
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from itertools import accumulate, pairwise
 
 import numpy as np
 
@@ -348,7 +350,7 @@ _TABLES = 256
 
 
 @functools.lru_cache(maxsize=_TABLES)
-def _jacobi_rule(n: int, alpha: float, beta: float) -> tuple[np.ndarray, list[float]]:
+def _jacobi_rule(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes x and weights w of the n-point Gauss rule for (1-x)^alpha (1+x)^beta.
 
     x: the zeros of the orthonormal Jacobi p_n, by Newton's method on its
@@ -384,16 +386,15 @@ def _jacobi_rule(n: int, alpha: float, beta: float) -> tuple[np.ndarray, list[fl
         step = p * m * (1 - x * x) / (n * (alpha - beta - m * x) * p + off[n] * m * (m + 1) * prev)
         x = x - step
         if np.abs(step).max() <= 1e-13:  # quadratic convergence: x is now exact to rounding
-            w = 1.0 / (walk(x, squares=True)[2] * (1.0 - x) ** alpha * (1.0 + x) ** beta)
-            return x, w.tolist()
+            return x, 1.0 / (walk(x, squares=True)[2] * (1.0 - x) ** alpha * (1.0 + x) ** beta)
     raise AccuracyError(f"Gauss-Jacobi nodes (n={n}, alpha={alpha}, beta={beta}) did not converge")
 
 
 @functools.lru_cache(maxsize=_TABLES)
-def _jacobi_level(n: int, alpha: float, beta: float) -> tuple[np.ndarray, list[float], list[float]]:
-    """1 + x of the n- and 2n-point rules together, and the weights of each."""
+def _jacobi_level(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """1 + x and w of the n- and 2n-point rules, the n-point rule's first."""
     (x1, w1), (x2, w2) = _jacobi_rule(n, alpha, beta), _jacobi_rule(2 * n, alpha, beta)
-    return 1.0 + np.concatenate((x1, x2)), w1, w2
+    return 1.0 + np.concatenate((x1, x2)), np.concatenate((w1, w2))
 
 
 def _product_rule(f, panels) -> QuadResult:
@@ -407,25 +408,69 @@ def _product_rule(f, panels) -> QuadResult:
     weights leave only relative rounding), and a level that would take the
     evaluations past 15 * max_subdivisions is not run.
     """
-    s = DEFAULT_SETTINGS
     for lo, hi, _, _ in panels:
         _require_interval(lo, hi)
     g = _ArrayIntegrand(f)
-    value, err, evals, n = math.nan, math.inf, 0, 8
-    while n <= 1024 and evals + 3 * n * len(panels) <= 15 * s.max_subdivisions:
-        levels = [(lo, 0.5 * (hi - lo), *_jacobi_level(n, at_hi, at_lo))
-                  for lo, hi, at_lo, at_hi in panels]
-        fs = _panel(g, np.concatenate([lo + half * u for lo, half, u, _, _ in levels]))
-        evals += len(fs)
-        coarse = value = 0.0
-        for i, (_, half, _, w1, w2) in enumerate(levels):
-            coarse += half * math.fsum(map(operator.mul, w1, fs[3 * n * i:]))
-            value += half * math.fsum(map(operator.mul, w2, fs[3 * n * i + n:]))
-        err = abs(value - coarse)
-        if err <= s.rel_tol * abs(value):
-            return QuadResult(value, err, evals, True)
+    return QuadResult(*_product_rules(lambda t, runs: np.array(_panel(g, t)), [panels])[0])
+
+
+def _product_rules(f, rules: Sequence[Sequence[tuple]]) -> list[tuple | None]:
+    """_product_rule for several integrands at once, rules[k] the panels of integrand k.
+
+    The panels are taken as _product_rule checks them.  Each level calls
+    f(t, runs) once: t holds the nodes of every integrand still running,
+    panel after panel, and runs lists (k, its number of nodes) in the same
+    order; f returns the values at t as an array.  Each integrand keeps its
+    own panels, stopping rule and budget, and each panel is summed alone,
+    so each result, the fields of a QuadResult, has the bits _product_rule
+    gives.  An integrand with a value that is not finite stops: its result
+    is None.
+    """
+    budget = 15 * DEFAULT_SETTINGS.max_subdivisions
+    rel_tol = DEFAULT_SETTINGS.rel_tol
+    spans = np.array([(lo, 0.5 * (hi - lo)) for panels in rules for lo, hi, _, _ in panels])
+    rows = [range(i, j) for i, j in pairwise(accumulate(map(len, rules), initial=0))]  # rule k's spans
+    results: list[tuple | None] = [None] * len(rules)
+    running = dict.fromkeys(range(len(rules)), (math.nan, math.inf, 0))  # k: (value, err, evals)
+    n = 8
+    while n <= 1024:
+        size = 3 * n  # the nodes of a panel: the n-point rule's, then the 2n-point rule's
+        for k in [k for k, (_, _, evals) in running.items() if evals + size * len(rules[k]) > budget]:
+            results[k] = (*running.pop(k), False)
+        if not running:
+            break
+        levels = [_jacobi_level(n, at_hi, at_lo) for k in running for _, _, at_lo, at_hi in rules[k]]
+        los, halves = spans[[i for k in running for i in rows[k]]].T
+        u = np.concatenate([u for u, _ in levels]).reshape(-1, size)
+        fs = f((los[:, None] + halves[:, None] * u).ravel(), [(k, size * len(rules[k])) for k in running])
+        finite = np.isfinite(fs)
+        all_finite = finite.all()
+        if not all_finite:
+            fs = np.where(finite, fs, 0.0)  # keeps the fsums below finite; those integrands stop
+        with np.errstate(over="ignore"):  # as a product of Python floats, an overflow is inf
+            terms = np.concatenate([w for _, w in levels]).reshape(-1, size) * fs.reshape(-1, size)
+        # Q_n and Q_2n of each panel: half times the fsum of its terms.
+        panel_n = (halves * list(map(math.fsum, terms[:, :n].tolist()))).tolist()
+        panel_2n = (halves * list(map(math.fsum, terms[:, n:].tolist()))).tolist()
+        start = 0
+        for k, (_, _, evals) in list(running.items()):
+            end = start + len(rules[k])
+            if not (all_finite or finite[start * size:end * size].all()):
+                del running[k]
+            else:
+                coarse = value = 0.0
+                for i in range(start, end):
+                    coarse += panel_n[i]
+                    value += panel_2n[i]
+                err, evals = abs(value - coarse), evals + size * (end - start)
+                running[k] = (value, err, evals)
+                if err <= rel_tol * abs(value):
+                    results[k] = (*running.pop(k), True)
+            start = end
         n *= 2
-    return QuadResult(value, err, evals, False)
+    for k, state in running.items():
+        results[k] = (*state, False)
+    return results
 
 
 _GRADE = 0.15  # the geometric ratio of graded panels

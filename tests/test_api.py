@@ -238,6 +238,28 @@ def test_the_sweep_certifies_through_certify_instance_only():
     assert _names_used(tree, "harness") & GRID_NAMES == set()
 
 
+def _raises_to_a_negated_power(node: ast.AST) -> bool:
+    return any(
+        isinstance(n, ast.BinOp) and isinstance(n.op, ast.Pow)
+        and isinstance(n.right, ast.UnaryOp) and isinstance(n.right.op, ast.USub)
+        for n in ast.walk(node)
+    )
+
+
+def test_the_kernel_integrand_is_written_once():
+    # The kernel integrand (its A^-2q is bounds' only power with a negated
+    # exponent) lives in one function, which both the one-kernel oracle and
+    # the sweep's batched pass call, so the two cannot drift apart.
+    path = Path(harmonia.__file__).parent / "bounds.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    writers = {name for name, node in functions.items() if _raises_to_a_negated_power(node)}
+    assert writers == {"_kernel_values"}
+    for caller in ("kernel_oracle", "_oracle_pass"):
+        assert "_kernel_values" in _calls(functions[caller]), caller
+        assert "_plan" in _calls(functions[caller]), caller
+
+
 def test_only_the_quadrature_tests_call_the_tanh_sinh_rule():
     # Besides the library (above), no demo and no test but integrate_de's
     # own unit tests calls it, so removing the rule touches no other file.

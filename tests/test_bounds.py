@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import math
 import random
 from dataclasses import replace
@@ -265,6 +267,86 @@ class TestKernelOracle:
                 ref = float(mpmath.quad(f, [lo, hi]))
                 val = kernel_oracle(kind, inst)
                 assert abs(val - ref) <= 1e-13 * abs(ref), (index, val, ref)
+
+
+class TestOraclePass:
+    """The batched pass over an instance's oracles gives kernel_oracle's bits."""
+
+    # (a range, b - a range) of the default sweep and of the wide benchmark sweep.
+    RANGES = {"default": ((0.5, 2.0), (0.1, 2.0)), "wide": ((0.05, 0.5), (1.0, 10.0))}
+    # The instance's own (lambda, mu): drawn, at the preset centres, and the
+    # sliver centre next to the zero of t^s.
+    TRIPLES = [None, (0.5, 0.0), (5.0 / 6.0, 1.0 / 6.0), (1.0, 0.5), (None, 1e-16)]
+    # sha256 of the hex of each distinct oracle of the draws, in _row_kernels order.
+    DIGEST = "b94ce6cae57e8cf7bda6d17913c680f241b8709a9f501fcfcd4383b2a5263ec2"
+
+    def draws(self):
+        rng = random.Random(20281)
+        # At q = 2, B7 and B10 raise |c - t| to p = 2.0, which numpy squares,
+        # and at s = 0.5 the factor takes numpy's square root; an array
+        # exponent would round otherwise, in a few B7 and B10 per hundred
+        # draws at q = 2, so 40 more draws are at q = 2.
+        qs = [1.0, 1.5, 2.0, 3.0, 8.0]
+        for (a_lo, a_hi), (w_lo, w_hi) in self.RANGES.values():
+            for q, (i, triple) in [*itertools.product(qs, enumerate(self.TRIPLES)),
+                                   *((2.0, (i, None)) for i in range(20))]:
+                lam, mu = triple or (None, None)
+                a = rng.uniform(a_lo, a_hi)
+                yield make(
+                    a=a, b=a + rng.uniform(w_lo, w_hi), s=(0.25, 0.5, 0.75, 1.0)[i % 4], q=q,
+                    lam=rng.uniform(0.5, 1.0) if lam is None else lam,
+                    mu=rng.uniform(0.0, 0.5) if mu is None else mu,
+                )
+
+    def test_pass_equals_kernel_oracle_bitwise(self, monkeypatch):
+        runs = []
+        real = bounds._product_rules
+
+        def spy(f, rules):
+            results = real(f, rules)
+            runs.extend(zip(rules, results))
+            return results
+
+        monkeypatch.setattr(bounds, "_product_rules", spy)
+        digest = hashlib.sha256()
+        for inst in self.draws():
+            memo: dict = {}
+            bounds._oracle_pass(inst, memo)
+            kernels: dict = {}
+            for index, tri in bounds._row_kernels(inst):
+                kernels.setdefault(bounds._oracle_key(KIND_FOR_INDEX[index], tri), (index, tri))
+            for key, (index, tri) in kernels.items():
+                assert memo[key].hex() == kernel_oracle(KIND_FOR_INDEX[index], tri).hex(), key
+                digest.update(memo[key].hex().encode() + b"\n")
+            assert len(memo) == len(kernels)
+        # The values' bits are pinned too, so the integrand that both paths
+        # share cannot change its rounding unseen.
+        assert digest.hexdigest() == self.DIGEST
+        # The draws reach graded panels and levels past the first (n = 8).
+        assert max(len(panels) for panels, _ in runs) >= 4
+        assert any(evals > 24 * len(panels) for panels, (_, _, evals, _) in runs)
+
+    def test_pass_that_raises_leaves_every_kernel_to_kernel_oracle(self, monkeypatch):
+        def fails(f, rules):
+            raise AccuracyError("Gauss-Jacobi nodes did not converge")
+
+        monkeypatch.setattr(bounds, "_product_rules", fails)
+        memo: dict = {}
+        bounds._oracle_pass(make(s=0.5, q=2.0), memo)
+        assert memo == {}
+
+    def test_failing_kernel_is_left_to_kernel_oracle(self):
+        # A^400 underflows near t = 0 at a = 0.05: the set-up of each kernel
+        # with A^-2q on the left half raises, so the pass stores the others
+        # and the left ones raise when the rows ask for them.
+        inst = make(a=0.05, b=0.5, s=0.5, q=200.0, lam=0.8, mu=0.3)
+        memo: dict = {}
+        bounds._oracle_pass(inst, memo)
+        stored = {key[1] for key in memo}
+        assert stored == {KIND_FOR_INDEX[i] for i in (1, 4, 5, 6, 7, 10, 11, 12)}
+        for index in (2, 3, 8, 9):
+            with pytest.raises(EvaluationError, match="float range"):
+                bounds._oracle(KIND_FOR_INDEX[index], inst, memo)
 
 
 class TestClosedMoments:

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import warnings
 from collections import Counter
 from dataclasses import fields, replace
 from datetime import datetime
@@ -403,11 +404,32 @@ class TestRunSweep:
             raise AccuracyError("starved", estimate=0.0, err_estimate=1.0)
 
         monkeypatch.setattr(bounds, "kernel_oracle", starved)
+        # With no batched pass, every oracle is computed alone, and starved.
+        monkeypatch.setattr(harness, "_oracle_pass", lambda inst, memo: None)
         inst = Instance(a=1.0, b=2.0, s=0.5, m=1.0, q=2.0, lambda_=0.8, mu_=0.3, f=linear())
         rows, _ = harness._instance_rows((0, inst, certify_instance(inst)))
         failed = [r.check for r in rows if not r.passed and r.check.startswith("crosscheck")]
         assert "crosscheck:B2:interior" in failed
         assert failed == [f"crosscheck:B{i}:{bounds.case_label(i, inst)}" for i in range(1, 13)]
+
+    def test_failing_oracles_fail_the_rows_they_fail_alone(self, monkeypatch):
+        # At a = 0.05 and q = 200, A^400 leaves the float range on the left
+        # half: the batched pass leaves B2, B3, B8 and B9 to kernel_oracle,
+        # whose EvaluationError fails every row that reads one, just as when
+        # each oracle is computed alone.  No numpy RuntimeWarning escapes.
+        inst = Instance(a=0.05, b=0.5, s=0.5, m=1.0, q=200.0, lambda_=0.8, mu_=0.3, f=linear())
+        payload = (0, inst, certify_instance(inst))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            batched = harness._instance_rows(payload)
+        assert [r.check for r in batched[0] if not r.passed] == [
+            *(f"theorem{t}@{name}" for t in (1, 2)
+              for name in ("instance", "trapezoid", "midpoint", "simpson")),
+            *(f"crosscheck:B{i}:interior" for i in (2, 3, 5, 6)),
+            *(f"crosscheck:B{i}:all" for i in (8, 9, 11)),
+        ]
+        monkeypatch.setattr(harness, "_oracle_pass", lambda inst, memo: None)
+        assert repr(batched) == repr(harness._instance_rows(payload))
 
     def test_closed_form_argument_that_rounds_to_one_fails_only_its_rows(self):
         # At b/a = 1e17 the 2F1 arguments z, zeta and 1 - a/A_x round to 1.0:
@@ -490,7 +512,7 @@ def test_kernel_oracles_run_no_tanh_sinh(monkeypatch):
     # The oracles and the Euler integral integrate with the Gauss-Jacobi
     # product rule alone; nothing in the library runs the tanh-sinh rule.
     calls = Counter()
-    for module, name in ((quadrature, "_de_level"), (bounds, "kernel_oracle")):
+    for module, name in ((quadrature, "_de_level"), (bounds, "_product_rules")):
         fn = getattr(module, name)
 
         def counted(*args, _name=name, _fn=fn, **kwargs):
@@ -500,7 +522,7 @@ def test_kernel_oracles_run_no_tanh_sinh(monkeypatch):
         monkeypatch.setattr(module, name, counted)
     report = run_sweep(SMALL, jobs=1)
     assert all(r.passed for r in report.rows)
-    assert calls["kernel_oracle"] > 0 and calls["_de_level"] == 0
+    assert calls["_product_rules"] > 0 and calls["_de_level"] == 0
     assert specfun.hyp2f1(50.0, 0.5, 1.5, 0.9999) > 1.0 and calls["_de_level"] == 0
     # The counter is not vacuous: the tanh-sinh rule reaches each level through
     # the module global that the patch replaced.
@@ -557,6 +579,7 @@ class TestInstanceMemo:
             monkeypatch.setattr(module, name, wrapper)
 
         count(bounds, "kernel_oracle", _exact_oracle_key)
+        count(bounds, "_plan", _exact_oracle_key)
         count(bounds, "_hyp2f1_bounded", lambda *args: args)
         # One closed-form evaluation per 2F1 row gives both its value and its
         # bound; the crosscheck rows are at the instance's own triple only.
@@ -568,13 +591,16 @@ class TestInstanceMemo:
         for name, seen in keys.items():
             repeated = {k: n for k, n in seen.items() if n > 1}
             assert not repeated, (name, repeated)
-        assert keys["kernel_oracle"] and keys["_hyp2f1_bounded"] and keys["_evaluate"]
+        assert keys["_plan"] and keys["_hyp2f1_bounded"] and keys["_evaluate"]
         assert keys["integrate"][(inst.a, inst.b)] == 1
+        # The batched pass plans and evaluates every oracle the rows read, each
+        # once; a default-range instance leaves none to kernel_oracle alone.
+        assert len(keys["_plan"]) == 24 and keys["kernel_oracle"] == Counter()
         # B8, B9, B11 and B12 do not read lambda or mu: one integral serves
         # all four triples and the crosscheck.
         for index in (8, 9, 11, 12):
             kind = bounds.KIND_FOR_INDEX[index]
-            calls = sum(n for k, n in keys["kernel_oracle"].items() if k[0] == kind)
+            calls = sum(n for k, n in keys["_plan"].items() if k[0] == kind)
             assert calls == 1, (index, calls)
 
 
