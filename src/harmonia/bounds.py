@@ -39,6 +39,9 @@ each Gauss-Jacobi level evaluates the integrands of all the oracles still
 running in one set of numpy operations, and each oracle keeps its own
 panels, stopping rule and budget, so every value is ``kernel_oracle``'s,
 bit for bit.  An oracle the pass cannot finish is left to ``kernel_oracle``.
+The pass and the rows take the instance at each of the four triples from
+one mapping in the memo, ``_triples``, and each printed Beta value is
+computed once per argument pair (``_printed_beta``).
 
 Every verdict here is judged at the library's constants: ``crosscheck_B``
 at ``CROSSCHECK_TOL``, ``check_theorem`` at ``MARGIN_TOL``, and every oracle
@@ -52,6 +55,7 @@ import math
 import numbers
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import pairwise
 from typing import NamedTuple
 
@@ -317,14 +321,24 @@ def _oracle(kind: KernelKind, inst: Instance, memo: dict | None) -> float:
 _BRACES = {1: (2, 3, 5, 6), 2: (8, 9, 11, 12)}
 
 
-def _row_kernels(inst: Instance) -> Iterator[tuple[int, Instance]]:
+def _triples(inst: Instance, memo: dict | None = None) -> dict[str, Instance]:
+    """inst at each triple the sweep's rows check: "instance" (inst itself)
+    and each of PRESETS by name, built once per memo."""
+    def build() -> dict[str, Instance]:
+        presets = {name: replace(inst, lambda_=lam, mu_=mu) for name, (lam, mu) in PRESETS.items()}
+        return {"instance": inst, **presets}
+
+    return _memoized(memo, ("triples", inst.lambda_, inst.mu_), build)
+
+
+def _row_kernels(inst: Instance, memo: dict | None = None) -> Iterator[tuple[int, Instance]]:
     """(index, instance) of each oracle the sweep's rows on inst read.
 
-    The braces of crosscheck_plan's theorems at inst's triple and at each
-    of PRESETS, and crosscheck_plan's coefficients at inst.
+    The braces of crosscheck_plan's theorems at each of _triples(inst, memo),
+    and crosscheck_plan's coefficients at inst.
     """
     theorems, indices = crosscheck_plan(inst.q)
-    for tri in [inst, *(replace(inst, lambda_=lam, mu_=mu) for lam, mu in PRESETS.values())]:
+    for tri in _triples(inst, memo).values():
         for theorem in theorems:
             for index in _BRACES[theorem]:
                 yield index, tri
@@ -343,7 +357,7 @@ def _oracle_pass(inst: Instance, memo: dict) -> None:
     kernel_oracle does; so is every kernel if a node table does not converge.
     """
     kernels: dict[tuple, tuple | None] = {}  # (index, centre): (kind, instance, plan)
-    for index, tri in _row_kernels(inst):
+    for index, tri in _row_kernels(inst, memo):
         kind = KIND_FOR_INDEX[index]
         seen = (index, _centre(kind, tri))  # the oracle's key, as all share a, b, s and q
         if seen not in kernels:
@@ -501,6 +515,12 @@ def _case_key(index: int, inst: Instance) -> tuple[int, str]:
     return key
 
 
+@lru_cache(maxsize=64)
+def _printed_beta(x: float, y: float) -> float:
+    """beta(x, y), computed once per argument pair: PRINTED has 6 pairs per s."""
+    return beta(x, y)
+
+
 def _printed_terms(index: int, inst: Instance) -> Iterator[tuple]:
     """PRINTED's rows for the case as _evaluate's terms, each sign folded into its coefficient."""
     rows = PRINTED[_case_key(index, inst)]
@@ -524,7 +544,7 @@ def _printed_terms(index: int, inst: Instance) -> Iterator[tuple]:
         # at large q where the b^2q forms still evaluate.
         c = v[coef] if coef else 1.0
         t = 2.0 ** (2 * q - s - top) if top else 1.0
-        yield sign * (c * t * beta(v[bx], v[by])), v[den], (2 * q, v[fb], v[fg], v[arg])
+        yield sign * (c * t * _printed_beta(v[bx], v[by])), v[den], (2 * q, v[fb], v[fg], v[arg])
 
 
 def _printed(index: int, inst: Instance, memo: dict | None) -> tuple[float, float]:

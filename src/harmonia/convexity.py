@@ -19,11 +19,18 @@ analytic certificate for the family in question (see ``PROPERTY_CORPUS``).
 power-plus-constant, scaling, sums, pointwise maxima, composition, explicit
 sequence limits, and |f'|**q wrappers) with numpy-vectorized evaluators for
 f and, where defined, f'.
+
+A grid verdict computes its grid-sized intermediates in a workspace of two
+arrays per grid shape that each thread keeps across calls (``_workspace``),
+so a certification allocates no grid-sized array and page-faults none in.
+The linear, power, s_power and abs_deriv_pow evaluators write into it in
+place; the arithmetic is the same, so every report keeps its bits.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -37,6 +44,10 @@ MONO_TOL = 1e-12
 # check_harmonic_sm_subgrid_first tries every 4th sample per axis first:
 # 11x11x6 of the default 41x41x21 grid, about 1/26 of its points.
 SUBGRID_STRIDE = 4
+# Grid shapes whose workspace (_workspace) each thread keeps; a certification
+# uses two, the grid's and its subgrid's.
+_WORKSPACE_SHAPES = 4
+_WORKSPACES = threading.local()
 
 # kind -> (parameter names, (min, max) children with None for no maximum,
 # the parameter that must be > 0 or None).
@@ -58,6 +69,20 @@ def _require_sm(s: float, m: float) -> None:
         raise ParameterError(f"s must lie in (0, 1], got {s!r}")
     if not (isinstance(m, (int, float)) and 0.0 < m <= 1.0):
         raise ParameterError(f"m must lie in (0, 1], got {m!r}")
+
+
+def _pow(x: np.ndarray, e: float, out: np.ndarray | None) -> np.ndarray:
+    """x ** e, computed in out when out is given.
+
+    The in-place ``**=`` takes the fast paths of ``**`` (x ** 2.0 squares,
+    x ** 0.5 takes the square root), so both give the same bits.
+    """
+    if out is None:
+        return x ** e
+    if x is not out:
+        np.copyto(out, x)
+    out **= e
+    return out
 
 
 def _at_input(rule, x: np.ndarray, fx):
@@ -122,35 +147,42 @@ class FunctionSpec:
                 return val
         raise ParameterError(f"{self.kind} has no param {name!r}")
 
-    def _evaluate(self, x: float | np.ndarray, what: str, rule) -> float | np.ndarray:
+    def _evaluate(
+        self, x: float | np.ndarray, what: str, rule, out: np.ndarray | None = None
+    ) -> float | np.ndarray:
         """rule(x) on the domain, with numpy's floating-point warnings off; a
         result that is not finite raises EvaluationError at the first such x
-        (a sub-term's own EvaluationError names the point it was given)."""
+        (a sub-term's own EvaluationError names the point it was given).
+
+        ``out``, an array of x's shape that is not x, lets the linear, power,
+        s_power and abs_deriv_pow rules write their result into it; the
+        other kinds ignore it and return a fresh array.
+        """
         arr = np.asarray(x, dtype=float)
-        outside = arr[~(arr > self.domain_lo)]
-        if outside.size:
+        if not (arr > self.domain_lo).all():
+            outside = arr[~(arr > self.domain_lo)]
             raise DomainError(
                 f"{what} of {self.kind} spec requires x > {self.domain_lo}, "
                 f"got x={float(outside.min())!r}"
             )
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            out = rule(arr)
-        bad = ~np.isfinite(out)
-        if bad.any():
-            at = float(arr[bad][0])
+            out = rule(arr, out=out)
+        if not np.isfinite(out).all():
+            at = float(arr[~np.isfinite(out)][0])
             raise EvaluationError(f"{self.kind} {what} is not finite at x={at!r}", abscissa=at)
         return float(out) if arr.ndim == 0 else out
 
     def value(self, x: float | np.ndarray) -> float | np.ndarray:
         return self._evaluate(x, "value", self._value)
 
-    def _value(self, x: np.ndarray) -> np.ndarray:
+    def _value(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if self.kind == "linear":
-            return x + 0.0
+            return np.add(x, 0.0, out=out)
         if self.kind == "power":
-            return self.param("c") * x ** self.param("p")
+            return np.multiply(self.param("c"), _pow(x, self.param("p"), out), out=out)
         if self.kind == "s_power":
-            return self.param("b") * x ** self.param("s") + self.param("c")
+            scaled = np.multiply(self.param("b"), _pow(x, self.param("s"), out), out=out)
+            return np.add(scaled, self.param("c"), out=out)
         if self.kind == "scale":
             return self.param("lam") * self.children[0].value(x)
         if self.kind == "sum":
@@ -167,21 +199,26 @@ class FunctionSpec:
         if self.kind == "seq_limit":
             return np.asarray(self.limit.value(x), dtype=float)
         if self.kind == "abs_deriv_pow":
-            return np.abs(self.children[0].deriv(x)) ** self.param("q")
+            f = self.children[0]
+            deriv = f._evaluate(x, "derivative", f._deriv, out=out)
+            return _pow(np.abs(deriv, out=out), self.param("q"), out)
         raise ParameterError(f"unknown kind {self.kind!r}")
 
     def deriv(self, x: float | np.ndarray) -> float | np.ndarray:
         return self._evaluate(x, "derivative", self._deriv)
 
-    def _deriv(self, x: np.ndarray) -> np.ndarray:
+    def _deriv(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if self.kind == "linear":
-            return np.ones_like(x)
+            if out is None:
+                return np.ones_like(x)
+            out.fill(1.0)
+            return out
         if self.kind == "power":
             c, p = self.param("c"), self.param("p")
-            return c * p * x ** (p - 1.0)
+            return np.multiply(c * p, _pow(x, p - 1.0, out), out=out)
         if self.kind == "s_power":
             b, s = self.param("b"), self.param("s")
-            return b * s * x ** (s - 1.0)
+            return np.multiply(b * s, _pow(x, s - 1.0, out), out=out)
         if self.kind == "scale":
             return self.param("lam") * self.children[0].deriv(x)
         if self.kind == "sum":
@@ -387,6 +424,27 @@ def harmonic_sm_defect(
     return float(_defect(f, s, m, xs, ys, ts, harmonic=True)[0, 0, 0])
 
 
+def _workspace(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """This thread's two scratch arrays of the given grid shape.
+
+    They live across calls, so a certification allocates no grid-sized
+    array: freed arrays of that size go back to the kernel, and each new
+    one is page-faulted in again.  Each thread keeps its own, as numpy
+    releases the GIL inside large ufuncs, for its _WORKSPACE_SHAPES most
+    recently used shapes.
+    """
+    cache = getattr(_WORKSPACES, "cache", None)
+    if cache is None:
+        cache = _WORKSPACES.cache = {}
+    work = cache.pop(shape, None)
+    if work is None:
+        work = (np.empty(shape), np.empty(shape))
+        if len(cache) >= _WORKSPACE_SHAPES:
+            del cache[next(iter(cache))]  # the least recently used shape
+    cache[shape] = work
+    return work
+
+
 def _grid_axes(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return (
         np.linspace(grid.lo, grid.hi, grid.nx),
@@ -403,24 +461,35 @@ def _defect(
     ys: np.ndarray,
     ts: np.ndarray,
     harmonic: bool,
+    work: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Signed defect over the product of the given axes, shape (x, y, t).
 
     Every entry depends only on its own (x, y, t), so the defect over
     sub-axes is the matching sub-array of the defect over the full axes.
+    ``work``, two float arrays (A, B) of that shape, takes every grid-sized
+    intermediate: the combination in A, f of it in B, the right-hand side
+    in A, and the defect in B, which is returned.  Without it both are
+    allocated here, so the result is a fresh array.
     """
     X = xs[:, None, None]
     Y = ys[None, :, None]
     T = ts[None, None, :]
+    if work is None:
+        shape = (len(xs), len(ys), len(ts))
+        work = (np.empty(shape), np.empty(shape))
+    A, B = work
     with np.errstate(over="ignore", invalid="ignore"):  # checked for finiteness below
-        if harmonic:
-            comb = m * X * Y / (m * T * Y + (1.0 - T) * X)
-        else:
-            comb = T * X + m * (1.0 - T) * Y
+        if harmonic:  # m*X*Y / (m*T*Y + (1-T)*X)
+            np.divide(m * X * Y, np.add(m * T * Y, (1.0 - T) * X, out=A), out=A)
+        else:  # T*X + m*(1-T)*Y
+            np.add(T * X, m * (1.0 - T) * Y, out=A)
         fx = np.asarray(f.value(xs), dtype=float)[:, None, None]
         fy = np.asarray(f.value(ys), dtype=float)[None, :, None]
-        defect = np.asarray(f.value(comb), dtype=float) - (T**s * fx + m * (1.0 - T) ** s * fy)
-    if not np.all(np.isfinite(defect)):
+        f_comb = f._evaluate(A, "value", f._value, out=B)
+        np.add(T**s * fx, m * (1.0 - T) ** s * fy, out=A)
+        defect = np.subtract(f_comb, A, out=B)
+    if not np.isfinite(defect).all():
         raise EvaluationError("grid defect evaluation produced non-finite values")
     return defect
 
@@ -436,8 +505,13 @@ def _check_grid_args(f: FunctionSpec, s: float, m: float, grid: GridSpec) -> Non
 def _report(
     f: FunctionSpec, s: float, m: float, axes: tuple, harmonic: bool
 ) -> ConvexityReport:
-    """Grid verdict over the product of the given axes."""
-    defect = _defect(f, s, m, *axes, harmonic)
+    """Grid verdict over the product of the given axes.
+
+    The defect is computed in this thread's workspace for the grid's shape
+    (_workspace); only its maximum, the maximizer's index and the witness
+    leave this call, so no workspace array escapes.
+    """
+    defect = _defect(f, s, m, *axes, harmonic, work=_workspace(tuple(map(len, axes))))
     # C-order argmax returns the first maximizer, which is the
     # lexicographically smallest (x, y, t) witness.
     index = np.unravel_index(int(np.argmax(defect)), defect.shape)

@@ -23,7 +23,7 @@ import time
 from collections import defaultdict
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from functools import cache, cached_property, partial
 from itertools import groupby, islice
@@ -36,6 +36,7 @@ from .bounds import (
     PRESETS,
     _oracle_pass,
     _require_band,
+    _triples,
     case_label,
     certify_instance,
     check_theorem,
@@ -380,18 +381,19 @@ def _instance_rows(payload: tuple) -> tuple[list[Row], list[dict]]:
     average, kernel oracle and 2F1 value that they have in common; before
     the checks run, bounds' batched pass puts in it every kernel oracle the
     rows read, and the rows compute alone only the oracles it could not.
+    The pass and the theorem rows share the memo's one Instance per triple.
     """
     inst_id, inst, certificate = payload
     family = format_function_spec(inst.f)
     memo: dict = {}
     _oracle_pass(inst, memo)
     theorems, indices = crosscheck_plan(inst.q)
-    triples = [("instance", (inst.lambda_, inst.mu_)), *PRESETS.items()]
+    triples = _triples(inst, memo)
     checks = [("identity", partial(check_identity, inst, memo=memo))]
     checks += [
-        (f"theorem{theorem}@{name}", partial(check_theorem, replace(inst, lambda_=lam, mu_=mu),
-                                             theorem, certificate=certificate, memo=memo))
-        for theorem in theorems for name, (lam, mu) in triples
+        (f"theorem{theorem}@{name}",
+         partial(check_theorem, tri, theorem, certificate=certificate, memo=memo))
+        for theorem in theorems for name, tri in triples.items()
     ]
     checks += [
         (f"crosscheck:B{index}:{case_label(index, inst)}",

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
+import sys
+import threading
+import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -17,9 +22,11 @@ from harmonia import (
     EvaluationError,
     FunctionSpec,
     GridSpec,
+    Instance,
     ParameterError,
     PROPERTY_CORPUS,
     SM_PAIRS,
+    certify_instance,
     check_harmonic_sm,
     check_plain_sm,
     classify,
@@ -33,6 +40,7 @@ from harmonia import (
     s_power,
     abs_deriv_pow,
 )
+from harmonia import convexity
 from harmonia.convexity import (
     SUBGRID_STRIDE,
     _defect,
@@ -109,6 +117,13 @@ class TestDefect:
         with pytest.raises(DomainError):
             # m pulls the harmonic combination down to 0.15 < 0.5
             harmonic_sm_defect(shifted, 0.6, 0.6, 0.0, 1.0, 0.25)
+        # The same on a default-size grid, twice (the second run's workspace is
+        # warm): each names the combination's least value, m * lo = 0.3.
+        shifted = FunctionSpec(kind="linear", domain_lo=1.0)
+        for check in (check_harmonic_sm, check_harmonic_sm, check_plain_sm):
+            with pytest.raises(DomainError) as exc:
+                check(shifted, 1.0, 0.25, GridSpec(lo=1.2, hi=2.0))
+            assert str(exc.value) == "value of linear spec requires x > 1.0, got x=0.3"
 
     def test_grid_below_domain_rejected(self):
         shifted = FunctionSpec(kind="linear", domain_lo=1.0)
@@ -125,6 +140,23 @@ class TestDefect:
                 check_harmonic_sm(shape, 1.0, 1.0, grid)
             with pytest.raises(EvaluationError):
                 check_harmonic_sm_subgrid_first(shape, 1.0, 1.0, grid)
+
+    @pytest.mark.parametrize("what", ["value", "derivative"])
+    def test_combination_overflow_names_its_point(self, what):
+        # x**-3000 and its derivative underflow to 0 on the axes [3, 4] and
+        # overflow where m = 0.25 pulls the combination down to 0.75.  Each
+        # run names that point, the second harmonic run with a warm workspace.
+        f = power(1.0, -3000.0)
+        shape = f if what == "value" else abs_deriv_pow(f, 1.0)
+        checks = (check_harmonic_sm, check_harmonic_sm, check_harmonic_sm_subgrid_first,
+                  check_plain_sm)
+        for check in checks:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(EvaluationError) as exc:
+                    check(shape, 1.0, 0.25, GridSpec(lo=3.0, hi=4.0))
+            assert str(exc.value) == f"power {what} is not finite at x=0.75"
+            assert exc.value.abscissa == 0.75
 
 
 class TestGridSpec:
@@ -207,12 +239,87 @@ class TestSubgrid:
                 assert report == full_report
         assert refuted > 0
 
+    # sha256 of every report's (holds, worst_defect, witness, checked) in
+    # test_reports_keep_their_bits, recorded before the grid workspace.
+    DIGEST = "65595c9827f38e22e5a0c6bcce17af9468da973c48b144a069f25cd952ca43de"
+
+    def test_reports_keep_their_bits(self):
+        digest = hashlib.sha256()
+        refuted = {}
+        for ranges in sorted(self.RANGES):
+            for shape, s, m, grid in self._candidates(self.RANGES[ranges], 120):
+                for check in (check_harmonic_sm_subgrid_first, check_harmonic_sm, check_plain_sm):
+                    r = check(shape, s, m, grid)
+                    key = (ranges, check.__name__)
+                    refuted[key] = refuted.get(key, 0) + (not r.holds)
+                    digest.update(repr((r.holds, r.worst_defect.hex(),
+                                        [w.hex() for w in r.witness], r.checked)).encode())
+        assert len(refuted) == 6 and all(refuted.values())
+        assert digest.hexdigest() == self.DIGEST
+
     def test_subgrid_checks_arguments_like_the_full_grid(self):
         shifted = FunctionSpec(kind="linear", domain_lo=1.0)
         with pytest.raises(DomainError):
             check_harmonic_sm_subgrid_first(shifted, 1.0, 1.0, GridSpec(lo=1.0, hi=2.0))
         with pytest.raises(ParameterError):
             check_harmonic_sm_subgrid_first(linear(), 0.0, 1.0, GridSpec())
+
+
+class TestWorkspace:
+    """Certification computes in per-thread, per-shape scratch arrays."""
+
+    GRID_BYTES = 41 * 41 * 21 * 8  # one float array of the default grid
+
+    def test_a_warm_certification_allocates_no_grid_array(self):
+        inst = Instance(a=1.0, b=2.0, s=0.5, m=1.0, q=2.0, lambda_=0.7, mu_=0.2,
+                        f=power(1.0, 2.0))
+        certify_instance(inst)  # makes this thread's workspace
+        tracemalloc.start()
+        try:
+            report = certify_instance(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.holds and report.checked == 41 * 41 * 21
+        assert peak < self.GRID_BYTES
+
+    def test_threads_certifying_at_once_get_the_serial_reports(self):
+        # Four threads, each on its own candidates, switching often: with one
+        # workspace for all, their grids would overwrite each other.
+        threads = 4
+        candidates = list(TestSubgrid()._candidates(TestSubgrid.RANGES["default"], 24))
+        serial = [check_harmonic_sm(*c) for c in candidates]
+        start = threading.Barrier(threads, timeout=60)
+
+        def certify(k):
+            start.wait()
+            return [check_harmonic_sm(*c) for _ in range(5) for c in candidates[k::threads]]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                futures = [pool.submit(certify, k) for k in range(threads)]
+                reports = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for k in range(threads):
+            assert reports[k] == serial[k::threads] * 5
+
+    def test_defect_without_a_workspace_is_a_fresh_array(self):
+        axes = _grid_axes(GridSpec())
+        first = _defect(linear(), 1.0, 1.0, *axes, harmonic=True)
+        kept = first.copy()
+        second = _defect(power(1.0, 2.0), 1.0, 1.0, *axes, harmonic=True)
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, kept)
+
+    def test_least_recently_used_shapes_are_dropped(self):
+        shapes = [GridSpec(nx=n, ny=n, nt=n) for n in range(2, 4 + convexity._WORKSPACE_SHAPES)]
+        for grid in shapes:
+            check_harmonic_sm(linear(), 1.0, 1.0, grid)
+        kept = list(convexity._WORKSPACES.cache)
+        assert kept == [(g.nx, g.ny, g.nt) for g in shapes[-convexity._WORKSPACE_SHAPES:]]
 
 
 class TestClassify:

@@ -603,6 +603,24 @@ class TestInstanceMemo:
             calls = sum(n for k, n in keys["_plan"].items() if k[0] == kind)
             assert calls == 1, (index, calls)
 
+    def test_each_triple_built_once(self, monkeypatch):
+        # The oracle pass and the theorem rows share one mapping of the four
+        # triples through the memo: the instance itself and one new Instance
+        # per preset, so the rows of an instance build three.
+        payloads = [(0, inst, certify_instance(inst)) for inst in generate_instances(SMALL)[0]]
+        assert any(inst.q > 1.0 for _, inst, _ in payloads)  # both theorems' rows
+        built: Counter = Counter()
+        post_init = Instance.__post_init__
+
+        def counted(self):
+            built[self.lambda_, self.mu_] += 1
+            post_init(self)
+
+        monkeypatch.setattr(Instance, "__post_init__", counted)
+        for payload in payloads:
+            built.clear()
+            harness._instance_rows(payload)
+            assert built == Counter(PRESETS.values()), payload[1]
 
     def test_function_values_once_per_instance(self, monkeypatch):
         # Count FunctionSpec.value/.deriv calls on the instance's function by
