@@ -25,6 +25,12 @@ arrays per grid shape that each thread keeps across calls (``_workspace``),
 so a certification allocates no grid-sized array and page-faults none in.
 The linear, power, s_power and abs_deriv_pow evaluators write into it in
 place; the arithmetic is the same, so every report keeps its bits.
+
+A certification builds its axes once, with one array for x and y on a
+square grid (``_grid_axes``), and evaluates f on them once (``_axis_values``);
+the subgrid prefilter reads every ``SUBGRID_STRIDE``-th value.  Where that
+evaluation raises, each verdict evaluates f on the axes it reads, so a point
+outside the subgrid raises only when the full grid runs.
 """
 
 from __future__ import annotations
@@ -446,11 +452,20 @@ def _workspace(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _grid_axes(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return (
-        np.linspace(grid.lo, grid.hi, grid.nx),
-        np.linspace(grid.lo, grid.hi, grid.ny),
-        np.linspace(0.0, 1.0, grid.nt),
-    )
+    """The grid's x, y and t axes; x and y are one array when nx == ny."""
+    xs = np.linspace(grid.lo, grid.hi, grid.nx)
+    ys = xs if grid.ny == grid.nx else np.linspace(grid.lo, grid.hi, grid.ny)
+    return xs, ys, np.linspace(0.0, 1.0, grid.nt)
+
+
+def _axis_values(f: FunctionSpec, xs: np.ndarray, ys: np.ndarray) -> tuple | None:
+    """(f(xs), f(ys)), one evaluation when xs is ys; None where f.value
+    raises, so that each verdict evaluates f on the sub-axes it reads."""
+    try:
+        fx = f.value(xs)
+        return fx, (fx if ys is xs else f.value(ys))
+    except (DomainError, EvaluationError):
+        return None
 
 
 def _defect(
@@ -462,6 +477,7 @@ def _defect(
     ts: np.ndarray,
     harmonic: bool,
     work: tuple[np.ndarray, np.ndarray] | None = None,
+    values: tuple | None = None,
 ) -> np.ndarray:
     """Signed defect over the product of the given axes, shape (x, y, t).
 
@@ -470,7 +486,8 @@ def _defect(
     ``work``, two float arrays (A, B) of that shape, takes every grid-sized
     intermediate: the combination in A, f of it in B, the right-hand side
     in A, and the defect in B, which is returned.  Without it both are
-    allocated here, so the result is a fresh array.
+    allocated here, so the result is a fresh array.  ``values`` are (f(xs),
+    f(ys)) as _axis_values gives them; None, f is evaluated on xs and ys here.
     """
     X = xs[:, None, None]
     Y = ys[None, :, None]
@@ -484,8 +501,9 @@ def _defect(
             np.divide(m * X * Y, np.add(m * T * Y, (1.0 - T) * X, out=A), out=A)
         else:  # T*X + m*(1-T)*Y
             np.add(T * X, m * (1.0 - T) * Y, out=A)
-        fx = np.asarray(f.value(xs), dtype=float)[:, None, None]
-        fy = np.asarray(f.value(ys), dtype=float)[None, :, None]
+        fx, fy = (f.value(xs), f.value(ys)) if values is None else values
+        fx = np.asarray(fx, dtype=float)[:, None, None]
+        fy = np.asarray(fy, dtype=float)[None, :, None]
         f_comb = f._evaluate(A, "value", f._value, out=B)
         np.add(T**s * fx, m * (1.0 - T) ** s * fy, out=A)
         defect = np.subtract(f_comb, A, out=B)
@@ -503,15 +521,18 @@ def _check_grid_args(f: FunctionSpec, s: float, m: float, grid: GridSpec) -> Non
 
 
 def _report(
-    f: FunctionSpec, s: float, m: float, axes: tuple, harmonic: bool
+    f: FunctionSpec, s: float, m: float, axes: tuple, harmonic: bool,
+    values: tuple | None = None,
 ) -> ConvexityReport:
     """Grid verdict over the product of the given axes.
+
+    ``values`` are f on the x and y axes, as _defect takes them.
 
     The defect is computed in this thread's workspace for the grid's shape
     (_workspace); only its maximum, the maximizer's index and the witness
     leave this call, so no workspace array escapes.
     """
-    defect = _defect(f, s, m, *axes, harmonic, work=_workspace(tuple(map(len, axes))))
+    defect = _defect(f, s, m, *axes, harmonic, _workspace(tuple(map(len, axes))), values)
     # C-order argmax returns the first maximizer, which is the
     # lexicographically smallest (x, y, t) witness.
     index = np.unravel_index(int(np.argmax(defect)), defect.shape)
@@ -540,16 +561,22 @@ def check_harmonic_sm_subgrid_first(
     """check_harmonic_sm's verdict, tried first on every SUBGRID_STRIDE-th
     sample of each grid axis.
 
-    The sub-axes are slices of the grid's own axes, so each subgrid defect
-    is bit for bit the grid's defect at that point.  When the subgrid
-    already refutes, its report is returned (holds False, worst defect and
-    witness over the subgrid's points only); otherwise the report is
-    check_harmonic_sm(f, s, m, grid)'s.
+    The axes are built once (_grid_axes) and f is evaluated on them once
+    (_axis_values).  The sub-axes and the subgrid's values of f are slices
+    of those, so each subgrid defect is bit for bit the grid's defect at
+    that point.  Where f raises on the axes, each verdict evaluates f on
+    its own axes, so a point outside the subgrid raises only when the full
+    grid runs.  When the subgrid already refutes, its report is returned
+    (holds False, worst defect and witness over the subgrid's points only);
+    otherwise the report is check_harmonic_sm(f, s, m, grid)'s.
     """
     _check_grid_args(f, s, m, grid)
     axes = _grid_axes(grid)
-    coarse = _report(f, s, m, tuple(ax[::SUBGRID_STRIDE] for ax in axes), harmonic=True)
-    return _report(f, s, m, axes, harmonic=True) if coarse.holds else coarse
+    values = _axis_values(f, *axes[:2])
+    k = SUBGRID_STRIDE
+    coarse = _report(f, s, m, tuple(ax[::k] for ax in axes), harmonic=True,
+                     values=None if values is None else tuple(v[::k] for v in values))
+    return _report(f, s, m, axes, harmonic=True, values=values) if coarse.holds else coarse
 
 
 @dataclass(frozen=True)

@@ -149,6 +149,9 @@ def _gauss_sum(
 ) -> tuple[float, int, float, float]:
     """The Gauss series with a geometric tail bound: (value, terms_used, tail, moment).
 
+    The caller checks the arguments (_check_2f1_domain), as
+    _hyp2f1_bounded does once per call.
+
     It stops once the bounded tail is below _REL_TOL / 10 relative to the
     accumulated sum, and raises AccuracyError, with the partial sum, if
     _MAX_TERMS terms come first.  tail bounds the sum of the dropped terms
@@ -164,8 +167,12 @@ def _gauss_sum(
     + max(c0,0)/((gamma_+k)(k+1))) bounds every ratio from the k-th on.
     The sum is compensated (Kahan).  The tail test bounds the truncation
     only: the term recurrence rounds too, which _series_bounded adds.
+
+    The loop's term index k is a float.  Every k below 2**53 is exact, and
+    an int k is converted to that same float wherever it meets one
+    (alpha + k, k * size), so each term takes the same roundings in the
+    same order as with an int counter, without a conversion per use.
     """
-    _check_2f1_domain(alpha, beta_, gamma_, z)
     if z == 0.0:
         return 1.0, 1, 0.0, 0.0
     rel_tol = _REL_TOL / 10.0
@@ -174,29 +181,31 @@ def _gauss_sum(
     # r_k >= z, so |term| z/(1-z) <= rel_tol |acc| must hold before the
     # sound test can; checking it first keeps r_k off most iterations.
     z_tail = z / (1.0 - z)
+    cap = _MAX_TERMS
     term = 1.0
     acc = 1.0
     lost = 0.0  # Kahan: rounding error of the last addition, taken off the next term
     moment = 0.0
-    k = 0
-    while k < _MAX_TERMS:
-        ratio = (alpha + k) * (beta_ + k) / ((gamma_ + k) * (k + 1.0)) * z
-        term *= ratio
+    k = 0.0
+    while k < cap:
+        k1 = k + 1.0
+        term *= (alpha + k) * (beta_ + k) / ((gamma_ + k) * k1) * z
         y = term - lost
         total = acc + y
         lost = (total - acc) - y
         acc = total
-        k += 1
+        k = k1
         size = abs(term)
         moment += k * size
         if size * z_tail <= rel_tol * abs(acc):
-            r = z * (1.0 + c1 / (gamma_ + k) + c0 / ((gamma_ + k) * (k + 1.0)))
+            g = gamma_ + k
+            r = z * (1.0 + c1 / g + c0 / (g * (k + 1.0)))
             if r < 1.0:
                 tail = size * r / (1.0 - r)
                 if tail <= rel_tol * abs(acc):
-                    return acc, k + 1, tail, moment
+                    return acc, int(k) + 1, tail, moment
         if term == 0.0:  # terminating series (alpha a non-positive integer)
-            return acc, k + 1, 0.0, moment
+            return acc, int(k) + 1, 0.0, moment
     raise AccuracyError(
         f"hyp2f1 series did not converge within {_MAX_TERMS} terms",
         partial_sum=acc,

@@ -10,6 +10,7 @@ import threading
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -26,12 +27,14 @@ from harmonia import (
     ParameterError,
     PROPERTY_CORPUS,
     SM_PAIRS,
+    SweepConfig,
     certify_instance,
     check_harmonic_sm,
     check_plain_sm,
     classify,
     combine,
     format_function_spec,
+    generate_instances,
     harmonic_sm_defect,
     linear,
     parse_function_spec,
@@ -263,6 +266,84 @@ class TestSubgrid:
             check_harmonic_sm_subgrid_first(shifted, 1.0, 1.0, GridSpec(lo=1.0, hi=2.0))
         with pytest.raises(ParameterError):
             check_harmonic_sm_subgrid_first(linear(), 0.0, 1.0, GridSpec())
+
+
+@dataclass(frozen=True)
+class _Spiked(FunctionSpec):
+    """A linear spec whose derivative is infinite at the one point ``spike``."""
+
+    spike: float = 0.0
+
+    def _deriv(self, x, out=None):
+        deriv = super()._deriv(x, out)
+        deriv[x == self.spike] = np.inf
+        return deriv
+
+
+class TestAxisWork:
+    """Each candidate's x and y axes are one array, and |f'|^q is evaluated on it once."""
+
+    # The small seeded config of tests/test_harness.py.
+    SMALL = SweepConfig(samples=6, rng_seed=424242, q_values=(1.0, 2.0))
+
+    def test_generate_instances_builds_and_evaluates_each_axis_once(self, monkeypatch):
+        linspace, axis_derivs = [0], [0]
+        real_linspace, real_deriv = np.linspace, FunctionSpec._deriv
+
+        def counting_linspace(*args, **kwargs):
+            linspace[0] += 1
+            return real_linspace(*args, **kwargs)
+
+        def counting_deriv(self, x, out=None):
+            axis_derivs[0] += np.ndim(x) == 1
+            return real_deriv(self, x, out)
+
+        monkeypatch.setattr(np, "linspace", counting_linspace)
+        monkeypatch.setattr(FunctionSpec, "_deriv", counting_deriv)
+        instances, discarded, _ = generate_instances(self.SMALL)
+        candidates = len(instances) + discarded
+        assert discarded > 0
+        assert linspace[0] == 2 * candidates  # x and y, then t
+        assert axis_derivs[0] == candidates
+
+    # A spike at the axis point xs[1], outside the subgrid (stride 4): in f'
+    # itself, or in a summand, whose own check raises inside sum's f'.
+    NESTINGS = {
+        "leaf": (lambda spiked: spiked, linear()),
+        "summand": (lambda spiked: combine("sum", [spiked, linear()]),
+                    combine("sum", [linear(), linear()])),
+    }
+
+    def _spiked(self, nesting, m):
+        """The instance with the spike, its twin without one, and the x axis."""
+        a, b = 1.0, 1.37  # no subgrid combination lands on xs[1] at m = 1/2 or 1
+        xs = np.linspace(a, b / m, 41)
+        build, plain = self.NESTINGS[nesting]
+        inst = Instance(a=a, b=b, s=1.0, m=m, q=2.0, lambda_=0.7, mu_=0.2,
+                        f=build(_Spiked(kind="linear", spike=float(xs[1]))))
+        return inst, replace(inst, f=plain), xs
+
+    @pytest.mark.parametrize("nesting", sorted(NESTINGS))
+    def test_a_value_outside_the_subgrid_leaves_its_refutation_alone(self, nesting):
+        # |f'|^2 is a constant c > 0; with m = 1/2 it fails at t = 0 (c > m c).
+        inst, twin, xs = self._spiked(nesting, 0.5)
+        with pytest.raises(EvaluationError):
+            abs_deriv_pow(inst.f, inst.q).value(xs)
+        report = certify_instance(inst)
+        assert not report.holds and report.checked == 11 * 11 * 6
+        assert report == certify_instance(twin)
+
+    @pytest.mark.parametrize("nesting", sorted(NESTINGS))
+    def test_a_subgrid_that_holds_raises_the_full_grids_error(self, nesting):
+        # m = 1: the constant holds on the subgrid, and the full grid reads xs[1].
+        inst, twin, xs = self._spiked(nesting, 1.0)
+        with pytest.raises(EvaluationError) as expected:
+            abs_deriv_pow(inst.f, inst.q).value(xs)
+        assert certify_instance(twin).holds
+        with pytest.raises(EvaluationError) as raised:
+            certify_instance(inst)
+        assert str(raised.value) == str(expected.value)
+        assert raised.value.abscissa == expected.value.abscissa == xs[1]
 
 
 class TestWorkspace:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
 import runpy
@@ -34,6 +35,7 @@ from harmonia.specfun import (
     _gauss_sum,
     _hyp2f1_bounded,
     _near_one,
+    _w_sum,
 )
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
@@ -464,6 +466,69 @@ class TestWork:
         for args in wide_sets_near_one:
             _hyp2f1_bounded(*args)
         assert terms[0] < 50_000
+
+
+class TestSeriesBits:
+    """The series loops' results, pinned by float.hex.
+
+    series_pins.json holds a corpus recorded before _gauss_sum counted its
+    terms on a float: 40 distinct _gauss_sum argument sets and 40 _w_sum calls
+    (16 plain, 12 with count > 0, 12 logarithmic), drawn with
+    random.Random(30) from those of the seed-1 sweeps of sweep_default and
+    sweep_wide.  The sweeps have no terminating series and no _w_sum call with
+    nonzero errs, so the corpus adds F(-3, 1.5; 2.5; 1/2) and the four
+    perturbed _w_sum calls of _hyp2f1_bounded at (2, 1.3, 3.7, 0.95),
+    (6, 1.7, 3.7, 0.99) and (2, 1.3, 5.3, 0.95).
+    """
+
+    PINS = json.loads((Path(__file__).parent / "series_pins.json").read_text(encoding="utf-8"))
+
+    @staticmethod
+    def _hex(values):
+        return [v if isinstance(v, int) else v.hex() for v in values]
+
+    def test_the_corpus_covers_every_branch(self):
+        gauss, wsum = self.PINS["gauss_sum"], self.PINS["w_sum"]
+        assert any(float.fromhex(p["args"][0]) == -3.0 for p in gauss)  # terminating
+        assert any(p["count"] for p in wsum)
+        assert any(p["log_w"] for p in wsum)
+        assert any(float.fromhex(e) for p in wsum for e in p["errs"])
+
+    def test_gauss_sum_keeps_its_bits(self):
+        for pin in self.PINS["gauss_sum"]:
+            result = _gauss_sum(*map(float.fromhex, pin["args"]))
+            assert isinstance(result[1], int)
+            assert self._hex(result) == pin["result"], pin["args"]
+
+    def test_w_sum_keeps_its_bits(self):
+        for pin in self.PINS["w_sum"]:
+            args = [float.fromhex(v) for v in pin["args"]]
+            errs = tuple(float.fromhex(v) for v in pin["errs"])
+            log_w = None if pin["log_w"] is None else float.fromhex(pin["log_w"])
+            result = _w_sum(*args, errs, log_w=log_w, count=pin["count"])
+            assert isinstance(result[2], int)
+            assert self._hex(result) == pin["result"], pin
+
+
+class TestDomainChecks:
+    def test_one_check_per_bounded_call(self, monkeypatch):
+        checks = [0]
+        real = specfun._check_2f1_domain
+
+        def counting(*args):
+            checks[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(specfun, "_check_2f1_domain", counting)
+        for z in (0.0, 0.5, _CUT, 0.99):
+            _hyp2f1_bounded(2.0, 1.5, 3.25, z)
+        assert checks[0] == 4
+
+    def test_the_series_arguments_are_checked(self):
+        with pytest.raises(DomainError, match="0 <= z < 1"):
+            _hyp2f1_bounded(2.0, 1.0, 2.0, 1.0)
+        with pytest.raises(DomainError, match="alpha must be finite"):
+            _hyp2f1_bounded(math.nan, 1.0, 2.0, 0.5)
 
 
 class TestDigamma:
