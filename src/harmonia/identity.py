@@ -16,8 +16,8 @@ deviates from the harmonic-weighted integral average.  Integration by parts
 valid for ALL real lambda_, mu_ whenever f' is integrable.  This module
 evaluates both sides by quadrature, at ``quadrature.DEFAULT_SETTINGS``, and
 judges the identity in ``_judged`` alone: |lhs - rhs| <= ``IDENTITY_TOL``.
-``check_identity`` and ``verify-identity --printed`` both call it; their
-callers read the verdict and its margin from the ``IdentityCheck`` it returns.
+``check_identity``, the sweep's identity row and ``verify-identity --printed``
+call it; their callers read the verdict and margin from its ``IdentityCheck``.
 
 A widely circulated variant of the display writes the midpoint node as
 f((a+b)/2) and doubles the integral prefactor to 2ab/(b-a).  That variant
@@ -63,7 +63,8 @@ class Instance:
     def __post_init__(self) -> None:
         for name in ("a", "b", "s", "m", "q", "lambda_", "mu_"):
             val = getattr(self, name)
-            if not (isinstance(val, (int, float)) and math.isfinite(val)):
+            # bool subclasses int, but True where a number belongs is a mistake.
+            if isinstance(val, bool) or not (isinstance(val, (int, float)) and math.isfinite(val)):
                 raise ParameterError(f"{name} must be a finite real, got {val!r}")
         if not (0.0 < self.a < self.b):
             raise ParameterError(f"need 0 < a < b, got a={self.a!r}, b={self.b!r}")
@@ -97,19 +98,6 @@ class IdentityCheck:
         return self.tol - self.abs_diff
 
 
-def _memoized(memo: dict | None, key: tuple, fn, *args, **kwargs):
-    """fn(*args, **kwargs), computed once per key of memo.
-
-    With memo None it just calls fn.  A call that raises stores nothing, so
-    the next lookup under the same key raises again.
-    """
-    if memo is None:
-        return fn(*args, **kwargs)
-    if key not in memo:
-        memo[key] = fn(*args, **kwargs)
-    return memo[key]
-
-
 def _integral_avg_term(inst: Instance) -> float:
     """(ab/(b-a)) * integral_a^b f(u)/u**2 du."""
     f = inst.f
@@ -129,16 +117,16 @@ def _instance_terms(inst: Instance) -> tuple[list[float], float]:
     return nodes, _integral_avg_term(inst)
 
 
-def rule_deviation(inst: Instance, *, memo: dict | None = None) -> float:
-    """The corrected node form of I_f (harmonic-mean midpoint node).
-
-    The node values and the integral average do not depend on lambda_ or
-    mu_; ``memo`` lets the rows of one instance share them.
-    """
-    key = ("avg", inst.a, inst.b, inst.f)
-    (f_h, f_a, f_b), avg = _memoized(memo, key, _instance_terms, inst)
+def _deviation(inst: Instance, terms: tuple[list[float], float]) -> float:
+    """The corrected node form of I_f from terms, _instance_terms(inst)."""
+    (f_h, f_a, f_b), avg = terms
     nodes = (inst.lambda_ - inst.mu_) * f_h + (1.0 - inst.lambda_) * f_a + inst.mu_ * f_b
     return nodes - avg
+
+
+def rule_deviation(inst: Instance) -> float:
+    """The corrected node form of I_f (harmonic-mean midpoint node)."""
+    return _deviation(inst, _instance_terms(inst))
 
 
 def rule_deviation_as_printed(inst: Instance) -> float:
@@ -184,6 +172,6 @@ def _judged(lhs: float, rhs: float) -> IdentityCheck:
     )
 
 
-def check_identity(inst: Instance, *, memo: dict | None = None) -> IdentityCheck:
+def check_identity(inst: Instance) -> IdentityCheck:
     """``_judged`` on the corrected node form (lhs) and the kernel representation (rhs)."""
-    return _judged(rule_deviation(inst, memo=memo), kernel_representation(inst))
+    return _judged(rule_deviation(inst), kernel_representation(inst))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import ast
 import inspect
+import runpy
 from pathlib import Path
 
 import harmonia
@@ -76,9 +77,9 @@ SIGNATURES = {
     # identity
     "IdentityCheck": "lhs, rhs, abs_diff, tol, passed",
     "Instance": "a, b, s, m, q, lambda_, mu_, f",
-    "check_identity": "inst, *, memo",
+    "check_identity": "inst",
     "kernel_representation": "inst",
-    "rule_deviation": "inst, *, memo",
+    "rule_deviation": "inst",
     "rule_deviation_as_printed": "inst",
     # bounds
     "BoundTerm": "index, case, oracle, closed_form, rel_diff, status, bound",
@@ -88,11 +89,11 @@ SIGNATURES = {
     "b7_b10": "mu_, lambda_, p",
     "case_label": "index, inst",
     "certify_instance": "inst",
-    "check_theorem": "inst, theorem, *, certificate, memo",
+    "check_theorem": "inst, theorem, *, certificate",
     "closed_B": "index, inst",
     "corollary_rhs": "inst, theorem",
     "corrected_B": "index, inst",
-    "crosscheck_B": "index, inst, *, memo",
+    "crosscheck_B": "index, inst",
     "kernel_oracle": "kind, inst",
     "simpson_theorem2_prefactor": "p, as_printed",
     "theorem1_rhs": "inst",
@@ -270,6 +271,46 @@ def test_only_the_quadrature_tests_call_the_tanh_sinh_rule():
         if "integrate_de" in _calls(ast.parse(path.read_text(encoding="utf-8")))
     }
     assert callers == {"tests/test_quadrature.py"}
+
+
+SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+
+# The names a module of the library imports and never reads: each is bound
+# only so that the benchmark's tracer (bench/spans.py) can wrap it there.
+# They go once the library counts its own calls.
+TRACED_ONLY = {
+    ("bounds", "hyp2f1"), ("bounds", "integrate_de"), ("bounds", "rule_deviation"),
+    ("harness", "check_identity"), ("harness", "check_theorem"), ("harness", "crosscheck_B"),
+    ("specfun", "integrate"), ("specfun", "integrate_de"),
+}
+
+
+def _unread_imports(tree: ast.Module) -> set[str]:
+    """The names tree imports (from __future__ aside) and never reads."""
+    imported = {
+        (alias.asname or alias.name).partition(".")[0]
+        for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - read
+
+
+def test_every_unread_import_is_a_traced_binding():
+    unread = set()
+    for path in Path(harmonia.__file__).parent.glob("*.py"):
+        if path.stem != "__init__":  # its imports are the re-exports
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            unread |= {(path.stem, name) for name in _unread_imports(tree)}
+    spans = runpy.run_path(str(SPANS))
+    traced = {
+        (module.__name__.rpartition(".")[2], attr)
+        for module, attr, *_ in (*spans["_SPANNED"], *spans["_COUNTED"])
+    }
+    assert unread <= traced
+    assert unread == TRACED_ONLY
+
 
 CLI_OPTIONS = {
     "check-convexity": "--f --s --m --lo --hi --grid",

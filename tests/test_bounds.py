@@ -44,7 +44,7 @@ from harmonia import (
     theorem1_rhs,
     theorem2_rhs,
 )
-from harmonia.bounds import PRINTED
+from harmonia.bounds import PRINTED, crosscheck_plan
 
 SQUARE = power(1.0, 2.0)
 
@@ -281,10 +281,26 @@ class TestOraclePass:
     DIGEST = "b94ce6cae57e8cf7bda6d17913c680f241b8709a9f501fcfcd4383b2a5263ec2"
 
     @staticmethod
-    def oracles(memo: dict) -> dict:
-        """memo's oracle entries; its one other entry is the instance's triples."""
-        assert [key[0] for key in memo if key[0] != "oracle"] == ["triples"]
-        return {key: val for key, val in memo.items() if key[0] == "oracle"}
+    def kernels(inst) -> dict:
+        """(index, instance) of each distinct oracle the sweep's rows on inst
+        read, by _oracle_pass's key, in _row_kernels order."""
+        kernels: dict = {}
+        for index, tri in bounds._row_kernels(bounds._triples(inst), *crosscheck_plan(inst.q)):
+            kernels.setdefault((index, bounds._centre(KIND_FOR_INDEX[index], tri)), (index, tri))
+        return kernels
+
+    @staticmethod
+    def alone(monkeypatch) -> list:
+        """The kinds that kernel_oracle computes alone from now on."""
+        kinds = []
+        real = bounds.kernel_oracle
+
+        def counted(kind, inst):
+            kinds.append(kind)
+            return real(kind, inst)
+
+        monkeypatch.setattr(bounds, "kernel_oracle", counted)
+        return kinds
 
     def draws(self):
         rng = random.Random(20281)
@@ -314,17 +330,17 @@ class TestOraclePass:
             return results
 
         monkeypatch.setattr(bounds, "_product_rules", spy)
+        alone = self.alone(monkeypatch)
         digest = hashlib.sha256()
         for inst in self.draws():
-            memo: dict = {}
-            bounds._oracle_pass(inst, memo)
-            kernels: dict = {}
-            for index, tri in bounds._row_kernels(inst):
-                kernels.setdefault(bounds._oracle_key(KIND_FOR_INDEX[index], tri), (index, tri))
+            kernels = self.kernels(inst)
+            oracles = bounds._oracle_pass(inst, kernels.values())
             for key, (index, tri) in kernels.items():
-                assert memo[key].hex() == kernel_oracle(KIND_FOR_INDEX[index], tri).hex(), key
-                digest.update(memo[key].hex().encode() + b"\n")
-            assert len(self.oracles(memo)) == len(kernels)
+                assert oracles[key].hex() == kernel_oracle(KIND_FOR_INDEX[index], tri).hex(), key
+                digest.update(oracles[key].hex().encode() + b"\n")
+            assert len(oracles) == len(kernels)
+        # The pass itself computed every one: none was left to kernel_oracle.
+        assert alone == []
         # The values' bits are pinned too, so the integrand that both paths
         # share cannot change its rounding unseen.
         assert digest.hexdigest() == self.DIGEST
@@ -337,22 +353,29 @@ class TestOraclePass:
             raise AccuracyError("Gauss-Jacobi nodes did not converge")
 
         monkeypatch.setattr(bounds, "_product_rules", fails)
-        memo: dict = {}
-        bounds._oracle_pass(make(s=0.5, q=2.0), memo)
-        assert self.oracles(memo) == {}
+        alone = self.alone(monkeypatch)
+        inst = make(s=0.5, q=2.0)
+        kernels = self.kernels(inst)
+        oracles = bounds._oracle_pass(inst, kernels.values())
+        assert len(alone) == len(oracles) == len(kernels) == 24
+        for key, (index, tri) in kernels.items():
+            assert oracles[key] == kernel_oracle(KIND_FOR_INDEX[index], tri), key
 
-    def test_failing_kernel_is_left_to_kernel_oracle(self):
+    def test_failing_kernel_is_left_to_kernel_oracle(self, monkeypatch):
         # A^400 underflows near t = 0 at a = 0.05: the set-up of each kernel
-        # with A^-2q on the left half raises, so the pass stores the others
-        # and the left ones raise when the rows ask for them.
+        # with A^-2q on the left half raises, so the pass computes the others,
+        # kernel_oracle the left ones alone, and their entries raise when the
+        # rows read them.
+        alone = self.alone(monkeypatch)
         inst = make(a=0.05, b=0.5, s=0.5, q=200.0, lam=0.8, mu=0.3)
-        memo: dict = {}
-        bounds._oracle_pass(inst, memo)
-        stored = {key[1] for key in self.oracles(memo)}
+        oracles = bounds._oracle_pass(inst, [(index, inst) for index in range(1, 13)])
+        assert alone == [KIND_FOR_INDEX[i] for i in (2, 3, 8, 9)]
+        stored = {KIND_FOR_INDEX[index] for (index, _), value in oracles.items()
+                  if isinstance(value, float)}
         assert stored == {KIND_FOR_INDEX[i] for i in (1, 4, 5, 6, 7, 10, 11, 12)}
         for index in (2, 3, 8, 9):
             with pytest.raises(EvaluationError, match="float range"):
-                bounds._oracle(KIND_FOR_INDEX[index], inst, memo)
+                bounds._read(oracles[index, bounds._centre(KIND_FOR_INDEX[index], inst)])
 
 
 class TestClosedMoments:
@@ -666,8 +689,8 @@ class TestIllConditioned:
     def test_misprint_on_a_cancelling_form_is_flagged(self, monkeypatch):
         printed = bounds._printed
 
-        def misprinted(index, inst, memo):
-            value, bound = printed(index, inst, memo)
+        def misprinted(index, inst, *f21):
+            value, bound = printed(index, inst, *f21)
             return value * (1 + 1e-3), bound
 
         monkeypatch.setattr(bounds, "_printed", misprinted)

@@ -385,14 +385,14 @@ class TestRunSweep:
 
     def test_failed_theorem_row_reports_the_instance_triple(self, monkeypatch):
         inst = next(i for i in generate_instances(SMALL)[0] if i.q > 1.0)
-        real = harness.check_theorem
+        real = harness._verdict
 
-        def fails_at_simpson(tri, theorem, **kwargs):
+        def fails_at_simpson(tri, theorem, *args):
             if (tri.lambda_, tri.mu_) == PRESETS["simpson"]:
                 raise AccuracyError("starved", estimate=0.0, err_estimate=1.0)
-            return real(tri, theorem, **kwargs)
+            return real(tri, theorem, *args)
 
-        monkeypatch.setattr(harness, "check_theorem", fails_at_simpson)
+        monkeypatch.setattr(harness, "_verdict", fails_at_simpson)
         payload = (0, inst, certify_instance(inst))
         rows, _ = harness._instance_rows(payload)
         failed = [r for r in rows if not r.passed]
@@ -404,8 +404,9 @@ class TestRunSweep:
             raise AccuracyError("starved", estimate=0.0, err_estimate=1.0)
 
         monkeypatch.setattr(bounds, "kernel_oracle", starved)
-        # With no batched pass, every oracle is computed alone, and starved.
-        monkeypatch.setattr(harness, "_oracle_pass", lambda inst, memo: None)
+        # With a batched pass that finishes no kernel, every oracle is
+        # computed alone, and starved.
+        monkeypatch.setattr(bounds, "_product_rules", lambda f, rules: [None] * len(rules))
         inst = Instance(a=1.0, b=2.0, s=0.5, m=1.0, q=2.0, lambda_=0.8, mu_=0.3, f=linear())
         rows, _ = harness._instance_rows((0, inst, certify_instance(inst)))
         failed = [r.check for r in rows if not r.passed and r.check.startswith("crosscheck")]
@@ -428,7 +429,7 @@ class TestRunSweep:
             *(f"crosscheck:B{i}:interior" for i in (2, 3, 5, 6)),
             *(f"crosscheck:B{i}:all" for i in (8, 9, 11)),
         ]
-        monkeypatch.setattr(harness, "_oracle_pass", lambda inst, memo: None)
+        monkeypatch.setattr(bounds, "_product_rules", lambda f, rules: [None] * len(rules))
         assert repr(batched) == repr(harness._instance_rows(payload))
 
     def test_closed_form_argument_that_rounds_to_one_fails_only_its_rows(self):
@@ -552,17 +553,18 @@ class TestInstanceMemo:
                 assert (rows[check].lhs, rows[check].rhs) == (lhs, rhs), (inst_id, check)
 
             # The theorem rows' 1/q powers can absorb a last-bit slip in a
-            # coefficient, so read every coefficient at all four triples
-            # through one memo, as the rows do, and compare it bit for bit.
-            memo: dict = {}
-            for _, (lam, mu) in triples:
-                tri = replace(inst, lambda_=lam, mu_=mu)
-                for index in range(1, 13):
-                    if index in (7, 10) and inst.q == 1.0:
-                        continue
-                    shared = crosscheck_B(index, tri, memo=memo)
+            # coefficient, so read every coefficient at all four triples from
+            # one batched pass over them all, as the rows do, and compare it
+            # bit for bit.
+            indices = bounds.crosscheck_plan(inst.q)[1]
+            all_triples = bounds._triples(inst).values()
+            kernels = [(index, tri) for tri in all_triples for index in indices]
+            for tri in all_triples:
+                values = bounds._instance_values(tri, kernels, indices)
+                for index in indices:
+                    shared = bounds._crosscheck(index, tri, values)
                     alone = crosscheck_B(index, tri)
-                    assert shared == alone, (inst_id, lam, mu, index)
+                    assert shared == alone, (inst_id, tri.lambda_, tri.mu_, index)
 
     def test_each_value_computed_once(self, monkeypatch):
         inst = next(i for i in generate_instances(SMALL)[0] if i.q > 1.0)
@@ -583,7 +585,7 @@ class TestInstanceMemo:
         count(bounds, "_hyp2f1_bounded", lambda *args: args)
         # One closed-form evaluation per 2F1 row gives both its value and its
         # bound; the crosscheck rows are at the instance's own triple only.
-        count(bounds, "_evaluate", lambda index, terms, form_err, memo=None: index)
+        count(bounds, "_evaluate", lambda index, terms, form_err, f21: index)
         count(identity, "integrate", lambda f, lo, hi: (lo, hi))
         payload = (0, inst, certify_instance(inst))
         rows, _ = harness._instance_rows(payload)
@@ -603,10 +605,40 @@ class TestInstanceMemo:
             calls = sum(n for k, n in keys["_plan"].items() if k[0] == kind)
             assert calls == 1, (index, calls)
 
+    def test_a_direct_call_plans_only_the_oracles_it_reads(self, monkeypatch):
+        # A table built for one call holds only that call's oracles: one for a
+        # coefficient, the four brace coefficients for a theorem, and none for
+        # a closed form, never the sweep's 24-oracle pass.
+        inst = next(i for i in generate_instances(SMALL)[0] if i.q > 1.0)
+        planned = []
+        plan = bounds._plan
+
+        def counted(kind, tri):
+            planned.append(kind)
+            return plan(kind, tri)
+
+        monkeypatch.setattr(bounds, "_plan", counted)
+        kinds = bounds.KIND_FOR_INDEX
+        for index in range(1, 13):
+            planned.clear()
+            crosscheck_B(index, inst)
+            assert planned == [kinds[index]], index
+        for theorem in (1, 2):
+            braces = [kinds[i] for i in bounds._BRACES[theorem]]
+            planned.clear()
+            check_theorem(inst, theorem)
+            assert planned == braces, theorem
+            planned.clear()
+            (bounds.theorem1_rhs, bounds.theorem2_rhs)[theorem - 1](inst)
+            assert planned == braces, theorem
+        planned.clear()
+        bounds.closed_B(2, inst)
+        assert planned == []
+
     def test_each_triple_built_once(self, monkeypatch):
-        # The oracle pass and the theorem rows share one mapping of the four
-        # triples through the memo: the instance itself and one new Instance
-        # per preset, so the rows of an instance build three.
+        # The value table and the theorem rows share one mapping of the four
+        # triples: the instance itself and one new Instance per preset, so the
+        # rows of an instance build three.
         payloads = [(0, inst, certify_instance(inst)) for inst in generate_instances(SMALL)[0]]
         assert any(inst.q > 1.0 for _, inst, _ in payloads)  # both theorems' rows
         built: Counter = Counter()

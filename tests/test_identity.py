@@ -18,6 +18,7 @@ from harmonia import (
     Instance,
     ParameterError,
     QuadSettings,
+    bounds,
     check_identity,
     combine,
     identity,
@@ -31,6 +32,7 @@ from harmonia import (
     rule_deviation_as_printed,
     s_power,
 )
+from harmonia.convexity import _require_sm
 
 CONST_ONE = s_power(0.0, 1.0, 1.0)
 
@@ -66,6 +68,21 @@ class TestInstance:
         base.update(kwargs)
         with pytest.raises(ParameterError):
             Instance(**base)
+
+    @pytest.mark.parametrize("name", ["a", "b", "s", "m", "q", "lambda_", "mu_"])
+    def test_booleans_rejected(self, name):
+        # bool subclasses int, but True where a number belongs is a mistake.
+        base = dict(a=1.0, b=2.0, s=1.0, m=1.0, q=1.0, lambda_=0.5, mu_=0.5, f=linear())
+        base[name] = base[name] == 1.0
+        with pytest.raises(ParameterError, match=f"^{name} must"):
+            Instance(**base)
+
+    def test_all_boolean_instance_rejected(self):
+        with pytest.raises(ParameterError):
+            Instance(a=1.0, b=2.0, s=True, m=True, q=True, lambda_=True, mu_=False, f=linear())
+        for s, m, name in ((True, 1.0, "s"), (1.0, True, "m")):
+            with pytest.raises(ParameterError, match=f"^{name} must lie in"):
+                _require_sm(s, m)
 
     def test_domain_gate(self):
         shifted = s_power(1.0, 0.5, 0.0)
@@ -115,21 +132,33 @@ class TestCorrectedForm:
 
 
 class TestRuleDeviationMemo:
-    def test_average_shared_across_triples(self):
-        memo: dict = {}
+    def test_average_shared_across_triples(self, monkeypatch):
+        # One table entry holds the node values and the integral average,
+        # which read neither lambda nor mu; every triple's deviation reads it.
+        calls = []
+        real = identity.integrate
+
+        def counted(*args, **kwargs):
+            calls.append(args[1:3])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(identity, "integrate", counted)
+        terms = bounds._instance_values(make(power(1.0, 2.0), 1.0, 2.0, 0.5, 0.5), terms=True).terms
+        assert calls == [(1.0, 2.0)]
         for lam, mu in ((0.5, 0.5), (1.0, 0.0), (0.8, 0.3)):
             inst = make(power(1.0, 2.0), 1.0, 2.0, lam, mu)
-            assert rule_deviation(inst, memo=memo) == rule_deviation(inst)
-        assert len(memo) == 1
+            assert identity._deviation(inst, bounds._read(terms)) == rule_deviation(inst)
 
     def test_failed_integral_is_not_stored(self, monkeypatch):
+        # No value is stored for a failed integral: its entry is the
+        # exception, which each read raises again.
         starved = QuadSettings(abs_tol=1e-300, rel_tol=1e-15, max_subdivisions=1)
         monkeypatch.setattr(quadrature, "DEFAULT_SETTINGS", starved)
-        memo: dict = {}
+        terms = bounds._instance_values(CANONICAL, terms=True).terms
+        assert isinstance(terms, AccuracyError)
         for _ in range(2):
             with pytest.raises(AccuracyError):
-                rule_deviation(CANONICAL, memo=memo)
-        assert memo == {}
+                bounds._read(terms)
 
 
 class TestPrintedVariant:

@@ -348,30 +348,38 @@ class TestBoundedSeries:
         # Every distinct 2F1 argument set with z >= 0.9 that the sweep_wide
         # benchmark workload evaluates at seed 1: its crosschecks read the
         # closed forms at the instance triple through this call.
-        workloads = runpy.run_path(str(WORKLOADS))
-        cfg = SweepConfig.from_dict(workloads["sweep_config"]("sweep_wide", 1))
-        memo: dict = {}
-        for inst in generate_instances(cfg)[0]:
-            for index in (2, 3, 5, 6, 8, 9, 11, 12):
-                bounds._printed(index, inst, memo)
-        sets = sorted({key[1:5] for key in memo if key[0] == "2f1" and key[4] >= 0.9})
+        sets = _wide_sets(0.9)
         assert len(sets) > 500
         for args in sets:
             value, bound = _hyp2f1_bounded(*args)
             assert _mp_rel_err(value, *args) <= bound, args
 
 
+def _wide_sets(cut: float) -> list[tuple]:
+    """Every distinct (alpha, beta_, gamma_, z) with z >= cut that the
+    sweep_wide crosschecks read at seed 1, collected by wrapping the
+    closed forms' _hyp2f1_bounded while each instance's table is built."""
+    workloads = runpy.run_path(str(WORKLOADS))
+    cfg = SweepConfig.from_dict(workloads["sweep_config"]("sweep_wide", 1))
+    sets = set()
+    real = bounds._hyp2f1_bounded
+
+    def collect(alpha, beta_, gamma_, z, *arg_err):
+        sets.add((alpha, beta_, gamma_, z))
+        return real(alpha, beta_, gamma_, z, *arg_err)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bounds, "_hyp2f1_bounded", collect)
+        for inst in generate_instances(cfg)[0]:
+            bounds._instance_values(inst, printed=(2, 3, 5, 6, 8, 9, 11, 12))
+    return sorted(args for args in sets if args[3] >= cut)
+
+
 @pytest.fixture(scope="module")
 def wide_sets_near_one() -> list[tuple]:
     """Every distinct (alpha, beta_, gamma_, z) with z >= _CUT that the
     sweep_wide crosschecks read at seed 1."""
-    workloads = runpy.run_path(str(WORKLOADS))
-    cfg = SweepConfig.from_dict(workloads["sweep_config"]("sweep_wide", 1))
-    memo: dict = {}
-    for inst in generate_instances(cfg)[0]:
-        for index in (2, 3, 5, 6, 8, 9, 11, 12):
-            bounds._printed(index, inst, memo)
-    return sorted({key[1:5] for key in memo if key[0] == "2f1" and key[4] >= _CUT})
+    return _wide_sets(_CUT)
 
 
 class TestConnection:
