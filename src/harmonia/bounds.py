@@ -40,6 +40,8 @@ level evaluates the integrands of all the oracles still running in one set
 of numpy operations, and each oracle keeps its own panels, stopping rule
 and budget, so every value is ``kernel_oracle``'s, bit for bit.  Each
 printed Beta value is computed once per argument pair (``_printed_beta``).
+A public function checks its usage at its entry; the sweep checks once per
+instance and calls the same cores, ``_verdict`` and ``_crosscheck``.
 
 Every verdict here is judged at the library's constants: ``crosscheck_B``
 at ``CROSSCHECK_TOL``, ``check_theorem`` at ``MARGIN_TOL``, and every oracle
@@ -59,7 +61,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .convexity import GridSpec, abs_deriv_pow, check_harmonic_sm_subgrid_first
+from .convexity import ConvexityReport, GridSpec, abs_deriv_pow, check_harmonic_sm_subgrid_first
 from .errors import (
     AccuracyError,
     DomainError,
@@ -228,6 +230,7 @@ def kernel_oracle(kind: KernelKind, inst: Instance) -> float:
     This is the one-kernel case of the sweep's batched pass, _oracle_pass,
     which gives the same bits.
     """
+    _require_band(inst.mu_, inst.lambda_)
     plan = _plan(kind, inst)
 
     def integrand(ts: np.ndarray) -> list[float]:
@@ -238,8 +241,7 @@ def kernel_oracle(kind: KernelKind, inst: Instance) -> float:
 
 
 def _plan(kind: KernelKind, inst: Instance) -> _Plan:
-    """kernel_oracle's panels and integrand for kind on inst, or its set-up's error."""
-    _require_band(inst.mu_, inst.lambda_)
+    """kernel_oracle's panels and integrand for kind on inst (in the band), or its set-up's error."""
     a, width = inst.a, inst.b - inst.a
     lo, hi = (0.0, 0.5) if kind.side == "left" else (0.5, 1.0)
     centre = _centre(kind, inst)
@@ -387,15 +389,16 @@ def _endpoint_powers(inst: Instance) -> tuple[float, float]:
 
 
 def _instance_values(inst: Instance, kernels=(), printed=(), *, powers=False, terms=False) -> _Values:
-    """The values that checks on inst read, each computed once: the oracles
-    of kernels (see _oracle_pass), the printed closed forms at inst of the
-    2F1-based indices of printed, each distinct 2F1 once, and if asked for
-    the endpoint powers and the identity's node values and integral average.
+    """The values that checks on inst (in the band) read, each computed once:
+    the oracles of kernels (see _oracle_pass), the printed closed forms of
+    the 2F1-based PRINTED keys of printed, each distinct 2F1 once, and if asked
+    for the endpoint powers and the identity's node values and integral average.
     A value whose computation raises fails just the checks that read it."""
     f21 = cache(lambda *args: _outcome(_hyp2f1_bounded, *args, _ARG_ERR))
     return _Values(
         oracles=_oracle_pass(inst, kernels),
-        printed={i: _outcome(_printed, i, inst, f21) for i in printed if KIND_FOR_INDEX[i].include_A},
+        printed={key[0]: _outcome(_printed, key, inst, f21)
+                 for key in printed if KIND_FOR_INDEX[key[0]].include_A},
         powers=_outcome(_endpoint_powers, inst) if powers else None,
         terms=_outcome(_instance_terms, inst) if terms else None,
     )
@@ -404,28 +407,35 @@ def _instance_values(inst: Instance, kernels=(), printed=(), *, powers=False, te
 def b1_b4(mu_: float, lambda_: float) -> tuple[float, float]:
     """Closed weight moments: B1(mu) and B4(lam), both >= 1/16."""
     _require_band(mu_, lambda_)
-    b1 = mu_ * mu_ - mu_ / 2.0 + 0.125
-    b4 = lambda_ * lambda_ - 1.5 * lambda_ + 0.625
-    return b1, b4
+    return _b1_b4(mu_, lambda_)
+
+
+def _b1_b4(mu_: float, lambda_: float) -> tuple[float, float]:
+    """b1_b4 of a triple in the band."""
+    return mu_ * mu_ - mu_ / 2.0 + 0.125, lambda_ * lambda_ - 1.5 * lambda_ + 0.625
 
 
 def b7_b10(mu_: float, lambda_: float, p: float) -> tuple[float, float]:
     """Closed p-th weight moments: B7(mu) and B10(lam) for p > 1."""
     _require_band(mu_, lambda_)
-    _require_p(p)
-    b7 = (mu_ ** (p + 1.0) + (0.5 - mu_) ** (p + 1.0)) / (p + 1.0)
-    b10 = ((lambda_ - 0.5) ** (p + 1.0) + (1.0 - lambda_) ** (p + 1.0)) / (p + 1.0)
-    return b7, b10
+    return _b7_b10(mu_, lambda_, p)
+
+
+def _b7_b10(mu_: float, lambda_: float, p: float) -> tuple[float, float]:
+    """b7_b10 of a triple in the band."""
+    e = _require_p(p) + 1.0
+    return (mu_ ** e + (0.5 - mu_) ** e) / e, ((lambda_ - 0.5) ** e + (1.0 - lambda_) ** e) / e
 
 
 def case_label(index: int, inst: Instance) -> str:
     """Piecewise-case selector; selection is by exact float equality."""
-    if index in (2, 3):
-        return {0.0: "mu=0", 0.5: "mu=1/2"}.get(inst.mu_, "interior")
-    if index in (5, 6):
-        return {0.5: "lambda=1/2", 1.0: "lambda=1"}.get(inst.lambda_, "interior")
-    if index in (1, 4, 7, 8, 9, 10, 11, 12):
-        return "all"
+    if not isinstance(index, bool):  # bool subclasses int, but True is no index
+        if index in (2, 3):
+            return {0.0: "mu=0", 0.5: "mu=1/2"}.get(inst.mu_, "interior")
+        if index in (5, 6):
+            return {0.5: "lambda=1/2", 1.0: "lambda=1"}.get(inst.lambda_, "interior")
+        if index in (1, 4, 7, 8, 9, 10, 11, 12):
+            return "all"
     raise ParameterError(f"coefficient index must be 1..12, got {index!r}")
 
 
@@ -537,9 +547,10 @@ def _printed_beta(x: float, y: float) -> float:
     return beta(x, y)
 
 
-def _printed_terms(index: int, inst: Instance) -> Iterator[tuple]:
-    """PRINTED's rows for the case as _evaluate's terms, each sign folded into its coefficient."""
-    rows = PRINTED[_case_key(index, inst)]
+def _printed_terms(key: tuple[int, str], inst: Instance) -> Iterator[tuple]:
+    """PRINTED[key]'s rows at inst as _evaluate's terms, each sign folded into its coefficient."""
+    rows = PRINTED[key]
+    index = key[0]
     a, b, s, q = inst.a, inst.b, inst.s, inst.q
     x = inst.mu_ if KIND_FOR_INDEX[index].side == "left" else inst.lambda_
     A_x = x * b + (1.0 - x) * a
@@ -563,9 +574,9 @@ def _printed_terms(index: int, inst: Instance) -> Iterator[tuple]:
         yield sign * (c * t * _printed_beta(v[bx], v[by])), v[den], (2 * q, v[fb], v[fg], v[arg])
 
 
-def _printed(index: int, inst: Instance, f21=None) -> tuple[float, float]:
-    """(value, bound) of the printed closed form; see _evaluate."""
-    return _evaluate(index, _printed_terms(index, inst), _BETA_ERR + (32 + 6 * inst.q) * _U, f21)
+def _printed(key: tuple[int, str], inst: Instance, f21=None) -> tuple[float, float]:
+    """(value, bound) of the printed closed form PRINTED[key] at inst; see _evaluate."""
+    return _evaluate(key[0], _printed_terms(key, inst), _BETA_ERR + (32 + 6 * inst.q) * _U, f21)
 
 
 def _corrected_terms(index: int, inst: Instance) -> Iterator[tuple]:
@@ -613,8 +624,8 @@ def closed_B(index: int, inst: Instance) -> float:
     misprinted value on purpose, and crosscheck_B adjudicates them
     against the oracle.  Every 2F1 is specfun._hyp2f1_bounded; no quadrature runs.
     """
-    _case_key(index, inst)  # a usage error, raised before the table is built
-    return _read(_instance_values(inst, printed=[index]).printed[index])[0]
+    key = _case_key(index, inst)  # a usage error, raised before the table is built
+    return _read(_instance_values(inst, printed=[key]).printed[index])[0]
 
 
 def corrected_B(index: int, inst: Instance) -> float:
@@ -680,16 +691,15 @@ def crosscheck_B(index: int, inst: Instance) -> BoundTerm:
     demotes the term to oracle_only, which does not pass, rather than
     killing the run.
     """
-    return _crosscheck(index, inst, None)
-
-
-def _crosscheck(index: int, inst: Instance, values: _Values | None) -> BoundTerm:
-    """crosscheck_B, reading values (built here for this one call if None)."""
     case = case_label(index, inst)
     _require_band(inst.mu_, inst.lambda_)
+    return _crosscheck(index, case, inst, _instance_values(inst, [(index, inst)], [(index, case)]))
+
+
+def _crosscheck(index: int, case: str, inst: Instance, values: _Values) -> BoundTerm:
+    """crosscheck_B's term past its usage checks: case is index's case at
+    inst, and every value is read from values."""
     kind = KIND_FOR_INDEX[index]
-    if values is None:
-        values = _instance_values(inst, [(index, inst)], [index])
     oracle = _read(values.oracles[index, _centre(kind, inst)])
 
     closed: float | None
@@ -699,9 +709,9 @@ def _crosscheck(index: int, inst: Instance, values: _Values | None) -> BoundTerm
         if kind.include_A:
             closed, bound = _read(values.printed[index])
         elif kind.needs_p:
-            closed = b7_b10(inst.mu_, inst.lambda_, _conjugate(inst.q))[kind.side == "right"]
+            closed = _b7_b10(inst.mu_, inst.lambda_, _conjugate(inst.q))[kind.side == "right"]
         else:
-            closed = b1_b4(inst.mu_, inst.lambda_)[kind.side == "right"]
+            closed = _b1_b4(inst.mu_, inst.lambda_)[kind.side == "right"]
     except (AccuracyError, EvaluationError, ParameterError):
         closed, bound = None, None
 
@@ -729,15 +739,14 @@ def _braces(
     theorem 2 reads (B8, B9, B11, B12) with B7^(1/p), B10^(1/p).  The braces
     are |f'(a)|^q B_i + m |f'(b/m)|^q B_j and |f'(a)|^q B_k + m |f'(b/m)|^q B_l,
     each B an oracle: a positive-weight sum of a nonnegative integrand, so no
-    brace is negative.  They read values (built here for this one call if None).
+    brace is negative.  They read values (built here for this one call if None); inst is in the band.
     """
-    _require_band(inst.mu_, inst.lambda_)
     q = inst.q
     if theorem == 1:
-        weights = tuple(w ** (1.0 - 1.0 / q) for w in b1_b4(inst.mu_, inst.lambda_))
+        weights = tuple(w ** (1.0 - 1.0 / q) for w in _b1_b4(inst.mu_, inst.lambda_))
     else:
         p = _conjugate(q)
-        weights = tuple(w ** (1.0 / p) for w in b7_b10(inst.mu_, inst.lambda_, p))
+        weights = tuple(w ** (1.0 / p) for w in _b7_b10(inst.mu_, inst.lambda_, p))
     if values is None:
         values = _instance_values(inst, [(i, inst) for i in _BRACES[theorem]], powers=True)
     try:
@@ -773,6 +782,7 @@ def theorem1_rhs(inst: Instance) -> float:
               + B4^(1-1/q) (|f'(a)|^q B5 + m |f'(b/m)|^q B6)^(1/q) },
     with the 1/q exponent applied to both braces.
     """
+    _require_band(inst.mu_, inst.lambda_)
     return _theorem_rhs(inst, 1)
 
 
@@ -783,6 +793,7 @@ def theorem2_rhs(inst: Instance) -> float:
               + B10^(1/p) (|f'(a)|^q B11 + m |f'(b/m)|^q B12)^(1/q) },
     the weight moments B7 and B10 elementary and exact, the braces oracles.
     """
+    _require_band(inst.mu_, inst.lambda_)
     return _theorem_rhs(inst, 2)
 
 
@@ -800,8 +811,7 @@ def corollary_rhs(inst: Instance, theorem: int) -> float:
             f"instance triple (lambda_={inst.lambda_!r}, mu_={inst.mu_!r}) is none of "
             f"the preset triples {PRESETS!r}"
         )
-    if theorem not in (1, 2):
-        raise ParameterError(f"theorem must be 1 or 2, got {theorem!r}")
+    _require_theorem(theorem)
     scale, (weight, _), (left, right) = _braces(inst, theorem)
     q = inst.q
     return _finite_rhs(theorem, scale * weight * (left ** (1.0 / q) + right ** (1.0 / q)))
@@ -843,6 +853,19 @@ def certify_instance(inst: Instance):
     return check_harmonic_sm_subgrid_first(abs_deriv_pow(inst.f, inst.q), inst.s, inst.m, grid)
 
 
+def _require_theorem(theorem: object) -> None:
+    if isinstance(theorem, bool) or theorem not in (1, 2):  # bool subclasses int, but True is no theorem
+        raise ParameterError(f"theorem must be 1 or 2, got {theorem!r}")
+
+
+def _require_holds(certificate: ConvexityReport) -> None:
+    """PreconditionError unless the certificate holds: no verdict without the hypothesis."""
+    if not certificate.holds:
+        raise PreconditionError(
+            f"|f'|^q is not harmonically (s,m)-convex on [a, b/m] at grid resolution (worst "
+            f"defect {certificate.worst_defect:.3e}); the inequality hypotheses are not met")
+
+
 def check_theorem(inst: Instance, theorem: int, *, certificate=None) -> Verdict:
     """Verify |I_f| <= RHS for one instance and one theorem.
 
@@ -854,27 +877,19 @@ def check_theorem(inst: Instance, theorem: int, *, certificate=None) -> Verdict:
     reads the coefficient oracles only; the printed coefficient tables are
     judged by crosscheck_B.  Its values come from a table of just those it reads.
     """
-    return _verdict(inst, theorem, certificate, None)
-
-
-def _verdict(inst: Instance, theorem: int, certificate, values: _Values | None) -> Verdict:
-    """check_theorem, reading values (built here for this one call if None)."""
-    if theorem not in (1, 2):
-        raise ParameterError(f"theorem must be 1 or 2, got {theorem!r}")
+    _require_theorem(theorem)
     if theorem == 2:
         _conjugate(inst.q)  # a usage error, reported before the certification
     _require_band(inst.mu_, inst.lambda_)
-    if certificate is None:
-        certificate = certify_instance(inst)
-    if not certificate.holds:
-        raise PreconditionError(
-            f"|f'|^q is not harmonically (s,m)-convex on [a, b/m] at grid "
-            f"resolution (worst defect {certificate.worst_defect:.3e}); "
-            "the inequality hypotheses are not met"
-        )
-    if values is None:
-        values = _instance_values(inst, [(i, inst) for i in _BRACES[theorem]], powers=True, terms=True)
-    lhs = abs(_deviation(inst, _read(values.terms)))
+    _require_holds(certify_instance(inst) if certificate is None else certificate)
+    values = _instance_values(inst, [(i, inst) for i in _BRACES[theorem]], powers=True, terms=True)
+    return _verdict(inst, theorem, values, _deviation(inst, _read(values.terms)))
+
+
+def _verdict(inst: Instance, theorem: int, values: _Values, deviation) -> Verdict:
+    """check_theorem's verdict past its usage checks and certification:
+    |I_f| is |deviation|, a table entry, and the RHS reads values."""
+    lhs = abs(_read(deviation))
     rhs = _theorem_rhs(inst, theorem, values)
     margin = rhs - lhs
     return Verdict(theorem=theorem, lhs=lhs, rhs=rhs, margin=margin, passed=margin >= -MARGIN_TOL)

@@ -15,8 +15,8 @@ import json
 import os
 import sys
 
-from .bounds import KIND_FOR_INDEX, PRESETS, _crosscheck, _instance_values
-from .bounds import check_theorem, crosscheck_plan
+from .bounds import KIND_FOR_INDEX, PRESETS, _crosscheck, _instance_values, _require_band
+from .bounds import case_label, check_theorem, crosscheck_plan
 from .convexity import GridSpec, check_harmonic_sm, linear, parse_function_spec
 from .errors import (
     AccuracyError,
@@ -170,15 +170,16 @@ def _cmd_crosscheck(args: argparse.Namespace) -> int:
         a=args.a, b=args.b, s=args.s, m=args.m, q=args.q,
         lambda_=args.lambda_, mu_=args.mu_, f=linear(),
     )
+    _require_band(inst.mu_, inst.lambda_)
     _, feasible = crosscheck_plan(inst.q)
-    run = [index for index in indices if explicit or index in feasible]
-    values = _instance_values(inst, [(index, inst) for index in run], run)  # one table, as in a sweep
+    cases = {index: case_label(index, inst) for index in indices if explicit or index in feasible}
+    values = _instance_values(inst, [(index, inst) for index in cases], cases.items())  # as in a sweep
     violations = 0
     for index in indices:
-        if index not in run:
+        if index not in cases:
             print(f"B{index:<2} skipped (q=1: conjugate exponent undefined)")
             continue
-        term = _crosscheck(index, inst, values)
+        term = _crosscheck(index, cases[index], inst, values)
         closed = "---" if term.closed_form is None else f"{term.closed_form:.12g}"
         rel = "---" if term.rel_diff is None else f"{term.rel_diff:.3e}"
         tag = term.status

@@ -31,6 +31,11 @@ square grid (``_grid_axes``), and evaluates f on them once (``_axis_values``);
 the subgrid prefilter reads every ``SUBGRID_STRIDE``-th value.  Where that
 evaluation raises, each verdict evaluates f on the axes it reads, so a point
 outside the subgrid raises only when the full grid runs.
+
+Each value is checked once: a grid checks f's domain on its combination
+once and f's finiteness there once, on the defect (``_defect``), and only a
+grid that fails runs the checked ``FunctionSpec._evaluate`` there, to raise
+the error, message and abscissa of the value at fault.
 """
 
 from __future__ import annotations
@@ -80,13 +85,15 @@ def _pow(x: np.ndarray, e: float, out: np.ndarray | None) -> np.ndarray:
     """x ** e, computed in out when out is given.
 
     The in-place ``**=`` takes the fast paths of ``**`` (x ** 2.0 squares,
-    x ** 0.5 takes the square root), so both give the same bits.
+    x ** 0.5 takes the square root), so both give the same bits; x ** 1.0 is
+    x, bit for bit, so that exponent copies x.
     """
     if out is None:
-        return x ** e
+        return np.copy(x) if e == 1.0 else x ** e
     if x is not out:
         np.copyto(out, x)
-    out **= e
+    if e != 1.0:
+        out **= e
     return out
 
 
@@ -152,30 +159,33 @@ class FunctionSpec:
                 return val
         raise ParameterError(f"{self.kind} has no param {name!r}")
 
-    def _evaluate(
-        self, x: float | np.ndarray, what: str, rule, out: np.ndarray | None = None
-    ) -> float | np.ndarray:
+    def _evaluate(self, x: float | np.ndarray, what: str, rule) -> float | np.ndarray:
         """rule(x) on the domain, with numpy's floating-point warnings off; a
         result that is not finite raises EvaluationError at the first such x
-        (a sub-term's own EvaluationError names the point it was given).
-
-        ``out``, an array of x's shape that is not x, lets the linear, power,
-        s_power and abs_deriv_pow rules write their result into it; the
-        other kinds ignore it and return a fresh array.
+        (a sub-term's own EvaluationError names the point it was given, and
+        abs_deriv_pow's rule, which takes f' unchecked, re-runs f' checked).
         """
-        arr = np.asarray(x, dtype=float)
-        if not (arr > self.domain_lo).all():
-            outside = arr[~(arr > self.domain_lo)]
-            raise DomainError(
-                f"{what} of {self.kind} spec requires x > {self.domain_lo}, "
-                f"got x={float(outside.min())!r}"
-            )
+        arr = self._in_domain(x, what)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            out = rule(arr, out=out)
+            out = rule(arr)
         if not np.isfinite(out).all():
+            if self.kind == "abs_deriv_pow":
+                f = self.children[0]
+                f._evaluate(arr, "derivative", f._deriv)
             at = float(arr[~np.isfinite(out)][0])
             raise EvaluationError(f"{self.kind} {what} is not finite at x={at!r}", abscissa=at)
         return float(out) if arr.ndim == 0 else out
+
+    def _in_domain(self, x: float | np.ndarray, what: str) -> np.ndarray:
+        """x as a float array, or DomainError at its least x outside the domain
+        (and abs_deriv_pow's child's, where narrower: f' runs unchecked)."""
+        arr = np.asarray(x, dtype=float)
+        if not (arr > self.domain_lo).all():
+            raise DomainError(f"{what} of {self.kind} spec requires x > {self.domain_lo}, "
+                              f"got x={float(arr[~(arr > self.domain_lo)].min())!r}")
+        if self.kind == "abs_deriv_pow" and self.children[0].domain_lo > self.domain_lo:
+            self.children[0]._in_domain(arr, "derivative")
+        return arr
 
     def value(self, x: float | np.ndarray) -> float | np.ndarray:
         return self._evaluate(x, "value", self._value)
@@ -203,9 +213,8 @@ class FunctionSpec:
             return np.asarray(_at_input(outer.value, x, inner.value(x)), dtype=float)
         if self.kind == "seq_limit":
             return np.asarray(self.limit.value(x), dtype=float)
-        if self.kind == "abs_deriv_pow":
-            f = self.children[0]
-            deriv = f._evaluate(x, "derivative", f._deriv, out=out)
+        if self.kind == "abs_deriv_pow":  # f' unchecked: see _evaluate and _in_domain
+            deriv = self.children[0]._deriv(x, out=out)
             return _pow(np.abs(deriv, out=out), self.param("q"), out)
         raise ParameterError(f"unknown kind {self.kind!r}")
 
@@ -467,6 +476,13 @@ def _axis_values(f: FunctionSpec, xs: np.ndarray, ys: np.ndarray) -> tuple | Non
         return None
 
 
+def _combination(m: float, X, Y, T, harmonic: bool, out: np.ndarray) -> np.ndarray:
+    """The point of the defining inequality at the broadcast axes, written into out."""
+    if harmonic:  # m*X*Y / (m*T*Y + (1-T)*X)
+        return np.divide(m * X * Y, np.add(m * T * Y, (1.0 - T) * X, out=out), out=out)
+    return np.add(T * X, m * (1.0 - T) * Y, out=out)  # T*X + m*(1-T)*Y
+
+
 def _defect(
     f: FunctionSpec,
     s: float,
@@ -487,6 +503,8 @@ def _defect(
     in A, and the defect in B, which is returned.  Without it both are
     allocated here, so the result is a fresh array.  ``values`` are (f(xs),
     f(ys)) as _axis_values gives them; None, f is evaluated on xs and ys here.
+    f of the combination is unchecked but for its domain: a value that is
+    not finite makes the defect not finite, and only then does f run checked.
     """
     X = xs[:, None, None]
     Y = ys[None, :, None]
@@ -495,19 +513,17 @@ def _defect(
         shape = (len(xs), len(ys), len(ts))
         work = (np.empty(shape), np.empty(shape))
     A, B = work
-    with np.errstate(over="ignore", invalid="ignore"):  # checked for finiteness below
-        if harmonic:  # m*X*Y / (m*T*Y + (1-T)*X)
-            np.divide(m * X * Y, np.add(m * T * Y, (1.0 - T) * X, out=A), out=A)
-        else:  # T*X + m*(1-T)*Y
-            np.add(T * X, m * (1.0 - T) * Y, out=A)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        combination = _combination(m, X, Y, T, harmonic, A)
         fx, fy = (f.value(xs), f.value(ys)) if values is None else values
         fx = np.asarray(fx, dtype=float)[:, None, None]
         fy = np.asarray(fy, dtype=float)[None, :, None]
-        f_comb = f._evaluate(A, "value", f._value, out=B)
+        f_comb = f._value(f._in_domain(combination, "value"), out=B)
         np.add(T**s * fx, m * (1.0 - T) ** s * fy, out=A)
         defect = np.subtract(f_comb, A, out=B)
-    if not np.isfinite(defect).all():
-        raise EvaluationError("grid defect evaluation produced non-finite values")
+        if not np.isfinite(defect).all():
+            f._evaluate(_combination(m, X, Y, T, harmonic, A), "value", f._value)
+            raise EvaluationError("grid defect evaluation produced non-finite values")
     return defect
 
 

@@ -32,7 +32,8 @@ from operator import attrgetter
 from typing import TextIO
 
 from .bounds import BoundTerm, PRESETS, _crosscheck, _instance_values, _read, _require_band
-from .bounds import _row_kernels, _triples, _verdict, case_label, certify_instance, crosscheck_plan
+from .bounds import _require_holds, _row_kernels, _triples, _verdict, case_label, certify_instance
+from .bounds import crosscheck_plan
 # The rows read the instance's value table, not check_theorem, crosscheck_B or
 # check_identity; the names stay bound here because the benchmark's tracer wraps them.
 from .bounds import check_theorem, crosscheck_B  # noqa: F401
@@ -343,48 +344,50 @@ def generate_instances(cfg: SweepConfig) -> tuple[list[Instance], int, list[Conv
 
 
 _NAN = float("nan")
+_FAILED = (_NAN, _NAN, _NAN, False)  # a failed row's lhs, rhs, margin and passed
 
 
-def _row(
-    inst_id: int, family: str, inst: Instance, check: str,
-    lhs: float = _NAN, rhs: float = _NAN, margin: float = _NAN, passed: bool = False,
-) -> Row:
-    """The row of one check on inst; without values it is a failed row."""
-    return Row(
-        instance_id=inst_id, family=family, a=inst.a, b=inst.b, s=inst.s, m=inst.m,
-        q=inst.q, lambda_=inst.lambda_, mu_=inst.mu_, check=check,
-        lhs=lhs, rhs=rhs, margin=margin, passed=passed,
-    )
+def _cells(inst_id: int, family: str, inst: Instance) -> partial:
+    """Row with its nine instance cells bound: call it with the check, lhs,
+    rhs, margin and passed of one row (*_FAILED for a failed one)."""
+    return partial(Row, inst_id, family, inst.a, inst.b, inst.s, inst.m, inst.q, inst.lambda_, inst.mu_)
 
 
 def _instance_rows(payload: tuple) -> tuple[list[Row], list[dict]]:
     """Verification matrix for one certified instance (worker-safe).
 
-    The payload is (id, instance, certificate): run_sweep's parent has
-    certified the instance, and on the pool path it streams such payloads
-    to the workers in batches, so no worker certifies.  Each row runs one (name, call) check: a call that raises gives a failed
-    row, any other takes its pass and margin from the verdict record the call
-    returns, whose module holds the rule.  A crosscheck row writes the oracle
-    and the closed form as lhs and rhs; an erratum_suspected term also enters
-    the errata.  The theorem rows refuse a payload certificate that does not
-    hold.  Each value the rows read is computed once, before they run, into the
-    instance's table (bounds._instance_values); a failed value fails its readers.
+    The payload is (id, instance, certificate), certified by run_sweep's
+    parent, so no worker certifies.  What holds for the whole instance is
+    settled once: the band (the presets lie in it), the certificate, which
+    must hold, each coefficient's case, and every value the rows read, in
+    the instance's table (bounds._instance_values), with I_f at each triple.
+    Each row then runs one (name, call) check on the verdict cores that
+    check_theorem, crosscheck_B and check_identity run past their usage
+    checks.  A call that raises gives a failed row, so a failed value fails
+    exactly its readers; any other row takes its pass and margin from the
+    record the call returns.  A crosscheck row writes the oracle and the
+    closed form as lhs and rhs; an erratum_suspected term enters the errata.
     """
     inst_id, inst, certificate = payload
-    family = format_function_spec(inst.f)
+    row = _cells(inst_id, format_function_spec(inst.f), inst)
+    _require_band(inst.mu_, inst.lambda_)
+    _require_holds(certificate)
     theorems, indices = crosscheck_plan(inst.q)
     triples = _triples(inst)
-    kernels = _row_kernels(triples, theorems, indices)
-    values = _instance_values(inst, kernels, indices, powers=True, terms=True)
-    checks = [("identity",
-               lambda: _judged(_deviation(inst, _read(values.terms)), kernel_representation(inst)))]
+    cases = {index: case_label(index, inst) for index in indices}
+    values = _instance_values(inst, _row_kernels(triples, theorems, indices), cases.items(),
+                              powers=True, terms=True)
+    terms = values.terms  # an exception here fails every row that reads I_f
+    deviation = {name: terms if isinstance(terms, Exception) else _deviation(tri, terms)
+                 for name, tri in triples.items()}
+    checks = [("identity", lambda: _judged(_read(deviation["instance"]), kernel_representation(inst)))]
     checks += [
-        (f"theorem{theorem}@{name}", partial(_verdict, tri, theorem, certificate, values))
+        (f"theorem{theorem}@{name}", partial(_verdict, tri, theorem, values, deviation[name]))
         for theorem in theorems for name, tri in triples.items()
     ]
     checks += [
-        (f"crosscheck:B{index}:{case_label(index, inst)}", partial(_crosscheck, index, inst, values))
-        for index in indices
+        (f"crosscheck:B{index}:{case}", partial(_crosscheck, index, case, inst, values))
+        for index, case in cases.items()
     ]
     rows: list[Row] = []
     errata: list[dict] = []
@@ -392,7 +395,7 @@ def _instance_rows(payload: tuple) -> tuple[list[Row], list[dict]]:
         try:
             record = call()
         except (AccuracyError, EvaluationError):
-            rows.append(_row(inst_id, family, inst, check))
+            rows.append(row(check, *_FAILED))
             continue
         if isinstance(record, BoundTerm):
             if record.status == "erratum_suspected":
@@ -403,7 +406,7 @@ def _instance_rows(payload: tuple) -> tuple[list[Row], list[dict]]:
             lhs, rhs = record.oracle, _NAN if record.closed_form is None else record.closed_form
         else:
             lhs, rhs = record.lhs, record.rhs
-        rows.append(_row(inst_id, family, inst, check, lhs, rhs, record.margin, record.passed))
+        rows.append(row(check, lhs, rhs, record.margin, record.passed))
     return rows, errata
 
 
@@ -414,14 +417,14 @@ def _printed_lock_row() -> Row:
     triple: the two displays must keep disagreeing by at least 0.5.
     """
     inst = Instance(a=1.0, b=2.0, s=1.0, m=1.0, q=1.0, lambda_=0.5, mu_=0.5, f=linear())
+    row = _cells(-1, "linear", inst)
     try:
         printed = rule_deviation_as_printed(inst)
         corrected = rule_deviation(inst)
     except (AccuracyError, EvaluationError):
-        return _row(-1, "linear", inst, "printed_deviation_lock")
+        return row("printed_deviation_lock", *_FAILED)
     gap = abs(printed - corrected)
-    return _row(-1, "linear", inst, "printed_deviation_lock",
-                printed, corrected, gap - 0.5, gap >= 0.5)
+    return row("printed_deviation_lock", printed, corrected, gap - 0.5, gap >= 0.5)
 
 
 def run_sweep(cfg: SweepConfig, jobs: int | None = None) -> RunReport:

@@ -494,6 +494,87 @@ class TestCaseLabels:
             case_label(13, make())
 
 
+class TestBooleanArguments:
+    """bool subclasses int, but True is no coefficient index or theorem number."""
+
+    def test_crosscheck_rejects_a_bool_index(self):
+        for index in (True, False):
+            with pytest.raises(ParameterError, match=f"index must be 1..12, got {index}"):
+                crosscheck_B(index, make())
+
+    def test_case_label_rejects_a_bool_index(self):
+        for index in (True, False):
+            with pytest.raises(ParameterError, match=f"index must be 1..12, got {index}"):
+                case_label(index, make())
+
+    def test_closed_forms_reject_a_bool_index(self):
+        for closed in (closed_B, corrected_B):
+            with pytest.raises(ParameterError, match="index must be 1..12, got True"):
+                closed(True, make())
+
+    def test_check_theorem_rejects_a_bool_theorem(self, monkeypatch):
+        def certify(*args, **kwargs):
+            raise AssertionError("certification ran before the theorem check")
+
+        monkeypatch.setattr(bounds, "certify_instance", certify)
+        for theorem in (True, False):
+            with pytest.raises(ParameterError, match=f"theorem must be 1 or 2, got {theorem}"):
+                check_theorem(make(f=SQUARE), theorem)
+
+    def test_corollary_rejects_a_bool_theorem(self):
+        with pytest.raises(ParameterError, match="theorem must be 1 or 2, got True"):
+            corollary_rhs(make(lam=1.0, mu=0.0, f=SQUARE), True)
+
+
+class TestUsageErrors:
+    """Each public function raises its usage error at its entry, in the
+    order it always had; the messages were recorded before the sweep's
+    rows stopped repeating the checks."""
+
+    BAND = "bounds require 0 <= mu_ <= 1/2 <= lambda_ <= 1, got mu_=0.6, lambda_=0.75"
+    CONJUGATE = "the conjugate exponent p = q/(q-1) requires q > 1, got q=1.0"
+    CALLS = {
+        "kernel_oracle": (lambda: kernel_oracle(KIND_FOR_INDEX[2], make(mu=0.6)), BAND),
+        "kernel_oracle band before p": (lambda: kernel_oracle(KIND_FOR_INDEX[7], make(mu=0.6)), BAND),
+        "kernel_oracle p": (lambda: kernel_oracle(KIND_FOR_INDEX[7], make()), CONJUGATE),
+        "crosscheck_B": (lambda: crosscheck_B(2, make(mu=0.6, q=2.0)), BAND),
+        "crosscheck_B index before band": (
+            lambda: crosscheck_B(0, make(mu=0.6)), "coefficient index must be 1..12, got 0"),
+        "crosscheck_B band before p": (lambda: crosscheck_B(7, make(mu=0.6)), BAND),
+        "crosscheck_B p": (lambda: crosscheck_B(7, make()), CONJUGATE),
+        "theorem1_rhs": (lambda: theorem1_rhs(make(mu=0.6)), BAND),
+        "theorem2_rhs band before p": (lambda: theorem2_rhs(make(mu=0.6)), BAND),
+        "theorem2_rhs p": (lambda: theorem2_rhs(make()), CONJUGATE),
+        "theorem2_rhs p of q near inf": (
+            lambda: theorem2_rhs(make(q=1e300)), "exponent p must be a real number > 1, got 1.0"),
+        "check_theorem p before band": (lambda: check_theorem(make(mu=0.6), 2), CONJUGATE),
+        "check_theorem band before certificate": (
+            lambda: check_theorem(make(mu=0.6, f=s_power(1.0, 0.5, 0.0)), 1), BAND),
+        "corollary_rhs p": (lambda: corollary_rhs(make(lam=1.0, mu=0.0), 2), CONJUGATE),
+        "closed_B": (lambda: closed_B(2, make(mu=0.6)), BAND),
+        "closed_B moment": (lambda: closed_B(1, make()), "closed forms cover the 2F1-based indices, got 1"),
+        "b7_b10": (lambda: b7_b10(0.25, 0.75, 1.0), "exponent p must be a real number > 1, got 1.0"),
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_message(self, call):
+        fn, message = self.CALLS[call]
+        with pytest.raises(ParameterError) as raised:
+            fn()
+        assert str(raised.value) == message
+
+    def test_uncertified_instance_message(self):
+        with pytest.raises(PreconditionError) as raised:
+            check_theorem(make(f=s_power(1.0, 0.5, 0.0)), 1)
+        assert str(raised.value) == (
+            "|f'|^q is not harmonically (s,m)-convex on [a, b/m] at grid resolution "
+            "(worst defect 6.198e-03); the inequality hypotheses are not met")
+
+    def test_moment_of_an_exponent_near_one_is_oracle_only(self):
+        term = crosscheck_B(7, make(q=1e300))
+        assert (term.status, term.closed_form, term.oracle) == ("oracle_only", None, 0.0625)
+
+
 class TestAdjudication:
     def test_flagged_set_is_frozen(self):
         assert EXPECTED_COEFFICIENT_ERRATA == frozenset(

@@ -9,6 +9,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -314,13 +315,13 @@ class TestAxisWork:
                     combine("sum", [linear(), linear()])),
     }
 
-    def _spiked(self, nesting, m):
-        """The instance with the spike, its twin without one, and the x axis."""
+    def _spiked(self, nesting, m, k=1):
+        """The instance with the spike at xs[k], its twin without one, and the x axis."""
         a, b = 1.0, 1.37  # no subgrid combination lands on xs[1] at m = 1/2 or 1
         xs = np.linspace(a, b / m, 41)
         build, plain = self.NESTINGS[nesting]
         inst = Instance(a=a, b=b, s=1.0, m=m, q=2.0, lambda_=0.7, mu_=0.2,
-                        f=build(_Spiked(kind="linear", spike=float(xs[1]))))
+                        f=build(_Spiked(kind="linear", spike=float(xs[k]))))
         return inst, replace(inst, f=plain), xs
 
     @pytest.mark.parametrize("nesting", sorted(NESTINGS))
@@ -344,6 +345,134 @@ class TestAxisWork:
             certify_instance(inst)
         assert str(raised.value) == str(expected.value)
         assert raised.value.abscissa == expected.value.abscissa == xs[1]
+
+
+class TestGridChecks:
+    """A grid checks |f'|^q on its combination once for the domain and once,
+    on the defect, for finiteness; a grid that fails re-runs the checked
+    evaluation, so it raises what it always raised."""
+
+    @staticmethod
+    def _spiked(k, nesting):
+        return TestAxisWork()._spiked(nesting, 1.0, k)[0]
+
+    @staticmethod
+    def _drawn(f, q, s=1.0, m=0.25, b=1.5):
+        return Instance(a=1.0, b=b, s=s, m=m, q=q, lambda_=0.7, mu_=0.2, f=f)
+
+    # Each failing case's instance and the (class, message, abscissa) that
+    # check_harmonic_sm, check_harmonic_sm_subgrid_first and certify_instance
+    # all raise on it, recorded while every |f'|^q value on a grid was still
+    # checked as it was made.  xs[1] lies off the subgrid and xs[4] on it;
+    # at m < 1 the combination reaches below a, down to m a.
+    CASES = {
+        "spike in f' off the subgrid": (
+            lambda c: c._spiked(1, "leaf"),
+            EvaluationError, "linear derivative is not finite at x=1.00925", 1.00925),
+        "spike in f' on the subgrid": (
+            lambda c: c._spiked(4, "leaf"),
+            EvaluationError, "linear derivative is not finite at x=1.037", 1.037),
+        "spike in a summand's f' off the subgrid": (
+            lambda c: c._spiked(1, "summand"),
+            EvaluationError, "linear derivative is not finite at x=1.00925", 1.00925),
+        "spike in a summand's f' on the subgrid": (
+            lambda c: c._spiked(4, "summand"),
+            EvaluationError, "linear derivative is not finite at x=1.037", 1.037),
+        "combination below domain_lo": (
+            lambda c: c._drawn(FunctionSpec(kind="linear", domain_lo=0.9), 1.5, s=0.5, m=0.5),
+            DomainError, "value of abs_deriv_pow spec requires x > 0.9, got x=0.5", None),
+        "combination below domain_lo at q = 1": (
+            lambda c: c._drawn(FunctionSpec(kind="power", params=(("c", 1.0), ("p", 2.0)),
+                                            domain_lo=0.9), 1.0, s=0.5, m=0.5),
+            DomainError, "value of abs_deriv_pow spec requires x > 0.9, got x=0.5", None),
+        "|f'|^q overflows at large q": (
+            lambda c: c._drawn(power(1.0, -1.0), 300.0),
+            EvaluationError, "abs_deriv_pow value is not finite at x=0.25", 0.25),
+        "f' overflows": (
+            lambda c: c._drawn(power(1.0, -600.0), 1.0),
+            EvaluationError, "power derivative is not finite at x=0.25", 0.25),
+        "f' is NaN": (  # 0 * inf
+            lambda c: c._drawn(power(0.0, -600.0), 2.0),
+            EvaluationError, "power derivative is not finite at x=0.25", 0.25),
+        "right-hand side overflows": (
+            lambda c: c._drawn(power(4e307, 2.0), 1.0, s=0.25, m=1.0, b=2.0),
+            EvaluationError, "grid defect evaluation produced non-finite values", None),
+    }
+
+    @pytest.mark.parametrize("check", ["check_harmonic_sm", "subgrid_first", "certify_instance"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_a_failing_grid_raises_what_it_always_raised(self, case, check):
+        build, error, message, abscissa = self.CASES[case]
+        inst = build(self)
+        shape = abs_deriv_pow(inst.f, inst.q), inst.s, inst.m, GridSpec(lo=inst.a, hi=inst.b / inst.m)
+        run = {
+            "check_harmonic_sm": lambda: check_harmonic_sm(*shape),
+            "subgrid_first": lambda: check_harmonic_sm_subgrid_first(*shape),
+            "certify_instance": lambda: certify_instance(inst),
+        }[check]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(error) as raised:
+                run()
+        assert type(raised.value) is error and str(raised.value) == message
+        assert getattr(raised.value, "abscissa", None) == abscissa
+
+    def test_a_narrower_child_domain_is_checked(self):
+        # abs_deriv_pow built by hand over a child with the narrower domain.
+        child = FunctionSpec(kind="linear", domain_lo=0.9)
+        shape = FunctionSpec(kind="abs_deriv_pow", params=(("q", 2.0),), children=(child,))
+        for check in (check_harmonic_sm, check_harmonic_sm_subgrid_first):
+            with pytest.raises(DomainError) as raised:
+                check(shape, 0.5, 0.5, GridSpec(lo=1.0, hi=3.0))
+            assert str(raised.value) == "derivative of linear spec requires x > 0.9, got x=0.5"
+        with pytest.raises(DomainError, match="derivative of linear spec requires x > 0.9"):
+            shape.value(0.85)
+
+    def test_each_grid_checks_once_for_the_domain_and_once_for_finiteness(self, monkeypatch):
+        # Work pin on the small seeded config: passes over a grid-sized (3-D)
+        # array, by grid size: 726 points for a subgrid, 35,301 for a full grid.
+        # A change that adds a check re-records it and says why in CHANGES.md.
+        grids, domain, finite, checked = Counter(), Counter(), Counter(), Counter()
+        real_defect, real_in_domain = convexity._defect, FunctionSpec._in_domain
+        real_isfinite, real_evaluate = np.isfinite, FunctionSpec._evaluate
+
+        def count(counter, x):
+            if np.ndim(x) == 3:
+                counter[np.size(x)] += 1
+
+        def defect(f, s, m, xs, ys, ts, *args):
+            grids[len(xs) * len(ys) * len(ts)] += 1
+            return real_defect(f, s, m, xs, ys, ts, *args)
+
+        def in_domain(self, x, what):
+            count(domain, x)
+            return real_in_domain(self, x, what)
+
+        def isfinite(x, *args, **kwargs):
+            count(finite, x)
+            return real_isfinite(x, *args, **kwargs)
+
+        def evaluate(self, x, what, rule):
+            count(checked, x)
+            return real_evaluate(self, x, what, rule)
+
+        monkeypatch.setattr(convexity, "_defect", defect)
+        monkeypatch.setattr(FunctionSpec, "_in_domain", in_domain)
+        monkeypatch.setattr(np, "isfinite", isfinite)
+        monkeypatch.setattr(FunctionSpec, "_evaluate", evaluate)
+        instances, discarded, _ = generate_instances(TestAxisWork.SMALL)
+        candidates = len(instances) + discarded
+        assert grids == Counter({726: candidates, 41 * 41 * 21: 6}) == Counter({726: 12, 35301: 6})
+        assert domain == finite == grids
+        assert checked == Counter()  # no checked evaluation of a grid that passes
+
+    def test_the_exponent_one_copies(self):
+        x = np.array([0.5, 1.5, -2.0, 1e-310, np.inf])
+        copy = convexity._pow(x, 1.0, None)
+        assert copy is not x and np.array_equal(copy.view(np.int64), (x ** 1.0).view(np.int64))
+        out = np.empty_like(x)
+        assert convexity._pow(x, 1.0, out) is out and np.array_equal(out.view(np.int64), x.view(np.int64))
+        assert convexity._pow(out, 1.0, out) is out
 
 
 class TestWorkspace:

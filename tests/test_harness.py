@@ -560,9 +560,10 @@ class TestInstanceMemo:
             all_triples = bounds._triples(inst).values()
             kernels = [(index, tri) for tri in all_triples for index in indices]
             for tri in all_triples:
-                values = bounds._instance_values(tri, kernels, indices)
+                cases = {index: bounds.case_label(index, tri) for index in indices}
+                values = bounds._instance_values(tri, kernels, cases.items())
                 for index in indices:
-                    shared = bounds._crosscheck(index, tri, values)
+                    shared = bounds._crosscheck(index, cases[index], tri, values)
                     alone = crosscheck_B(index, tri)
                     assert shared == alone, (inst_id, tri.lambda_, tri.mu_, index)
 
@@ -634,6 +635,49 @@ class TestInstanceMemo:
         planned.clear()
         bounds.closed_B(2, inst)
         assert planned == []
+
+    def test_usage_checks_run_once_per_instance(self, monkeypatch):
+        # Work pin on the small seeded config, run serially: the band is
+        # settled once per instance and each crosscheck row's case once, so
+        # these counts grow with the instances, not with the theorem rows.  A
+        # change that adds a check back re-records it and says why in CHANGES.md.
+        calls = Counter()
+        for name in ("_require_band", "case_label"):
+            for module in (bounds, harness):
+                def counted(*args, _fn=getattr(module, name), _name=name):
+                    calls[_name] += 1
+                    return _fn(*args)
+
+                monkeypatch.setattr(module, name, counted)
+        report = run_sweep(SMALL, jobs=1)
+        crosschecks = sum(r.check.startswith("crosscheck:") for r in report.rows)
+        assert calls == Counter({"_require_band": report.instances, "case_label": crosschecks})
+        assert calls == Counter({"_require_band": 6, "case_label": 64})
+
+    def test_a_failed_table_entry_fails_exactly_its_readers(self, monkeypatch):
+        # The identity terms feed the identity row and every theorem row's
+        # |I_f|: an AccuracyError there fails those rows and no crosscheck; an
+        # error of another class leaves _instance_rows as that class.
+        inst = next(i for i in generate_instances(SMALL)[0] if i.q > 1.0)
+        payload = (0, inst, certify_instance(inst))
+
+        def starved(inst):
+            raise AccuracyError("starved", estimate=0.0, err_estimate=1.0)
+
+        monkeypatch.setattr(bounds, "_instance_terms", starved)
+        rows, _ = harness._instance_rows(payload)
+        failed = [r.check for r in rows if not r.passed]
+        assert failed == ["identity", *(f"theorem{t}@{name}" for t in (1, 2)
+                                       for name in ("instance", "trapezoid", "midpoint", "simpson"))]
+        assert all(math.isnan(r.lhs) for r in rows if r.check in failed)
+        assert all(r.passed for r in rows if r.check.startswith("crosscheck:"))
+
+        def broken(inst):
+            raise ZeroDivisionError("not a verdict error")
+
+        monkeypatch.setattr(bounds, "_instance_terms", broken)
+        with pytest.raises(ZeroDivisionError, match="not a verdict error"):
+            harness._instance_rows(payload)
 
     def test_each_triple_built_once(self, monkeypatch):
         # The value table and the theorem rows share one mapping of the four

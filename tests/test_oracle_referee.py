@@ -185,5 +185,5 @@ def test_closed_form_pins_lie_within_their_bound_of_referee():
             ref = referee(KIND_FOR_INDEX[index], inst)
             assert abs(corrected - ref) <= bounds._corrected(index, inst)[1], (absq, index, case)
             if (index, case) not in EXPECTED_COEFFICIENT_ERRATA:
-                bound = bounds._printed(index, inst)[1]
+                bound = bounds._printed((index, case), inst)[1]
                 assert abs(printed - ref) <= bound, (absq, index, case)

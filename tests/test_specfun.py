@@ -371,7 +371,8 @@ def _wide_sets(cut: float) -> list[tuple]:
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(bounds, "_hyp2f1_bounded", collect)
         for inst in generate_instances(cfg)[0]:
-            bounds._instance_values(inst, printed=(2, 3, 5, 6, 8, 9, 11, 12))
+            bounds._instance_values(inst, printed=[(i, bounds.case_label(i, inst))
+                                                   for i in (2, 3, 5, 6, 8, 9, 11, 12)])
     return sorted(args for args in sets if args[3] >= cut)
 
 
