@@ -45,8 +45,8 @@ instance and calls the same cores, ``_verdict`` and ``_crosscheck``.
 
 Every verdict here is judged at the library's constants: ``crosscheck_B``
 at ``CROSSCHECK_TOL``, ``check_theorem`` at ``MARGIN_TOL``, and every oracle
-at ``quadrature.DEFAULT_SETTINGS``.  No function here takes a tolerance or
-quadrature settings, so a verdict on one instance has one meaning.
+at quadrature's one accuracy.  No function here takes a tolerance, so a
+verdict on one instance has one meaning.
 """
 
 from __future__ import annotations
@@ -230,6 +230,8 @@ def kernel_oracle(kind: KernelKind, inst: Instance) -> float:
     This is the one-kernel case of the sweep's batched pass, _oracle_pass,
     which gives the same bits.
     """
+    if not isinstance(kind, KernelKind):
+        raise ParameterError(f"kind must be a KernelKind (see KIND_FOR_INDEX), got {kind!r}")
     _require_band(inst.mu_, inst.lambda_)
     plan = _plan(kind, inst)
 
@@ -429,7 +431,8 @@ def _b7_b10(mu_: float, lambda_: float, p: float) -> tuple[float, float]:
 
 def case_label(index: int, inst: Instance) -> str:
     """Piecewise-case selector; selection is by exact float equality."""
-    if not isinstance(index, bool):  # bool subclasses int, but True is no index
+    # bool subclasses int, but True is no index; nor is 2.0 (numpy ints are).
+    if type(index) is not bool and isinstance(index, numbers.Integral):
         if index in (2, 3):
             return {0.0: "mu=0", 0.5: "mu=1/2"}.get(inst.mu_, "interior")
         if index in (5, 6):
@@ -854,7 +857,8 @@ def certify_instance(inst: Instance):
 
 
 def _require_theorem(theorem: object) -> None:
-    if isinstance(theorem, bool) or theorem not in (1, 2):  # bool subclasses int, but True is no theorem
+    # bool subclasses int, but True is no theorem; nor is 1.0 (numpy ints are).
+    if type(theorem) is bool or not isinstance(theorem, numbers.Integral) or theorem not in (1, 2):
         raise ParameterError(f"theorem must be 1 or 2, got {theorem!r}")
 
 

@@ -133,8 +133,8 @@ class FunctionSpec:
         if names != param_names:
             raise ParameterError(f"{self.kind} expects params {param_names}, got {names}")
         for name, val in self.params:
-            if not (isinstance(val, (int, float)) and math.isfinite(val)):
-                raise ParameterError(f"{self.kind} param {name}={val!r} must be finite")
+            if isinstance(val, bool) or not (isinstance(val, (int, float)) and math.isfinite(val)):
+                raise ParameterError(f"{self.kind} param {name}={val!r} must be a finite real")
         n = len(self.children)
         if n < arity[0] or (arity[1] is not None and n > arity[1]):
             raise ParameterError(f"{self.kind} takes {arity} children, got {n}")
@@ -398,7 +398,8 @@ class GridSpec:
             if not (isinstance(n, int) and n >= 2):
                 raise ParameterError(f"{name} must be an int >= 2, got {n!r}")
         if not (
-            math.isfinite(self.lo)
+            all(type(v) is not bool and isinstance(v, (int, float)) for v in (self.lo, self.hi))
+            and math.isfinite(self.lo)
             and math.isfinite(self.hi)
             and 0.0 < self.lo < self.hi
         ):

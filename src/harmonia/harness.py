@@ -154,8 +154,8 @@ class SweepConfig:
 
     Each field names its reader, which checks the value and normalises it
     (numbers to float or int, lists to tuples) on every construction path.
-    Every check runs at its library defaults (tolerances, quadrature
-    settings); parallelism is ``run_sweep``'s ``jobs`` argument alone.
+    Every check runs at the library's one set of tolerances and quadrature
+    accuracy; parallelism is ``run_sweep``'s ``jobs`` argument alone.
     """
 
     samples: int = _field(200, _count)

@@ -14,7 +14,7 @@ deviates from the harmonic-weighted integral average.  Integration by parts
                     + integral_{1/2}^1 (lambda_ - t)/A_t**2 * f'(ab/A_t) dt ],
 
 valid for ALL real lambda_, mu_ whenever f' is integrable.  This module
-evaluates both sides by quadrature, at ``quadrature.DEFAULT_SETTINGS``, and
+evaluates both sides by quadrature, at quadrature's one accuracy, and
 judges the identity in ``_judged`` alone: |lhs - rhs| <= ``IDENTITY_TOL``.
 ``check_identity``, the sweep's identity row and ``verify-identity --printed``
 call it; their callers read the verdict and margin from its ``IdentityCheck``.
@@ -66,6 +66,8 @@ class Instance:
             # bool subclasses int, but True where a number belongs is a mistake.
             if isinstance(val, bool) or not (isinstance(val, (int, float)) and math.isfinite(val)):
                 raise ParameterError(f"{name} must be a finite real, got {val!r}")
+        if not isinstance(self.f, FunctionSpec):
+            raise ParameterError(f"f must be a FunctionSpec, got {self.f!r}")
         if not (0.0 < self.a < self.b):
             raise ParameterError(f"need 0 < a < b, got a={self.a!r}, b={self.b!r}")
         _require_sm(self.s, self.m)

@@ -4,7 +4,7 @@ Two integrators are provided.  ``integrate`` is an adaptive bisection scheme
 built on a Gauss-Kronrod 7/15 pair: each panel is scored by the difference
 between the embedded 7-point Gauss value and the 15-point Kronrod value, and
 the panel with the largest score is bisected until the summed estimate meets
-the requested tolerance or the subdivision budget runs out.  ``integrate_de``
+the library's tolerance or the subdivision budget runs out.  ``integrate_de``
 is a tanh-sinh (double exponential) rule with trapezoid step halving; it
 never evaluates the integrand at the interval endpoints and therefore
 tolerates algebraic endpoint behavior t**sigma with sigma > -1.  The kernel
@@ -13,7 +13,9 @@ Gauss-Jacobi rule that integrates known endpoint powers exactly (node table
 built on first use), on panels that ``_graded`` splits toward a nearby
 singularity of the smooth factor.  ``_product_rules`` runs several such
 integrals level by level together, with one integrand call per level, and
-gives each the bits ``_product_rule`` gives it alone.
+gives each the bits ``_product_rule`` gives it alone.  Every rule runs at
+the one accuracy of the private ``_ABS_TOL``, ``_REL_TOL`` and
+``_MAX_SUBDIVISIONS``; no caller sets another.
 
 No routine ever returns a silently wrong number: results carry an error
 estimate, an evaluation count and a ``converged`` flag, and a non-finite
@@ -40,25 +42,7 @@ import numpy as np
 
 from .errors import AccuracyError, EvaluationError, ParameterError
 
-__all__ = ["QuadSettings", "QuadResult", "integrate", "integrate_de", "DEFAULT_SETTINGS"]
-
-
-@dataclass(frozen=True)
-class QuadSettings:
-    """Accuracy targets and work cap shared by both integrators."""
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 2000
-
-    def __post_init__(self) -> None:
-        if not (self.abs_tol > 0.0) or not math.isfinite(self.abs_tol):
-            raise ParameterError("abs_tol must be finite and > 0")
-        if self.rel_tol < 0.0 or not math.isfinite(self.rel_tol):
-            raise ParameterError("rel_tol must be finite and >= 0")
-        n = self.max_subdivisions
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise ParameterError(f"max_subdivisions must be an integer >= 1, got {n!r}")
+__all__ = ["QuadResult", "integrate", "integrate_de"]
 
 
 @dataclass(frozen=True)
@@ -78,7 +62,11 @@ class QuadResult:
         return self.value
 
 
-DEFAULT_SETTINGS = QuadSettings()
+# The one accuracy target and work cap of every integral in the library.
+# Each integrator reads them when called, not as default arguments.
+_ABS_TOL = 1e-10
+_REL_TOL = 1e-10
+_MAX_SUBDIVISIONS = 2000
 
 # Kronrod-15 abscissae on [-1, 1] (positive half; index 7 is the center) and
 # the matching Kronrod weights.  Odd indices form the embedded Gauss-7 rule.
@@ -176,7 +164,7 @@ def _gk15(f, lo: float, hi: float) -> tuple[float, float, float]:
     return kron, err, resabs
 
 
-def integrate(f, lo: float, hi: float, settings: QuadSettings | None = None) -> QuadResult:
+def integrate(f, lo: float, hi: float) -> QuadResult:
     """Adaptive Gauss-Kronrod integration of ``f`` over ``[lo, hi]``.
 
     The integrand must be finite at every evaluated node (the rule is open:
@@ -190,7 +178,6 @@ def integrate(f, lo: float, hi: float, settings: QuadSettings | None = None) -> 
     scores, which in practice bounds the true error by a wide margin on
     smooth and piecewise-smooth integrands.
     """
-    s = settings if settings is not None else DEFAULT_SETTINGS
     _require_interval(lo, hi)
     evals = 15
     value, err, _ = _gk15(f, lo, hi)
@@ -209,8 +196,8 @@ def integrate(f, lo: float, hi: float, settings: QuadSettings | None = None) -> 
         return v, e
 
     while True:
-        tol = max(s.abs_tol, s.rel_tol * abs(total_value))
-        if total_err <= tol or nsub >= s.max_subdivisions or not heap:
+        tol = max(_ABS_TOL, _REL_TOL * abs(total_value))
+        if total_err <= tol or nsub >= _MAX_SUBDIVISIONS or not heap:
             break
         _, _, plo, phi, pval, perr = heapq.heappop(heap)
         mid = 0.5 * (plo + phi)
@@ -233,7 +220,7 @@ def integrate(f, lo: float, hi: float, settings: QuadSettings | None = None) -> 
             total_value, total_err = _refresh()
 
     total_value, total_err = _refresh()
-    converged = total_err <= max(s.abs_tol, s.rel_tol * abs(total_value))
+    converged = total_err <= max(_ABS_TOL, _REL_TOL * abs(total_value))
     return QuadResult(total_value, total_err, evals, converged)
 
 
@@ -298,7 +285,7 @@ def _de_level(f, level: int, lo: float, hi: float, half: float) -> list[float]:
     return out
 
 
-def integrate_de(f, lo: float, hi: float, settings: QuadSettings | None = None) -> QuadResult:
+def integrate_de(f, lo: float, hi: float) -> QuadResult:
     """tanh-sinh integration of ``f`` over ``[lo, hi]``.
 
     Designed for integrands with integrable algebraic endpoint singularities:
@@ -307,11 +294,10 @@ def integrate_de(f, lo: float, hi: float, settings: QuadSettings | None = None) 
     precision is lost to cancellation.  The trapezoid step is halved per
     level until two successive levels agree within tolerance.
     """
-    s = settings if settings is not None else DEFAULT_SETTINGS
     _require_interval(lo, hi)
     half = 0.5 * (hi - lo)
     mid = 0.5 * (lo + hi)
-    max_evals = 15 * s.max_subdivisions
+    max_evals = 15 * _MAX_SUBDIVISIONS
 
     center = _PI_OVER_2 * _eval(f, mid)
     contribs = _de_level(f, 0, lo, hi, half)
@@ -332,7 +318,7 @@ def integrate_de(f, lo: float, hi: float, settings: QuadSettings | None = None) 
         total += math.fsum(new)
         value = half * h * total
         err = abs(value - prev_value)
-        if level >= 2 and err <= max(s.abs_tol, s.rel_tol * abs(value)):
+        if level >= 2 and err <= max(_ABS_TOL, _REL_TOL * abs(value)):
             converged = True
             break
         prev_value = value
@@ -403,10 +389,10 @@ def _product_rule(f, panels) -> QuadResult:
     On each panel f is (t - lo)^at_lo (hi - t)^at_hi times a smooth factor.
     Level by level, n = 8, 16, ..., 1024, f is called once on the n- and
     2n-point nodes of every panel (an ``_ArrayIntegrand``, under its
-    contract).  It reads DEFAULT_SETTINGS: it stops when |Q_2n - Q_n| <=
-    rel_tol |Q_2n|, with no absolute floor (for a nonnegative f, positive
-    weights leave only relative rounding), and a level that would take the
-    evaluations past 15 * max_subdivisions is not run.
+    contract).  It stops when |Q_2n - Q_n| <= _REL_TOL |Q_2n|, with no
+    absolute floor (for a nonnegative f, positive weights leave only
+    relative rounding), and a level that would take the evaluations past
+    15 * _MAX_SUBDIVISIONS is not run.
     """
     for lo, hi, _, _ in panels:
         _require_interval(lo, hi)
@@ -426,8 +412,8 @@ def _product_rules(f, rules: Sequence[Sequence[tuple]]) -> list[tuple | None]:
     gives.  An integrand with a value that is not finite stops: its result
     is None.
     """
-    budget = 15 * DEFAULT_SETTINGS.max_subdivisions
-    rel_tol = DEFAULT_SETTINGS.rel_tol
+    budget = 15 * _MAX_SUBDIVISIONS
+    rel_tol = _REL_TOL
     spans = np.array([(lo, 0.5 * (hi - lo)) for panels in rules for lo, hi, _, _ in panels])
     rows = [range(i, j) for i, j in pairwise(accumulate(map(len, rules), initial=0))]  # rule k's spans
     results: list[tuple | None] = [None] * len(rules)

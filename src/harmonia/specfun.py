@@ -15,7 +15,7 @@ Three functions; the closed-form coefficients downstream read Beta and 2F1 only:
   The Euler integrand t**(beta_-1) (1-t)**(gamma_-beta_-1) (1-zt)**(-alpha)
   goes to the Gauss-Jacobi product rule of the kernel oracles, with the two
   endpoint powers as its weight and panels graded toward the pole 1/z, at
-  ``quadrature.DEFAULT_SETTINGS`` (Gautschi 2004).  No call re-sets these
+  quadrature's one accuracy (Gautschi 2004).  No call re-sets these
   constants or the series' term cap ``_MAX_TERMS``.
 
 ``_hyp2f1_bounded`` has two paths:
@@ -128,7 +128,7 @@ def hyp2f1_euler(alpha: float, beta_: float, gamma_: float, z: float) -> float:
     """Euler integral path (DLMF 15.6.1): int_0^1 t**(b-1) (1-t)**(g-b-1)
     (1-zt)**(-a) dt / B(b, g-b), by the Gauss-Jacobi product rule with the
     endpoint exponents b-1 and g-b-1 as its weight, on panels graded toward
-    the pole 1/z of (1-zt)**(-a).  The rule reads DEFAULT_SETTINGS.
+    the pole 1/z of (1-zt)**(-a), at quadrature's one accuracy.
     """
     _check_2f1_domain(alpha, beta_, gamma_, z)
     e0 = beta_ - 1.0

@@ -21,11 +21,11 @@ from harmonia.cli import _build_parser
 
 ALL = [
     "AccuracyError", "BoundTerm", "CROSSCHECK_TOL", "CSV_COLUMNS", "Classification",
-    "ConfigError", "ConvexityReport", "CorpusEntry", "DEFAULT_SETTINGS", "DEFECT_TOL",
+    "ConfigError", "ConvexityReport", "CorpusEntry", "DEFECT_TOL",
     "DomainError", "EXPECTED_COEFFICIENT_ERRATA",
     "EvaluationError", "FunctionSpec", "GridSpec", "HarmoniaError", "IDENTITY_TOL",
     "IdentityCheck", "Instance", "KIND_FOR_INDEX", "KernelKind", "MARGIN_TOL", "PRESETS",
-    "PROPERTY_CORPUS", "ParameterError", "PreconditionError", "QuadResult", "QuadSettings",
+    "PROPERTY_CORPUS", "ParameterError", "PreconditionError", "QuadResult",
     "ReflectionWitness", "Row", "RunReport", "SCHEMA", "SM_PAIRS", "SweepConfig", "Verdict",
     "__version__", "abs_deriv_pow", "b1_b4", "b7_b10", "beta", "case_label",
     "certify_instance", "check_harmonic_sm", "check_identity", "check_plain_sm",
@@ -47,9 +47,8 @@ SIGNATURES = {
     "EvaluationError": "message, abscissa",
     # quadrature
     "QuadResult": "value, err_estimate, evaluations, converged",
-    "QuadSettings": "abs_tol, rel_tol, max_subdivisions",
-    "integrate": "f, lo, hi, settings",
-    "integrate_de": "f, lo, hi, settings",
+    "integrate": "f, lo, hi",
+    "integrate_de": "f, lo, hi",
     # specfun
     "beta": "a, b",
     "gamma": "x",
@@ -136,33 +135,21 @@ def test_every_public_callable_is_pinned():
     assert callables == set(SIGNATURES)
 
 
-def test_signatures_are_pinned():
-    got = {name: _shape(getattr(harmonia, name)) for name in SIGNATURES}
-    assert got == SIGNATURES
-
-
-# The only public functions that take a tolerance, a work budget or
-# quadrature settings: the integrators, whose settings have two values in
-# use.  Every verdict and every 2F1 reads the library's constants instead.
-KNOBS = {
-    "integrate": {"settings"},
-    "integrate_de": {"settings"},
-}
-
-
 def _is_knob(name: str) -> bool:
     return name in ("tol", "budget", "settings") or name.endswith("_tol") or name.startswith("max_")
 
 
-def test_only_the_primitives_take_a_tolerance_or_budget():
-    got = {}
-    for name in harmonia.__all__:
-        obj = getattr(harmonia, name)
-        if inspect.isfunction(obj):
-            knobs = {p for p in inspect.signature(obj).parameters if _is_knob(p)}
-            if knobs:
-                got[name] = knobs
-    assert got == KNOBS
+def test_signatures_are_pinned():
+    got = {name: _shape(getattr(harmonia, name)) for name in SIGNATURES}
+    assert got == SIGNATURES
+    # No public function takes a tolerance, a work budget or quadrature
+    # settings: every verdict, 2F1 and integral reads the library's constants.
+    # (A record such as IdentityCheck may report the tolerance it was judged at.)
+    knobs = {
+        name: param for name in SIGNATURES if inspect.isfunction(getattr(harmonia, name))
+        for param in inspect.signature(getattr(harmonia, name)).parameters if _is_knob(param)
+    }
+    assert knobs == {}
 
 
 # Each verdict constant and the one module whose rule reads it.  Every other
@@ -210,16 +197,44 @@ def _calls(tree: ast.Module) -> set[str]:
     }
 
 
+QUADRATURE_ACCURACY = {"_ABS_TOL", "_REL_TOL", "_MAX_SUBDIVISIONS"}
+
+
+def _foreign_reads(tree: ast.Module) -> set[str]:
+    """The names of QUADRATURE_ACCURACY that tree reads without binding them
+    at its top level: imported, or read as another module's attribute."""
+    own = {
+        target.id for node in tree.body if isinstance(node, ast.Assign)
+        for target in node.targets if isinstance(target, ast.Name)
+    }
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id not in own:
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read & QUADRATURE_ACCURACY
+
+
 def test_one_module_sets_the_quadrature_accuracy():
-    # Nothing in the library runs the tanh-sinh rule, and only quadrature
-    # builds a QuadSettings (its DEFAULT_SETTINGS): every integral the
-    # library takes meets that one accuracy target.
-    callers = {"integrate_de": set(), "QuadSettings": set()}
+    # quadrature's accuracy constants are read in quadrature alone (specfun's
+    # own _REL_TOL is the 2F1's, not the integrators'), and nothing in the
+    # library runs the tanh-sinh rule: every integral the library takes
+    # meets that one accuracy target.
+    readers, de_callers = {}, set()
     for path in Path(harmonia.__file__).parent.glob("*.py"):
-        called = _calls(ast.parse(path.read_text(encoding="utf-8")))
-        for name in called & set(callers):
-            callers[name].add(path.stem)
-    assert callers == {"integrate_de": set(), "QuadSettings": {"quadrature"}}
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.stem == "quadrature":
+            readers = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
+                       and isinstance(node.ctx, ast.Load)} & QUADRATURE_ACCURACY
+        else:
+            assert _foreign_reads(tree) == set(), path.stem
+        if "integrate_de" in _calls(tree):
+            de_callers.add(path.stem)
+    assert readers == QUADRATURE_ACCURACY
+    assert de_callers == set()
 
 
 # convexity's grid machinery.  The sweep harness certifies each candidate

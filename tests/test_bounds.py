@@ -525,6 +525,32 @@ class TestBooleanArguments:
         with pytest.raises(ParameterError, match="theorem must be 1 or 2, got True"):
             corollary_rhs(make(lam=1.0, mu=0.0, f=SQUARE), True)
 
+    def test_a_float_is_no_index(self):
+        # 2.0 == 2, but an index is an integer: each entry point names the float.
+        for index, call in ((1.0, crosscheck_B), (2.0, crosscheck_B), (2.0, case_label),
+                            (2.0, closed_B), (5.0, corrected_B)):
+            with pytest.raises(ParameterError, match=rf"index must be 1..12, got {index}$"):
+                call(index, make(q=2.0))
+
+    def test_a_float_is_no_theorem(self, monkeypatch):
+        def certify(*args, **kwargs):
+            raise AssertionError("certification ran before the theorem check")
+
+        monkeypatch.setattr(bounds, "certify_instance", certify)
+        for theorem in (1.0, 2.0):
+            with pytest.raises(ParameterError, match=f"theorem must be 1 or 2, got {theorem}$"):
+                check_theorem(make(f=SQUARE, q=2.0), theorem)
+        with pytest.raises(ParameterError, match="theorem must be 1 or 2, got 1.0$"):
+            corollary_rhs(make(lam=1.0, mu=0.0, f=SQUARE), 1.0)
+
+    def test_numpy_integers_stay_accepted(self):
+        import numpy as np
+
+        inst = make(f=SQUARE, q=2.0)
+        assert case_label(np.int64(2), inst) == case_label(2, inst)
+        assert crosscheck_B(np.int32(1), inst).oracle == crosscheck_B(1, inst).oracle
+        assert check_theorem(inst, np.int64(2)).margin == check_theorem(inst, 2).margin
+
 
 class TestUsageErrors:
     """Each public function raises its usage error at its entry, in the
@@ -537,6 +563,9 @@ class TestUsageErrors:
         "kernel_oracle": (lambda: kernel_oracle(KIND_FOR_INDEX[2], make(mu=0.6)), BAND),
         "kernel_oracle band before p": (lambda: kernel_oracle(KIND_FOR_INDEX[7], make(mu=0.6)), BAND),
         "kernel_oracle p": (lambda: kernel_oracle(KIND_FOR_INDEX[7], make()), CONJUGATE),
+        "kernel_oracle kind before band": (
+            lambda: kernel_oracle(2, make(mu=0.6)),
+            "kind must be a KernelKind (see KIND_FOR_INDEX), got 2"),
         "crosscheck_B": (lambda: crosscheck_B(2, make(mu=0.6, q=2.0)), BAND),
         "crosscheck_B index before band": (
             lambda: crosscheck_B(0, make(mu=0.6)), "coefficient index must be 1..12, got 0"),
@@ -1147,10 +1176,11 @@ class TestCheckTheorem:
         assert checked >= 8
 
     def test_starved_quadrature_raises(self, monkeypatch):
-        from harmonia import QuadSettings, quadrature
+        from harmonia import quadrature
 
         inst = make(lam=0.5, mu=0.5, f=SQUARE)
-        starved = QuadSettings(abs_tol=1e-300, rel_tol=1e-16, max_subdivisions=1)
-        monkeypatch.setattr(quadrature, "DEFAULT_SETTINGS", starved)
+        monkeypatch.setattr(quadrature, "_ABS_TOL", 1e-300)
+        monkeypatch.setattr(quadrature, "_REL_TOL", 1e-16)
+        monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 1)
         with pytest.raises(AccuracyError):
             check_theorem(inst, 1)

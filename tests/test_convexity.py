@@ -184,6 +184,12 @@ class TestGridSpec:
         with pytest.raises(ParameterError):
             GridSpec(**kwargs)
 
+    @pytest.mark.parametrize("kwargs", [{"lo": True}, {"lo": 0.5, "hi": True}, {"lo": "1"}])
+    def test_interval_ends_are_reals(self, kwargs):
+        # bool subclasses int, but True is no grid end.
+        with pytest.raises(ParameterError, match="grid interval needs 0 < lo < hi"):
+            GridSpec(**{"hi": 2.0, **kwargs})
+
     def test_refinement_does_not_flip_verdicts(self):
         cases = [
             (linear(), 1.0, 1.0, GridSpec(), True),
@@ -768,6 +774,13 @@ class TestFunctionSpecNodes:
     def test_abs_deriv_pow_validates_q(self):
         with pytest.raises(ParameterError):
             abs_deriv_pow(linear(), 0.0)
+
+    def test_boolean_params_rejected(self):
+        # bool subclasses int, but True where a number belongs is a mistake.
+        with pytest.raises(ParameterError, match="abs_deriv_pow param q=True must be a finite real"):
+            abs_deriv_pow(linear(), True)
+        with pytest.raises(ParameterError, match="power param p=True must be a finite real"):
+            FunctionSpec(kind="power", params=(("c", 1.0), ("p", True)))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ParameterError):

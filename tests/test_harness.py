@@ -29,7 +29,6 @@ from harmonia import (
     Instance,
     MARGIN_TOL,
     PRESETS,
-    QuadSettings,
     Row,
     RunReport,
     SCHEMA,
@@ -471,8 +470,9 @@ class TestRunSweep:
         # Starve every quadrature, which every row reads (the printed-deviation
         # lock row too): the rows fail to converge, and the sweep reports it
         # as systemic.
-        starved = QuadSettings(abs_tol=1e-300, rel_tol=1e-15, max_subdivisions=1)
-        monkeypatch.setattr(quadrature, "DEFAULT_SETTINGS", starved)
+        monkeypatch.setattr(quadrature, "_ABS_TOL", 1e-300)
+        monkeypatch.setattr(quadrature, "_REL_TOL", 1e-15)
+        monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 1)
         cfg = SweepConfig(samples=2, families=("power:c=1,p=2",))
         with pytest.raises(AccuracyError, match="systemic"):
             run_sweep(cfg, jobs=1)
@@ -719,8 +719,8 @@ class TestInstanceMemo:
         evaluations = []
         integrate = identity.integrate
 
-        def spy(f, lo, hi, settings=None):
-            res = integrate(f, lo, hi, settings)
+        def spy(f, lo, hi):
+            res = integrate(f, lo, hi)
             evaluations.append(res.evaluations)
             return res
 

@@ -17,7 +17,6 @@ from harmonia import (
     IDENTITY_TOL,
     Instance,
     ParameterError,
-    QuadSettings,
     bounds,
     check_identity,
     combine,
@@ -76,6 +75,10 @@ class TestInstance:
         base[name] = base[name] == 1.0
         with pytest.raises(ParameterError, match=f"^{name} must"):
             Instance(**base)
+
+    def test_f_must_be_a_function_spec(self):
+        with pytest.raises(ParameterError, match="^f must be a FunctionSpec, got 'linear'$"):
+            Instance(a=1.0, b=2.0, s=1.0, m=1.0, q=1.0, lambda_=0.5, mu_=0.5, f="linear")
 
     def test_all_boolean_instance_rejected(self):
         with pytest.raises(ParameterError):
@@ -152,8 +155,9 @@ class TestRuleDeviationMemo:
     def test_failed_integral_is_not_stored(self, monkeypatch):
         # No value is stored for a failed integral: its entry is the
         # exception, which each read raises again.
-        starved = QuadSettings(abs_tol=1e-300, rel_tol=1e-15, max_subdivisions=1)
-        monkeypatch.setattr(quadrature, "DEFAULT_SETTINGS", starved)
+        monkeypatch.setattr(quadrature, "_ABS_TOL", 1e-300)
+        monkeypatch.setattr(quadrature, "_REL_TOL", 1e-15)
+        monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 1)
         terms = bounds._instance_values(CANONICAL, terms=True).terms
         assert isinstance(terms, AccuracyError)
         for _ in range(2):
@@ -236,8 +240,9 @@ class TestKernelIdentity:
         assert exc.value.abscissa == inst.harmonic_mean
 
     def test_quadrature_budget_exhaustion_raises(self, monkeypatch):
-        starved = QuadSettings(abs_tol=1e-300, rel_tol=1e-15, max_subdivisions=2)
-        monkeypatch.setattr(quadrature, "DEFAULT_SETTINGS", starved)
+        monkeypatch.setattr(quadrature, "_ABS_TOL", 1e-300)
+        monkeypatch.setattr(quadrature, "_REL_TOL", 1e-15)
+        monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 2)
         with pytest.raises(AccuracyError):
             rule_deviation(CANONICAL)
 
@@ -378,9 +383,9 @@ def test_array_path_matches_scalar_reference(a, width, lam, mu, kind):
     inst = make(_pin_spec(kind), a, a + width, lam, mu)
     calls = []
 
-    def spy(f, lo, hi, settings=None):
-        res = integrate(f, lo, hi, settings)
-        calls.append((lo, hi, settings, res))
+    def spy(f, lo, hi):
+        res = integrate(f, lo, hi)
+        calls.append((lo, hi, res))
         return res
 
     with pytest.MonkeyPatch.context() as mp:
@@ -390,5 +395,5 @@ def test_array_path_matches_scalar_reference(a, width, lam, mu, kind):
         except AccuracyError:
             pass
     assert calls
-    for ref, (lo, hi, quad, res) in zip(_scalar_integrands(inst), calls):
-        assert _bits(res) == _bits(integrate(ref, lo, hi, quad)), (lo, hi)
+    for ref, (lo, hi, res) in zip(_scalar_integrands(inst), calls):
+        assert _bits(res) == _bits(integrate(ref, lo, hi)), (lo, hi)

@@ -16,13 +16,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from harmonia import (
-    DEFAULT_SETTINGS,
     KIND_FOR_INDEX,
     AccuracyError,
     EvaluationError,
     Instance,
     ParameterError,
-    QuadSettings,
     hyp2f1_euler,
     integrate,
     integrate_de,
@@ -62,26 +60,9 @@ SMOOTH_CORPUS = [
 
 class TestSettings:
     def test_defaults(self):
-        assert DEFAULT_SETTINGS.abs_tol == 1e-10
-        assert DEFAULT_SETTINGS.rel_tol == 1e-10
-        assert DEFAULT_SETTINGS.max_subdivisions == 2000
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"abs_tol": 0.0},
-            {"abs_tol": -1e-10},
-            {"abs_tol": math.inf},
-            {"rel_tol": -1e-3},
-            {"rel_tol": math.nan},
-            {"max_subdivisions": 0},
-            {"max_subdivisions": 2.5},
-            {"max_subdivisions": True},
-        ],
-    )
-    def test_rejects_bad_fields(self, kwargs):
-        with pytest.raises(ParameterError):
-            QuadSettings(**kwargs)
+        assert quadrature._ABS_TOL == 1e-10
+        assert quadrature._REL_TOL == 1e-10
+        assert quadrature._MAX_SUBDIVISIONS == 2000
 
     @pytest.mark.parametrize("lo,hi", [(1.0, 1.0), (2.0, 1.0), (0.0, math.inf), (math.nan, 1.0)])
     def test_rejects_bad_interval(self, lo, hi):
@@ -155,8 +136,9 @@ class TestGaussKronrod:
             budget = 2.0 * (whole.err_estimate + left.err_estimate + right.err_estimate)
             assert abs(whole.value - (left.value + right.value)) <= budget + 1e-13
 
-    def test_nonconvergence_is_flagged_not_raised(self):
-        res = integrate(lambda t: abs(t - 1.0 / 3.0), 0.0, 1.0, QuadSettings(max_subdivisions=1))
+    def test_nonconvergence_is_flagged_not_raised(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 1)
+        res = integrate(lambda t: abs(t - 1.0 / 3.0), 0.0, 1.0)
         assert not res.converged
         assert res.err_estimate > 1e-10
 
@@ -279,8 +261,9 @@ class TestTanhSinh:
         assert de.converged
         assert abs(gk.value - de.value) <= 1e-9 * max(1.0, abs(exact))
 
-    def test_nonconvergence_is_flagged_not_raised(self):
-        res = integrate_de(lambda t: t**-0.5, 0.0, 1.0, QuadSettings(max_subdivisions=2))
+    def test_nonconvergence_is_flagged_not_raised(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 2)
+        res = integrate_de(lambda t: t**-0.5, 0.0, 1.0)
         assert not res.converged
 
     def test_endpoints_never_evaluated(self):
@@ -295,92 +278,101 @@ class TestTanhSinh:
         assert all(0.0 < t < 1.0 for t in seen)
 
 
+def _set_accuracy(monkeypatch, accuracy: dict) -> None:
+    """Replace quadrature's named accuracy constants for one test."""
+    for name, value in accuracy.items():
+        monkeypatch.setattr(quadrature, name, value)
+
+
 # integrate_de pinned bit for bit: value and error estimate as float.hex,
 # the evaluation count, the converged flag, a digest of the abscissae in
 # evaluation order, and how many of them the nextafter endpoint clamp
 # produced.  Any change to the node table, node order, summation or
 # stopping rule moves at least one of these.
-# (name, integrand, lo, hi, settings, (value.hex, err.hex, evaluations,
-# converged, digest of the abscissae in evaluation order)).
+# (name, integrand, lo, hi, the quadrature constants set in place of the
+# library's, (value.hex, err.hex, evaluations, converged, digest of the
+# abscissae in evaluation order)).
 # oscillating_refresh runs past 512 bisections, where the running sums are
 # re-added exactly; kink_capped and log_refresh_capped stop at the
-# max_subdivisions cap.
+# _MAX_SUBDIVISIONS cap.
 GK_PINS = [
-    ("exp", math.exp, 0.0, 1.0, None,
+    ("exp", math.exp, 0.0, 1.0, {},
      ("0x1.b7e151628aed2p+0", "0x1.57a80794fc894p-46", 15, True, "a2a2094c1fa55439")),
-    ("sin_tight", math.sin, 0.0, math.pi, QuadSettings(abs_tol=1e-13, rel_tol=1e-13),
+    ("sin_tight", math.sin, 0.0, math.pi, {"_ABS_TOL": 1e-13, "_REL_TOL": 1e-13},
      ("0x1.0000000000000p+1", "0x1.9000000000000p-46", 45, True, "c3d0401a1eb8d670")),
-    ("recip", lambda t: 1.0 / t, 1.0, math.e, None,
+    ("recip", lambda t: 1.0 / t, 1.0, math.e, {},
      ("0x1.0000000000000p+0", "0x1.105bfa232267dp-38", 45, True, "c058f27574cfecf0")),
-    ("kink", lambda t: abs(t - 1.0 / 3.0), 0.0, 1.0, None,
+    ("kink", lambda t: abs(t - 1.0 / 3.0), 0.0, 1.0, {},
      ("0x1.1c71c71d236b9p-2", "0x1.03c06479e4100p-34", 375, True, "5b651a80a63eae31")),
-    ("kink_capped", lambda t: abs(t - 1.0 / 3.0), 0.0, 1.0, QuadSettings(max_subdivisions=3),
+    ("kink_capped", lambda t: abs(t - 1.0 / 3.0), 0.0, 1.0, {"_MAX_SUBDIVISIONS": 3},
      ("0x1.1c748dae215d3p-2", "0x1.03bceb970ef00p-16", 105, False, "2e722e07f326817d")),
-    ("inv_sqrt", lambda t: t**-0.5, 0.0, 1.0, None,
+    ("inv_sqrt", lambda t: t**-0.5, 0.0, 1.0, {},
      ("0x1.ffffffff7bb38p+0", "0x1.aaecd636556d0p-33", 1725, True, "2c6ddb95b29ea7ef")),
-    ("oscillating_refresh", lambda t: math.sin(1.0 / t), 3e-4, 1.0, None,
+    ("oscillating_refresh", lambda t: math.sin(1.0 / t), 3e-4, 1.0, {},
      ("0x1.021516f4c3b29p-1", "0x1.b2dfd450ed56dp-34", 16755, True, "e5903c9f36c4b79b")),
     ("log_refresh_capped", math.log, 0.0, 1.0,
-     QuadSettings(abs_tol=1e-14, rel_tol=1e-14, max_subdivisions=600),
+     {"_ABS_TOL": 1e-14, "_REL_TOL": 1e-14, "_MAX_SUBDIVISIONS": 600},
      ("-0x1.0000000000000p+0", "0x1.91a66ef0e0d30p-47", 18015, False, "47b3e137fe98daa8")),
 ]
 
 
 @pytest.mark.parametrize(
-    "name,f,lo,hi,settings,pinned", GK_PINS, ids=[c[0] for c in GK_PINS]
+    "name,f,lo,hi,accuracy,pinned", GK_PINS, ids=[c[0] for c in GK_PINS]
 )
-def test_integrate_pinned_bits(name, f, lo, hi, settings, pinned):
+def test_integrate_pinned_bits(name, f, lo, hi, accuracy, pinned, monkeypatch):
+    _set_accuracy(monkeypatch, accuracy)
     seen = []
 
     def traced(t):
         seen.append(t)
         return f(t)
 
-    res = integrate(traced, lo, hi, settings)
+    res = integrate(traced, lo, hi)
     digest = hashlib.sha256("".join(x.hex() for x in seen).encode()).hexdigest()[:16]
     got = (res.value.hex(), res.err_estimate.hex(), res.evaluations, res.converged, digest)
     assert got == pinned
 
 
 DE_PINS = [
-    ("exp", math.exp, 0.0, 1.0, None,
+    ("exp", math.exp, 0.0, 1.0, {},
      ("0x1.b7e151628aed3p+0", "0x1.0f37000000000p-36", 97, True, "6a0e9c93468f2759", 23)),
-    ("sin_tight", math.sin, 0.0, math.pi, QuadSettings(abs_tol=1e-15, rel_tol=1e-15),
+    ("sin_tight", math.sin, 0.0, math.pi, {"_ABS_TOL": 1e-15, "_REL_TOL": 1e-15},
      ("0x1.0000000000000p+1", "0x1.0000000000000p-51", 195, True, "8381df5c54cc4c31", 47)),
     ("gauss_bell_rel0", lambda t: math.exp(-t * t), -1.0, 3.0,
-     QuadSettings(abs_tol=1e-12, rel_tol=0.0),
+     {"_ABS_TOL": 1e-12, "_REL_TOL": 0.0},
      ("0x1.a20e59e48adecp+0", "0x0.0p+0", 391, True, "3e45102f0df5f50b", 189)),
-    ("inv_sqrt", lambda t: t**-0.5, 0.0, 1.0, None,
+    ("inv_sqrt", lambda t: t**-0.5, 0.0, 1.0, {},
      ("0x1.0000000000001p+1", "0x1.c000000000000p-49", 97, True, "6a0e9c93468f2759", 23)),
-    ("beta_kernel", lambda t: t**0.3 * (1.0 - t) ** -0.3, 0.0, 1.0, None,
+    ("beta_kernel", lambda t: t**0.3 * (1.0 - t) ** -0.3, 0.0, 1.0, {},
      ("0x1.2a3b40abb7bc6p+0", "0x1.e000000000000p-47", 97, True, "6a0e9c93468f2759", 23)),
     ("beta_kernel_capped", lambda t: t**0.3 * (1.0 - t) ** -0.3, 0.0, 1.0,
-     QuadSettings(max_subdivisions=2),
+     {"_MAX_SUBDIVISIONS": 2},
      ("0x1.2a3b40abb7b8ap+0", "0x1.152fe87900000p-19", 49, False, "148be477628607c1", 12)),
     ("oracle_like",
      lambda t: abs(0.3 - t) * t**0.25 / (t * 2.5 + (1.0 - t) * 0.7) ** 3.0, 0.0, 0.3,
-     QuadSettings(abs_tol=1e-12, rel_tol=1e-12),
+     {"_ABS_TOL": 1e-12, "_REL_TOL": 1e-12},
      ("0x1.227b11d29487dp-5", "0x0.0p+0", 195, True, "3e35f83b4f01f6a4", 47)),
-    ("clamp_lo", lambda t: (t - 1.0) ** -0.5, 1.0, 2.0, None,
+    ("clamp_lo", lambda t: (t - 1.0) ** -0.5, 1.0, 2.0, {},
      ("0x1.ffffffc44168ep+0", "0x1.a946800000000p-34", 3123, True, "8ae56c3abe02033d", 1524)),
-    ("clamp_hi", lambda t: (3.0 - t) ** -0.75, 2.0, 3.0, QuadSettings(abs_tol=1e-9, rel_tol=1e-9),
+    ("clamp_hi", lambda t: (3.0 - t) ** -0.75, 2.0, 3.0, {"_ABS_TOL": 1e-9, "_REL_TOL": 1e-9},
      ("0x1.fff20750f1e9ep+1", "0x1.c1413ae000000p-22", 49967, False, "8ee3d948cf421c88", 24538)),
-    ("clamp_wide", lambda t: 1.0 / math.sqrt(abs(t - 1e3)), 1e3, 1e3 + 5.0, None,
+    ("clamp_wide", lambda t: 1.0 / math.sqrt(abs(t - 1e3)), 1e3, 1e3 + 5.0, {},
      ("0x1.1e37785ed9c47p+2", "0x1.2fc1d80000000p-29", 49967, False, "e3f12d65a863038e", 25512)),
 ]
 
 
 @pytest.mark.parametrize(
-    "name,f,lo,hi,settings,pinned", DE_PINS, ids=[c[0] for c in DE_PINS]
+    "name,f,lo,hi,accuracy,pinned", DE_PINS, ids=[c[0] for c in DE_PINS]
 )
-def test_integrate_de_pinned_bits(name, f, lo, hi, settings, pinned):
+def test_integrate_de_pinned_bits(name, f, lo, hi, accuracy, pinned, monkeypatch):
+    _set_accuracy(monkeypatch, accuracy)
     seen = []
 
     def traced(t):
         seen.append(t)
         return f(t)
 
-    res = integrate_de(traced, lo, hi, settings)
+    res = integrate_de(traced, lo, hi)
     digest = hashlib.sha256("".join(x.hex() for x in seen).encode()).hexdigest()[:16]
     clamped = sum(1 for x in seen if x in (math.nextafter(lo, hi), math.nextafter(hi, lo)))
     got = (res.value.hex(), res.err_estimate.hex(), res.evaluations, res.converged, digest, clamped)
@@ -406,11 +398,11 @@ def test_quadratic_exact_everywhere(a, width, c0, c1, c2):
     assert abs(res.value - exact) <= 1e-12 * max(1.0, abs(exact))
 
 
-# Settings no integral here can meet: the tolerance is below the roundoff
+# An accuracy no integral here can meet: the tolerance is below the roundoff
 # floor of Gauss-Kronrod, and the product rule gets fewer evaluations than
-# its first level takes.  No function here takes settings: the verdicts and
-# hyp2f1_euler read quadrature.DEFAULT_SETTINGS, which the test replaces.
-_STARVED = QuadSettings(abs_tol=1e-300, rel_tol=1e-16, max_subdivisions=1)
+# its first level takes.  No function here takes a tolerance: the verdicts
+# and hyp2f1_euler read quadrature's constants, which the test replaces.
+_STARVED = {"_ABS_TOL": 1e-300, "_REL_TOL": 1e-16, "_MAX_SUBDIVISIONS": 1}
 _INST = Instance(a=1.0, b=2.0, s=0.5, m=1.0, q=2.0, lambda_=0.75, mu_=0.25, f=power(1.0, 2.0))
 
 
@@ -429,7 +421,7 @@ _INST = Instance(a=1.0, b=2.0, s=0.5, m=1.0, q=2.0, lambda_=0.75, mu_=0.25, f=po
     ],
 )
 def test_unconverged_integral_reports_its_estimate(evaluate, monkeypatch):
-    monkeypatch.setattr(quadrature, "DEFAULT_SETTINGS", _STARVED)
+    _set_accuracy(monkeypatch, _STARVED)
     with pytest.raises(AccuracyError) as exc:
         evaluate()
     assert set(exc.value.values) == {"estimate", "err_estimate"}
