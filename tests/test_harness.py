@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -39,6 +40,7 @@ from harmonia import (
     check_theorem,
     crosscheck_B,
     emit_report,
+    format_function_spec,
     generate_instances,
     harness,
     identity,
@@ -231,6 +233,33 @@ class TestGenerateInstances:
         with pytest.raises(ConfigError) as exc:
             generate_instances(cfg)
         assert "certified" in str(exc.value)
+
+
+class TestCertifiedStream:
+    """The draw loop's (instance, certificate, discarded so far) stream, pinned by sha256."""
+
+    WIDE = {"samples": 120, "a_range": (0.05, 0.5), "b_minus_a_range": (1.0, 10.0),
+            "q_values": (1.0, 2.0, 4.0, 8.0)}  # bench/workloads.py's sweep_wide
+    # Recorded while each candidate was still certified by its own certify_instance call.
+    DIGESTS = {
+        ("default", 1): "4873380cdd2630a14e8cd0f95941b36b00734fd3fc885f5837ecdd975e4d0756",
+        ("default", 2): "69d67eb871800939a357c74113c6e7ed24fdba3002096c0f8fc54683f4cd47e8",
+        ("default", 3): "62ba11e65d67d94bce4355e3894f26dbb907e749762a9073f24e3cc7500b614c",
+        ("wide", 1): "138cf870ac3b0bce290cc78aa2b585a0c8ff918775292cc02089a335daf704ab",
+        ("wide", 2): "689a7f5b68bd81156a9130c45e93e3d27666e8026d19cd5f233362095d13d7f1",
+        ("wide", 3): "25129038c9865690647b105a7d454176a5a95e8713f2cc96389418a68a23f988",
+    }
+
+    @pytest.mark.parametrize("config, seed", sorted(DIGESTS))
+    def test_the_stream_keeps_its_bits(self, config, seed):
+        cfg = SweepConfig(rng_seed=seed, **(self.WIDE if config == "wide" else {}))
+        digest = hashlib.sha256()
+        for inst, cert, discarded in harness._certified(cfg):
+            fields = [v.hex() for v in (inst.a, inst.b, inst.s, inst.m, inst.q, inst.lambda_, inst.mu_)]
+            digest.update(repr((fields, format_function_spec(inst.f), cert.holds,
+                                cert.worst_defect.hex(), [w.hex() for w in cert.witness],
+                                cert.checked, discarded)).encode())
+        assert digest.hexdigest() == self.DIGESTS[config, seed]
 
 
 class TestRunSweep:
