@@ -55,13 +55,14 @@ import math
 import numbers
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 from itertools import pairwise
 from typing import NamedTuple
 
 import numpy as np
 
-from .convexity import ConvexityReport, GridSpec, abs_deriv_pow, check_harmonic_sm_subgrid_first
+from .convexity import ConvexityReport, GridSpec, _subgrid_first, abs_deriv_pow
+from .convexity import check_harmonic_sm_subgrid_first
 from .errors import (
     AccuracyError,
     DomainError,
@@ -850,10 +851,37 @@ def certify_instance(inst: Instance):
     its SUBGRID_STRIDE subgrid (convexity.check_harmonic_sm_subgrid_first).
     A refuted instance gets the subgrid's report, whose worst defect and
     witness are over the subgrid's 726 points only; any other gets
-    check_harmonic_sm's full-grid report.
+    check_harmonic_sm's full-grid report.  It is _certify_block's
+    one-instance case.
     """
     grid = GridSpec(lo=inst.a, hi=inst.b / inst.m)
     return check_harmonic_sm_subgrid_first(abs_deriv_pow(inst.f, inst.q), inst.s, inst.m, grid)
+
+
+def _certify_block(insts: list[Instance]) -> list:
+    """One call per instance, in order, that returns certify_instance(inst).
+
+    The instances are grouped by |f'|^q, that is by (f, q), and each group's
+    subgrids are computed in one stacked pass (convexity._subgrid_first),
+    so the calls of refuted instances return their subgrid reports and the
+    others compute their full grids when called.  A group whose stacked
+    pass raises is certified one instance at a time: each call is
+    certify_instance's, with its error, message and abscissa.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for i, inst in enumerate(insts):
+        groups.setdefault((inst.f, inst.q), []).append(i)
+    calls: list = [None] * len(insts)
+    for (f, q), members in groups.items():
+        try:
+            group = _subgrid_first(abs_deriv_pow(f, q), [
+                (insts[i].s, insts[i].m, GridSpec(lo=insts[i].a, hi=insts[i].b / insts[i].m))
+                for i in members])
+        except HarmoniaError:
+            group = [partial(certify_instance, insts[i]) for i in members]
+        for i, call in zip(members, group):
+            calls[i] = call
+    return calls
 
 
 def _require_theorem(theorem: object) -> None:

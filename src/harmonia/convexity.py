@@ -26,11 +26,17 @@ so a certification allocates no grid-sized array and page-faults none in.
 The linear, power, s_power and abs_deriv_pow evaluators write into it in
 place; the arithmetic is the same, so every report keeps its bits.
 
-A certification builds its axes once, with one array for x and y on a
-square grid (``_grid_axes``), and evaluates f on them once (``_axis_values``);
-the subgrid prefilter reads every ``SUBGRID_STRIDE``-th value.  Where that
-evaluation raises, each verdict evaluates f on the axes it reads, so a point
-outside the subgrid raises only when the full grid runs.
+Certification runs the subgrid prefilter (every ``SUBGRID_STRIDE``-th
+sample of each axis) first, for many candidates of one f at once
+(``_subgrid_first``): their x axes are the rows of one array, which is also
+y on a square grid, f is evaluated on it once (``_axis_values``), and every
+subgrid defect comes from one stacked ``_defect`` pass in the full grid's
+workspace.  A candidate the subgrid does not refute computes its full grid
+from its own rows of the axes and values.  Each row holds what the
+candidate computes alone, so the reports keep their bits; one candidate is
+``check_harmonic_sm_subgrid_first``.  Where the evaluation on the axes
+raises, each grid evaluates f on the axes it reads, so a point outside the
+subgrid raises only when the full grid runs.
 
 Each value is checked once: a grid checks f's domain on its combination
 once and f's finiteness there once, on the defect (``_defect``), and only a
@@ -43,6 +49,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -56,7 +63,7 @@ MONO_TOL = 1e-12
 # 11x11x6 of the default 41x41x21 grid, about 1/26 of its points.
 SUBGRID_STRIDE = 4
 # Grid shapes whose workspace (_workspace) each thread keeps; a certification
-# uses two, the grid's and its subgrid's.
+# uses one, the grid's, whose arrays also hold the stacked subgrids.
 _WORKSPACE_SHAPES = 4
 _WORKSPACES = threading.local()
 
@@ -79,6 +86,11 @@ def _require_sm(s: float, m: float) -> None:
     for name, x in (("s", s), ("m", m)):
         if isinstance(x, bool) or not (isinstance(x, (int, float)) and 0.0 < x <= 1.0):
             raise ParameterError(f"{name} must lie in (0, 1], got {x!r}")
+
+
+def _real(x: object) -> object:
+    """float(x), except that a bool stays one, for FunctionSpec to reject."""
+    return x if isinstance(x, bool) else float(x)
 
 
 def _pow(x: np.ndarray, e: float, out: np.ndarray | None) -> np.ndarray:
@@ -271,7 +283,7 @@ def power(c: float, p: float) -> FunctionSpec:
     claimed = (1.0, 1.0) if (c >= 0.0 and p >= 1.0) else (None, None)
     return FunctionSpec(
         kind="power",
-        params=(("c", float(c)), ("p", float(p))),
+        params=(("c", _real(c)), ("p", _real(p))),
         claimed_s=claimed[0],
         claimed_m=claimed[1],
     )
@@ -282,7 +294,7 @@ def s_power(b: float, s: float, c: float) -> FunctionSpec:
     claimed_s = float(s) if (b >= 0.0 and c >= 0.0 and 0.0 < s <= 1.0) else None
     return FunctionSpec(
         kind="s_power",
-        params=(("b", float(b)), ("s", float(s)), ("c", float(c))),
+        params=(("b", _real(b)), ("s", _real(s)), ("c", _real(c))),
         claimed_s=claimed_s,
         claimed_m=1.0 if claimed_s is not None else None,
     )
@@ -342,7 +354,7 @@ def combine(
         f = specs[0]
         return FunctionSpec(
             kind="scale",
-            params=(("lam", float(lam)),),
+            params=(("lam", _real(lam)),),
             children=(f,),
             domain_lo=f.domain_lo,
             claimed_s=f.claimed_s,
@@ -477,17 +489,27 @@ def _axis_values(f: FunctionSpec, xs: np.ndarray, ys: np.ndarray) -> tuple | Non
         return None
 
 
-def _combination(m: float, X, Y, T, harmonic: bool, out: np.ndarray) -> np.ndarray:
-    """The point of the defining inequality at the broadcast axes, written into out."""
+def _combination(m: float | np.ndarray, X, Y, T, harmonic: bool, out: np.ndarray) -> np.ndarray:
+    """The point of the defining inequality at the broadcast axes, written into out.
+
+    Its sum is a copy of the x-term plus an in-place add of the y-term, whose
+    (y, t) block is contiguous, so numpy adds it in one inner loop (a sum of
+    two broadcast operands runs one loop per t row); addition commutes, so
+    every element keeps its bits.
+    """
     if harmonic:  # m*X*Y / (m*T*Y + (1-T)*X)
-        return np.divide(m * X * Y, np.add(m * T * Y, (1.0 - T) * X, out=out), out=out)
-    return np.add(T * X, m * (1.0 - T) * Y, out=out)  # T*X + m*(1-T)*Y
+        np.copyto(out, (1.0 - T) * X)
+        out += m * T * Y
+        return np.divide(m * X * Y, out, out=out)
+    np.copyto(out, T * X)  # T*X + m*(1-T)*Y
+    out += m * (1.0 - T) * Y
+    return out
 
 
 def _defect(
     f: FunctionSpec,
-    s: float,
-    m: float,
+    s: float | list[float],
+    m: float | list[float],
     xs: np.ndarray,
     ys: np.ndarray,
     ts: np.ndarray,
@@ -497,8 +519,13 @@ def _defect(
 ) -> np.ndarray:
     """Signed defect over the product of the given axes, shape (x, y, t).
 
-    Every entry depends only on its own (x, y, t), so the defect over
-    sub-axes is the matching sub-array of the defect over the full axes.
+    Stacked, with xs and ys one row per candidate and s and m one value
+    each, it is every candidate's defect over its own product, shape
+    (candidate, x, y, t).  Every entry depends only on its own (x, y, t), s
+    and m, so the defect over sub-axes is the matching sub-array of the
+    defect over the full axes, and a stacked row is the defect that
+    candidate gets alone: t**s and (1-t)**s are taken once per distinct s,
+    at that scalar exponent, as the unstacked defect takes them.
     ``work``, two float arrays (A, B) of that shape, takes every grid-sized
     intermediate: the combination in A, f of it in B, the right-hand side
     in A, and the defect in B, which is returned.  Without it both are
@@ -507,23 +534,30 @@ def _defect(
     f of the combination is unchecked but for its domain: a value that is
     not finite makes the defect not finite, and only then does f run checked.
     """
-    X = xs[:, None, None]
-    Y = ys[None, :, None]
-    T = ts[None, None, :]
+    X = xs[..., :, None, None]
+    Y = ys[..., None, :, None]
+    T = ts
+    if xs.ndim == 1:
+        M, Ts, Us = m, T**s, (1.0 - T) ** s
+    else:
+        M = np.array(m)[:, None, None, None]
+        powers = {e: (T**e, (1.0 - T) ** e) for e in set(s)}
+        Ts, Us = np.array([powers[e] for e in s]).transpose(1, 0, 2)[:, :, None, None, :]
     if work is None:
-        shape = (len(xs), len(ys), len(ts))
+        shape = (*xs.shape, ys.shape[-1], len(ts))
         work = (np.empty(shape), np.empty(shape))
     A, B = work
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        combination = _combination(m, X, Y, T, harmonic, A)
+        combination = _combination(M, X, Y, T, harmonic, A)
         fx, fy = (f.value(xs), f.value(ys)) if values is None else values
-        fx = np.asarray(fx, dtype=float)[:, None, None]
-        fy = np.asarray(fy, dtype=float)[None, :, None]
+        fx = np.asarray(fx, dtype=float)[..., :, None, None]
+        fy = np.asarray(fy, dtype=float)[..., None, :, None]
         f_comb = f._value(f._in_domain(combination, "value"), out=B)
-        np.add(T**s * fx, m * (1.0 - T) ** s * fy, out=A)
+        np.copyto(A, Ts * fx)  # t**s f(x) + m (1-t)**s f(y), summed as in _combination
+        A += M * Us * fy
         defect = np.subtract(f_comb, A, out=B)
         if not np.isfinite(defect).all():
-            f._evaluate(_combination(m, X, Y, T, harmonic, A), "value", f._value)
+            f._evaluate(_combination(M, X, Y, T, harmonic, A), "value", f._value)
             raise EvaluationError("grid defect evaluation produced non-finite values")
     return defect
 
@@ -577,22 +611,64 @@ def check_harmonic_sm_subgrid_first(
     """check_harmonic_sm's verdict, tried first on every SUBGRID_STRIDE-th
     sample of each grid axis.
 
-    The axes are built once (_grid_axes) and f is evaluated on them once
-    (_axis_values).  The sub-axes and the subgrid's values of f are slices
-    of those, so each subgrid defect is bit for bit the grid's defect at
-    that point.  Where f raises on the axes, each verdict evaluates f on
-    its own axes, so a point outside the subgrid raises only when the full
-    grid runs.  When the subgrid already refutes, its report is returned
-    (holds False, worst defect and witness over the subgrid's points only);
-    otherwise the report is check_harmonic_sm(f, s, m, grid)'s.
+    When the subgrid already refutes, its report is returned (holds False,
+    worst defect and witness over the subgrid's points only); otherwise the
+    report is check_harmonic_sm(f, s, m, grid)'s.  This is _subgrid_first
+    with one candidate: each subgrid defect is bit for bit the grid's
+    defect at that point, and where f raises on the axes, a point outside
+    the subgrid raises only when the full grid runs.
     """
-    _check_grid_args(f, s, m, grid)
-    axes = _grid_axes(grid)
-    values = _axis_values(f, *axes[:2])
+    (report,) = _subgrid_first(f, [(s, m, grid)])
+    return report()
+
+
+def _subgrid_first(f: FunctionSpec, candidates: list) -> list:
+    """check_harmonic_sm_subgrid_first of f at each (s, m, grid) candidate,
+    the grids of one shape: one call per candidate, in order, that returns
+    its report.
+
+    Every x axis is a row of one np.linspace over the stacked interval
+    ends, f is evaluated on all of them once (_axis_values), and every
+    subgrid defect is computed in one stacked _defect pass, in this
+    thread's workspace for the grid shape where the stack fits (48 default
+    subgrids, 34,848 points, fit its 35,301).  Each row is the one the
+    candidate gets alone, so every report keeps its bits.  A refuted
+    candidate's call returns its subgrid report, from a row-wise argmax;
+    any other's computes its full grid from its own rows of the axes and
+    values when called.  Where f raises on the axes, each grid evaluates f
+    on its own axes.  Whatever the stacked pass raises propagates; for one
+    candidate it is what check_harmonic_sm_subgrid_first has to raise.
+    """
+    for s, m, grid in candidates:
+        _check_grid_args(f, s, m, grid)
+    grid = candidates[0][2]
+    shape = (grid.nx, grid.ny, grid.nt)
+    lo, hi = [g.lo for _, _, g in candidates], [g.hi for _, _, g in candidates]
+    xs = np.linspace(lo, hi, grid.nx, axis=1)
+    ys = xs if grid.ny == grid.nx else np.linspace(lo, hi, grid.ny, axis=1)
+    ts = np.linspace(0.0, 1.0, grid.nt)
+    values = _axis_values(f, xs, ys)
     k = SUBGRID_STRIDE
-    coarse = _report(f, s, m, tuple(ax[::k] for ax in axes), harmonic=True,
-                     values=None if values is None else tuple(v[::k] for v in values))
-    return _report(f, s, m, axes, harmonic=True, values=values) if coarse.holds else coarse
+    sub = (xs[:, ::k], ys[:, ::k], ts[::k])
+    stack = (len(candidates), sub[0].shape[1], sub[1].shape[1], len(sub[2]))
+    size, checked = math.prod(stack), math.prod(stack[1:])
+    work = None if size > math.prod(shape) else tuple(
+        w.reshape(-1)[:size].reshape(stack) for w in _workspace(shape))
+    defect = _defect(f, [c[0] for c in candidates], [c[1] for c in candidates], *sub, True,
+                     work, None if values is None else tuple(v[:, ::k] for v in values))
+    flat = defect.reshape(len(candidates), -1)
+    best = flat.argmax(axis=1)  # each row's first maximizer: its smallest (x, y, t) witness
+    worst = flat[np.arange(len(candidates)), best].tolist()
+    at = zip(*np.unravel_index(best, stack[1:]))
+    calls = []
+    for i, ((s, m, _), (ix, iy, it)) in enumerate(zip(candidates, at)):
+        if worst[i] <= DEFECT_TOL:
+            rows = None if values is None else (values[0][i], values[1][i])
+            calls.append(partial(_report, f, s, m, (xs[i], ys[i], ts), True, rows))
+        else:
+            witness = (float(sub[0][i, ix]), float(sub[1][i, iy]), float(sub[2][it]))
+            calls.append(partial(ConvexityReport, False, worst[i], witness, checked))
+    return calls
 
 
 @dataclass(frozen=True)

@@ -32,11 +32,12 @@ from operator import attrgetter
 from typing import TextIO
 
 from .bounds import BoundTerm, PRESETS, _crosscheck, _instance_values, _read, _require_band
-from .bounds import _require_holds, _row_kernels, _triples, _verdict, case_label, certify_instance
+from .bounds import _certify_block, _require_holds, _row_kernels, _triples, _verdict, case_label
 from .bounds import crosscheck_plan
 # The rows read the instance's value table, not check_theorem, crosscheck_B or
-# check_identity; the names stay bound here because the benchmark's tracer wraps them.
-from .bounds import check_theorem, crosscheck_B  # noqa: F401
+# check_identity, and the draws certify through _certify_block, not certify_instance;
+# the names stay bound here because the benchmark's tracer wraps them.
+from .bounds import certify_instance, check_theorem, crosscheck_B  # noqa: F401
 from .convexity import (
     ConvexityReport,
     format_function_spec,
@@ -51,6 +52,9 @@ from .identity import check_identity  # noqa: F401
 SCHEMA = "harmonia/v1"
 
 _DEFAULT_FAMILIES = ("linear", "power:c=1,p=2", "spower:b=1,s=0.5,c=0")
+# Candidates drawn and certified together: 48 stacked 726-point subgrids of the
+# default grid (34,848 points) fit the workspace of one full 35,301-point grid.
+_BLOCK = 48
 
 
 def _as_float(value: object) -> float | None:
@@ -279,26 +283,12 @@ class RunReport:
         return self._summary["worst_margin"][str(theorem)]
 
 
-def _certified(cfg: SweepConfig) -> Iterator[tuple[Instance, ConvexityReport, int]]:
-    """Draw and grid-certify candidates; yields (instance, certificate,
-    discarded) for each certified instance, in draw order.
-
-    discarded counts the candidates dropped before that instance, so the
-    last triple carries the sweep's count: the draws stop at the
-    cfg.samples-th instance.  Each candidate is certified by one
-    certify_instance call; one whose |f'|^q fails certification on
-    [a, b/m] (or has no derivative evaluator) is discarded.  When the draws
-    run out first, ConfigError is raised after the last instance found.
-    """
+def _draws(cfg: SweepConfig) -> Iterator[Instance]:
+    """The candidate instances of cfg, in its seeded draw order, without end."""
     rng = random.Random(cfg.rng_seed)
     families = [parse_function_spec(s) for s in cfg.families]
     fixed_triple = cfg._triple_mode()
-    certified = 0
-    discarded = 0
-    attempts = 0
-    max_attempts = cfg.samples * 50
-    while certified < cfg.samples and attempts < max_attempts:
-        attempts += 1
+    while True:
         f = rng.choice(families)
         a = rng.uniform(*cfg.a_range)
         b = a + rng.uniform(*cfg.b_minus_a_range)
@@ -310,17 +300,53 @@ def _certified(cfg: SweepConfig) -> Iterator[tuple[Instance, ConvexityReport, in
             lam = rng.uniform(0.5, 1.0)
         else:
             lam, mu = fixed_triple
-        inst = Instance(a=a, b=b, s=s, m=m, q=q, lambda_=lam, mu_=mu, f=f)
+        yield Instance(a=a, b=b, s=s, m=m, q=q, lambda_=lam, mu_=mu, f=f)
+
+
+def _certified(cfg: SweepConfig) -> Iterator[tuple[Instance, ConvexityReport, int]]:
+    """Draw and grid-certify candidates; yields (instance, certificate,
+    discarded) for each certified instance, in draw order.
+
+    discarded counts the candidates dropped before that instance, so the
+    last triple carries the sweep's count: the draws stop at the
+    cfg.samples-th instance.  Candidates are drawn _BLOCK at a time (fewer
+    where cfg.samples * 50 draws would be exceeded) and certified by one
+    _certify_block call per block, which computes the subgrids of each
+    |f'|^q together; each candidate's call, made in draw order, returns its
+    certify_instance report, and only a candidate that is reached computes
+    its full grid.  One whose |f'|^q fails certification on [a, b/m] (or
+    has no derivative evaluator) is discarded.  A draw that is no instance
+    raises when it is reached.  When the draws run out first, ConfigError
+    is raised after the last instance found.
+    """
+    draws = _draws(cfg)
+    certified = 0
+    discarded = 0
+    attempts = 0
+    max_attempts = cfg.samples * 50
+    while certified < cfg.samples and attempts < max_attempts:
+        block, bad_draw = [], None
         try:
-            report = certify_instance(inst)
-        except EvaluationError:
-            discarded += 1
-            continue
-        if report.holds:
+            for inst in islice(draws, min(_BLOCK, max_attempts - attempts)):
+                block.append(inst)
+        except HarmoniaError as exc:
+            bad_draw = exc
+        attempts += len(block)
+        for inst, certify in zip(block, _certify_block(block)):
+            try:
+                report = certify()
+            except EvaluationError:
+                discarded += 1
+                continue
+            if not report.holds:
+                discarded += 1
+                continue
             certified += 1
             yield inst, report, discarded
-        else:
-            discarded += 1
+            if certified == cfg.samples:
+                return
+        if bad_draw is not None:
+            raise bad_draw
     if not certified:
         raise ConfigError(
             "no candidate instance could be certified; the configured families "
@@ -336,8 +362,8 @@ def _certified(cfg: SweepConfig) -> Iterator[tuple[Instance, ConvexityReport, in
 def generate_instances(cfg: SweepConfig) -> tuple[list[Instance], int, list[ConvexityReport]]:
     """Draw and grid-certify instances; returns (instances, discard count,
     each instance's ConvexityReport in instance order), as _certified draws
-    and certifies them.  Draw order is fixed, so a given seed always yields
-    the same list.
+    and certifies them, in blocks.  Draw order is fixed and each report is
+    certify_instance's, so a given seed always yields the same list.
     """
     instances, certificates, discards = zip(*_certified(cfg))
     return list(instances), discards[-1], list(certificates)
@@ -434,10 +460,11 @@ def run_sweep(cfg: SweepConfig, jobs: int | None = None) -> RunReport:
     for the machine's core count; it is the only way to set parallelism.
     Parallel and serial execution produce identical reports: work is split
     per instance and merged back in instance order.  The parent alone
-    certifies.  With more than one job it opens the pool first and submits
-    the certified instances in batches as the draws find them, so the
-    workers evaluate rows while the parent certifies the next candidates;
-    if the draws raise, the queued batches are cancelled.
+    certifies, a block of candidates at a time (_certified).  With more than
+    one job it opens the pool first and submits the certified instances in
+    batches as the draws find them, so the workers evaluate rows while the
+    parent computes the next full grids and blocks; if the draws raise, the
+    queued batches are cancelled.
     """
     jobs = _read_jobs(jobs, "jobs") or os.cpu_count() or 1
     start = time.perf_counter()

@@ -237,20 +237,21 @@ def test_one_module_sets_the_quadrature_accuracy():
     assert de_callers == set()
 
 
-# convexity's grid machinery.  The sweep harness certifies each candidate
-# with one bounds.certify_instance call and reaches none of it directly,
-# so the subgrid prefilter and the grid it stands in front of have one home.
+# convexity's grid machinery.  The sweep harness certifies its candidates
+# in blocks, with one bounds._certify_block call per block, and reaches none
+# of it directly, so the subgrid prefilter and the grid it stands in front
+# of have one home.
 GRID_NAMES = {
     "GridSpec", "SUBGRID_STRIDE", "abs_deriv_pow", "check_harmonic_sm",
     "check_harmonic_sm_subgrid_first", "check_plain_sm", "classify", "harmonic_sm_defect",
-    "_check_grid_args", "_defect", "_grid_axes", "_report",
+    "_check_grid_args", "_defect", "_grid_axes", "_report", "_subgrid_first",
 }
 
 
-def test_the_sweep_certifies_through_certify_instance_only():
+def test_the_sweep_certifies_through_certify_block_only():
     path = Path(harmonia.__file__).parent / "harness.py"
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    assert "certify_instance" in _calls(tree)
+    assert "_certify_block" in _calls(tree)
     assert _names_used(tree, "harness") & GRID_NAMES == set()
 
 
@@ -295,7 +296,8 @@ SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 # They go once the library counts its own calls.
 TRACED_ONLY = {
     ("bounds", "hyp2f1"), ("bounds", "integrate_de"), ("bounds", "rule_deviation"),
-    ("harness", "check_identity"), ("harness", "check_theorem"), ("harness", "crosscheck_B"),
+    ("harness", "certify_instance"), ("harness", "check_identity"), ("harness", "check_theorem"),
+    ("harness", "crosscheck_B"),
     ("specfun", "integrate"), ("specfun", "integrate_de"),
 }
 

@@ -12,6 +12,8 @@ import warnings
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
+from itertools import cycle, islice
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from harmonia import (
     EvaluationError,
     FunctionSpec,
     GridSpec,
+    HarmoniaError,
     Instance,
     ParameterError,
     PROPERTY_CORPUS,
@@ -44,7 +47,7 @@ from harmonia import (
     s_power,
     abs_deriv_pow,
 )
-from harmonia import convexity
+from harmonia import bounds, convexity, harness
 from harmonia.convexity import (
     SUBGRID_STRIDE,
     _defect,
@@ -288,10 +291,17 @@ class _Spiked(FunctionSpec):
 
 
 class TestAxisWork:
-    """Each candidate's x and y axes are one array, and |f'|^q is evaluated on it once."""
+    """The x and y axes of every candidate of one |f'|^q in a block are one
+    array, and |f'|^q is evaluated on it once."""
 
     # The small seeded config of tests/test_harness.py.
     SMALL = SweepConfig(samples=6, rng_seed=424242, q_values=(1.0, 2.0))
+
+    @staticmethod
+    def block_groups(cfg):
+        """The sizes of the (f, q) groups of cfg's first block of draws."""
+        block = list(islice(harness._draws(cfg), harness._BLOCK))
+        return sorted(Counter((inst.f, inst.q) for inst in block).values())
 
     def test_generate_instances_builds_and_evaluates_each_axis_once(self, monkeypatch):
         linspace, axis_derivs = [0], [0]
@@ -302,16 +312,17 @@ class TestAxisWork:
             return real_linspace(*args, **kwargs)
 
         def counting_deriv(self, x, out=None):
-            axis_derivs[0] += np.ndim(x) == 1
+            axis_derivs[0] += np.ndim(x) == 2  # a stack of axes, one row per candidate
             return real_deriv(self, x, out)
 
         monkeypatch.setattr(np, "linspace", counting_linspace)
         monkeypatch.setattr(FunctionSpec, "_deriv", counting_deriv)
         instances, discarded, _ = generate_instances(self.SMALL)
-        candidates = len(instances) + discarded
-        assert discarded > 0
-        assert linspace[0] == 2 * candidates  # x and y, then t
-        assert axis_derivs[0] == candidates
+        assert discarded > 0 and len(instances) + discarded <= harness._BLOCK  # one block
+        passes = len(self.block_groups(self.SMALL))
+        assert passes == 6  # 3 families x 2 q values
+        assert linspace[0] == 2 * passes  # the stacked x and y, then t
+        assert axis_derivs[0] == passes
 
     # A spike at the axis point xs[1], outside the subgrid (stride 4): in f'
     # itself, or in a summand, whose own check raises inside sum's f'.
@@ -435,19 +446,20 @@ class TestGridChecks:
             shape.value(0.85)
 
     def test_each_grid_checks_once_for_the_domain_and_once_for_finiteness(self, monkeypatch):
-        # Work pin on the small seeded config: passes over a grid-sized (3-D)
-        # array, by grid size: 726 points for a subgrid, 35,301 for a full grid.
-        # A change that adds a check re-records it and says why in CHANGES.md.
+        # Work pin on the small seeded config: passes over a grid-sized (3-D,
+        # or 4-D when stacked) array, by its size: 726 points per subgrid in
+        # each stacked pass, 35,301 for a full grid.  A change that adds a
+        # check re-records it and says why in CHANGES.md.
         grids, domain, finite, checked = Counter(), Counter(), Counter(), Counter()
         real_defect, real_in_domain = convexity._defect, FunctionSpec._in_domain
         real_isfinite, real_evaluate = np.isfinite, FunctionSpec._evaluate
 
         def count(counter, x):
-            if np.ndim(x) == 3:
+            if np.ndim(x) >= 3:
                 counter[np.size(x)] += 1
 
         def defect(f, s, m, xs, ys, ts, *args):
-            grids[len(xs) * len(ys) * len(ts)] += 1
+            grids[np.size(xs) * np.shape(ys)[-1] * len(ts)] += 1
             return real_defect(f, s, m, xs, ys, ts, *args)
 
         def in_domain(self, x, what):
@@ -466,9 +478,10 @@ class TestGridChecks:
         monkeypatch.setattr(FunctionSpec, "_in_domain", in_domain)
         monkeypatch.setattr(np, "isfinite", isfinite)
         monkeypatch.setattr(FunctionSpec, "_evaluate", evaluate)
-        instances, discarded, _ = generate_instances(TestAxisWork.SMALL)
-        candidates = len(instances) + discarded
-        assert grids == Counter({726: candidates, 41 * 41 * 21: 6}) == Counter({726: 12, 35301: 6})
+        generate_instances(TestAxisWork.SMALL)
+        groups = TestAxisWork.block_groups(TestAxisWork.SMALL)  # one stacked pass each
+        assert grids == Counter([726 * n for n in groups] + [41 * 41 * 21] * 6)
+        assert groups == [1, 7, 7, 9, 10, 14]
         assert domain == finite == grids
         assert checked == Counter()  # no checked evaluation of a grid that passes
 
@@ -479,6 +492,73 @@ class TestGridChecks:
         out = np.empty_like(x)
         assert convexity._pow(x, 1.0, out) is out and np.array_equal(out.view(np.int64), x.view(np.int64))
         assert convexity._pow(out, 1.0, out) is out
+
+
+def _outcome(call):
+    """A certification's report bits, or its error's class, message and abscissa."""
+    try:
+        r = call()
+    except HarmoniaError as exc:
+        return type(exc), str(exc), getattr(exc, "abscissa", None)
+    return r.holds, r.worst_defect.hex(), [w.hex() for w in r.witness], r.checked
+
+
+class TestBlocks:
+    """bounds._certify_block stacks the subgrids of each |f'|^q and gives every
+    candidate what certify_instance gives it alone."""
+
+    @staticmethod
+    def _block():
+        spiked = TestAxisWork()._spiked
+        off, twin, _ = spiked("leaf", 1.0, 1)  # off the subgrid: its full grid raises
+        on = spiked("leaf", 1.0, 4)[0]  # on the subgrid: the stacked pass raises
+        summand_off, summand_on = spiked("summand", 1.0, 1)[0], spiked("summand", 1.0, 4)[0]
+        square = replace(twin, f=power(1.0, 2.0), q=1.5)
+        return [off, twin, on, replace(off, m=0.5), replace(twin, m=0.5), replace(on, m=0.5),
+                summand_off, square, summand_on, replace(off, b=1.6), replace(square, s=0.5)]
+
+    def test_each_call_is_certify_instance_alone(self, monkeypatch):
+        block = self._block()
+        alone = [_outcome(partial(certify_instance, inst)) for inst in block]
+        fallbacks = []
+
+        def one_at_a_time(inst):
+            fallbacks.append(inst)
+            return certify_instance(inst)
+
+        monkeypatch.setattr(bounds, "certify_instance", one_at_a_time)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            together = [_outcome(call) for call in bounds._certify_block(block)]
+        assert together == alone
+        # Only the groups whose stacked pass raised went one candidate at a time.
+        assert fallbacks == [block[2], block[5], block[8]]
+        off_message = "linear derivative is not finite at x=1.00925"
+        on_message = "linear derivative is not finite at x=1.037"
+        assert [alone[i] for i in (0, 2, 6, 8)] == [
+            (EvaluationError, off_message, 1.00925), (EvaluationError, on_message, 1.037),
+            (EvaluationError, off_message, 1.00925), (EvaluationError, on_message, 1.037)]
+        assert [alone[i][0] for i in (1, 3, 4, 5, 7, 9, 10)] == [True, False, False, False,
+                                                                 True, True, True]
+
+    def test_a_full_grid_that_raises_discards_its_candidate(self, monkeypatch):
+        # The spike off the subgrid holds there; its full grid raises when
+        # the draws reach it, and the candidate is discarded.
+        off, twin = self._block()[:2]
+        monkeypatch.setattr(harness, "_draws", lambda cfg: cycle([off, twin]))
+        instances, discarded, certificates = generate_instances(SweepConfig(samples=3))
+        assert instances == [twin] * 3 and discarded == 3
+        assert certificates == [certify_instance(twin)] * 3
+
+    def test_a_stack_too_large_for_the_workspace_gets_its_own_arrays(self):
+        # 60 default subgrids (43,560 points) exceed one grid's 35,301; half
+        # of them (m = 1/2) refute.
+        shape = abs_deriv_pow(s_power(1.0, 0.5, 0.0), 2.0)
+        candidates = [(0.5, m, GridSpec(lo=1.0, hi=1.0 + k / 30)) for k in range(1, 31)
+                      for m in (0.5, 1.0)]
+        together = [_outcome(call) for call in convexity._subgrid_first(shape, candidates)]
+        assert together == [_outcome(partial(check_harmonic_sm_subgrid_first, shape, *c))
+                            for c in candidates]
 
 
 class TestWorkspace:
@@ -781,6 +861,19 @@ class TestFunctionSpecNodes:
             abs_deriv_pow(linear(), True)
         with pytest.raises(ParameterError, match="power param p=True must be a finite real"):
             FunctionSpec(kind="power", params=(("c", 1.0), ("p", True)))
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: power(1.0, True), "power param p=True"),
+        (lambda: power(False, 2.0), "power param c=False"),
+        (lambda: s_power(True, 0.5, 0.0), "s_power param b=True"),
+        (lambda: s_power(1.0, True, 0.0), "s_power param s=True"),
+        (lambda: s_power(1.0, 0.5, False), "s_power param c=False"),
+        (lambda: combine("scale", [linear()], lam=True), "scale param lam=True"),
+    ])
+    def test_the_builders_reject_boolean_params(self, build, message):
+        # They convert their numbers to float, but not a bool to 1.0 or 0.0.
+        with pytest.raises(ParameterError, match=f"{message} must be a finite real"):
+            build()
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ParameterError):

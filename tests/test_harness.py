@@ -13,7 +13,8 @@ from collections import Counter
 from dataclasses import fields, replace
 from datetime import datetime
 from decimal import Decimal
-from itertools import groupby
+from functools import partial
+from itertools import groupby, islice
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from harmonia import (
     Instance,
     MARGIN_TOL,
     PRESETS,
+    ParameterError,
     Row,
     RunReport,
     SCHEMA,
@@ -261,6 +263,32 @@ class TestCertifiedStream:
                                 cert.checked, discarded)).encode())
         assert digest.hexdigest() == self.DIGESTS[config, seed]
 
+    @staticmethod
+    def _bits(report):
+        return report.holds, report.worst_defect.hex(), [w.hex() for w in report.witness], report.checked
+
+    def test_each_block_call_is_a_lone_certify_instance(self):
+        # Every candidate of the ten blocks of seed 1, those drawn past its last instance too.
+        draws = harness._draws(SweepConfig(rng_seed=1))
+        for _ in range(10):
+            block = list(islice(draws, harness._BLOCK))
+            for inst, call in zip(block, bounds._certify_block(block)):
+                assert self._bits(call()) == self._bits(certify_instance(inst))
+
+    @pytest.mark.parametrize("samples, seed", [(1, 1), (2, 1), (1, 5)])
+    def test_a_draw_that_is_no_instance_raises_only_when_reached(self, samples, seed):
+        # Past 2**53, a + 1.0 can round to a, and a == b is no Instance.  The
+        # second draw of seed 1 is one, and the first of seed 5: one sample of
+        # seed 1 is found before it, so that sweep never reaches it.
+        cfg = SweepConfig(samples=samples, rng_seed=seed, families=("linear",), s_values=(1.0,),
+                          m_values=(1.0,), a_range=(1e15, 1.2e16), b_minus_a_range=(1.0, 1.0))
+        if (samples, seed) == (1, 1):
+            instances, discarded, _ = generate_instances(cfg)
+            assert (len(instances), discarded) == (1, 0)
+        else:
+            with pytest.raises(ParameterError, match="need 0 < a < b"):
+                generate_instances(cfg)
+
 
 class TestRunSweep:
     def test_row_counts_follow_the_matrix(self, small_report):
@@ -338,29 +366,35 @@ class TestRunSweep:
             assert parallel.instances == serial.instances == cfg.samples
 
     def test_pool_evaluates_rows_while_the_parent_certifies(self, monkeypatch, small_report):
-        # The first batch reaches the pool before the last candidate is
-        # certified, and only the parent certifies.
+        # The first batch reaches the pool before the last full grid is
+        # computed, and only the parent certifies.
         parent = os.getpid()
         events: list[str] = []
-        real_certify = harness.certify_instance
+        real_block = harness._certify_block
 
-        def logging_certify(inst):
+        def logged(call):
             if os.getpid() != parent:
                 raise AssertionError("a pool worker certified an instance")
-            events.append("certify")
-            return real_certify(inst)
+            report = call()
+            events.append("full grid" if report.checked == 41 * 41 * 21 else "subgrid")
+            return report
+
+        def logging_block(insts):
+            if os.getpid() != parent:
+                raise AssertionError("a pool worker certified an instance")
+            return [partial(logged, call) for call in real_block(insts)]
 
         class LoggingPool(harness.ProcessPoolExecutor):
             def submit(self, *args, **kwargs):
                 events.append("submit")
                 return super().submit(*args, **kwargs)
 
-        monkeypatch.setattr(harness, "certify_instance", logging_certify)
+        monkeypatch.setattr(harness, "_certify_block", logging_block)
         monkeypatch.setattr(harness, "ProcessPoolExecutor", LoggingPool)
         rep = run_sweep(SMALL, jobs=2)
-        last_certify = len(events) - 1 - events[::-1].index("certify")
-        assert events.index("submit") < last_certify
-        assert events.count("certify") == rep.instances + rep.discarded
+        last_full_grid = len(events) - 1 - events[::-1].index("full grid")
+        assert events.index("submit") < last_full_grid
+        assert len(events) - events.count("submit") == rep.instances + rep.discarded
         assert events.count("submit") == SMALL.samples  # batches of one at 6 samples
         assert rep.rows == small_report.rows
 
@@ -387,23 +421,27 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_each_accepted_instance_certified_once(self, monkeypatch, small_report, jobs):
-        # certify_instance runs in the parent only: once per candidate,
-        # never again for the rows.
+        # Certification runs in the parent only: each candidate the draws
+        # reach is certified once, never again for the rows.
         parent = os.getpid()
         candidates: list[Instance] = []
         verdicts: list[bool] = []
-        real_certify = harness.certify_instance
+        real_block = harness._certify_block
 
-        def counting_certify(inst, *args, **kwargs):
-            if os.getpid() != parent:
-                raise AssertionError("a pool worker re-certified an instance")
+        def counting(inst, call):
             candidates.append(inst)
-            report = real_certify(inst, *args, **kwargs)
+            report = call()
             verdicts.append(report.holds)
             return report
 
-        monkeypatch.setattr(harness, "certify_instance", counting_certify)
+        def counting_block(insts):
+            if os.getpid() != parent:
+                raise AssertionError("a pool worker re-certified an instance")
+            return [partial(counting, inst, call) for inst, call in zip(insts, real_block(insts))]
+
+        monkeypatch.setattr(harness, "_certify_block", counting_block)
         rep = run_sweep(SMALL, jobs=jobs)
+        assert len(candidates) == len({id(inst) for inst in candidates})
         assert len(candidates) == rep.instances + rep.discarded
         assert verdicts.count(True) == rep.instances
         assert verdicts.count(False) > 0
