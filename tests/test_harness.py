@@ -257,7 +257,8 @@ class TestCertifiedStream:
         cfg = SweepConfig(rng_seed=seed, **(self.WIDE if config == "wide" else {}))
         digest = hashlib.sha256()
         for inst, cert, discarded in harness._certified(cfg):
-            fields = [v.hex() for v in (inst.a, inst.b, inst.s, inst.m, inst.q, inst.lambda_, inst.mu_)]
+            fields = [v.hex() for v in
+                      (inst.a, inst.b, inst.s, inst.m, inst.q, inst.lambda_, inst.mu_)]
             digest.update(repr((fields, format_function_spec(inst.f), cert.holds,
                                 cert.worst_defect.hex(), [w.hex() for w in cert.witness],
                                 cert.checked, discarded)).encode())
@@ -265,7 +266,8 @@ class TestCertifiedStream:
 
     @staticmethod
     def _bits(report):
-        return report.holds, report.worst_defect.hex(), [w.hex() for w in report.witness], report.checked
+        witness = [w.hex() for w in report.witness]
+        return report.holds, report.worst_defect.hex(), witness, report.checked
 
     def test_each_block_call_is_a_lone_certify_instance(self):
         # Every candidate of the ten blocks of seed 1, those drawn past its last instance too.
